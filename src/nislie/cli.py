@@ -29,7 +29,7 @@ from .document import AlgebraDocument, DocumentError, recipe_to_meta
 from .errors import ConditionViolated, NisLieError, UnknownName
 from .extension import ExtensionRecipe, extend, reduce as ext_reduce
 from .forms import QuadraticForm, check_nis
-from .gf2 import GF2Matrix, bits
+from .gf2 import GF2Matrix, SubspaceNotContained, bits
 from .isometry import adapted_isometry_decision, search_isometry, verify_isometry
 from .superalgebra import validate
 
@@ -187,7 +187,13 @@ def cmd_validate(args) -> int:
 def cmd_outer(args) -> int:
     doc, name = _load_target(args.target)
     g = doc.algebra
-    oe, oo = outer_derivations(g)
+    try:
+        oe, oo = outer_derivations(g)
+    except SubspaceNotContained:
+        raise CliError(
+            1, "an inner map is not a derivation, so the input fails the"
+            " axioms; run `nislie validate` on it"
+        ) from None
     payload = {
         "dim_even": oe.dim,
         "dim_odd": oo.dim,

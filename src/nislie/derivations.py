@@ -12,7 +12,10 @@ rule at e_i + e_j equals (rule at e_i) + (rule at e_j) + (Leibniz at
 
 For graded algebras the system is block-diagonal over the degree shift of
 the unknown map, which is how the larger Hamiltonian computations stay
-fast.
+fast.  The build is index-driven: each basis vector lists the unknowns of
+the current block that have it as source, so a rule touches only unknowns
+that exist.  The rows go into a fully reduced SpanBasis and the kernel is
+read off its pivot rows, with no second elimination.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from .gf2 import (
     SpanBasis,
     bits,
     quotient_basis,
+    rref_kernel,
     solve_affine,
     span_basis,
 )
@@ -147,75 +151,57 @@ def _derivation_kernel(g: SuperAlgebra, parity: int, shift=None) -> list[Derivat
     unknowns = _unknown_layout(g, parity, shift)
     if not unknowns:
         return []
-    idx = {p: k for k, p in enumerate(unknowns)}
-    width = len(unknowns)
     n = g.dim
     table = g.bracket_table
+    # by_source[m]: (i, bit of unknown (i, m)) for each unknown that exists
+    by_source: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for pos, (i, m) in enumerate(unknowns):
+        by_source[m].append((i, 1 << pos))
     rows = SpanBasis()
 
-    def add_rows(row_by_out: dict[int, int]):
+    def add_rule(image: int, j: int, k: int, leibniz: bool):
+        # D(image) + [D e_j, e_k] (+ [e_j, D e_k] for Leibniz), per output
+        row_by_out: dict[int, int] = {}
+        for m in bits(image):
+            for l_, bit in by_source[m]:
+                row_by_out[l_] = row_by_out.get(l_, 0) ^ bit
+        for m, bit in by_source[j]:
+            for l_ in bits(table[m][k]):
+                row_by_out[l_] = row_by_out.get(l_, 0) ^ bit
+        if leibniz:
+            for m, bit in by_source[k]:
+                for l_ in bits(table[j][m]):
+                    row_by_out[l_] = row_by_out.get(l_, 0) ^ bit
         for r in row_by_out.values():
             if r:
                 rows.add(r)
 
-    def accumulate(row_by_out, column_unknown, coeff_elem):
-        # coeff_elem lists the outputs l receiving unknown `column_unknown`
-        k = idx.get(column_unknown)
-        if k is None:
-            return
-        bit = 1 << k
-        for l in bits(coeff_elem):
-            row_by_out[l] = row_by_out.get(l, 0) ^ bit
-
     for j in range(n):
         for k in range(j + 1, n):
-            row_by_out: dict[int, int] = {}
-            # D([e_j, e_k]) term: unknown (l, m) for m in [e_j, e_k]
-            for m in bits(table[j][k]):
-                for l_ in range(n):
-                    pos = idx.get((l_, m))
-                    if pos is not None:
-                        row_by_out[l_] = row_by_out.get(l_, 0) ^ (1 << pos)
-            # [D e_j, e_k]: unknown (m, j) contributes c[m][k]
-            for m in range(n):
-                accumulate(row_by_out, (m, j), table[m][k])
-                accumulate(row_by_out, (m, k), table[j][m])
-            add_rows(row_by_out)
-    for j in range(n):
-        if g.parity[j] != 1:
-            continue
-        row_by_out = {}
-        for m in bits(g.squaring[j]):
-            for l_ in range(n):
-                pos = idx.get((l_, m))
-                if pos is not None:
-                    row_by_out[l_] = row_by_out.get(l_, 0) ^ (1 << pos)
-        for m in range(n):
-            accumulate(row_by_out, (m, j), table[m][j])
-        add_rows(row_by_out)
-
-    kernel = GF2Matrix(rows.vectors() or [0], width).kernel_basis()
+            add_rule(table[j][k], j, k, True)
+    for j in g.odd_indices():
+        add_rule(g.squaring[j], j, j, False)
+    kernel = rref_kernel(rows.pivot_rows, len(unknowns))
     return [Derivation.from_vec(v, unknowns, n, parity) for v in kernel]
 
 
-def derivation_space(
-    g: SuperAlgebra, parity: int, use_grading: bool = True
-) -> list[Derivation]:
+def _shift_kernels(g: SuperAlgebra, parity: int):
+    """(shift, derivation kernel of that degree shift) for a graded g."""
+    shifts = {
+        g.degrees[i] - g.degrees[j]
+        for i in range(g.dim)
+        for j in range(g.dim)
+        if g.parity[i] == (g.parity[j] + parity) & 1
+    }
+    for s in sorted(shifts):
+        yield s, _derivation_kernel(g, parity, s)
+
+
+def derivation_space(g: SuperAlgebra, parity: int) -> list[Derivation]:
     """Basis of the parity-homogeneous derivations of g."""
-    if g.degrees is None or not use_grading:
+    if g.degrees is None:
         return _derivation_kernel(g, parity)
-    shifts = sorted(
-        {
-            g.degrees[i] - g.degrees[j]
-            for i in range(g.dim)
-            for j in range(g.dim)
-            if g.parity[i] == (g.parity[j] + parity) & 1
-        }
-    )
-    out: list[Derivation] = []
-    for s in shifts:
-        out.extend(_derivation_kernel(g, parity, s))
-    return out
+    return [d for _, ders in _shift_kernels(g, parity) for d in ders]
 
 
 def inner_derivations(g: SuperAlgebra, parity: int) -> list[Derivation]:
@@ -286,27 +272,20 @@ def outer_dimension_by_degree(g: SuperAlgebra, parity: int) -> dict[int, int]:
     """Outer dimensions split by degree shift (graded algebras only)."""
     if g.degrees is None:
         raise ValueError("algebra carries no grading")
+    # inner derivations of degree s are the ad_v with matching shift
+    inner_by_shift: dict[int | None, list[int]] = {}
+    for i in range(g.dim):
+        if g.parity[i] != parity:
+            continue
+        d = ad_derivation(g, 1 << i)
+        if not d.is_zero():
+            inner_by_shift.setdefault(_map_degree(g, d), []).append(
+                _vec_full(g, d)
+            )
     result: dict[int, int] = {}
-    shifts = sorted(
-        {
-            g.degrees[i] - g.degrees[j]
-            for i in range(g.dim)
-            for j in range(g.dim)
-            if g.parity[i] == (g.parity[j] + parity) & 1
-        }
-    )
-    for s in shifts:
-        ders = _derivation_kernel(g, parity, s)
-        # inner derivations of degree s are the ad_v with matching shift
-        inner_vecs = []
-        for i in range(g.dim):
-            if g.parity[i] != parity:
-                continue
-            d = ad_derivation(g, 1 << i)
-            if not d.is_zero() and _map_degree(g, d) == s:
-                inner_vecs.append(_vec_full(g, d))
+    for s, ders in _shift_kernels(g, parity):
         reps = quotient_basis(
-            [_vec_full(g, d) for d in ders], inner_vecs
+            [_vec_full(g, d) for d in ders], inner_by_shift.get(s, [])
         )
         if reps:
             result[s] = len(reps)

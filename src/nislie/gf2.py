@@ -94,6 +94,21 @@ class SpanBasis:
         return [self.pivot_rows[p] for p in sorted(self.pivot_rows)]
 
 
+def rref_kernel(pivot_rows: dict[int, int], width: int) -> list[int]:
+    """Kernel basis of a fully reduced echelon form, one vector per free column.
+
+    pivot_rows maps each pivot column to its row, whose lowest set bit is
+    that pivot and which has no other pivot set (SpanBasis.pivot_rows is
+    such a map).  The vector of free column f is e_f plus e_p for every
+    pivot row p containing f; vectors come in ascending order of f.
+    """
+    kernel = {f: 1 << f for f in range(width) if f not in pivot_rows}
+    for p, row in pivot_rows.items():
+        for f in bits(row ^ (1 << p)):
+            kernel[f] |= 1 << p
+    return list(kernel.values())
+
+
 def span_basis(vectors: Iterable[int]) -> list[int]:
     return SpanBasis(vectors).vectors()
 
@@ -245,17 +260,9 @@ class GF2Matrix:
     def kernel_basis(self) -> list[int]:
         """Basis of {x : A x = 0}."""
         red = self.row_reduce()
-        pivots = red.pivot_columns
-        pivot_of_col = {c: i for i, c in enumerate(pivots)}
-        free = [c for c in range(self.ncols) if c not in pivot_of_col]
-        basis = []
-        for f in free:
-            v = 1 << f
-            for c, i in pivot_of_col.items():
-                if (red.matrix.rows[i] >> f) & 1:
-                    v |= 1 << c
-            basis.append(v)
-        return basis
+        return rref_kernel(
+            dict(zip(red.pivot_columns, red.matrix.rows)), self.ncols
+        )
 
     def inverse(self) -> "GF2Matrix":
         n = self.nrows

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -91,6 +92,22 @@ def test_purely_odd_outer_dimension():
     obj = named("purely-odd")
     oe, oo = outer_derivations(obj.algebra)
     assert (oe.dim, oo.dim) == (4, 0)
+
+
+def test_graded_derivation_space_equals_ungraded_kernel(h105):
+    def flat(g, d):
+        return sum(im << (j * g.dim) for j, im in enumerate(d.images))
+
+    for g in (h105.algebra, named("po-0-4").algebra):
+        assert g.degrees is not None
+        ungraded = dataclasses.replace(g, degrees=None)
+        for parity in (0, 1):
+            graded = derivation_space(g, parity)
+            plain = derivation_space(ungraded, parity)
+            assert span_basis(flat(g, d) for d in graded) == span_basis(
+                flat(g, d) for d in plain
+            )
+            assert len(graded) == len(plain)
 
 
 def test_h105_degree_table(h105):
@@ -310,8 +327,11 @@ def _dense_derivation_dim(g, parity):
     return len(unknowns) - gf2_rank_dense(np.array(rows))
 
 
-def test_derivation_dimension_matches_dense_oracle(hei_double, ba_double, h104):
-    for obj in (hei_double, ba_double, h104):
+def test_derivation_dimension_matches_dense_oracle(
+    hei_double, ba_double, h104, h105
+):
+    # h1-0-4, h1-0-5 and po-0-4 are graded, so they take the per-shift path
+    for obj in (hei_double, ba_double, h104, h105, named("po-0-4")):
         g = obj.algebra
         for parity in (0, 1):
             got = len(derivation_space(g, parity))

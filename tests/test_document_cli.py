@@ -99,6 +99,15 @@ def test_cli_outer_and_match(capsys):
     assert "1 classes" in out
 
 
+def test_cli_outer_on_invalid_algebra_is_a_negative(capsys):
+    # po05-m0 fails Jacobi, so some ad_t is not a derivation
+    assert main(["outer", "po05-m0"]) == 1
+    captured = capsys.readouterr()
+    assert "an inner map is not a derivation" in captured.err
+    assert "nislie validate" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 def test_cli_extend_reduce_roundtrip(tmp_path, capsys):
     out1 = tmp_path / "ext.json"
     rc = main(

@@ -5,9 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nislie.gf2 import (
+    AffineSolution,
     GF2Matrix,
     SpanBasis,
     quotient_basis,
+    rref_kernel,
     solve_affine,
     span_basis,
 )
@@ -95,6 +97,22 @@ def test_kernel_basis():
         for v in kern:
             assert m.mat_vec(v) == 0
         assert len(span_basis(kern)) == len(kern)
+
+
+def test_kernel_readout_from_span_basis_matches_kernel_basis():
+    rng = random.Random(11)
+    cases = [GF2Matrix([], 5), GF2Matrix([0, 0, 0], 6)]  # no rows, no pivots
+    for _ in range(40):
+        nrows, ncols = rng.randint(1, 10), rng.randint(1, 11)
+        rows = [rng.getrandbits(ncols) for _ in range(nrows)]
+        rows[rng.randrange(nrows)] = 0
+        cases.append(GF2Matrix(rows, ncols))
+    for m in cases:
+        got = rref_kernel(SpanBasis(m.rows).pivot_rows, m.ncols)
+        assert got == m.kernel_basis()
+        spanned = set(AffineSolution(0, tuple(got)))
+        assert len(spanned) == 1 << len(got)
+        assert spanned == brute_force_solutions(m.rows, m.ncols, 0)
 
 
 def test_inverse_and_matmul():
