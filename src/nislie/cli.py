@@ -26,10 +26,10 @@ from .derivations import (
     outer_derivations,
 )
 from .document import AlgebraDocument, DocumentError, recipe_to_meta
-from .errors import ConditionViolated, NisLieError, UnknownName
+from .errors import ConditionViolated, InnerNotDerivation, NisLieError, UnknownName
 from .extension import ExtensionRecipe, extend, reduce as ext_reduce
 from .forms import QuadraticForm, check_nis
-from .gf2 import GF2Matrix, SubspaceNotContained, bits
+from .gf2 import GF2Matrix, bits
 from .isometry import adapted_isometry_decision, search_isometry, verify_isometry
 from .superalgebra import validate
 
@@ -189,7 +189,7 @@ def cmd_outer(args) -> int:
     g = doc.algebra
     try:
         oe, oo = outer_derivations(g)
-    except SubspaceNotContained:
+    except InnerNotDerivation:
         raise CliError(
             1, "an inner map is not a derivation, so the input fails the"
             " axioms; run `nislie validate` on it"

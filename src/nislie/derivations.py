@@ -23,12 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .errors import CaseParityMismatch, DimensionMismatch
+from .errors import CaseParityMismatch, DimensionMismatch, InnerNotDerivation
 from .forms import BilinearForm
 from .gf2 import (
     AffineSolution,
     GF2Matrix,
     SpanBasis,
+    SubspaceNotContained,
     bits,
     quotient_basis,
     rref_kernel,
@@ -257,7 +258,10 @@ def outer_derivations(g: SuperAlgebra, parity: int | None = None):
     inner = inner_derivations(g, parity)
     der_vecs = [_vec_full(g, d) for d in ders]
     inner_vecs = [_vec_full(g, d) for d in inner]
-    reps = quotient_basis(der_vecs, inner_vecs)
+    try:
+        reps = quotient_basis(der_vecs, inner_vecs)
+    except SubspaceNotContained:
+        raise _inner_not_derivation(g, parity) from None
     return OuterBasis(
         parity=parity,
         representatives=tuple(
@@ -284,12 +288,38 @@ def outer_dimension_by_degree(g: SuperAlgebra, parity: int) -> dict[int, int]:
             )
     result: dict[int, int] = {}
     for s, ders in _shift_kernels(g, parity):
-        reps = quotient_basis(
-            [_vec_full(g, d) for d in ders], inner_by_shift.get(s, [])
-        )
+        try:
+            reps = quotient_basis(
+                [_vec_full(g, d) for d in ders], inner_by_shift.get(s, [])
+            )
+        except SubspaceNotContained:
+            raise _inner_not_derivation(g, parity) from None
         if reps:
             result[s] = len(reps)
     return result
+
+
+def _inner_not_derivation(g: SuperAlgebra, parity: int) -> InnerNotDerivation:
+    """The error naming the first basis vector whose ad is not a derivation.
+
+    Called once an inner map fell outside the derivation space.  When every
+    ad passes is_derivation, the space was cut by degree shifts, so some ad
+    mixes shifts: the degrees do not respect the bracket.
+    """
+    idxs = g.odd_indices() if parity else g.even_indices()
+    for i in idxs:
+        ok, witness = is_derivation(g, ad_derivation(g, 1 << i))
+        if not ok:
+            rule, *at = witness
+            where = ", ".join(g.names[j] for j in at)
+            return InnerNotDerivation(g.names[i], f"{rule} fails at ({where})")
+    i = next(
+        i for i in idxs if _map_degree(g, ad_derivation(g, 1 << i)) is None
+    )
+    return InnerNotDerivation(
+        g.names[i], "it mixes degree shifts, so the degrees do not respect"
+        " the bracket"
+    )
 
 
 def _map_degree(g: SuperAlgebra, d: Derivation) -> int | None:

@@ -39,6 +39,20 @@ class ConditionViolated(NisLieError):
         super().__init__(msg)
 
 
+class InnerNotDerivation(NisLieError):
+    """ad of a basis vector lies outside the derivation space.
+
+    The algebra then fails the axioms (or its degrees do not respect the
+    bracket), so it has no outer quotient.  Carries the basis name.
+    """
+
+    def __init__(self, element: str, detail: str):
+        self.element = element
+        super().__init__(
+            f"ad({element}) is not in the derivation space: {detail}"
+        )
+
+
 class HypothesisNotMet(NisLieError):
     """The chosen central element does not satisfy the reduction hypothesis."""
 

@@ -17,7 +17,7 @@ from typing import Iterable
 
 from .errors import DegeneratePolar, DimensionMismatch, NotAlternating, NotOdd, OutOfRange
 from .gf2 import GF2Matrix, bits, dot
-from .superalgebra import SuperAlgebra
+from .superalgebra import SuperAlgebra, ad_planes
 
 
 @dataclass(frozen=True)
@@ -106,18 +106,25 @@ def check_nis(g: SuperAlgebra, form: BilinearForm, max_witnesses: int = 16) -> N
                 report.parity_homogeneous = False
                 note("parity", (i, j))
 
+    # B([e_i, e_j], e_k) = B(e_i, [e_j, e_k]) on all basis triples.  Over k,
+    # the left side is the sum of the Gram rows at the bits of [e_i, e_j];
+    # the right side sums the rows of ad_{e_j} at the bits of Gram row i.
+    full = (1 << n) - 1
     rows = gram.rows
-    cols = [gram.column(k) for k in range(n)]
+    planes = ad_planes(g)
     table = g.bracket_table
-    # B([e_i, e_j], e_k) = B(e_i, [e_j, e_k]) on all basis triples
     for i in range(n):
+        row_i = list(bits(rows[i] & full))
         for j in range(n):
-            tij = table[i][j]
-            trow = table[j]
-            for k in range(n):
-                if dot(cols[k], tij) != dot(rows[i], trow[k]):
-                    report.invariant = False
-                    note("invariant", (i, j, k))
+            defect = 0
+            for r in bits(table[i][j]):
+                defect ^= rows[r]
+            plane = planes[j]
+            for m in row_i:
+                defect ^= plane[m]
+            for k in bits(defect & full):
+                report.invariant = False
+                note("invariant", (i, j, k))
 
     if gram.rank() != n:
         report.non_degenerate = False
@@ -241,31 +248,6 @@ def darboux_form(n_pairs: int, a: int) -> QuadraticForm:
 # ---------------------------------------------------------------------------
 # Forms attached to the odd part of a superalgebra
 # ---------------------------------------------------------------------------
-
-
-def odd_pairing_matrix(g: SuperAlgebra, pairing) -> GF2Matrix:
-    """Matrix of a pairing over the odd basis, as k x k with k odd vectors."""
-    odd = g.odd_indices()
-    rows = []
-    for i in odd:
-        row = 0
-        for b, j in enumerate(odd):
-            if pairing(i, j):
-                row |= 1 << b
-        rows.append(row)
-    return GF2Matrix(rows, len(odd))
-
-
-def quadratic_form_on_odd(
-    g: SuperAlgebra, diag_by_index: dict[int, int], polar: GF2Matrix
-) -> QuadraticForm:
-    """Package ambient-indexed diagonal values into an odd-part form."""
-    odd = g.odd_indices()
-    diag = 0
-    for pos, i in enumerate(odd):
-        if diag_by_index.get(i, 0) & 1:
-            diag |= 1 << pos
-    return QuadraticForm(len(odd), diag, polar)
 
 
 def evaluate_on_algebra(g: SuperAlgebra, q: QuadraticForm, x: int) -> int:

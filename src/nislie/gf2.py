@@ -113,10 +113,6 @@ def span_basis(vectors: Iterable[int]) -> list[int]:
     return SpanBasis(vectors).vectors()
 
 
-def span_equal(a: Iterable[int], b: Iterable[int]) -> bool:
-    return span_basis(a) == span_basis(b)
-
-
 @dataclass(frozen=True)
 class RowReduction:
     matrix: "GF2Matrix"

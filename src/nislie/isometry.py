@@ -96,11 +96,6 @@ def verify_isometry(
     return True, None
 
 
-def is_isometry(g, b, images) -> bool:
-    ok, _ = verify_isometry(g, b, g, b, images)
-    return ok
-
-
 # ---------------------------------------------------------------------------
 # Adapted isometries of double extensions
 # ---------------------------------------------------------------------------

@@ -1,13 +1,20 @@
 """Independent reference implementations used as test oracles.
 
 Deliberately naive and structurally different from the library paths:
-dense numpy matrices, fraction-free integer elimination, and exhaustive
-enumeration.
+dense numpy matrices, fraction-free integer elimination, exhaustive
+enumeration, and the axiom and NIS checks as one loop step per basis
+triple.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
+
+from nislie.forms import NISReport
+from nislie.gf2 import dot
+from nislie.superalgebra import AxiomFailure, ValidationReport, bracket
 
 
 def dense_from_rows(rows, ncols):
@@ -87,12 +94,19 @@ def brute_force_solutions(rows, ncols, rhs) -> set[int]:
 
 
 def structure_tensor(g) -> np.ndarray:
-    n = g.dim
+    """c[i, j, k] = bit k of [e_i, e_j]; read-only, cached per bracket table."""
+    return _structure_tensor(g.bracket_table)
+
+
+@functools.lru_cache(maxsize=8)
+def _structure_tensor(table) -> np.ndarray:
+    n = len(table)
     c = np.zeros((n, n, n), dtype=np.uint8)
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                c[i, j, k] = (g.bracket_table[i][j] >> k) & 1
+                c[i, j, k] = (table[i][j] >> k) & 1
+    c.setflags(write=False)
     return c
 
 
@@ -227,3 +241,108 @@ def fully_valid(g, form) -> bool:
                 if invariance_defect(g, form, i, j, k):
                     return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# Reference axiom and NIS checks: the per-triple loops
+# ---------------------------------------------------------------------------
+
+
+def reference_validate(g, max_failures: int = 64):
+    """superalgebra.validate as one bracket() call per basis triple."""
+    report = ValidationReport()
+    n = g.dim
+    table = g.bracket_table
+
+    def fail(axiom, witness, detail):
+        if len(report.failures) < max_failures:
+            report.failures.append(AxiomFailure(axiom, witness, detail))
+
+    for i in range(n):
+        if table[i][i]:
+            fail("alternating", (i, i), "[e,e] != 0")
+        if g.parity[i] == 0 and g.squaring[i]:
+            fail("squaring-domain", (i,), "squaring value on even vector")
+        if g.squaring[i] & g.odd_mask:
+            fail("grading", (i,), "squaring value not even")
+        for j in range(i + 1, n):
+            if table[i][j] != table[j][i]:
+                fail("symmetry", (i, j), "bracket table not symmetric")
+            want = g.parity[i] ^ g.parity[j]
+            bad = table[i][j] & (g.odd_mask if want == 0 else g.even_mask)
+            if bad:
+                fail("grading", (i, j), "bracket value has wrong parity")
+    if report.failures:
+        return report
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            bij = table[i][j]
+            for k in range(j + 1, n):
+                acc = bracket(g, 1 << i, table[j][k])
+                acc ^= bracket(g, 1 << j, table[i][k])
+                acc ^= bracket(g, 1 << k, bij)
+                if acc:
+                    fail(
+                        "jacobi",
+                        (i, j, k),
+                        f"cycle sum = {g.format_element(acc)}",
+                    )
+                    if len(report.failures) >= max_failures:
+                        return report
+
+    for i in g.odd_indices():
+        si = g.squaring[i]
+        for j in range(n):
+            lhs = bracket(g, si, 1 << j)
+            rhs = bracket(g, 1 << i, table[i][j])
+            if lhs != rhs:
+                fail(
+                    "squaring-jacobi",
+                    (i, j),
+                    f"[s(f),g] = {g.format_element(lhs)}"
+                    f" but [f,[f,g]] = {g.format_element(rhs)}",
+                )
+    return report
+
+
+def reference_check_nis(g, form, max_witnesses: int = 16):
+    """forms.check_nis with invariance tested by dot() on every triple."""
+    report = NISReport()
+    gram = form.gram
+    n = g.dim
+
+    def note(kind, witness):
+        if len(report.witnesses) < max_witnesses:
+            report.witnesses.append((kind, witness))
+
+    for i in range(n):
+        if g.parity[i] == 1 and gram.entry(i, i):
+            report.symmetric = False
+            note("symmetric", (i, i))
+        for j in range(i + 1, n):
+            if gram.entry(i, j) != gram.entry(j, i):
+                report.symmetric = False
+                note("symmetric", (i, j))
+    for i in range(n):
+        for j in range(i, n):
+            if gram.entry(i, j) and (g.parity[i] ^ g.parity[j]) != form.parity:
+                report.parity_homogeneous = False
+                note("parity", (i, j))
+
+    rows = gram.rows
+    cols = [gram.column(k) for k in range(n)]
+    table = g.bracket_table
+    for i in range(n):
+        for j in range(n):
+            tij = table[i][j]
+            trow = table[j]
+            for k in range(n):
+                if dot(cols[k], tij) != dot(rows[i], trow[k]):
+                    report.invariant = False
+                    note("invariant", (i, j, k))
+
+    if gram.rank() != n:
+        report.non_degenerate = False
+        note("non-degenerate", ())
+    return report

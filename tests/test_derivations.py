@@ -26,6 +26,7 @@ from nislie.derivations import (
     self_adjoint_coefficients,
     zero_derivation,
 )
+from nislie.errors import InnerNotDerivation, NisLieError
 from nislie.gf2 import GF2Matrix, span_basis
 from nislie.superalgebra import SuperAlgebra, bracket, center, square_element
 
@@ -108,6 +109,40 @@ def test_graded_derivation_space_equals_ungraded_kernel(h105):
                 flat(g, d) for d in plain
             )
             assert len(graded) == len(plain)
+
+
+def test_outer_on_invalid_algebra_names_the_inner_map():
+    # po05-m0 fails Jacobi; po-0-5 also carries degrees
+    for name, calls in [
+        ("po05-m0", [lambda g: outer_derivations(g)]),
+        (
+            "po-0-5",
+            [
+                lambda g: outer_derivations(g, 1),
+                lambda g: outer_dimension_by_degree(g, 1),
+            ],
+        ),
+    ]:
+        g = named(name).algebra
+        for call in calls:
+            with pytest.raises(InnerNotDerivation) as info:
+                call(g)
+            err = info.value
+            assert isinstance(err, NisLieError)
+            assert len(str(err)) < 200
+            i = g.index(err.element)
+            parity = g.parity[i]
+            ok, witness = is_derivation(g, ad_derivation(g, 1 << i))
+            assert not ok and witness[0] in str(err)
+            assert all(
+                is_derivation(g, ad_derivation(g, 1 << j))[0]
+                for j in range(i)
+                if g.parity[j] == parity
+            )
+    # every ad is a derivation, but the degrees split ad(E12) across shifts
+    g = dataclasses.replace(named("gl-1-1").algebra, degrees=(0, 3, 0, 3))
+    with pytest.raises(InnerNotDerivation, match=r"ad\(E12\).*mixes degree shifts"):
+        outer_derivations(g)
 
 
 def test_h105_degree_table(h105):
