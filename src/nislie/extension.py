@@ -320,11 +320,11 @@ def reduction_candidates(
         # value_lists[k] = GF(2)-vector values of linear maps at vectors[k];
         # returns the combinations where every map vanishes
         width = len(vectors)
-        rows: dict[int, int] = {}
+        rows: dict[tuple[int, int], int] = {}
         for k, values in enumerate(value_lists):
             for pos, val in enumerate(values):
                 for comp in bits(val):
-                    key = (pos << 12) | comp
+                    key = (pos, comp)
                     rows[key] = rows.get(key, 0) | (1 << k)
         coords = GF2Matrix(list(rows.values()) or [0], width).kernel_basis()
         out = []

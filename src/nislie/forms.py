@@ -100,11 +100,16 @@ def check_nis(g: SuperAlgebra, form: BilinearForm, max_witnesses: int = 16) -> N
             if gram.entry(i, j) != gram.entry(j, i):
                 report.symmetric = False
                 note("symmetric", (i, j))
+    # nonzero entries of the wrong parity, once per pair {i, j}: at (i, j)
+    # for i <= j when that entry is one of them, else at (j, i)
+    wrong_at: dict[tuple[int, int], tuple[int, int]] = {}
     for i in range(n):
-        for j in range(i, n):
-            if gram.entry(i, j) and (g.parity[i] ^ g.parity[j]) != form.parity:
-                report.parity_homogeneous = False
-                note("parity", (i, j))
+        wrong = g.even_mask if g.parity[i] ^ form.parity else g.odd_mask
+        for j in bits(gram.rows[i] & wrong):
+            wrong_at.setdefault((min(i, j), max(i, j)), (i, j))
+    for pair in sorted(wrong_at):
+        report.parity_homogeneous = False
+        note("parity", wrong_at[pair])
 
     # B([e_i, e_j], e_k) = B(e_i, [e_j, e_k]) on all basis triples.  Over k,
     # the left side is the sum of the Gram rows at the bits of [e_i, e_j];

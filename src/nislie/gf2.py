@@ -129,12 +129,23 @@ class AffineSolution:
 
     def __iter__(self) -> Iterator[int]:
         """Enumerate all solutions (use only for small kernels)."""
-        k = len(self.kernel_basis)
-        for mask in range(1 << k):
-            x = self.particular
-            for i in bits(mask):
-                x ^= self.kernel_basis[i]
-            yield x
+        return iter(self.points())
+
+    def points(self, limit: int | None = None) -> list[int]:
+        """The first `limit` (at least 1; None: all) solutions, in order.
+
+        Solution number mask is particular plus kernel_basis[i] for each
+        bit i of mask, so it is solution mask - low plus one kernel vector.
+        """
+        kernel = self.kernel_basis
+        count = 1 << len(kernel)
+        if limit is not None:
+            count = min(count, limit)
+        out = [self.particular]
+        for mask in range(1, count):
+            low = mask & -mask
+            out.append(out[mask ^ low] ^ kernel[low.bit_length() - 1])
+        return out
 
 
 class GF2Matrix:
@@ -206,9 +217,11 @@ class GF2Matrix:
 
     def vec_mat(self, x: int) -> int:
         """x^T @ A as a bit vector over columns."""
-        y = 0
-        for i in bits(x):
-            y ^= self.rows[i]
+        rows, y = self.rows, 0
+        while x:
+            low = x & -x
+            y ^= rows[low.bit_length() - 1]
+            x ^= low
         return y
 
     def mat_mul(self, other: "GF2Matrix") -> "GF2Matrix":

@@ -3,8 +3,9 @@
 verify_isometry is the basis-level decision procedure (bilinearity and the
 polarization argument make basis checks sufficient).  build_adapted_isometry
 assembles the block maps of the four adapted-isometry constructions from
-(pi0, t, nu) after checking the case's condition set.  search_isometry is a
-budgeted generator-image backtracking; the adapted decision procedure
+(pi0, t, nu) after checking the case's condition set.  search_isometry and
+isometry_group share one budgeted generator-image backtracking (the first
+isometry it yields, or all of them); the adapted decision procedure
 implements the linear t-forcing route used by the negative results.
 
 Over GF(2) the scalar lambda of the adapted conditions is 1, which collapses
@@ -27,7 +28,7 @@ from .errors import (
 )
 from .extension import ExtensionRecipe, extend
 from .forms import BilinearForm, QuadraticForm, evaluate_on_algebra
-from .gf2 import GF2Matrix, SpanBasis, bits, solve_affine
+from .gf2 import AffineSolution, GF2Matrix, SpanBasis, bits, solve_affine
 from .superalgebra import SuperAlgebra, bracket, square_element
 
 
@@ -352,33 +353,33 @@ def _quadratic_from_eval(a: SuperAlgebra, fn) -> QuadraticForm:
 
 
 class _PairSpan:
-    """Row space of (v, w) pairs encoding a partial linear map v -> w."""
+    """Row space of (v, w) pairs encoding a partial linear map v -> w.
 
-    def __init__(self, n1: int, n2: int):
-        self.n1, self.n2 = n1, n2
+    Every row has its pivot below n1 (add refuses a pair that would map 0 to
+    a nonzero vector), so rank, the dimension of the domain, counts the rows.
+    """
+
+    def __init__(self, n1: int):
+        self.n1 = n1
         self.basis = SpanBasis()
         self.mask1 = (1 << n1) - 1
+        self.rank = 0
 
     def clone(self) -> "_PairSpan":
-        c = _PairSpan(self.n1, self.n2)
-        c.basis = SpanBasis()
+        c = _PairSpan(self.n1)
         c.basis.pivot_rows = dict(self.basis.pivot_rows)
+        c.rank = self.rank
         return c
 
     def add(self, v: int, w: int) -> bool:
         """Insert the constraint pi(v) = w; False on inconsistency."""
         combined = self.basis.reduce(v | (w << self.n1))
-        if combined and not (combined & self.mask1):
-            return False  # forces 0 -> nonzero
         if combined:
+            if not combined & self.mask1:
+                return False  # forces 0 -> nonzero
             self.basis.add(combined)
+            self.rank += 1
         return True
-
-    @property
-    def rank(self) -> int:
-        return sum(
-            1 for p in self.basis.pivot_rows if p < self.n1
-        )
 
     def image_of(self, v: int) -> int | None:
         combined = self.basis.reduce(v)
@@ -387,11 +388,11 @@ class _PairSpan:
         return combined >> self.n1
 
     def pairs(self) -> list[tuple[int, int]]:
-        out = []
-        for p, row in sorted(self.basis.pivot_rows.items()):
-            if p < self.n1:
-                out.append((row & self.mask1, row >> self.n1))
-        return out
+        mask1, n1 = self.mask1, self.n1
+        return [
+            (row & mask1, row >> n1)
+            for _, row in sorted(self.basis.pivot_rows.items())
+        ]
 
 
 def complete_by_bracketing(
@@ -402,7 +403,7 @@ def complete_by_bracketing(
 ) -> tuple[int, ...]:
     """Extend generator images to a full map by closing under brackets
     and squarings; raises on inconsistency or underdetermination."""
-    span = _PairSpan(g1.dim, g2.dim)
+    span = _PairSpan(g1.dim)
     frontier = []
     for v, w in pairs:
         if not span.add(v, w):
@@ -502,36 +503,139 @@ def _candidate_images(
     v: int,
     parity: int,
     determined: list[tuple[int, int]],
-    limit: int,
+    limit: int | None,
 ) -> list[int]:
-    """Homogeneous candidates w with B2(w, w_k) = B1(v, v_k) for known pairs."""
+    """Homogeneous candidates w with B2(w, w_k) = B1(v, v_k) for known pairs.
+
+    The nonzero ones among the first `limit` solutions (None: all).
+    """
     idxs = g2.even_indices() if parity == 0 else g2.odd_indices()
     rows = []
-    rhs = 0
-    for r, (vk, wk) in enumerate(determined):
-        row = 0
+    for _, wk in determined:
         prow = b2.pair_row(wk)
-        for pos, i in enumerate(idxs):
-            if (prow >> i) & 1:
-                row |= 1 << pos
-        rows.append(row)
-        if b1.pair(v, vk):
-            rhs |= 1 << r
+        rows.append(sum(((prow >> i) & 1) << pos for pos, i in enumerate(idxs)))
+    rhs = sum(b1.pair(v, vk) << r for r, (vk, _) in enumerate(determined))
     sol = solve_affine(GF2Matrix(rows or [0], len(idxs)), rhs)
     if sol is None:
         return []
-    out = []
-    k = len(sol.kernel_basis)
-    cap = min(1 << k, max(limit, 1))
-    for count, x in enumerate(sol):
-        if count >= cap:
-            break
-        w = 0
-        for pos in bits(x):
-            w |= 1 << idxs[pos]
-        if w:
-            out.append(w)
-    return out
+    return [w for w in _lifted(sol, idxs).points(limit) if w]
+
+
+def _lifted(sol: AffineSolution, idxs: Sequence[int]) -> AffineSolution:
+    """The solution set in the coordinates of the basis vectors idxs."""
+
+    def lift(x: int) -> int:
+        return sum(1 << idxs[pos] for pos in bits(x))
+
+    return AffineSolution(lift(sol.particular), tuple(map(lift, sol.kernel_basis)))
+
+
+def _bracket_rows(a: SuperAlgebra, idxs: Sequence[int], j: int) -> list[int]:
+    """Row k of t -> [t, e_j] for t in the coordinates of the basis idxs."""
+    images = [a.bracket_table[i][j] for i in idxs]
+    return [
+        sum(((im >> k) & 1) << pos for pos, im in enumerate(images))
+        for k in range(a.dim)
+    ]
+
+
+def _form_consistent(span: _PairSpan, b1, b2, pairs) -> bool:
+    """B1(v, x) = B2(w, y) for each (v, w) of pairs and each (x, y) of span."""
+    for v, w in pairs:
+        # B1(v, .) + B2(w, .) on the combined coordinates x | y << n1
+        defect = b1.gram.vec_mat(v) | b2.gram.vec_mat(w) << span.n1
+        for row in span.basis.pivot_rows.values():
+            if (defect & row).bit_count() & 1:
+                return False
+    return True
+
+
+def _close(g1, g2, b1, b2, span: _PairSpan, pairs) -> _PairSpan | None:
+    """span plus the last of pairs, closed under brackets and squares.
+
+    None when the closure maps 0 to a nonzero vector or breaks the forms.
+    Every round that goes on raised the rank, so there are at most dim
+    rounds.  span was form-consistent, so by bilinearity (and symmetry of
+    the forms) only the pairs that raised the rank need a form check.
+    """
+    span = span.clone()
+    if not span.add(*pairs[-1]) or not _form_consistent(span, b1, b2, pairs[-1:]):
+        return None
+    frontier = list(pairs)
+    while frontier:
+        new = []
+        items = span.pairs()
+        for v, w in frontier:
+            for v2, w2 in items:
+                bv, bw = bracket(g1, v, v2), bracket(g2, w, w2)
+                if bv or bw:
+                    before = span.rank
+                    if not span.add(bv, bw):
+                        return None
+                    if span.rank > before:
+                        new.append((bv, bw))
+            if g1.parity_of(v) == 1 and g2.parity_of(w) == 1:
+                sv, sw = square_element(g1, v), square_element(g2, w)
+                if sv or sw:
+                    before = span.rank
+                    if not span.add(sv, sw):
+                        return None
+                    if span.rank > before:
+                        new.append((sv, sw))
+        if not _form_consistent(span, b1, b2, new):
+            return None
+        frontier = new
+    return span
+
+
+class _Isometries:
+    """Generator-image backtracking over the isometries (g1, b1) -> (g2, b2).
+
+    Iterating yields the image tuples in search order; each candidate image
+    of a generator is a node, and passing `budget` nodes raises
+    SearchBudgetExceeded.  `seeds` maps a generator to its image to try
+    first; `limit` caps the candidates per generator (None: all).
+    """
+
+    def __init__(self, g1, b1, g2, b2, budget, seeds=None, limit=None):
+        self.g1, self.b1, self.g2, self.b2 = g1, b1, g2, b2
+        self.budget, self.seeds, self.limit = budget, seeds or {}, limit
+        self.gens = _generating_sequence(g1)
+        self.nodes = 0
+
+    def __iter__(self):
+        return self._backtrack(0, _PairSpan(self.g1.dim), [])
+
+    def _backtrack(self, level: int, span: _PairSpan, determined):
+        g1, g2 = self.g1, self.g2
+        if level == len(self.gens):
+            if span.rank == g1.dim:
+                images = tuple(span.image_of(1 << j) for j in range(g1.dim))
+                if verify_isometry(g1, self.b1, g2, self.b2, images)[0]:
+                    yield images
+            return
+        gi = self.gens[level]
+        v = 1 << gi
+        if span.image_of(v) is not None:
+            yield from self._backtrack(level + 1, span, determined)
+            return
+        cands = _candidate_images(
+            g2, self.b1, self.b2, v, g1.parity[gi], determined, self.limit
+        )
+        seeded = self.seeds.get(v)
+        if seeded is not None and seeded in cands:
+            cands.remove(seeded)
+            cands.insert(0, seeded)
+        for w in cands:
+            self.nodes += 1
+            if self.nodes > self.budget:
+                raise SearchBudgetExceeded(
+                    f"isometry enumeration exceeded {self.budget} nodes"
+                )
+            pairs_now = determined + [(v, w)]
+            child = _close(g1, g2, self.b1, self.b2, span, pairs_now)
+            if child is not None:
+                yield from self._backtrack(level + 1, child, pairs_now)
 
 
 def search_isometry(
@@ -547,99 +651,22 @@ def search_isometry(
         return SearchResult(
             "not-found", proved=True, reason="superdimension or form parity differ"
         )
-    gens = _generating_sequence(g1)
-    seeds = {v: w for v, w in (seed_pairs or [])}
-    nodes = 0
-
-    def backtrack(level: int, span: _PairSpan, determined):
-        nonlocal nodes
-        if level == len(gens):
-            if span.rank < g1.dim:
-                return None
-            images = tuple(span.image_of(1 << j) for j in range(g1.dim))
-            if any(im is None for im in images):
-                return None
-            ok, _ = verify_isometry(g1, b1, g2, b2, images)
-            return images if ok else None
-        gi = gens[level]
-        v = 1 << gi
-        fixed = span.image_of(v)
-        if fixed is not None:
-            return backtrack(level + 1, span, determined)
-        cands = _candidate_images(
-            g2, b1, b2, v, g1.parity[gi], determined, limit=4096
-        )
-        seeded = seeds.get(v)
-        if seeded is not None and seeded in cands:
-            cands.remove(seeded)
-            cands.insert(0, seeded)
-        for w in cands:
-            nodes += 1
-            if nodes > budget:
-                raise _Budget()
-            child = span.clone()
-            if not child.add(v, w):
-                continue
-            pairs_now = determined + [(v, w)]
-            if not _close(g1, g2, b1, b2, child, pairs_now):
-                continue
-            res = backtrack(level + 1, child, pairs_now)
-            if res is not None:
-                return res
-        return None
-
+    search = _Isometries(
+        g1, b1, g2, b2, budget, dict(seed_pairs or ()), limit=4096
+    )
     try:
-        images = backtrack(0, _PairSpan(g1.dim, g2.dim), [])
-    except _Budget:
-        return SearchResult("budget-exhausted", nodes=nodes)
+        images = next(iter(search), None)
+    except SearchBudgetExceeded:
+        return SearchResult("budget-exhausted", nodes=search.nodes)
     if images is None:
         return SearchResult(
             "not-found",
-            nodes=nodes,
+            nodes=search.nodes,
             proved=False,
             reason="generator-image search exhausted (pruned by form and"
             " bracket constraints)",
         )
-    return SearchResult("found", Isometry(images), nodes=nodes)
-
-
-class _Budget(Exception):
-    pass
-
-
-def _close(g1, g2, b1, b2, span: _PairSpan, pairs) -> bool:
-    """Close the pair span under brackets/squares; check form consistency."""
-    frontier = list(pairs)
-    rounds = 0
-    while frontier and rounds < 8:
-        rounds += 1
-        new = []
-        items = span.pairs()
-        for v, w in frontier:
-            for v2, w2 in items:
-                bv, bw = bracket(g1, v, v2), bracket(g2, w, w2)
-                if bv or bw:
-                    before = span.rank
-                    if not span.add(bv, bw):
-                        return False
-                    if span.rank > before:
-                        new.append((bv, bw))
-            if g1.parity_of(v) == 1 and g2.parity_of(w) == 1:
-                sv, sw = square_element(g1, v), square_element(g2, w)
-                if sv or sw:
-                    before = span.rank
-                    if not span.add(sv, sw):
-                        return False
-                    if span.rank > before:
-                        new.append((sv, sw))
-        # form consistency across the determined pairs
-        items = span.pairs()
-        for i, (v, w) in enumerate(items):
-            for v2, w2 in items[i:]:
-                if b1.pair(v, v2) != b2.pair(w, w2):
-                    return False
-        frontier = new
-    return True
+    return SearchResult("found", Isometry(images), nodes=search.nodes)
 
 
 def isometry_group(
@@ -650,46 +677,7 @@ def isometry_group(
     Raises SearchBudgetExceeded rather than returning a partial group, so
     callers can rely on completeness of a returned list.
     """
-    gens = _generating_sequence(g)
-    found: list[Isometry] = []
-    nodes = 0
-
-    def backtrack(level: int, span: _PairSpan, determined):
-        nonlocal nodes
-        if level == len(gens):
-            images = tuple(span.image_of(1 << j) for j in range(g.dim))
-            if any(im is None for im in images):
-                return
-            ok, _ = verify_isometry(g, form, g, form, images)
-            if ok:
-                found.append(Isometry(images))
-            return
-        gi = gens[level]
-        v = 1 << gi
-        if span.image_of(v) is not None:
-            backtrack(level + 1, span, determined)
-            return
-        for w in _candidate_images(
-            g, form, form, v, g.parity[gi], determined, limit=1 << g.dim
-        ):
-            nodes += 1
-            if nodes > budget:
-                raise _Budget()
-            child = span.clone()
-            if not child.add(v, w):
-                continue
-            pairs_now = determined + [(v, w)]
-            if not _close(g, g, form, form, child, pairs_now):
-                continue
-            backtrack(level + 1, child, pairs_now)
-
-    try:
-        backtrack(0, _PairSpan(g.dim, g.dim), [])
-    except _Budget as exc:
-        raise SearchBudgetExceeded(
-            f"isometry-group enumeration exceeded {budget} nodes"
-        ) from exc
-    return found
+    return [Isometry(images) for images in _Isometries(g, form, g, form, budget)]
 
 
 # ---------------------------------------------------------------------------
@@ -746,35 +734,20 @@ def adapted_isometry_decision(
         d_t.images[j] == 0 for j in evens
     ):
         # [t, a_even] = 0, independently of pi0
-        row_list = []
-        for j in evens:
-            for k in range(a.dim):
-                row = 0
-                for pos, i in enumerate(t_idxs):
-                    if (a.bracket_table[i][j] >> k) & 1:
-                        row |= 1 << pos
-                row_list.append(row)
+        row_list = [row for j in evens for row in _bracket_rows(a, t_idxs, j)]
         kernel = GF2Matrix(row_list or [0], len(t_idxs)).kernel_basis()
-        if len(kernel) <= 12:
-            viable = []
-            for mask in range(1 << len(kernel)):
-                tv = 0
-                for p in bits(mask):
-                    tv ^= kernel[p]
-                t = 0
-                for pos in bits(tv):
-                    t |= 1 << t_idxs[pos]
-                if _pi0_free_conditions_fail(a, form, recipe_src, recipe_tgt, t):
-                    continue
-                viable.append(t)
-            if not viable:
-                return AdaptedDecision(
-                    "not-found-proved",
-                    reason=(
-                        "every t with [t, a_even] = 0 violates a pi0-free"
-                        " condition (m / a0 / beta* transport)"
-                    ),
-                )
+        ts = _lifted(AffineSolution(0, tuple(kernel)), t_idxs)
+        if len(kernel) <= 12 and all(
+            _pi0_free_conditions_fail(a, form, recipe_src, recipe_tgt, t)
+            for t in ts
+        ):
+            return AdaptedDecision(
+                "not-found-proved",
+                reason=(
+                    "every t with [t, a_even] = 0 violates a pi0-free"
+                    " condition (m / a0 / beta* transport)"
+                ),
+            )
     # fall back: enumerate isometries of the base and solve for t
     if a.dim > 10:
         return AdaptedDecision(
@@ -837,32 +810,14 @@ def _solve_t(a, recipe_src, recipe_tgt, pi0: Isometry) -> list[int]:
     )
     rows = []
     rhs = 0
-    r = 0
     for j in domain:
         target = (
             pi_inv.apply(recipe_tgt.derivation.apply(pi0.images[j]))
             ^ recipe_src.derivation.images[j]
         )
-        for k in range(a.dim):
-            row = 0
-            for pos, i in enumerate(idxs):
-                if (a.bracket_table[i][j] >> k) & 1:
-                    row |= 1 << pos
-            rows.append(row)
-            if (target >> k) & 1:
-                rhs |= 1 << r
-            r += 1
+        rhs |= target << len(rows)
+        rows += _bracket_rows(a, idxs, j)
     sol = solve_affine(GF2Matrix(rows or [0], len(idxs)), rhs)
     if sol is None:
         return []
-    out = []
-    count = 0
-    for x in sol:
-        count += 1
-        if count > 4096:
-            break
-        t = 0
-        for pos in bits(x):
-            t |= 1 << idxs[pos]
-        out.append(t)
-    return out
+    return _lifted(sol, idxs).points(4096)

@@ -97,31 +97,42 @@ class SuperAlgebra:
 
 def bracket(g: SuperAlgebra, x: int, y: int) -> int:
     """Bilinear extension of the structure constants."""
-    if x >> g.dim or y >> g.dim:
+    table = g.bracket_table
+    if x >> len(table) or y >> len(table):
         raise DimensionMismatch("element outside the algebra")
     acc = 0
-    table = g.bracket_table
-    for i in bits(x):
-        row = table[i]
-        for j in bits(y):
-            acc ^= row[j]
+    while x:
+        low = x & -x
+        row = table[low.bit_length() - 1]
+        x ^= low
+        rest = y
+        while rest:
+            low = rest & -rest
+            acc ^= row[low.bit_length() - 1]
+            rest ^= low
     return acc
 
 
 def square_element(g: SuperAlgebra, x: int) -> int:
     """The squaring s(x) of an odd element, by polarization."""
-    if x >> g.dim:
+    table = g.bracket_table
+    if x >> len(table):
         raise DimensionMismatch("element outside the algebra")
     if x & g.even_mask:
         raise NotOdd(f"square of non-odd element {g.format_element(x)}")
     acc = 0
-    idx = list(bits(x))
-    table = g.bracket_table
-    for a, i in enumerate(idx):
-        acc ^= g.squaring[i]
+    squaring = g.squaring
+    while x:
+        low = x & -x
+        i = low.bit_length() - 1
+        x ^= low
+        acc ^= squaring[i]
         row = table[i]
-        for j in idx[a + 1 :]:
-            acc ^= row[j]
+        rest = x  # the bits above i: each pair i < j once
+        while rest:
+            low = rest & -rest
+            acc ^= row[low.bit_length() - 1]
+            rest ^= low
     return acc
 
 
@@ -217,20 +228,24 @@ def validate(g: SuperAlgebra, max_failures: int = 64) -> ValidationReport:
         if len(report.failures) < max_failures:
             report.failures.append(AxiomFailure(axiom, witness, detail))
 
+    parity = g.parity
     for i in range(n):
-        if table[i][i]:
+        row = table[i]
+        if row[i]:
             fail("alternating", (i, i), "[e,e] != 0")
-        if g.parity[i] == 0 and g.squaring[i]:
+        if parity[i] == 0 and g.squaring[i]:
             fail("squaring-domain", (i,), "squaring value on even vector")
         if g.squaring[i] & g.odd_mask:
             fail("grading", (i,), "squaring value not even")
         for j in range(i + 1, n):
-            if table[i][j] != table[j][i]:
+            a, b = row[j], table[j][i]
+            if a != b:
                 fail("symmetry", (i, j), "bracket table not symmetric")
-            want = g.parity[i] ^ g.parity[j]
-            bad = table[i][j] & (g.odd_mask if want == 0 else g.even_mask)
-            if bad:
-                fail("grading", (i, j), "bracket value has wrong parity")
+            bad = g.odd_mask if parity[i] == parity[j] else g.even_mask
+            if (a | b) & bad:
+                # once per pair, at an entry that has the wrong bits
+                at = (i, j) if a & bad else (j, i)
+                fail("grading", at, "bracket value has wrong parity")
     if report.failures:
         # Jacobi witnesses would be noise on a malformed table.
         return report

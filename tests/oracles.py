@@ -12,9 +12,9 @@ import functools
 
 import numpy as np
 
-from nislie.forms import NISReport
-from nislie.gf2 import dot
-from nislie.superalgebra import AxiomFailure, ValidationReport, bracket
+from nislie.forms import BilinearForm, NISReport
+from nislie.gf2 import GF2Matrix, bits, dot
+from nislie.superalgebra import AxiomFailure, SuperAlgebra, ValidationReport, bracket
 
 
 def dense_from_rows(rows, ncols):
@@ -176,7 +176,15 @@ def squaring_defect(g, a, b):
 
 
 def gram_dense(form, n):
-    return dense_from_rows(form.gram.rows, n)
+    """The Gram matrix as a dense array; read-only, cached per Gram."""
+    return _gram_dense(tuple(form.gram.rows), n)
+
+
+@functools.lru_cache(maxsize=8)
+def _gram_dense(rows, n) -> np.ndarray:
+    gr = dense_from_rows(rows, n)
+    gr.setflags(write=False)
+    return gr
 
 
 def invariance_defect(g, form, i, j, k):
@@ -269,9 +277,11 @@ def reference_validate(g, max_failures: int = 64):
             if table[i][j] != table[j][i]:
                 fail("symmetry", (i, j), "bracket table not symmetric")
             want = g.parity[i] ^ g.parity[j]
-            bad = table[i][j] & (g.odd_mask if want == 0 else g.even_mask)
-            if bad:
-                fail("grading", (i, j), "bracket value has wrong parity")
+            wrong = g.odd_mask if want == 0 else g.even_mask
+            if (table[i][j] | table[j][i]) & wrong:
+                # once per pair, at an entry that has the wrong bits
+                at = (i, j) if table[i][j] & wrong else (j, i)
+                fail("grading", at, "bracket value has wrong parity")
     if report.failures:
         return report
 
@@ -326,9 +336,11 @@ def reference_check_nis(g, form, max_witnesses: int = 16):
                 note("symmetric", (i, j))
     for i in range(n):
         for j in range(i, n):
-            if gram.entry(i, j) and (g.parity[i] ^ g.parity[j]) != form.parity:
+            wrong = (g.parity[i] ^ g.parity[j]) != form.parity
+            if wrong and (gram.entry(i, j) or gram.entry(j, i)):
+                # once per pair, at a nonzero entry
                 report.parity_homogeneous = False
-                note("parity", (i, j))
+                note("parity", (i, j) if gram.entry(i, j) else (j, i))
 
     rows = gram.rows
     cols = [gram.column(k) for k in range(n)]
@@ -346,3 +358,41 @@ def reference_check_nis(g, form, max_witnesses: int = 16):
         report.non_degenerate = False
         note("non-degenerate", ())
     return report
+
+
+# ---------------------------------------------------------------------------
+# Metamorphic inputs
+# ---------------------------------------------------------------------------
+
+
+def relabel(g, form, rng):
+    """Shuffle the basis within each parity; names travel with the vectors."""
+    n = g.dim
+    sigma = list(range(n))
+    for parity in (0, 1):
+        members = [i for i in range(n) if g.parity[i] == parity]
+        targets = members[:]
+        rng.shuffle(targets)
+        for i, t in zip(members, targets):
+            sigma[i] = t
+    inv = [0] * n
+    for i, t in enumerate(sigma):
+        inv[t] = i
+
+    def move(v):
+        return sum(1 << sigma[i] for i in bits(v))
+
+    table = g.bracket_table
+    g2 = SuperAlgebra(
+        names=tuple(g.names[inv[a]] for a in range(n)),
+        parity=g.parity,
+        bracket_table=tuple(
+            tuple(move(table[inv[a]][inv[b]]) for b in range(n))
+            for a in range(n)
+        ),
+        squaring=tuple(move(g.squaring[inv[a]]) for a in range(n)),
+    )
+    if form is None:
+        return g2, None
+    rows = [move(form.gram.rows[inv[a]]) for a in range(n)]
+    return g2, BilinearForm(GF2Matrix(rows, n), form.parity)

@@ -5,7 +5,7 @@ products of adjoint matrices; oracles.reference_validate and
 oracles.reference_check_nis keep the bracket()/dot() loop on every basis
 triple.  Reports must agree exactly, witnesses, order and truncation
 included.  A parity-preserving relabelling must map the reports onto each
-other.
+other, one-sided flips of a bracket table or Gram matrix included.
 """
 
 import random
@@ -17,9 +17,9 @@ from hypothesis import strategies as st
 from nislie.catalog import entry_names, named
 from nislie.errors import DimensionMismatch
 from nislie.forms import BilinearForm, check_nis
-from nislie.gf2 import GF2Matrix, bits
+from nislie.gf2 import GF2Matrix
 from nislie.superalgebra import SuperAlgebra, validate
-from oracles import reference_check_nis, reference_validate
+from oracles import reference_check_nis, reference_validate, relabel
 
 CAPS = (1, 4, 64)
 FLIPS = ("bracket-sym", "bracket-one", "squaring", "gram-sym", "gram-one")
@@ -59,6 +59,20 @@ def assert_same_reports(g, form):
             assert check_nis(g, form, cap) == reference_check_nis(g, form, cap)
 
 
+def assert_witnesses_at_wrong_entries(g, form):
+    """Each grading and parity witness (i, j) names an entry that is wrong."""
+    for f in validate(g).failures:
+        if f.axiom == "grading" and len(f.witness) == 2:
+            i, j = f.witness
+            want = g.parity[i] ^ g.parity[j]
+            assert g.bracket_table[i][j] & (g.odd_mask if want == 0 else g.even_mask)
+    for kind, witness in check_nis(g, form).witnesses:
+        if kind == "parity":
+            i, j = witness
+            assert form.gram.entry(i, j)
+            assert g.parity[i] ^ g.parity[j] != form.parity
+
+
 def test_checks_match_reference_loops_on_catalog():
     for name in entry_names():
         obj = named(name)
@@ -79,6 +93,7 @@ def test_checks_match_reference_loops_on_seeded_flips():
             rng.randrange(n), rng.randrange(n), rng.randrange(n),
         )
         assert_same_reports(g, form)
+        assert_witnesses_at_wrong_entries(g, form)
         seen.add((kind, validate(g).passed, check_nis(g, form).passed))
     # the flips reach every kind, and both verdicts of each check
     assert {kind for kind, _, _ in seen} == set(FLIPS)
@@ -111,39 +126,6 @@ def named_witnesses(g, items):
     return sorted(out)
 
 
-def relabel(g, form, rng):
-    """Shuffle the basis within each parity; names travel with the vectors."""
-    n = g.dim
-    sigma = list(range(n))
-    for parity in (0, 1):
-        members = [i for i in range(n) if g.parity[i] == parity]
-        targets = members[:]
-        rng.shuffle(targets)
-        for i, t in zip(members, targets):
-            sigma[i] = t
-    inv = [0] * n
-    for i, t in enumerate(sigma):
-        inv[t] = i
-
-    def move(v):
-        return sum(1 << sigma[i] for i in bits(v))
-
-    table = g.bracket_table
-    g2 = SuperAlgebra(
-        names=tuple(g.names[inv[a]] for a in range(n)),
-        parity=g.parity,
-        bracket_table=tuple(
-            tuple(move(table[inv[a]][inv[b]]) for b in range(n))
-            for a in range(n)
-        ),
-        squaring=tuple(move(g.squaring[inv[a]]) for a in range(n)),
-    )
-    if form is None:
-        return g2, None
-    rows = [move(form.gram.rows[inv[a]]) for a in range(n)]
-    return g2, BilinearForm(GF2Matrix(rows, n), form.parity)
-
-
 SMALL = [name for name in entry_names() if named(name).algebra.dim <= 30]
 
 
@@ -170,10 +152,8 @@ def test_relabelling_keeps_verdicts(name, kind, seed):
         nis, nis2 = check_nis(g, form, unbounded), check_nis(g2, form2, unbounded)
     assert rep.passed == rep2.passed
     assert (nis is None or nis.passed) == (nis2 is None or nis2.passed)
-    if kind in ("bracket-one", "gram-one"):
-        # the structural checks read one triangle of a non-symmetric table
-        # or Gram matrix, so only the verdicts are relabelling-invariant
-        return
+    # the structural checks read both triangles, so one-sided flips of a
+    # bracket table or Gram matrix keep their flags and witnesses too
     assert named_witnesses(g, ((f.axiom, f.witness) for f in rep.failures)) == (
         named_witnesses(g2, ((f.axiom, f.witness) for f in rep2.failures))
     )

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from nislie.catalog import (
+    entry_names,
     h104_alphas,
     h104_cocycles,
     h104_deg_swap,
@@ -18,8 +19,12 @@ from nislie.catalog import (
 from nislie.derivations import ad_derivation, zero_derivation
 from nislie.errors import ConditionViolated
 from nislie.extension import ExtensionRecipe, extend
+from nislie.forms import BilinearForm
+from nislie.gf2 import GF2Matrix, SpanBasis
 from nislie.isometry import (
     Isometry,
+    _PairSpan,
+    _close,
     adapted_isometry_decision,
     build_adapted_isometry,
     complete_by_bracketing,
@@ -28,6 +33,8 @@ from nislie.isometry import (
     search_isometry,
     verify_isometry,
 )
+from nislie.superalgebra import SuperAlgebra, bracket, validate
+from oracles import relabel
 
 
 def test_identity_isometry(hei_double):
@@ -410,3 +417,185 @@ def test_adapted_decision_positive_via_group_fallback(hei_double):
     rec3 = ExtensionRecipe("evenB-oddD", cc["D3"], a0=0)
     dec = adapted_isometry_decision(g, b, rec6, rec3)
     assert dec.status == "not-found-proved"
+
+
+# (status, nodes) of search_isometry(budget=500) from each valid catalog
+# entry with a form to two seeded parity-preserving relabellings of it; the
+# candidate order, the closure and the pruning all show in the node counts
+SEARCH_GOLDEN = {
+    "hei-double": (("found", 8), ("found", 16)),
+    "ba-double": (("found", 14), ("found", 4)),
+    "purely-odd": (("found", 2), ("found", 2)),
+    "purely-odd-ext": (("found", 3), ("found", 4)),
+    "hei-evenD-ext": (("found", 106), ("found", 278)),
+    "hei-oddD-ext": (("found", 309), ("found", 333)),
+    "ba-evenD-ext": (("found", 36), ("found", 34)),
+    "ba-oddD-ext": (("found", 139), ("found", 451)),
+    "h1-0-4": (("found", 28), ("found", 42)),
+    "h1-0-5": (("budget-exhausted", 501), ("budget-exhausted", 501)),
+    "gl-1-1": (("found", 3), ("found", 3)),
+    "gl-2-2": (("found", 11), ("found", 35)),
+    "h104-D2ext": (("found", 420), ("found", 182)),
+    "h104-D6ext": (("found", 439), ("found", 298)),
+    "h104-D7ext": (("budget-exhausted", 501), ("budget-exhausted", 501)),
+    "po-0-4": (("budget-exhausted", 501), ("budget-exhausted", 501)),
+    "tilde-po-0-5": (("budget-exhausted", 501), ("budget-exhausted", 501)),
+}
+
+
+def test_search_isometry_golden_nodes_on_relabellings():
+    names = [
+        name for name in entry_names(include_defective=False)
+        if named(name).form is not None
+    ]
+    assert names == list(SEARCH_GOLDEN)
+    for name in names:
+        obj = named(name)
+        got = []
+        for r in range(2):
+            g2, b2 = relabel(obj.algebra, obj.form, random.Random(f"{name}:{r}"))
+            res = search_isometry(obj.algebra, obj.form, g2, b2, budget=500)
+            got.append((res.status, res.nodes))
+            if res.status == "found":
+                assert verify_isometry(
+                    obj.algebra, obj.form, g2, b2, res.isometry.images
+                )[0]
+        assert tuple(got) == SEARCH_GOLDEN[name], name
+
+
+GROUP_SIZES = {
+    "hei-double": 32,
+    "ba-double": 32,
+    "purely-odd": 6,
+    "purely-odd-ext": 4,
+    "hei-evenD-ext": 32,
+    "hei-oddD-ext": 192,
+    "ba-evenD-ext": 32,
+    "ba-oddD-ext": 192,
+    "gl-1-1": 4,
+}
+
+
+def test_isometry_group_sizes_up_to_dim_10():
+    small = [
+        name for name in entry_names()
+        if named(name).form is not None and named(name).algebra.dim <= 10
+    ]
+    assert small == list(GROUP_SIZES)
+    for name in small:
+        obj = named(name)
+        grp = isometry_group(obj.algebra, obj.form)
+        assert len({p.images for p in grp}) == len(grp) == GROUP_SIZES[name]
+
+
+def test_pair_span_rank_counts_the_pivots():
+    rng = random.Random(11)
+    for _ in range(200):
+        n1, n2 = rng.randrange(1, 9), rng.randrange(1, 9)
+        spans = [_PairSpan(n1)]
+        for _ in range(rng.randrange(1, 16)):
+            span = rng.choice(spans)
+            if rng.random() < 0.3:
+                spans.append(span.clone())
+                continue
+            span.add(rng.getrandbits(n1), rng.getrandbits(n2))
+        for span in spans:
+            pivots = [p for p in span.basis.pivot_rows if p < n1]
+            assert span.rank == len(pivots) == len(span.pairs())
+
+
+def random_even_algebra(rng, n):
+    """A symmetric bracket table with zero diagonal; no axioms asked."""
+    table = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < 0.4:
+                table[i][j] = table[j][i] = rng.getrandbits(n)
+    names = tuple(f"e{i}" for i in range(n))
+    return SuperAlgebra(names, (0,) * n, tuple(map(tuple, table)), (0,) * n)
+
+
+def random_symmetric_form(rng, n):
+    rows = [0] * n
+    for i in range(n):
+        for j in range(i, n):
+            if rng.random() < 0.5:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return BilinearForm(GF2Matrix(rows, n), 0)
+
+
+def flip_symmetric_entry(form, i, j):
+    rows = list(form.gram.rows)
+    rows[i] ^= 1 << j
+    if i != j:
+        rows[j] ^= 1 << i
+    return BilinearForm(GF2Matrix(rows, form.dim), form.parity)
+
+
+def naive_closure(g1, g2, pairs):
+    """Span of the pairs closed under brackets of all pairs of its rows."""
+    n1, mask1 = g1.dim, (1 << g1.dim) - 1
+    basis = SpanBasis(v | w << n1 for v, w in pairs)
+    grown = True
+    while grown:
+        grown = False
+        rows = basis.vectors()
+        for x in rows:
+            for y in rows:
+                bv = bracket(g1, x & mask1, y & mask1)
+                bw = bracket(g2, x >> n1, y >> n1)
+                grown |= basis.add(bv | bw << n1)
+    return basis
+
+
+def test_close_matches_naive_closure_on_random_even_algebras():
+    # mostly the identity against a form that differs in one entry: the
+    # forms are not invariant, so no form check follows from another one
+    rng = random.Random(2026)
+    verdicts = set()
+    for _ in range(400):
+        n = rng.randrange(3, 8)
+        g = random_even_algebra(rng, n)
+        b1 = random_symmetric_form(rng, n)
+        b2 = flip_symmetric_entry(b1, rng.randrange(n), rng.randrange(n))
+        mask1 = (1 << n) - 1
+        span, pairs = _PairSpan(n), []
+        while span is not None and len(pairs) < 4:
+            v = rng.getrandbits(n)
+            pairs.append((v, v if rng.random() < 0.8 else rng.getrandbits(n)))
+            span = _close(g, g, b1, b2, span, pairs)
+            rows = naive_closure(g, g, pairs).vectors()
+            consistent = all(r & mask1 for r in rows) and all(
+                b1.pair(x & mask1, y & mask1) == b2.pair(x >> n, y >> n)
+                for x in rows
+                for y in rows
+            )
+            verdicts.add(consistent)
+            assert (span is not None) == consistent
+            if span is not None:
+                assert sorted(span.basis.pivot_rows.values()) == sorted(rows)
+                assert span.rank == len(rows)
+    assert verdicts == {True, False}
+
+
+def filiform(n):
+    """L_n: [e0, ei] = e_{i+1} for 1 <= i < n - 1, all even."""
+    table = [[0] * n for _ in range(n)]
+    for i in range(1, n - 1):
+        table[0][i] = table[i][0] = 1 << (i + 1)
+    names = tuple(f"e{i}" for i in range(n))
+    return SuperAlgebra(names, (0,) * n, tuple(map(tuple, table)), (0,) * n)
+
+
+@pytest.mark.parametrize("n", [11, 12])
+def test_closure_reaches_full_rank_on_long_filiform_chains(n):
+    # e0 and e1 generate L_n through n - 2 nested brackets; a capped number
+    # of closure rounds stops short of rank n and loses the identity
+    g, form = filiform(n), BilinearForm(GF2Matrix.identity(n), 0)
+    ident = [(1 << i, 1 << i) for i in range(n)]
+    assert validate(g).passed
+    assert verify_isometry(g, form, g, form, [v for v, _ in ident])[0]
+    res = search_isometry(g, form, g, form, budget=20_000, seed_pairs=ident)
+    assert (res.status, res.nodes) == ("found", 2)
+    assert res.isometry.images == tuple(v for v, _ in ident)
