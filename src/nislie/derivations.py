@@ -10,12 +10,17 @@ That system decides the defining conditions on all elements: the squaring
 rule at e_i + e_j equals (rule at e_i) + (rule at e_j) + (Leibniz at
 (e_i, e_j)), so polarization recovers every instance from basis ones.
 
-For graded algebras the system is block-diagonal over the degree shift of
-the unknown map, which is how the larger Hamiltonian computations stay
-fast.  The build is index-driven: each basis vector lists the unknowns of
-the current block that have it as source, so a rule touches only unknowns
-that exist.  The rows go into a fully reduced SpanBasis and the kernel is
-read off its pivot rows, with no second elimination.
+The system is block-diagonal over the shift of the unknown map under the
+finest free grading that the structure constants allow
+(SuperAlgebra.fine_degrees), for every algebra, declared degrees or not.
+It is built in one pass over the rules: each basis vector lists the
+unknowns that have it as source, with their block, so a rule row touches
+only unknowns that exist and goes to the block of its shift.  Each block
+keeps its own fully reduced SpanBasis, its kernel is read off the pivot
+rows with no second elimination, and a block that reaches full rank drops
+out of the index.  Inner maps ad_{e_i} lie in the block of e_i's degree,
+so the outer quotient is taken block by block; declared degrees, which
+must coarsen the fine grading, only label the blocks.
 """
 
 from __future__ import annotations
@@ -34,9 +39,8 @@ from .gf2 import (
     quotient_basis,
     rref_kernel,
     solve_affine,
-    span_basis,
 )
-from .superalgebra import SuperAlgebra, ad, bracket
+from .superalgebra import SuperAlgebra, ad, bracket, grading_terms
 
 CASES = ("evenB-evenD", "evenB-oddD", "oddB-oddD", "oddB-evenD")
 
@@ -134,75 +138,91 @@ def is_derivation(g: SuperAlgebra, d: Derivation) -> tuple[bool, tuple | None]:
 # ---------------------------------------------------------------------------
 
 
-def _unknown_layout(g: SuperAlgebra, parity: int, shift=None):
-    """Unknown positions (i, j) meaning e_j |-> ... + e_i, parity-filtered."""
-    unknowns = []
-    for j in range(g.dim):
-        want = (g.parity[j] + parity) & 1
-        for i in range(g.dim):
-            if g.parity[i] != want:
-                continue
-            if shift is not None and g.degrees[i] - g.degrees[j] != shift:
-                continue
-            unknowns.append((i, j))
-    return unknowns
+def _fine_blocks(g: SuperAlgebra, parity: int):
+    """The derivation system of one parity, split by fine shift.
 
-
-def _derivation_kernel(g: SuperAlgebra, parity: int, shift=None) -> list[Derivation]:
-    unknowns = _unknown_layout(g, parity, shift)
-    if not unknowns:
-        return []
+    Unknown (i, m) means e_m |-> ... + e_i; it lies in the block of its
+    shift f_i - f_m under g.fine_degrees.  Every rule row is homogeneous:
+    the row of output l of the rule at (j, k) only touches unknowns of
+    shift f_l - f_j - f_k.  Returns (unknowns, kernels), one entry per
+    block in order of shift, with kernel vectors over the block's own
+    unknowns.
+    """
     n = g.dim
+    fine = g.fine_degrees
+    layout: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    for m in range(n):
+        want = (g.parity[m] + parity) & 1
+        fm = fine[m]
+        for i in range(n):
+            if g.parity[i] == want:
+                shift = tuple(a - b for a, b in zip(fine[i], fm))
+                layout.setdefault(shift, []).append((i, m))
+    unknowns = [layout[s] for s in sorted(layout)]
+    # by_source[m]: (i, b * n, bit) for each unknown (i, m) of a block b
+    # whose kernel is still open; a row of block b and output l has key
+    # b * n + l
+    by_source: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    for b, block in enumerate(unknowns):
+        for pos, (i, m) in enumerate(block):
+            by_source[m].append((i, b * n, 1 << pos))
+    spans = [SpanBasis() for _ in unknowns]
     table = g.bracket_table
-    # by_source[m]: (i, bit of unknown (i, m)) for each unknown that exists
-    by_source: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for pos, (i, m) in enumerate(unknowns):
-        by_source[m].append((i, 1 << pos))
-    rows = SpanBasis()
 
     def add_rule(image: int, j: int, k: int, leibniz: bool):
         # D(image) + [D e_j, e_k] (+ [e_j, D e_k] for Leibniz), per output
-        row_by_out: dict[int, int] = {}
-        for m in bits(image):
-            for l_, bit in by_source[m]:
-                row_by_out[l_] = row_by_out.get(l_, 0) ^ bit
-        for m, bit in by_source[j]:
-            for l_ in bits(table[m][k]):
-                row_by_out[l_] = row_by_out.get(l_, 0) ^ bit
+        rows: dict[int, int] = {}
+        get = rows.get
+        while image:
+            low = image & -image
+            image ^= low
+            for i, off, bit in by_source[low.bit_length() - 1]:
+                rows[off + i] = get(off + i, 0) ^ bit
+        for m, off, bit in by_source[j]:
+            v = table[m][k]
+            while v:
+                low = v & -v
+                v ^= low
+                key = off + low.bit_length() - 1
+                rows[key] = get(key, 0) ^ bit
         if leibniz:
-            for m, bit in by_source[k]:
-                for l_ in bits(table[j][m]):
-                    row_by_out[l_] = row_by_out.get(l_, 0) ^ bit
-        for r in row_by_out.values():
-            if r:
-                rows.add(r)
+            row_j = table[j]
+            for m, off, bit in by_source[k]:
+                v = row_j[m]
+                while v:
+                    low = v & -v
+                    v ^= low
+                    key = off + low.bit_length() - 1
+                    rows[key] = get(key, 0) ^ bit
+        for key, r in rows.items():
+            b = key // n
+            span = spans[b]
+            if r and span.add(r) and span.dim == len(unknowns[b]):
+                # full rank: the block's kernel is 0, so its unknowns drop out
+                off = b * n
+                for m in {m for _, m in unknowns[b]}:
+                    by_source[m] = [e for e in by_source[m] if e[1] != off]
 
     for j in range(n):
         for k in range(j + 1, n):
             add_rule(table[j][k], j, k, True)
     for j in g.odd_indices():
         add_rule(g.squaring[j], j, j, False)
-    kernel = rref_kernel(rows.pivot_rows, len(unknowns))
-    return [Derivation.from_vec(v, unknowns, n, parity) for v in kernel]
-
-
-def _shift_kernels(g: SuperAlgebra, parity: int):
-    """(shift, derivation kernel of that degree shift) for a graded g."""
-    shifts = {
-        g.degrees[i] - g.degrees[j]
-        for i in range(g.dim)
-        for j in range(g.dim)
-        if g.parity[i] == (g.parity[j] + parity) & 1
-    }
-    for s in sorted(shifts):
-        yield s, _derivation_kernel(g, parity, s)
+    kernels = [
+        rref_kernel(span.pivot_rows, len(block))
+        for span, block in zip(spans, unknowns)
+    ]
+    return unknowns, kernels
 
 
 def derivation_space(g: SuperAlgebra, parity: int) -> list[Derivation]:
     """Basis of the parity-homogeneous derivations of g."""
-    if g.degrees is None:
-        return _derivation_kernel(g, parity)
-    return [d for _, ders in _shift_kernels(g, parity) for d in ders]
+    unknowns, kernels = _fine_blocks(g, parity)
+    return [
+        Derivation.from_vec(v, block, g.dim, parity)
+        for block, kernel in zip(unknowns, kernels)
+        for v in kernel
+    ]
 
 
 def inner_derivations(g: SuperAlgebra, parity: int) -> list[Derivation]:
@@ -225,14 +245,6 @@ def _vec_full(g: SuperAlgebra, d: Derivation) -> int:
     return v
 
 
-def _from_vec_full(g: SuperAlgebra, v: int, parity: int) -> Derivation:
-    n = g.dim
-    mask = (1 << n) - 1
-    return Derivation(
-        tuple((v >> (j * n)) & mask for j in range(n)), parity
-    )
-
-
 @dataclass(frozen=True)
 class OuterBasis:
     """Outer derivations (= first cohomology) of one parity."""
@@ -247,6 +259,46 @@ class OuterBasis:
         return len(self.representatives)
 
 
+def _outer_blocks(g: SuperAlgebra, parity: int):
+    """(unknowns, kernel, outer representatives) per fine block.
+
+    ad_{e_i} lies in the block of shift f_i, and the representatives
+    complete its inner maps to a basis of the block's kernel.  Declared
+    degrees must coarsen the fine grading affinely (d_i + d_j - d_k is
+    one constant over grading_terms), so that each block has one degree
+    shift.
+    """
+    if g.degrees is not None:
+        d = g.degrees
+        if len({d[i] + d[j] - d[k] for i, j, k in grading_terms(g)}) > 1:
+            raise _inner_not_derivation(g, parity)
+    unknowns, kernels = _fine_blocks(g, parity)
+    where = {
+        u: (b, 1 << pos)
+        for b, block in enumerate(unknowns)
+        for pos, u in enumerate(block)
+    }
+    inner: list[list[int]] = [[] for _ in unknowns]
+    for i in g.odd_indices() if parity else g.even_indices():
+        v = 0
+        try:
+            for m, image in enumerate(g.bracket_table[i]):
+                for k in bits(image):
+                    b, bit = where[(k, m)]
+                    v |= bit
+        except KeyError:  # a wrong-parity image
+            raise _inner_not_derivation(g, parity) from None
+        if v:
+            inner[b].append(v)
+    out = []
+    for block, kernel, ads in zip(unknowns, kernels, inner):
+        try:
+            out.append((block, kernel, quotient_basis(kernel, ads)))
+        except SubspaceNotContained:
+            raise _inner_not_derivation(g, parity) from None
+    return out
+
+
 def outer_derivations(g: SuperAlgebra, parity: int | None = None):
     """Quotient of derivations by inner ones, per parity.
 
@@ -254,57 +306,46 @@ def outer_derivations(g: SuperAlgebra, parity: int | None = None):
     """
     if parity is None:
         return outer_derivations(g, 0), outer_derivations(g, 1)
-    ders = derivation_space(g, parity)
-    inner = inner_derivations(g, parity)
-    der_vecs = [_vec_full(g, d) for d in ders]
-    inner_vecs = [_vec_full(g, d) for d in inner]
-    try:
-        reps = quotient_basis(der_vecs, inner_vecs)
-    except SubspaceNotContained:
-        raise _inner_not_derivation(g, parity) from None
+    blocks = _outer_blocks(g, parity)
+    reps = tuple(
+        Derivation.from_vec(v, block, g.dim, parity)
+        for block, _, vecs in blocks
+        for v in vecs
+    )
+    derivation_dim = sum(len(kernel) for _, kernel, _ in blocks)
     return OuterBasis(
         parity=parity,
-        representatives=tuple(
-            _from_vec_full(g, v, parity) for v in reps
-        ),
-        derivation_dim=len(der_vecs),
-        inner_dim=len(span_basis(inner_vecs)),
+        representatives=reps,
+        derivation_dim=derivation_dim,
+        inner_dim=derivation_dim - len(reps),
     )
 
 
 def outer_dimension_by_degree(g: SuperAlgebra, parity: int) -> dict[int, int]:
-    """Outer dimensions split by degree shift (graded algebras only)."""
+    """Outer dimensions split by degree shift (graded algebras only).
+
+    The fine blocks are summed into the declared degree shifts; the result
+    is sorted by shift.
+    """
     if g.degrees is None:
         raise ValueError("algebra carries no grading")
-    # inner derivations of degree s are the ad_v with matching shift
-    inner_by_shift: dict[int | None, list[int]] = {}
-    for i in range(g.dim):
-        if g.parity[i] != parity:
-            continue
-        d = ad_derivation(g, 1 << i)
-        if not d.is_zero():
-            inner_by_shift.setdefault(_map_degree(g, d), []).append(
-                _vec_full(g, d)
-            )
     result: dict[int, int] = {}
-    for s, ders in _shift_kernels(g, parity):
-        try:
-            reps = quotient_basis(
-                [_vec_full(g, d) for d in ders], inner_by_shift.get(s, [])
-            )
-        except SubspaceNotContained:
-            raise _inner_not_derivation(g, parity) from None
+    for block, _, reps in _outer_blocks(g, parity):
         if reps:
-            result[s] = len(reps)
-    return result
+            i, m = block[0]
+            s = g.degrees[i] - g.degrees[m]
+            result[s] = result.get(s, 0) + len(reps)
+    return dict(sorted(result.items()))
 
 
 def _inner_not_derivation(g: SuperAlgebra, parity: int) -> InnerNotDerivation:
     """The error naming the first basis vector whose ad is not a derivation.
 
-    Called once an inner map fell outside the derivation space.  When every
-    ad passes is_derivation, the space was cut by degree shifts, so some ad
-    mixes shifts: the degrees do not respect the bracket.
+    Called once an inner map fell outside the derivation space or the
+    declared degrees failed to coarsen the fine grading.  When every ad of
+    the parity passes is_derivation, the degrees are at fault: the error
+    names the first basis vector whose ad mixes degree shifts, else the
+    first term whose offset d_i + d_j - d_k differs from the first term's.
     """
     idxs = g.odd_indices() if parity else g.even_indices()
     for i in idxs:
@@ -313,17 +354,30 @@ def _inner_not_derivation(g: SuperAlgebra, parity: int) -> InnerNotDerivation:
             rule, *at = witness
             where = ", ".join(g.names[j] for j in at)
             return InnerNotDerivation(g.names[i], f"{rule} fails at ({where})")
-    i = next(
-        i for i in idxs if _map_degree(g, ad_derivation(g, 1 << i)) is None
-    )
+    d = g.degrees
+    offsets: dict[int, tuple[int, int, int]] = {}
+    if d is not None:
+        for i, row in enumerate(g.bracket_table):
+            if len({d[k] - d[m] for m, v in enumerate(row) for k in bits(v)}) > 1:
+                return InnerNotDerivation(
+                    g.names[i], "it mixes degree shifts, so the degrees do"
+                    " not respect the bracket"
+                )
+        for i, j, k in sorted(grading_terms(g)):
+            offsets.setdefault(d[i] + d[j] - d[k], (i, j, k))
+    if len(offsets) < 2:
+        raise AssertionError("no inner map or degree defect to report")
+    i, j, k = list(offsets.values())[1]
     return InnerNotDerivation(
-        g.names[i], "it mixes degree shifts, so the degrees do not respect"
-        " the bracket"
+        g.names[i], f"the degrees do not respect the term {g.names[k]} of"
+        f" ({g.names[i]}, {g.names[j]})"
     )
 
 
-def _map_degree(g: SuperAlgebra, d: Derivation) -> int | None:
+def map_degree(g: SuperAlgebra, d: Derivation) -> int | None:
     """The single degree shift of a homogeneous map, else None."""
+    if g.degrees is None:
+        return None
     shifts = set()
     for j, im in enumerate(d.images):
         for i in bits(im):
@@ -331,12 +385,6 @@ def _map_degree(g: SuperAlgebra, d: Derivation) -> int | None:
     if len(shifts) == 1:
         return shifts.pop()
     return None
-
-
-def map_degree(g: SuperAlgebra, d: Derivation) -> int | None:
-    if g.degrees is None:
-        return None
-    return _map_degree(g, d)
 
 
 # ---------------------------------------------------------------------------

@@ -41,17 +41,6 @@ class BilinearForm:
         rows = [self.gram.mat_vec(v) for v in vectors]
         return GF2Matrix(rows or [0], self.dim).kernel_basis()
 
-    def restrict(self, basis_vectors: list[int]) -> "BilinearForm":
-        d = len(basis_vectors)
-        rows = []
-        for u in basis_vectors:
-            row = 0
-            for k, v in enumerate(basis_vectors):
-                if self.pair(u, v):
-                    row |= 1 << k
-            rows.append(row)
-        return BilinearForm(GF2Matrix(rows, d), self.parity)
-
 
 @dataclass
 class NISReport:

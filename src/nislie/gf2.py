@@ -27,18 +27,6 @@ def dot(a: int, b: int) -> int:
     return (a & b).bit_count() & 1
 
 
-def vector_from_coords(coords: Iterable[int]) -> int:
-    v = 0
-    for j, c in enumerate(coords):
-        if c & 1:
-            v |= 1 << j
-    return v
-
-
-def vector_to_coords(v: int, n: int) -> list[int]:
-    return [(v >> j) & 1 for j in range(n)]
-
-
 class SpanBasis:
     """Incremental row-space basis in reduced echelon form.
 
@@ -168,14 +156,6 @@ class GF2Matrix:
     @classmethod
     def identity(cls, n: int) -> "GF2Matrix":
         return cls([1 << i for i in range(n)], n)
-
-    @classmethod
-    def from_dense(cls, dense: Sequence[Sequence[int]]) -> "GF2Matrix":
-        ncols = len(dense[0]) if dense else 0
-        return cls([vector_from_coords(row) for row in dense], ncols)
-
-    def to_dense(self) -> list[list[int]]:
-        return [vector_to_coords(r, self.ncols) for r in self.rows]
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -399,39 +399,16 @@ def complete_by_bracketing(
     g1: SuperAlgebra,
     g2: SuperAlgebra,
     pairs: Sequence[tuple[int, int]],
-    max_rounds: int = 64,
 ) -> tuple[int, ...]:
     """Extend generator images to a full map by closing under brackets
-    and squarings; raises on inconsistency or underdetermination."""
+    and squarings to a fixed point; raises on inconsistency or
+    underdetermination."""
     span = _PairSpan(g1.dim)
-    frontier = []
     for v, w in pairs:
         if not span.add(v, w):
             raise ValueError("inconsistent generator images")
-        frontier.append((v, w))
-    known = list(pairs)
-    for _ in range(max_rounds):
-        if span.rank == g1.dim:
-            break
-        new = []
-        for v, w in frontier:
-            for v2, w2 in known:
-                bv = bracket(g1, v, v2)
-                bw = bracket(g2, w, w2)
-                if bv or bw:
-                    if not span.add(bv, bw):
-                        raise ValueError("bracket closure is inconsistent")
-                    new.append((bv, bw))
-            if g1.parity_of(v) == 1 and g2.parity_of(w) == 1:
-                sv, sw = square_element(g1, v), square_element(g2, w)
-                if sv or sw:
-                    if not span.add(sv, sw):
-                        raise ValueError("squaring closure is inconsistent")
-                    new.append((sv, sw))
-        if not new:
-            break
-        known.extend(new)
-        frontier = new
+    if not _closure(g1, g2, span, list(pairs)):
+        raise ValueError("bracket or squaring closure is inconsistent")
     if span.rank != g1.dim:
         raise UnderdeterminedMap(
             f"bracket closure determined rank {span.rank} of {g1.dim}"
@@ -550,18 +527,17 @@ def _form_consistent(span: _PairSpan, b1, b2, pairs) -> bool:
     return True
 
 
-def _close(g1, g2, b1, b2, span: _PairSpan, pairs) -> _PairSpan | None:
-    """span plus the last of pairs, closed under brackets and squares.
+def _closure(g1, g2, span: _PairSpan, frontier, b1=None, b2=None) -> bool:
+    """Close span in place under brackets and squares, from frontier.
 
-    None when the closure maps 0 to a nonzero vector or breaks the forms.
-    Every round that goes on raised the rank, so there are at most dim
-    rounds.  span was form-consistent, so by bilinearity (and symmetry of
-    the forms) only the pairs that raised the rank need a form check.
+    frontier lists the pairs not yet bracketed with the span.  Each round
+    brackets them with a basis of the span and squares the odd ones; the
+    pairs that raised the rank are the next frontier, so there are at most
+    dim rounds.  False when the closure maps 0 to a nonzero vector or, with
+    forms given, breaks them: span was form-consistent, so by bilinearity
+    (and symmetry of the forms) only the pairs that raised the rank need a
+    form check.
     """
-    span = span.clone()
-    if not span.add(*pairs[-1]) or not _form_consistent(span, b1, b2, pairs[-1:]):
-        return None
-    frontier = list(pairs)
     while frontier:
         new = []
         items = span.pairs()
@@ -571,7 +547,7 @@ def _close(g1, g2, b1, b2, span: _PairSpan, pairs) -> _PairSpan | None:
                 if bv or bw:
                     before = span.rank
                     if not span.add(bv, bw):
-                        return None
+                        return False
                     if span.rank > before:
                         new.append((bv, bw))
             if g1.parity_of(v) == 1 and g2.parity_of(w) == 1:
@@ -579,13 +555,24 @@ def _close(g1, g2, b1, b2, span: _PairSpan, pairs) -> _PairSpan | None:
                 if sv or sw:
                     before = span.rank
                     if not span.add(sv, sw):
-                        return None
+                        return False
                     if span.rank > before:
                         new.append((sv, sw))
-        if not _form_consistent(span, b1, b2, new):
-            return None
+        if b1 is not None and not _form_consistent(span, b1, b2, new):
+            return False
         frontier = new
-    return span
+    return True
+
+
+def _close(g1, g2, b1, b2, span: _PairSpan, pairs) -> _PairSpan | None:
+    """span plus the last of pairs, closed under brackets and squares.
+
+    None when the closure maps 0 to a nonzero vector or breaks the forms.
+    """
+    span = span.clone()
+    if not span.add(*pairs[-1]) or not _form_consistent(span, b1, b2, pairs[-1:]):
+        return None
+    return span if _closure(g1, g2, span, list(pairs), b1, b2) else None
 
 
 class _Isometries:
@@ -685,6 +672,11 @@ def isometry_group(
 # ---------------------------------------------------------------------------
 
 
+# solutions t tried per base isometry pi0; a pi0 with more of them makes an
+# exhausted group route budget-exhausted instead of a proved negative
+_T_LIMIT = 4096
+
+
 @dataclass(frozen=True)
 class AdaptedDecision:
     status: str  # "found" | "not-found-proved" | "budget-exhausted"
@@ -720,7 +712,7 @@ def adapted_isometry_decision(
 
     # fast positive route: pi0 = id with t solved linearly
     identity = Isometry(tuple(1 << i for i in range(a.dim)))
-    for t in _solve_t(a, recipe_src, recipe_tgt, identity)[:256]:
+    for t in _solve_t(a, recipe_src, recipe_tgt, identity, 256)[0]:
         try:
             pi = build_adapted_isometry(
                 a, form, recipe_src, recipe_tgt, identity.images, t
@@ -758,9 +750,11 @@ def adapted_isometry_decision(
         group = isometry_group(a, form, budget=budget)
     except SearchBudgetExceeded:
         return AdaptedDecision("budget-exhausted")
+    truncated = False
     for pi0 in group:
-        t_sol = _solve_t(a, recipe_src, recipe_tgt, pi0)
-        for t in t_sol:
+        ts, cut = _solve_t(a, recipe_src, recipe_tgt, pi0, _T_LIMIT)
+        truncated |= cut
+        for t in ts:
             try:
                 pi = build_adapted_isometry(
                     a, form, recipe_src, recipe_tgt, pi0.images, t
@@ -768,6 +762,11 @@ def adapted_isometry_decision(
             except ConditionViolated:
                 continue
             return AdaptedDecision("found", pi)
+    if truncated:
+        return AdaptedDecision(
+            "budget-exhausted",
+            reason=f"some pi0 has more than {_T_LIMIT} solutions t",
+        )
     return AdaptedDecision(
         "not-found-proved",
         reason="exhausted the isometry group of the base",
@@ -797,8 +796,9 @@ def _pi0_free_conditions_fail(a, form, recipe_src, recipe_tgt, t) -> bool:
     return False
 
 
-def _solve_t(a, recipe_src, recipe_tgt, pi0: Isometry) -> list[int]:
-    """All t with pi0^{-1} D~ pi0 = D + ad_t on the case's domain."""
+def _solve_t(a, recipe_src, recipe_tgt, pi0: Isometry, limit: int):
+    """The first `limit` t with pi0^{-1} D~ pi0 = D + ad_t on the case's
+    domain, and whether there are more."""
     case = recipe_src.case
     t_parity = 1 if case in ("evenB-oddD", "oddB-oddD") else 0
     idxs = a.odd_indices() if t_parity else a.even_indices()
@@ -819,5 +819,5 @@ def _solve_t(a, recipe_src, recipe_tgt, pi0: Isometry) -> list[int]:
         rows += _bracket_rows(a, idxs, j)
     sol = solve_affine(GF2Matrix(rows or [0], len(idxs)), rhs)
     if sol is None:
-        return []
-    return _lifted(sol, idxs).points(4096)
+        return [], False
+    return _lifted(sol, idxs).points(limit), 1 << len(sol.kernel_basis) > limit

@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, NotOdd
@@ -60,6 +62,11 @@ class SuperAlgebra:
 
     def odd_indices(self) -> list[int]:
         return [i for i in range(self.dim) if self.parity[i] == 1]
+
+    @cached_property
+    def fine_degrees(self) -> tuple[tuple[int, ...], ...]:
+        """Degree of each basis vector in the finest free grading."""
+        return fine_grading(self)
 
     @property
     def sdim(self) -> tuple[int, int]:
@@ -134,6 +141,93 @@ def square_element(g: SuperAlgebra, x: int) -> int:
             acc ^= row[low.bit_length() - 1]
             rest ^= low
     return acc
+
+
+def grading_terms(g: SuperAlgebra) -> set[tuple[int, int, int]]:
+    """(i, j, k) with i <= j for each term e_k of a bracket or a square.
+
+    The bracket terms come from both entries [e_i, e_j] and [e_j, e_i], so
+    an asymmetric table contributes both; (i, i, k) is a term of s(e_i) or
+    of a nonzero diagonal entry.
+    """
+    n = g.dim
+    terms = set()
+    for i, row in enumerate(g.bracket_table):
+        for j, v in enumerate(row):
+            if v >> n:
+                raise DimensionMismatch("element outside the algebra")
+            for k in bits(v):
+                terms.add((i, j, k) if i <= j else (j, i, k))
+    for i, v in enumerate(g.squaring):
+        if v >> n:
+            raise DimensionMismatch("element outside the algebra")
+        for k in bits(v):
+            terms.add((i, i, k))
+    return terms
+
+
+def fine_grading(g: SuperAlgebra) -> tuple[tuple[int, ...], ...]:
+    """The finest grading of g by a free abelian group Z^r.
+
+    Degrees f_i grade g when f_i + f_j = f_k for every term (i, j, k) of
+    grading_terms, which covers 2 f_i = f_k for a square term.  The integer
+    solutions are the rational kernel of this relation matrix intersected
+    with Z^n, so any integer basis of the kernel (here: one vector per free
+    column of the reduced relations, cleared of denominators) grades g as
+    finely as any torsion-free grading can; it is the free part of the
+    universal grading group (Patera-Zassenhaus).  f_i is the tuple of the
+    basis vectors' i-th coordinates, so r is n minus the rank of the
+    relations.  Every bracket and square is homogeneous, and two maps
+    e_m |-> e_i, e_m' |-> e_i' have equal shift f_i - f_m exactly when
+    every grading of g gives them equal shifts.
+    """
+    n = g.dim
+    # reduced relations: pivot p -> {free column f: c}, meaning
+    # x_p + sum c x_f = 0; entries are ints unless a pivot was not a unit
+    pivots: dict[int, dict[int, int | Fraction]] = {}
+    for term in sorted(grading_terms(g)):
+        vec: dict[int, int | Fraction] = {}
+        for c, a in zip(term, (1, 1, -1)):
+            row = pivots.get(c)
+            if row is None:
+                vec[c] = vec.get(c, 0) + a
+            else:
+                for f, b in row.items():
+                    vec[f] = vec.get(f, 0) - a * b
+        vec = {c: a for c, a in vec.items() if a}
+        if not vec:
+            continue
+        if all(type(a) is int for a in vec.values()):
+            content = gcd(*vec.values())
+            vec = {c: a // content for c, a in vec.items()}
+        units = [c for c, a in vec.items() if a in (1, -1)]
+        p = min(units or vec)
+        lead = vec.pop(p)
+        new = {
+            f: a * lead if lead in (1, -1) else Fraction(a) / lead
+            for f, a in vec.items()
+        }
+        for row in pivots.values():
+            b = row.pop(p, 0)
+            if b:
+                for f, a in new.items():
+                    v = row.get(f, 0) - b * a
+                    if v:
+                        row[f] = v
+                    else:
+                        del row[f]
+        pivots[p] = new
+    basis = []
+    for f in range(n):
+        if f in pivots:
+            continue
+        vec = [Fraction(0)] * n
+        vec[f] = Fraction(1)
+        for p, row in pivots.items():
+            vec[p] = -Fraction(row.get(f, 0))
+        scale = lcm(*(x.denominator for x in vec))
+        basis.append([int(x * scale) for x in vec])
+    return tuple(tuple(v[i] for v in basis) for i in range(n))
 
 
 def ad(g: SuperAlgebra, v: int) -> list[int]:

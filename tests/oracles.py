@@ -56,27 +56,61 @@ def bareiss_rank(mat: np.ndarray) -> int:
 
 
 def gf2_rank_dense(mat: np.ndarray) -> int:
-    a = (np.array(mat, dtype=np.uint8) % 2).copy()
+    """Rank mod 2 by row echelon elimination on a dense 0/1 array."""
+    a = np.array(mat, dtype=np.uint8) % 2
+    a = a[a.any(axis=1)]
     nr, nc = a.shape
     rank = 0
-    row = 0
     for col in range(nc):
-        piv = None
-        for r in range(row, nr):
-            if a[r, col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        a[[row, piv]] = a[[piv, row]]
-        for r in range(nr):
-            if r != row and a[r, col]:
-                a[r] ^= a[row]
-        rank += 1
-        row += 1
-        if row == nr:
+        if rank == nr:
             break
+        hits = np.flatnonzero(a[rank:, col])
+        if not hits.size:
+            continue
+        piv = rank + hits[0]
+        a[[rank, piv]] = a[[piv, rank]]
+        below = rank + 1 + np.flatnonzero(a[rank + 1 :, col])
+        a[below] ^= a[rank]
+        rank += 1
     return rank
+
+
+def derivation_system_dense(g, parity):
+    """The derivation rules of one parity as a dense 0/1 system.
+
+    Returns (rows, unknowns): unknown (p, q) means e_q |-> ... + e_p, and
+    each row is one output of the Leibniz rule at a basis pair a < b,
+    D[e_a, e_b] = [D e_a, e_b] + [e_a, D e_b], or of the squaring rule
+    D s(e_a) = [D e_a, e_a] at an odd e_a, read off the structure tensor.
+    """
+    n = g.dim
+    c = structure_tensor(g)
+    s = np.array(
+        [[(g.squaring[a] >> q) & 1 for q in range(n)] for a in range(n)],
+        dtype=np.uint8,
+    ).reshape(n, n)
+    eye = np.eye(n, dtype=np.uint8)
+    blocks = []
+    for a in range(n):
+        # r[b - a - 1, out, p, q]: coefficient of unknown (p, q) at output out
+        bs = np.arange(a + 1, n)
+        r = eye[None, :, :, None] * c[a, bs][:, None, None, :]
+        r[:, :, :, a] += np.transpose(c[:, bs, :], (1, 2, 0))
+        r[np.arange(len(bs)), :, :, bs] += c[a].T
+        blocks.append(r.reshape(-1, n * n))
+        if g.parity[a]:
+            sq = eye[:, :, None] * s[a][None, None, :]
+            sq[:, :, a] += c[:, a, :].T
+            blocks.append(sq.reshape(n, n * n))
+    unknowns = [
+        (p, q)
+        for q in range(n)
+        for p in range(n)
+        if g.parity[p] == (g.parity[q] + parity) & 1
+    ]
+    cols = [p * n + q for p, q in unknowns]
+    rows = np.concatenate(blocks)[:, cols] % 2
+    return rows, unknowns
 
 
 def brute_force_solutions(rows, ncols, rhs) -> set[int]:
@@ -365,8 +399,36 @@ def reference_check_nis(g, form, max_witnesses: int = 16):
 # ---------------------------------------------------------------------------
 
 
+def flip(g, form, kind, i, j, k):
+    """Flip one structure bit; gram-one leaves the Gram matrix non-symmetric."""
+    table = [list(r) for r in g.bracket_table]
+    squaring = list(g.squaring)
+    rows = list(form.gram.rows) if form is not None else None
+    if kind == "bracket-sym":
+        table[i][j] ^= 1 << k
+        if i != j:
+            table[j][i] ^= 1 << k
+    elif kind == "bracket-one":
+        table[i][j] ^= 1 << k
+    elif kind == "squaring":
+        squaring[i] ^= 1 << k
+    elif kind == "gram-sym":
+        rows[i] ^= 1 << j
+        if i != j:
+            rows[j] ^= 1 << i
+    else:
+        rows[i] ^= 1 << j
+    g2 = SuperAlgebra(
+        g.names, g.parity, tuple(map(tuple, table)), tuple(squaring), g.degrees
+    )
+    if form is None:
+        return g2, None
+    return g2, BilinearForm(GF2Matrix(rows, g.dim), form.parity)
+
+
 def relabel(g, form, rng):
-    """Shuffle the basis within each parity; names travel with the vectors."""
+    """Shuffle the basis within each parity; names and degrees travel with
+    the vectors."""
     n = g.dim
     sigma = list(range(n))
     for parity in (0, 1):
@@ -391,6 +453,9 @@ def relabel(g, form, rng):
             for a in range(n)
         ),
         squaring=tuple(move(g.squaring[inv[a]]) for a in range(n)),
+        degrees=None
+        if g.degrees is None
+        else tuple(g.degrees[inv[a]] for a in range(n)),
     )
     if form is None:
         return g2, None

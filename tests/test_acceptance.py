@@ -552,7 +552,10 @@ def test_c12_arf():
 @pytest.mark.stretch
 def test_c13_conjecture_support():
     with criterion(
-        13, "h1(0|6) and h1(0|7) cohomology computed; analog classes reported", 600
+        13,
+        "h1(0|6), h1(0|7) and h1(0|8) cohomology computed; analog classes"
+        " reported",
+        600,
     ):
         g6, _, _ = hamiltonian(6, derived=True)
         even6 = outer_dimension_by_degree(g6, 0)
@@ -570,3 +573,9 @@ def test_c13_conjecture_support():
             "  m=7: odd degree-5 class (po(0|7;m) analog candidate):"
             f" {'present' if odd7.get(5) else 'absent'}"
         )
+        g8, _, _ = hamiltonian(8, derived=True)
+        even8 = outer_dimension_by_degree(g8, 0)
+        odd8 = outer_dimension_by_degree(g8, 1)
+        print(f"  m=8: even out by degree {even8}, odd {odd8}")
+        assert even8 == {-2: 1, 0: 9, 6: 1}
+        assert odd8 == {}

@@ -17,39 +17,11 @@ from hypothesis import strategies as st
 from nislie.catalog import entry_names, named
 from nislie.errors import DimensionMismatch
 from nislie.forms import BilinearForm, check_nis
-from nislie.gf2 import GF2Matrix
 from nislie.superalgebra import SuperAlgebra, validate
-from oracles import reference_check_nis, reference_validate, relabel
+from oracles import flip, reference_check_nis, reference_validate, relabel
 
 CAPS = (1, 4, 64)
 FLIPS = ("bracket-sym", "bracket-one", "squaring", "gram-sym", "gram-one")
-
-
-def flip(g, form, kind, i, j, k):
-    """Flip one structure bit; gram-one leaves the Gram matrix non-symmetric."""
-    table = [list(r) for r in g.bracket_table]
-    squaring = list(g.squaring)
-    rows = list(form.gram.rows) if form is not None else None
-    if kind == "bracket-sym":
-        table[i][j] ^= 1 << k
-        if i != j:
-            table[j][i] ^= 1 << k
-    elif kind == "bracket-one":
-        table[i][j] ^= 1 << k
-    elif kind == "squaring":
-        squaring[i] ^= 1 << k
-    elif kind == "gram-sym":
-        rows[i] ^= 1 << j
-        if i != j:
-            rows[j] ^= 1 << i
-    else:
-        rows[i] ^= 1 << j
-    g2 = SuperAlgebra(
-        g.names, g.parity, tuple(map(tuple, table)), tuple(squaring), g.degrees
-    )
-    if form is None:
-        return g2, None
-    return g2, BilinearForm(GF2Matrix(rows, g.dim), form.parity)
 
 
 def assert_same_reports(g, form):

@@ -1,10 +1,13 @@
 import dataclasses
 import random
 
+import numpy as np
 import pytest
 
 from nislie.catalog import (
     ba_double_cocycles,
+    entry_names,
+    hamiltonian,
     h104_cocycles,
     h105_cocycles,
     hei_double_cocycles,
@@ -28,7 +31,14 @@ from nislie.derivations import (
 )
 from nislie.errors import InnerNotDerivation, NisLieError
 from nislie.gf2 import GF2Matrix, span_basis
-from nislie.superalgebra import SuperAlgebra, bracket, center, square_element
+from nislie.superalgebra import (
+    SuperAlgebra,
+    bracket,
+    center,
+    square_element,
+    validate,
+)
+from oracles import derivation_system_dense, flip, gf2_rank_dense, relabel
 
 
 def abelian(parities):
@@ -143,6 +153,21 @@ def test_outer_on_invalid_algebra_names_the_inner_map():
     g = dataclasses.replace(named("gl-1-1").algebra, degrees=(0, 3, 0, 3))
     with pytest.raises(InnerNotDerivation, match=r"ad\(E12\).*mixes degree shifts"):
         outer_derivations(g)
+
+
+def test_degrees_that_break_only_a_square_are_named():
+    # every ad is zero, so no ad mixes shifts; s(a) = c and s(b) = d give
+    # the offsets 2 d_a - d_c = -1 and 2 d_b - d_d = -2
+    zeros = ((0,) * 4,) * 4
+    g = SuperAlgebra(("a", "b", "c", "d"), (1, 1, 0, 0), zeros, (4, 8, 0, 0))
+    bad = dataclasses.replace(g, degrees=(0, 0, 1, 2))
+    for call in (outer_derivations, lambda g: outer_dimension_by_degree(g, 0)):
+        with pytest.raises(InnerNotDerivation, match=r"ad\(b\).*term d of \(b, b\)"):
+            call(bad)
+    good = dataclasses.replace(g, degrees=(0, 0, 1, 1))
+    # D maps a, b anywhere in span(a, b) and kills c = s(a), d = s(b)
+    assert outer_dimension_by_degree(good, 0) == {0: 4}
+    assert outer_derivations(g, 0).dim == 4
 
 
 def test_h105_degree_table(h105):
@@ -311,12 +336,9 @@ def test_h105_named_classes_span_the_quotient(h105):
     assert odd_coord is not None and odd_coord != 0
 
 
-def _dense_derivation_dim(g, parity):
-    """Independent: assemble the full constraint system densely in numpy."""
-    import numpy as np
-
-    from oracles import gf2_rank_dense
-
+def _dense_rows_by_loops(g, parity):
+    """Reference for oracles.derivation_system_dense: the nonzero rule rows,
+    one coefficient at a time."""
     n = g.dim
     unknowns = [
         (i, j)
@@ -355,20 +377,74 @@ def _dense_derivation_dim(g, parity):
                     row[pos[(m, a)]] ^= 1
             if row.any():
                 rows.append(row)
-    if not rows:
-        return len(unknowns)
-    import numpy as np
-
-    return len(unknowns) - gf2_rank_dense(np.array(rows))
+    return rows, unknowns
 
 
-def test_derivation_dimension_matches_dense_oracle(
-    hei_double, ba_double, h104, h105
-):
-    # h1-0-4, h1-0-5 and po-0-4 are graded, so they take the per-shift path
-    for obj in (hei_double, ba_double, h104, h105, named("po-0-4")):
-        g = obj.algebra
+def assert_span_matches_dense_system(g, parity):
+    """derivation_space(g, parity) is a basis of the dense system's kernel."""
+    rows, unknowns = derivation_system_dense(g, parity)
+    if g.dim <= 8:
+        ref, ref_unknowns = _dense_rows_by_loops(g, parity)
+        assert ref_unknowns == unknowns
+        assert sorted(r.tobytes() for r in rows if r.any()) == sorted(
+            r.tobytes() for r in ref
+        )
+    ders = derivation_space(g, parity)
+    x = np.array(
+        [[(d.images[q] >> p) & 1 for p, q in unknowns] for d in ders],
+        dtype=np.float64,
+    ).reshape(len(ders), len(unknowns))
+    # nothing outside the parity's unknowns, every rule holds, independent
+    assert x.sum() == sum(im.bit_count() for d in ders for im in d.images)
+    # float products are exact here (sums of at most a few hundred 0/1 terms)
+    assert not ((rows.astype(np.float64) @ x.T) % 2).any()
+    assert gf2_rank_dense(x) == len(ders)
+    assert len(ders) == len(unknowns) - gf2_rank_dense(rows)
+
+
+def test_derivation_dimension_matches_dense_oracle():
+    # every catalog entry, invalid ones included: the split by the fine
+    # grading must give exactly the kernel of the whole system
+    for name in entry_names():
+        g = named(name).algebra
         for parity in (0, 1):
-            got = len(derivation_space(g, parity))
-            want = _dense_derivation_dim(g, parity)
-            assert got == want, (g.names[:3], parity, got, want)
+            assert_span_matches_dense_system(g, parity)
+
+
+def test_derivation_space_matches_dense_oracle_on_seeded_flips():
+    # one-bit flips mostly break the axioms, and one-sided ones the symmetry
+    # of the table; the rules stay linear, so the kernels must still agree
+    pool = [named(name).algebra for name in entry_names()]
+    pool = [g for g in pool if g.dim <= 16]
+    rng = random.Random(20261019)
+    kinds = set()
+    for _ in range(40):
+        g0 = rng.choice(pool)
+        n = g0.dim
+        kind = rng.choice(("bracket-sym", "bracket-one", "squaring"))
+        g, _ = flip(
+            g0, None, kind, rng.randrange(n), rng.randrange(n), rng.randrange(n)
+        )
+        kinds.add((kind, validate(g).passed))
+        for parity in (0, 1):
+            assert_span_matches_dense_system(g, parity)
+    assert {k for k, _ in kinds} == {"bracket-sym", "bracket-one", "squaring"}
+    assert False in {v for _, v in kinds}
+
+
+@pytest.mark.parametrize("name", ["h1-0-4", "h1-0-5", "po-0-4", "h6"])
+def test_outer_dimension_by_degree_survives_relabelling(name):
+    # a parity-preserving shuffle that ignores degrees: the fine grading and
+    # its blocks are recomputed on the new basis
+    if name == "h6":
+        g, form, _ = hamiltonian(6)
+    else:
+        g, form = named(name).algebra, named(name).form
+    rng = random.Random(name)
+    for _ in range(2):
+        g2, _ = relabel(g, form, rng)
+        assert g2.names != g.names
+        for parity in (0, 1):
+            assert outer_dimension_by_degree(g2, parity) == (
+                outer_dimension_by_degree(g, parity)
+            )

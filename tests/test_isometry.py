@@ -21,6 +21,7 @@ from nislie.errors import ConditionViolated
 from nislie.extension import ExtensionRecipe, extend
 from nislie.forms import BilinearForm
 from nislie.gf2 import GF2Matrix, SpanBasis
+from nislie import isometry
 from nislie.isometry import (
     Isometry,
     _PairSpan,
@@ -199,6 +200,24 @@ def test_hei_512_coefficient_corner_is_not_isometric(hei_double):
     )
     dec = adapted_isometry_decision(g, b, rec_src, rec_tgt)
     assert dec.status == "not-found-proved"
+
+
+def test_truncated_t_list_makes_the_group_route_budget_exhausted(
+    hei_double, monkeypatch
+):
+    # (D6, a0 = 0) vs (D6, a0 = zstar): t ranges over a coset of the odd
+    # center for some pi0, and no t works; the negative is a proof only
+    # while every such coset is enumerated in full
+    g, b = hei_double.algebra, hei_double.form
+    d6 = hei_double_cocycles(g)["D6"]
+    rec_src = ExtensionRecipe("evenB-oddD", d6, a0=0)
+    rec_tgt = ExtensionRecipe("evenB-oddD", d6, a0=g.element("zstar"))
+    dec = adapted_isometry_decision(g, b, rec_src, rec_tgt)
+    assert dec.status == "not-found-proved"
+    monkeypatch.setattr(isometry, "_T_LIMIT", 1)
+    dec = adapted_isometry_decision(g, b, rec_src, rec_tgt)
+    assert dec.status == "budget-exhausted"
+    assert "more than 1 solutions t" in dec.reason
 
 
 def test_ba_522_isometry(ba_double):
@@ -599,3 +618,13 @@ def test_closure_reaches_full_rank_on_long_filiform_chains(n):
     res = search_isometry(g, form, g, form, budget=20_000, seed_pairs=ident)
     assert (res.status, res.nodes) == ("found", 2)
     assert res.isometry.images == tuple(v for v, _ in ident)
+
+
+@pytest.mark.parametrize("n", [67, 80])
+def test_complete_by_bracketing_runs_to_the_fixed_point(n):
+    # e0 -> e0, e1 -> e1 determine L_n only after n - 2 rounds of brackets,
+    # more than a capped loop of 64 rounds gives
+    g = filiform(n)
+    assert complete_by_bracketing(g, g, [(1, 1), (2, 2)]) == tuple(
+        1 << i for i in range(n)
+    )

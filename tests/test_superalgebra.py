@@ -1,12 +1,20 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nislie.catalog import ba_1, heisenberg_0_2, manin_double, named
+from nislie.catalog import (
+    ba_1,
+    entry_names,
+    hamiltonian,
+    heisenberg_0_2,
+    manin_double,
+    named,
+)
 from nislie.errors import NotOdd
-from nislie.gf2 import span_basis
+from nislie.gf2 import bits, span_basis
 from nislie.superalgebra import (
     SuperAlgebra,
     bracket,
@@ -22,7 +30,7 @@ from nislie.superalgebra import (
     squares_span,
     validate,
 )
-from oracles import dense_square, jacobi_defect, unvec, vec
+from oracles import dense_square, flip, jacobi_defect, unvec, vec
 
 
 def abelian(parities):
@@ -300,3 +308,55 @@ def test_special_center_odd_part_equals_center_odd_for_even_form(hei_double, ba_
         z = center(g)
         z_odd = span_basis([v & g.odd_mask for v in z if v & g.odd_mask])
         assert span_basis(zso) == z_odd
+
+
+def _terms(g):
+    """(i, j, k) for each term e_k of [e_i, e_j]; (i, i, k) for s(e_i)."""
+    for i, row in enumerate(g.bracket_table):
+        for j, v in enumerate(row):
+            yield from ((i, j, k) for k in bits(v))
+    for i, v in enumerate(g.squaring):
+        yield from ((i, i, k) for k in bits(v))
+
+
+def assert_finest_grading(g):
+    f = g.fine_degrees
+    n, r = g.dim, len(f[0])
+    assert all(len(d) == r for d in f)
+    rel = []
+    for i, j, k in _terms(g):
+        assert tuple(a + b for a, b in zip(f[i], f[j])) == f[k], (i, j, k)
+        row = [0] * n
+        row[i] += 1
+        row[j] += 1
+        row[k] -= 1
+        rel.append(row)
+    # independent degree coordinates, as many as the relations leave free
+    rank_q = np.linalg.matrix_rank(np.array(rel, dtype=float)) if rel else 0
+    assert r == n - rank_q
+    if r:
+        assert np.linalg.matrix_rank(np.array(f, dtype=float)) == r
+
+
+@pytest.mark.parametrize("m, rank", [(6, 4), (7, 4), (8, 5)])
+def test_fine_grading_of_derived_hamiltonian(m, rank):
+    # the monomial length and one torus weight per pair (xi_i, eta_i)
+    g, _, _ = hamiltonian(m)
+    assert len(g.fine_degrees[0]) == rank
+    assert_finest_grading(g)
+
+
+def test_fine_grading_on_catalog_and_seeded_flips():
+    pool = [named(name).algebra for name in entry_names()]
+    for g in pool:
+        assert_finest_grading(g)
+    rng = random.Random(20261020)
+    small = [g for g in pool if g.dim <= 16]
+    for _ in range(60):
+        g0 = rng.choice(small)
+        n = g0.dim
+        kind = rng.choice(("bracket-sym", "bracket-one", "squaring"))
+        g, _ = flip(
+            g0, None, kind, rng.randrange(n), rng.randrange(n), rng.randrange(n)
+        )
+        assert_finest_grading(g)
