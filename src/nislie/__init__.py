@@ -36,7 +36,7 @@ from .forms import (
     polar_of,
     quadratic_lifts,
 )
-from .gf2 import GF2Matrix, quotient_basis, row_reduce, solve_affine
+from .gf2 import GF2Matrix, quotient_basis, solve_affine
 from .isometry import (
     Isometry,
     adapted_isometry_decision,
@@ -100,7 +100,6 @@ __all__ = [
     "quotient_basis",
     "reduce",
     "reduction_candidates",
-    "row_reduce",
     "search_isometry",
     "self_adjoint_subspace",
     "sharp_complement",

@@ -40,7 +40,7 @@ from .gf2 import (
     rref_kernel,
     solve_affine,
 )
-from .superalgebra import SuperAlgebra, ad, bracket, grading_terms
+from .superalgebra import SuperAlgebra, ad, ad_system, bracket, grading_terms
 
 CASES = ("evenB-evenD", "evenB-oddD", "oddB-oddD", "oddB-evenD")
 
@@ -232,17 +232,15 @@ def inner_derivations(g: SuperAlgebra, parity: int) -> list[Derivation]:
     out = []
     for i in idxs:
         d = ad_derivation(g, 1 << i)
-        if span.add(_vec_full(g, d)):
+        if span.add(_vec_full(d)):
             out.append(d)
     return out
 
 
-def _vec_full(g: SuperAlgebra, d: Derivation) -> int:
-    v = 0
-    n = g.dim
-    for j, im in enumerate(d.images):
-        v |= im << (j * n)
-    return v
+def _vec_full(d: Derivation) -> int:
+    """The images side by side: bit j * n + k is coordinate k of D(e_j)."""
+    n = d.dim
+    return sum(im << (j * n) for j, im in enumerate(d.images))
 
 
 @dataclass(frozen=True)
@@ -339,13 +337,14 @@ def outer_dimension_by_degree(g: SuperAlgebra, parity: int) -> dict[int, int]:
 
 
 def _inner_not_derivation(g: SuperAlgebra, parity: int) -> InnerNotDerivation:
-    """The error naming the first basis vector whose ad is not a derivation.
+    """The error saying what keeps the inner maps out of the derivations.
 
     Called once an inner map fell outside the derivation space or the
-    declared degrees failed to coarsen the fine grading.  When every ad of
-    the parity passes is_derivation, the degrees are at fault: the error
-    names the first basis vector whose ad mixes degree shifts, else the
-    first term whose offset d_i + d_j - d_k differs from the first term's.
+    declared degrees failed to coarsen the fine grading.  It names the
+    first basis vector whose ad is not a derivation; when every ad of the
+    parity passes is_derivation, the degrees are at fault, and it names
+    the first basis vector whose ad mixes degree shifts, else the first
+    term whose offset d_i + d_j - d_k differs from the first term's.
     """
     idxs = g.odd_indices() if parity else g.even_indices()
     for i in idxs:
@@ -353,15 +352,18 @@ def _inner_not_derivation(g: SuperAlgebra, parity: int) -> InnerNotDerivation:
         if not ok:
             rule, *at = witness
             where = ", ".join(g.names[j] for j in at)
-            return InnerNotDerivation(g.names[i], f"{rule} fails at ({where})")
+            return InnerNotDerivation(
+                g.names[i], f"ad({g.names[i]}) is not in the derivation"
+                f" space: {rule} fails at ({where})"
+            )
     d = g.degrees
     offsets: dict[int, tuple[int, int, int]] = {}
     if d is not None:
         for i, row in enumerate(g.bracket_table):
             if len({d[k] - d[m] for m, v in enumerate(row) for k in bits(v)}) > 1:
                 return InnerNotDerivation(
-                    g.names[i], "it mixes degree shifts, so the degrees do"
-                    " not respect the bracket"
+                    g.names[i], "the declared degrees do not respect the"
+                    f" bracket: ad({g.names[i]}) mixes degree shifts"
                 )
         for i, j, k in sorted(grading_terms(g)):
             offsets.setdefault(d[i] + d[j] - d[k], (i, j, k))
@@ -369,8 +371,8 @@ def _inner_not_derivation(g: SuperAlgebra, parity: int) -> InnerNotDerivation:
         raise AssertionError("no inner map or degree defect to report")
     i, j, k = list(offsets.values())[1]
     return InnerNotDerivation(
-        g.names[i], f"the degrees do not respect the term {g.names[k]} of"
-        f" ({g.names[i]}, {g.names[j]})"
+        g.names[i], f"the declared degrees do not respect the term"
+        f" {g.names[k]} of ({g.names[i]}, {g.names[j]})"
     )
 
 
@@ -406,7 +408,7 @@ def _coefficient_cut(
             if make(d):
                 row |= 1 << k
         rows.append(row)
-    return GF2Matrix(rows or [0], len(candidates)).kernel_basis()
+    return GF2Matrix(rows, len(candidates)).kernel_basis()
 
 
 def _combine(candidates: Sequence[Derivation], coeff: int) -> Derivation:
@@ -426,13 +428,9 @@ def _linear_cut(
     functionals (dependent candidate lists collapse to a true basis)."""
     span = SpanBasis()
     out = []
-    n = candidates[0].dim if candidates else 0
     for cv in _coefficient_cut(candidates, row_makers):
         d = _combine(candidates, cv)
-        flat = 0
-        for j, im in enumerate(d.images):
-            flat |= im << (j * n)
-        if flat and span.add(flat):
+        if span.add(_vec_full(d)):
             out.append(d)
     return out
 
@@ -527,44 +525,14 @@ def find_a0(g: SuperAlgebra, d: Derivation) -> AffineSolution | None:
     """Even elements a0 with ad_{a0} = D^2 and D(a0) = 0; None if D^2 not inner."""
     if d.parity != 1:
         raise CaseParityMismatch("a0 is defined for odd derivations")
-    dd = d.compose(d)
-    even = g.even_indices()
-    rows: list[int] = []
-    rhs_bits: list[int] = []
     n = g.dim
-    for j in range(n):
-        target = dd.images[j]
-        for k in range(n):
-            row = 0
-            for a, i in enumerate(even):
-                if (g.bracket_table[i][j] >> k) & 1:
-                    row |= 1 << a
-            rows.append(row)
-            rhs_bits.append((target >> k) & 1)
-    for k in range(n):
-        row = 0
-        for a, i in enumerate(even):
-            if (d.images[i] >> k) & 1:
-                row |= 1 << a
-        rows.append(row)
-        rhs_bits.append(0)
-    rhs = 0
-    for r, bit in enumerate(rhs_bits):
-        if bit:
-            rhs |= 1 << r
+    even = g.even_indices()
+    # ad_{a0} = D^2 on every basis vector, then D(a0) = 0 with rhs 0
+    rows = ad_system(g, even, range(n))
+    rows += GF2Matrix([d.images[i] for i in even], n).transpose().rows
+    rhs = _vec_full(d.compose(d))
     sol = solve_affine(GF2Matrix(rows, len(even)), rhs)
-    if sol is None:
-        return None
-
-    def expand(v: int) -> int:
-        out = 0
-        for a in bits(v):
-            out |= 1 << even[a]
-        return out
-
-    return AffineSolution(
-        expand(sol.particular), tuple(expand(k) for k in sol.kernel_basis)
-    )
+    return None if sol is None else sol.lift(even)
 
 
 def cohomologous(
@@ -574,29 +542,9 @@ def cohomologous(
     if d1.parity != d2.parity:
         raise CaseParityMismatch("classes of different parity")
     idxs = g.odd_indices() if d1.parity else g.even_indices()
-    rows = []
-    rhs = 0
-    n = g.dim
-    diff = d1.add(d2)
-    r = 0
-    for j in range(n):
-        target = diff.images[j]
-        for k in range(n):
-            row = 0
-            for a, i in enumerate(idxs):
-                if (g.bracket_table[i][j] >> k) & 1:
-                    row |= 1 << a
-            rows.append(row)
-            if (target >> k) & 1:
-                rhs |= 1 << r
-            r += 1
-    sol = solve_affine(GF2Matrix(rows, len(idxs)), rhs)
-    if sol is None:
-        return None
-    t = 0
-    for a in bits(sol.particular):
-        t |= 1 << idxs[a]
-    return t
+    rows = ad_system(g, idxs, range(g.dim))
+    sol = solve_affine(GF2Matrix(rows, len(idxs)), _vec_full(d1.add(d2)))
+    return None if sol is None else sol.lift(idxs).particular
 
 
 def class_coordinates(
@@ -604,31 +552,20 @@ def class_coordinates(
 ) -> int | None:
     """Coordinates of [d] in the outer basis; None if not a derivation class.
 
-    Solves d = sum mu_k R_k + ad_t jointly over (mu, t).
+    Solves d = sum mu_k R_k + ad_t jointly over (mu, t): mu in the low
+    bits, t above them.
     """
     if d.parity != outer.parity:
         raise CaseParityMismatch("parity mismatch with the outer basis")
     idxs = g.odd_indices() if d.parity else g.even_indices()
     reps = outer.representatives
-    width = len(reps) + len(idxs)
-    rows = []
-    rhs = 0
-    r = 0
     n = g.dim
-    for j in range(n):
-        for k in range(n):
-            row = 0
-            for c, rep in enumerate(reps):
-                if (rep.images[j] >> k) & 1:
-                    row |= 1 << c
-            for a, i in enumerate(idxs):
-                if (g.bracket_table[i][j] >> k) & 1:
-                    row |= 1 << (len(reps) + a)
-            rows.append(row)
-            if (d.images[j] >> k) & 1:
-                rhs |= 1 << r
-            r += 1
-    sol = solve_affine(GF2Matrix(rows, width), rhs)
+    mu_rows = GF2Matrix([_vec_full(rep) for rep in reps], n * n).transpose()
+    rows = [
+        mu | (t << len(reps))
+        for mu, t in zip(mu_rows.rows, ad_system(g, idxs, range(n)))
+    ]
+    sol = solve_affine(GF2Matrix(rows, len(reps) + len(idxs)), _vec_full(d))
     if sol is None:
         return None
     mu_mask = (1 << len(reps)) - 1

@@ -40,17 +40,17 @@ class ConditionViolated(NisLieError):
 
 
 class InnerNotDerivation(NisLieError):
-    """ad of a basis vector lies outside the derivation space.
+    """The inner maps do not fit in the (graded) derivation space.
 
-    The algebra then fails the axioms (or its degrees do not respect the
-    bracket), so it has no outer quotient.  Carries the basis name.
+    Either ad of a basis vector is not a derivation, so the algebra fails
+    the axioms, or the declared degrees do not respect the bracket; either
+    way there is no outer quotient.  Carries the basis name the message
+    points at.
     """
 
-    def __init__(self, element: str, detail: str):
+    def __init__(self, element: str, message: str):
         self.element = element
-        super().__init__(
-            f"ad({element}) is not in the derivation space: {detail}"
-        )
+        super().__init__(message)
 
 
 class HypothesisNotMet(NisLieError):

@@ -326,7 +326,7 @@ def reduction_candidates(
                 for comp in bits(val):
                     key = (pos, comp)
                     rows[key] = rows.get(key, 0) | (1 << k)
-        coords = GF2Matrix(list(rows.values()) or [0], width).kernel_basis()
+        coords = GF2Matrix(list(rows.values()), width).kernel_basis()
         out = []
         for cv in coords:
             u = 0
@@ -391,9 +391,7 @@ def reduce(
     sol = solve_affine(GF2Matrix([row], len(star_idx)), 1)
     if sol is None:
         raise HypothesisNotMet("no dual vector pairs with x (degenerate form?)")
-    xstar = 0
-    for a_pos in bits(sol.particular):
-        xstar |= 1 << star_idx[a_pos]
+    xstar = sol.lift(star_idx).particular
 
     # a = orthogonal complement of span{x, xstar}
     a_basis = GF2Matrix(

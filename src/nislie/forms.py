@@ -39,7 +39,7 @@ class BilinearForm:
 
     def orthogonal_complement(self, vectors: Iterable[int]) -> list[int]:
         rows = [self.gram.mat_vec(v) for v in vectors]
-        return GF2Matrix(rows or [0], self.dim).kernel_basis()
+        return GF2Matrix(rows, self.dim).kernel_basis()
 
 
 @dataclass

@@ -31,7 +31,9 @@ class SpanBasis:
     """Incremental row-space basis in reduced echelon form.
 
     Pivots are the lowest set bits; rows are kept mutually reduced, so the
-    representation of the spanned subspace is canonical.
+    representation of the spanned subspace is canonical.  This is the one
+    elimination of the package: row reduction, rank, kernels, inversion
+    and affine solving all read their results off it.
     """
 
     __slots__ = ("pivot_rows",)
@@ -135,6 +137,16 @@ class AffineSolution:
             out.append(out[mask ^ low] ^ kernel[low.bit_length() - 1])
         return out
 
+    def lift(self, idxs: Sequence[int]) -> "AffineSolution":
+        """The same set with coordinate pos moved to coordinate idxs[pos]."""
+
+        def move(x: int) -> int:
+            return sum(1 << idxs[pos] for pos in bits(x))
+
+        return AffineSolution(
+            move(self.particular), tuple(map(move, self.kernel_basis))
+        )
+
 
 class GF2Matrix:
     """Immutable-by-convention matrix over GF(2) with bit-packed rows."""
@@ -216,64 +228,39 @@ class GF2Matrix:
         return GF2Matrix(out, other.ncols)
 
     def row_reduce(self) -> RowReduction:
-        """Reduced row echelon form, rank, and pivot columns."""
-        work = list(self.rows)
-        pivots: list[int] = []
-        r = 0
-        for col in range(self.ncols):
-            sel = None
-            for i in range(r, len(work)):
-                if (work[i] >> col) & 1:
-                    sel = i
-                    break
-            if sel is None:
-                continue
-            work[r], work[sel] = work[sel], work[r]
-            prow = work[r]
-            for i in range(len(work)):
-                if i != r and (work[i] >> col) & 1:
-                    work[i] ^= prow
-            pivots.append(col)
-            r += 1
-            if r == len(work):
-                break
-        # move zero rows to the bottom (already there by construction)
-        return RowReduction(GF2Matrix(work, self.ncols), r, tuple(pivots))
+        """Reduced row echelon form, rank, and pivot columns.
+
+        The pivot rows of SpanBasis in pivot order, padded with zero rows:
+        a row space has exactly one fully reduced echelon form.
+        """
+        pivot_rows = SpanBasis(self.rows).pivot_rows
+        pivots = tuple(sorted(pivot_rows))
+        work = [pivot_rows[p] for p in pivots]
+        work += [0] * (self.nrows - len(work))
+        return RowReduction(GF2Matrix(work, self.ncols), len(pivots), pivots)
 
     def rank(self) -> int:
-        basis = SpanBasis()
-        for row in self.rows:
-            basis.add(row)
-        return basis.dim
+        return SpanBasis(self.rows).dim
 
     def kernel_basis(self) -> list[int]:
         """Basis of {x : A x = 0}."""
-        red = self.row_reduce()
-        return rref_kernel(
-            dict(zip(red.pivot_columns, red.matrix.rows)), self.ncols
-        )
+        return rref_kernel(SpanBasis(self.rows).pivot_rows, self.ncols)
 
     def inverse(self) -> "GF2Matrix":
+        """Reduce the rows of [A | I]; the high halves are then A^-1.
+
+        [A | I] has rank n, so A is singular exactly when a pivot lies in
+        the identity half.
+        """
         n = self.nrows
         if n != self.ncols:
             raise ValueError("inverse of non-square matrix")
-        work = [self.rows[i] | (1 << (n + i)) for i in range(n)]
-        r = 0
-        for col in range(n):
-            sel = None
-            for i in range(r, n):
-                if (work[i] >> col) & 1:
-                    sel = i
-                    break
-            if sel is None:
-                raise ValueError("singular matrix over GF(2)")
-            work[r], work[sel] = work[sel], work[r]
-            prow = work[r]
-            for i in range(n):
-                if i != r and (work[i] >> col) & 1:
-                    work[i] ^= prow
-            r += 1
-        return GF2Matrix([w >> n for w in work], n)
+        pivot_rows = SpanBasis(
+            row | (1 << (n + i)) for i, row in enumerate(self.rows)
+        ).pivot_rows
+        if any(p >= n for p in pivot_rows):
+            raise ValueError("singular matrix over GF(2)")
+        return GF2Matrix([pivot_rows[p] >> n for p in range(n)], n)
 
     def stack(self, other: "GF2Matrix") -> "GF2Matrix":
         if self.ncols != other.ncols:
@@ -281,32 +268,25 @@ class GF2Matrix:
         return GF2Matrix(self.rows + other.rows, self.ncols)
 
 
-def row_reduce(m: GF2Matrix) -> tuple[GF2Matrix, int, list[int]]:
-    """Functional spelling of GF2Matrix.row_reduce."""
-    red = m.row_reduce()
-    return red.matrix, red.rank, list(red.pivot_columns)
-
-
 def solve_affine(a: GF2Matrix, b: int) -> AffineSolution | None:
     """Solve A x = b; None when inconsistent.
 
-    b is a bit vector over the rows of A.
+    b is a bit vector over the rows of A.  One elimination of [A | b]:
+    the system is inconsistent iff bit n is a pivot; otherwise bit n of
+    each pivot row is that pivot's coordinate in the particular solution.
     """
     n = a.ncols
-    aug = GF2Matrix(
-        [row | (((b >> i) & 1) << n) for i, row in enumerate(a.rows)], n + 1
-    )
-    red = aug.row_reduce()
-    if n in red.pivot_columns:
+    pivot_rows = SpanBasis(
+        row | (((b >> i) & 1) << n) for i, row in enumerate(a.rows)
+    ).pivot_rows
+    if n in pivot_rows:
         return None
-    pivot_of_col = {c: i for i, c in enumerate(red.pivot_columns)}
     particular = 0
-    for c, i in pivot_of_col.items():
-        if (red.matrix.rows[i] >> n) & 1:
-            particular |= 1 << c
+    for p, row in pivot_rows.items():
+        particular |= ((row >> n) & 1) << p
     mask = (1 << n) - 1
-    kernel = GF2Matrix([row & mask for row in red.matrix.rows[: red.rank]], n)
-    return AffineSolution(particular, tuple(kernel.kernel_basis()))
+    kernel = rref_kernel({p: row & mask for p, row in pivot_rows.items()}, n)
+    return AffineSolution(particular, tuple(kernel))
 
 
 def quotient_basis(

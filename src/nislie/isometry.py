@@ -29,7 +29,7 @@ from .errors import (
 from .extension import ExtensionRecipe, extend
 from .forms import BilinearForm, QuadraticForm, evaluate_on_algebra
 from .gf2 import AffineSolution, GF2Matrix, SpanBasis, bits, solve_affine
-from .superalgebra import SuperAlgebra, bracket, square_element
+from .superalgebra import SuperAlgebra, ad_system, bracket, square_element
 
 
 @dataclass(frozen=True)
@@ -492,28 +492,10 @@ def _candidate_images(
         prow = b2.pair_row(wk)
         rows.append(sum(((prow >> i) & 1) << pos for pos, i in enumerate(idxs)))
     rhs = sum(b1.pair(v, vk) << r for r, (vk, _) in enumerate(determined))
-    sol = solve_affine(GF2Matrix(rows or [0], len(idxs)), rhs)
+    sol = solve_affine(GF2Matrix(rows, len(idxs)), rhs)
     if sol is None:
         return []
-    return [w for w in _lifted(sol, idxs).points(limit) if w]
-
-
-def _lifted(sol: AffineSolution, idxs: Sequence[int]) -> AffineSolution:
-    """The solution set in the coordinates of the basis vectors idxs."""
-
-    def lift(x: int) -> int:
-        return sum(1 << idxs[pos] for pos in bits(x))
-
-    return AffineSolution(lift(sol.particular), tuple(map(lift, sol.kernel_basis)))
-
-
-def _bracket_rows(a: SuperAlgebra, idxs: Sequence[int], j: int) -> list[int]:
-    """Row k of t -> [t, e_j] for t in the coordinates of the basis idxs."""
-    images = [a.bracket_table[i][j] for i in idxs]
-    return [
-        sum(((im >> k) & 1) << pos for pos, im in enumerate(images))
-        for k in range(a.dim)
-    ]
+    return [w for w in sol.lift(idxs).points(limit) if w]
 
 
 def _form_consistent(span: _PairSpan, b1, b2, pairs) -> bool:
@@ -726,9 +708,9 @@ def adapted_isometry_decision(
         d_t.images[j] == 0 for j in evens
     ):
         # [t, a_even] = 0, independently of pi0
-        row_list = [row for j in evens for row in _bracket_rows(a, t_idxs, j)]
-        kernel = GF2Matrix(row_list or [0], len(t_idxs)).kernel_basis()
-        ts = _lifted(AffineSolution(0, tuple(kernel)), t_idxs)
+        rows = ad_system(a, t_idxs, evens)
+        kernel = GF2Matrix(rows, len(t_idxs)).kernel_basis()
+        ts = AffineSolution(0, tuple(kernel)).lift(t_idxs)
         if len(kernel) <= 12 and all(
             _pi0_free_conditions_fail(a, form, recipe_src, recipe_tgt, t)
             for t in ts
@@ -808,16 +790,14 @@ def _solve_t(a, recipe_src, recipe_tgt, pi0: Isometry, limit: int):
         if case in ("evenB-oddD", "oddB-evenD")
         else a.even_indices()
     )
-    rows = []
     rhs = 0
-    for j in domain:
+    for pos, j in enumerate(domain):
         target = (
             pi_inv.apply(recipe_tgt.derivation.apply(pi0.images[j]))
             ^ recipe_src.derivation.images[j]
         )
-        rhs |= target << len(rows)
-        rows += _bracket_rows(a, idxs, j)
-    sol = solve_affine(GF2Matrix(rows or [0], len(idxs)), rhs)
+        rhs |= target << (pos * a.dim)
+    sol = solve_affine(GF2Matrix(ad_system(a, idxs, domain), len(idxs)), rhs)
     if sol is None:
         return [], False
-    return _lifted(sol, idxs).points(limit), 1 << len(sol.kernel_basis) > limit
+    return sol.lift(idxs).points(limit), 1 << len(sol.kernel_basis) > limit

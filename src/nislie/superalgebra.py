@@ -235,6 +235,22 @@ def ad(g: SuperAlgebra, v: int) -> list[int]:
     return [bracket(g, v, 1 << j) for j in range(g.dim)]
 
 
+def ad_system(g: SuperAlgebra, idxs: Sequence[int], domain: Iterable[int]) -> list[int]:
+    """Rows of t -> ([t, e_j])_{j in domain}, t over the basis vectors idxs.
+
+    Bit pos of a row is the coefficient of e_{idxs[pos]} in t; each j in
+    domain, in order, gives n rows, row k holding coordinate k of [t, e_j].
+    The right-hand side of ad_t = D on domain is then the sum of
+    D(e_j) << (pos * n) over the positions pos of j in domain.
+    """
+    table = g.bracket_table
+    return [
+        row
+        for j in domain
+        for row in GF2Matrix([table[i][j] for i in idxs], g.dim).transpose().rows
+    ]
+
+
 def ad_planes(g: SuperAlgebra) -> list[list[int]]:
     """The matrices of the adjoint maps of the basis, row by row.
 
@@ -433,24 +449,10 @@ def derived_subalgebra(g: SuperAlgebra, step: int = 1) -> list[int]:
     return current
 
 
-def adjoint_relations(g: SuperAlgebra) -> GF2Matrix:
-    """Matrix whose kernel is the center: rows (j,k) |-> c[i][j]_k over i."""
-    rows = []
-    n = g.dim
-    for j in range(n):
-        cols = [g.bracket_table[i][j] for i in range(n)]
-        for k in range(n):
-            row = 0
-            for i in range(n):
-                if (cols[i] >> k) & 1:
-                    row |= 1 << i
-            if row:
-                rows.append(row)
-    return GF2Matrix(rows, n)
-
-
 def center(g: SuperAlgebra) -> list[int]:
-    return adjoint_relations(g).kernel_basis()
+    """Basis of {t : [t, e_j] = 0 for every j}."""
+    n = g.dim
+    return GF2Matrix(ad_system(g, range(n), range(n)), n).kernel_basis()
 
 
 def orthogonality_rows(g: SuperAlgebra, gram: GF2Matrix, vectors: Iterable[int]) -> list[int]:
@@ -467,10 +469,11 @@ def orthogonality_rows(g: SuperAlgebra, gram: GF2Matrix, vectors: Iterable[int])
 
 def special_center(g: SuperAlgebra, gram: GF2Matrix) -> tuple[list[int], list[int], list[int]]:
     """z_s(g) = z(g) cut by orthogonality to all squares; plus parity parts."""
-    rows = adjoint_relations(g).rows + orthogonality_rows(
+    n = g.dim
+    rows = ad_system(g, range(n), range(n)) + orthogonality_rows(
         g, gram, squares_span(g)
     )
-    basis = GF2Matrix(rows, g.dim).kernel_basis()
+    basis = GF2Matrix(rows, n).kernel_basis()
     ev, od = parity_split(g, basis)
     return span_basis(basis), ev, od
 
@@ -495,9 +498,7 @@ def sharp_complement(
     """
     v_ev, v_od = parity_split(g, subspace)
     v_basis = v_ev + v_od
-    perp = GF2Matrix(
-        orthogonality_rows(g, gram, v_basis) or [0], g.dim
-    ).kernel_basis()
+    perp = GF2Matrix(orthogonality_rows(g, gram, v_basis), g.dim).kernel_basis()
     k_ev, k_od = parity_split(g, perp)
     if not v_basis:
         return span_basis(k_ev + k_od)
@@ -516,7 +517,7 @@ def sharp_complement(
             if dot(t, square_element(g, u)):
                 row |= 1 << a
         rows.append(row)
-    coords = GF2Matrix(rows, len(k_od)).kernel_basis() if k_od else []
+    coords = GF2Matrix(rows, len(k_od)).kernel_basis()
     odd_part = []
     for cvec in coords:
         u = 0

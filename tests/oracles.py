@@ -127,6 +127,73 @@ def brute_force_solutions(rows, ncols, rhs) -> set[int]:
     return sols
 
 
+def reference_row_reduce(rows, ncols):
+    """Gauss-Jordan by columns: (RREF rows with zero rows last, rank, pivots).
+
+    The column-sweep elimination GF2Matrix.row_reduce used before it read
+    its result off SpanBasis.
+    """
+    work = list(rows)
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        if r == len(work):
+            break
+        sel = next((i for i in range(r, len(work)) if (work[i] >> col) & 1), None)
+        if sel is None:
+            continue
+        work[r], work[sel] = work[sel], work[r]
+        for i in range(len(work)):
+            if i != r and (work[i] >> col) & 1:
+                work[i] ^= work[r]
+        pivots.append(col)
+        r += 1
+    return work, r, tuple(pivots)
+
+
+def reference_inverse(rows):
+    """Gauss-Jordan on [A | I]; the rows of A^-1, or None when singular."""
+    n = len(rows)
+    work = [row | (1 << (n + i)) for i, row in enumerate(rows)]
+    for col in range(n):
+        sel = next((i for i in range(col, n) if (work[i] >> col) & 1), None)
+        if sel is None:
+            return None
+        work[col], work[sel] = work[sel], work[col]
+        for i in range(n):
+            if i != col and (work[i] >> col) & 1:
+                work[i] ^= work[col]
+    return [w >> n for w in work]
+
+
+def reference_solve_affine(rows, ncols, rhs):
+    """(particular, kernel basis) of A x = rhs, or None when inconsistent.
+
+    Reduces [A | rhs], then reduces the A part a second time for the
+    kernel: the vector of free column f is e_f plus e_p for each pivot row
+    p holding f, in ascending order of f.
+    """
+    aug = [row | (((rhs >> i) & 1) << ncols) for i, row in enumerate(rows)]
+    red, rank, pivots = reference_row_reduce(aug, ncols + 1)
+    if ncols in pivots:
+        return None
+    particular = 0
+    for c, row in zip(pivots, red):
+        particular |= ((row >> ncols) & 1) << c
+    mask = (1 << ncols) - 1
+    red, rank, pivots = reference_row_reduce([row & mask for row in red[:rank]], ncols)
+    kernel = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = 1 << f
+        for c, row in zip(pivots, red):
+            if (row >> f) & 1:
+                v |= 1 << c
+        kernel.append(v)
+    return particular, tuple(kernel)
+
+
 def structure_tensor(g) -> np.ndarray:
     """c[i, j, k] = bit k of [e_i, e_j]; read-only, cached per bracket table."""
     return _structure_tensor(g.bracket_table)

@@ -30,7 +30,7 @@ from nislie.derivations import (
     zero_derivation,
 )
 from nislie.errors import InnerNotDerivation, NisLieError
-from nislie.gf2 import GF2Matrix, span_basis
+from nislie.gf2 import GF2Matrix, bits, span_basis
 from nislie.superalgebra import (
     SuperAlgebra,
     bracket,
@@ -140,6 +140,9 @@ def test_outer_on_invalid_algebra_names_the_inner_map():
             err = info.value
             assert isinstance(err, NisLieError)
             assert len(str(err)) < 200
+            assert str(err).startswith(
+                f"ad({err.element}) is not in the derivation space: "
+            )
             i = g.index(err.element)
             parity = g.parity[i]
             ok, witness = is_derivation(g, ad_derivation(g, 1 << i))
@@ -151,8 +154,13 @@ def test_outer_on_invalid_algebra_names_the_inner_map():
             )
     # every ad is a derivation, but the degrees split ad(E12) across shifts
     g = dataclasses.replace(named("gl-1-1").algebra, degrees=(0, 3, 0, 3))
-    with pytest.raises(InnerNotDerivation, match=r"ad\(E12\).*mixes degree shifts"):
+    with pytest.raises(
+        InnerNotDerivation,
+        match=r"^the declared degrees do not respect the bracket: ad\(E12\)"
+        r" mixes degree shifts$",
+    ) as info:
         outer_derivations(g)
+    assert "not in the derivation space" not in str(info.value)
 
 
 def test_degrees_that_break_only_a_square_are_named():
@@ -162,8 +170,13 @@ def test_degrees_that_break_only_a_square_are_named():
     g = SuperAlgebra(("a", "b", "c", "d"), (1, 1, 0, 0), zeros, (4, 8, 0, 0))
     bad = dataclasses.replace(g, degrees=(0, 0, 1, 2))
     for call in (outer_derivations, lambda g: outer_dimension_by_degree(g, 0)):
-        with pytest.raises(InnerNotDerivation, match=r"ad\(b\).*term d of \(b, b\)"):
+        with pytest.raises(
+            InnerNotDerivation,
+            match=r"^the declared degrees do not respect the term d of \(b, b\)$",
+        ) as info:
             call(bad)
+        assert info.value.element == "b"
+        assert "not in the derivation space" not in str(info.value)
     good = dataclasses.replace(g, degrees=(0, 0, 1, 1))
     # D maps a, b anywhere in span(a, b) and kills c = s(a), d = s(b)
     assert outer_dimension_by_degree(good, 0) == {0: 4}
@@ -321,6 +334,80 @@ def test_cohomologous(hei_double):
     t = cohomologous(g, cc["D6"], d2)
     assert t is not None
     assert ad_derivation(g, t).images == ad_derivation(g, t0).images
+
+
+def _flat(d):
+    n = len(d.images)
+    return sum(im << (j * n) for j, im in enumerate(d.images))
+
+
+def _flat_ad(g, t):
+    return _flat(Derivation(tuple(bracket(g, t, 1 << j) for j in range(g.dim)), 0))
+
+
+def _solutions_by_ad(g, idxs):
+    """Every t spanned by the basis vectors idxs, grouped by flattened ad_t."""
+    out = {}
+    for mask in range(1 << len(idxs)):
+        t = sum(1 << i for a, i in enumerate(idxs) if (mask >> a) & 1)
+        out.setdefault(_flat_ad(g, t), set()).add(t)
+    return out
+
+
+def test_ad_solves_match_brute_force_enumeration():
+    # inputs: each outer representative R, and R + ad_t for seeded t
+    rng = random.Random(23)
+    checked = no_a0 = 0
+    for name in entry_names():
+        g = named(name).algebra
+        if g.dim > 10:
+            continue
+        by_even_ad = _solutions_by_ad(g, g.even_indices())
+        odd_maps = []
+        for outer in outer_derivations(g):
+            parity, reps = outer.parity, outer.representatives
+            idxs = g.odd_indices() if parity else g.even_indices()
+            by_ad = _solutions_by_ad(g, idxs)
+            zero = zero_derivation(g, parity)
+            sums = {}
+            for mu in range(1 << len(reps)):
+                total = zero
+                for k in bits(mu):
+                    total = total.add(reps[k])
+                sums[mu] = _flat(total)
+            for k, rep in enumerate(reps):
+                seeded = [sum(1 << i for i in idxs if rng.random() < 0.5) for _ in range(2)]
+                for t in [0] + seeded:
+                    images = [bracket(g, t, 1 << j) for j in range(g.dim)]
+                    d = Derivation(tuple(a ^ b for a, b in zip(rep.images, images)), parity)
+                    assert cohomologous(g, d, rep) in by_ad[_flat_ad(g, t)]
+                    assert _flat(d) not in by_ad
+                    assert cohomologous(g, d, zero) is None
+                    brute = {mu for mu, v in sums.items() if _flat(d) ^ v in by_ad}
+                    assert brute == {1 << k}
+                    assert class_coordinates(g, outer, d) == 1 << k
+                    if parity:
+                        odd_maps.append(d)
+                    checked += 1
+            if parity:
+                # seeded odd maps that need not be derivations: D^2 is
+                # often not inner there
+                for _ in range(4):
+                    images = [
+                        rng.getrandbits(g.dim) & (g.even_mask if p else g.odd_mask)
+                        for p in g.parity
+                    ]
+                    odd_maps.append(Derivation(tuple(images), 1))
+        for d in odd_maps:
+            a0s = {
+                a0
+                for a0 in by_even_ad.get(_flat(d.compose(d)), ())
+                if d.apply(a0) == 0
+            }
+            sol = find_a0(g, d)
+            assert (set() if sol is None else set(sol)) == a0s
+            no_a0 += sol is None
+    assert checked > 100 and no_a0 > 5
 
 
 def test_h105_named_classes_span_the_quotient(h105):

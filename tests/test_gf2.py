@@ -13,7 +13,14 @@ from nislie.gf2 import (
     solve_affine,
     span_basis,
 )
-from oracles import bareiss_rank, brute_force_solutions, dense_from_rows
+from oracles import (
+    bareiss_rank,
+    brute_force_solutions,
+    dense_from_rows,
+    reference_inverse,
+    reference_row_reduce,
+    reference_solve_affine,
+)
 
 
 def random_matrix(rng, nrows, ncols):
@@ -61,6 +68,65 @@ def test_solve_zero_matrix():
     assert sol.particular == 0
     assert len(sol.kernel_basis) == 3
     assert solve_affine(a, 1) is None
+
+
+def test_solve_without_rows_is_the_whole_space():
+    for n in (0, 1, 5):
+        sol = solve_affine(GF2Matrix([], n), 0)
+        assert sol.particular == 0
+        assert sol.kernel_basis == tuple(1 << i for i in range(n))
+
+
+def seeded_systems():
+    """(matrix, rhs) pairs: no rows, zero rows, wide, tall and square
+    matrices, many of the squares singular."""
+    rng = random.Random(2027)
+    cases = [
+        GF2Matrix([], 0),
+        GF2Matrix([], 6),
+        GF2Matrix.zeros(3, 5),
+        GF2Matrix.zeros(4, 4),
+        GF2Matrix.identity(5),
+    ]
+    for _ in range(600):
+        shape = rng.choice(("wide", "tall", "square"))
+        nrows = rng.randint(1, 12)
+        ncols = {
+            "wide": nrows + rng.randint(1, 8),
+            "tall": max(1, nrows - rng.randint(1, 8)),
+            "square": nrows,
+        }[shape]
+        rows = [rng.getrandbits(ncols) for _ in range(nrows)]
+        if rng.random() < 0.3:  # a zero row or a repeated row
+            rows[rng.randrange(nrows)] = rng.choice((0, rows[0]))
+        cases.append(GF2Matrix(rows, ncols))
+    for m in cases:
+        yield m, rng.getrandbits(m.nrows)
+        if m.nrows:
+            yield m, m.mat_vec(rng.getrandbits(m.ncols))  # consistent
+
+
+def test_elimination_is_bit_identical_to_reference_gauss_jordan():
+    singular = inconsistent = 0
+    for m, rhs in seeded_systems():
+        red = m.row_reduce()
+        got = (red.matrix.rows, red.rank, red.pivot_columns)
+        assert got == reference_row_reduce(m.rows, m.ncols)
+        assert red.matrix.ncols == m.ncols
+        sol = solve_affine(m, rhs)
+        want = reference_solve_affine(m.rows, m.ncols, rhs)
+        assert (None if sol is None else (sol.particular, sol.kernel_basis)) == want
+        inconsistent += want is None
+        assert tuple(m.kernel_basis()) == reference_solve_affine(m.rows, m.ncols, 0)[1]
+        if m.nrows == m.ncols:
+            want = reference_inverse(m.rows)
+            if want is None:
+                singular += 1
+                with pytest.raises(ValueError, match="singular"):
+                    m.inverse()
+            else:
+                assert m.inverse().rows == want
+    assert singular > 100 and inconsistent > 100
 
 
 def test_solve_matches_enumeration_oracle():

@@ -17,6 +17,7 @@ from nislie.errors import NotOdd
 from nislie.gf2 import bits, span_basis
 from nislie.superalgebra import (
     SuperAlgebra,
+    ad_system,
     bracket,
     center,
     cone_contains,
@@ -30,7 +31,7 @@ from nislie.superalgebra import (
     squares_span,
     validate,
 )
-from oracles import dense_square, flip, jacobi_defect, unvec, vec
+from oracles import dense_square, flip, jacobi_defect, structure_tensor, unvec, vec
 
 
 def abelian(parities):
@@ -212,6 +213,26 @@ def test_center_examples(hei_double, h104):
     assert center(h104.algebra) == []
     ab = abelian([0, 1, 1])
     assert len(center(ab)) == 3
+
+
+def test_ad_system_matches_structure_tensor():
+    rng = random.Random(31)
+    for name in entry_names():
+        g = named(name).algebra
+        n = g.dim
+        if n > 30:
+            continue
+        c = structure_tensor(g)  # c[i, j, k] = bit k of [e_i, e_j]
+        domain = rng.sample(range(n), rng.randint(0, n))
+        for idxs in (g.even_indices(), g.odd_indices(), list(range(n))):
+            for dom in (range(n), domain):
+                rows = ad_system(g, idxs, dom)
+                # row pos * n + k, column a: coordinate k of [e_{idxs[a]}, e_{dom[pos]}]
+                want = c[np.ix_(idxs, list(dom), range(n))].transpose(1, 2, 0)
+                assert rows == [
+                    sum(int(bit) << a for a, bit in enumerate(r))
+                    for r in want.reshape(len(dom) * n, len(idxs))
+                ]
 
 
 def test_special_center(hei_double):
