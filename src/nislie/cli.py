@@ -3,12 +3,14 @@
 Exit-code contract: 0 = pass, 1 = mathematical negative (axiom failure,
 condition violated, not found), 2 = input error, 3 = search budget
 exhausted.  Inputs are JSON documents or catalog references
-("catalog:NAME" or a bare catalog name).
+("catalog:NAME" or a bare catalog name).  main builds the argument parser
+once per process, so repeated in-process calls do not pay for it again.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -92,14 +94,40 @@ def _parse_element(doc: AlgebraDocument, text: str) -> int:
         raise CliError(2, f"unknown basis name in element {text!r}: {exc}")
 
 
+def _read_spec_file(spec: str, build):
+    """build(data) on the JSON of the @file argument spec; any fault of the
+    file or of its fields is an input error."""
+    path = spec[1:]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return build(json.load(fh))
+    except FileNotFoundError:
+        raise CliError(2, f"no such file: {path}") from None
+    except KeyError as exc:
+        raise CliError(2, f"cannot read {path}: missing field {exc}") from None
+    except (OSError, ValueError, TypeError, IndexError) as exc:
+        raise CliError(2, f"cannot read {path}: {exc}") from None
+
+
+def _index(i, n: int) -> int:
+    if type(i) is not int or not 0 <= i < n:
+        raise ValueError(f"basis index {i!r} outside 0..{n - 1}")
+    return i
+
+
 def _resolve_derivation(args_spec: str, doc, catalog_name) -> Derivation:
     if args_spec.startswith("@"):
-        with open(args_spec[1:], "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        images = [0] * doc.algebra.dim
-        for j, i in data["images"]:
-            images[j] |= 1 << i
-        return Derivation(tuple(images), data["parity"])
+        n = doc.algebra.dim
+
+        def build(data):
+            images = [0] * n
+            for j, i in data["images"]:
+                images[_index(j, n)] |= 1 << _index(i, n)
+            if data["parity"] not in (0, 1):
+                raise ValueError("parity must be 0 or 1")
+            return Derivation(tuple(images), data["parity"])
+
+        return _read_spec_file(args_spec, build)
     source = catalog_name or doc.metadata.get("catalog")
     if source is None:
         raise CliError(
@@ -126,18 +154,22 @@ def _resolve_alpha(spec: str, doc, catalog_name) -> QuadraticForm | None:
         k = len(doc.algebra.odd_indices())
         return QuadraticForm.zero(k)
     if spec.startswith("@"):
-        with open(spec[1:], "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        k = data["n"]
-        rows = [0] * k
-        for i, j in data["polar"]:
-            rows[i] |= 1 << j
-            if i != j:
-                rows[j] |= 1 << i
-        diag = 0
-        for i in data.get("diag", []):
-            diag |= 1 << i
-        return QuadraticForm(k, diag, GF2Matrix(rows, k))
+        k = len(doc.algebra.odd_indices())
+
+        def build(data):
+            if data["n"] != k:
+                raise ValueError(f"n must be {k}, the odd dimension")
+            rows = [0] * k
+            for i, j in data["polar"]:
+                rows[_index(i, k)] |= 1 << _index(j, k)
+                if i != j:
+                    rows[j] |= 1 << i
+            diag = 0
+            for i in data.get("diag", []):
+                diag |= 1 << _index(i, k)
+            return QuadraticForm(k, diag, GF2Matrix(rows, k))
+
+        return _read_spec_file(spec, build)
     source = catalog_name or doc.metadata.get("catalog")
     if source is None:
         raise CliError(2, "named forms need a catalog-backed input")
@@ -189,10 +221,12 @@ def cmd_outer(args) -> int:
     g = doc.algebra
     try:
         oe, oo = outer_derivations(g)
-    except InnerNotDerivation:
+    except InnerNotDerivation as exc:
+        if exc.degrees_at_fault:
+            raise CliError(1, str(exc)) from None
         raise CliError(
-            1, "an inner map is not a derivation, so the input fails the"
-            " axioms; run `nislie validate` on it"
+            1, f"an inner map is not a derivation ({exc}), so the input"
+            " fails the axioms; run `nislie validate` on it"
         ) from None
     payload = {
         "dim_even": oe.dim,
@@ -341,18 +375,15 @@ def cmd_isometry(args) -> int:
         )
         if ext1 is None or ext2 is None:
             raise CliError(2, "adapted mode needs extension metadata")
-        red1 = ext_reduce(
-            doc1.algebra,
-            doc1.form,
-            1 << ext1["x_index"],
-            ext1["recipe"]["case"],
-        )
-        red2 = ext_reduce(
-            doc2.algebra,
-            doc2.form,
-            1 << ext2["x_index"],
-            ext2["recipe"]["case"],
-        )
+        try:
+            red1, red2 = (
+                ext_reduce(d.algebra, d.form, 1 << e["x_index"], e["recipe"]["case"])
+                for d, e in ((doc1, ext1), (doc2, ext2))
+            )
+        except (KeyError, TypeError, ValueError, NisLieError) as exc:
+            raise CliError(
+                2, f"extension metadata does not reduce the input: {exc!r}"
+            ) from None
         if (
             red1.algebra.bracket_table != red2.algebra.bracket_table
             or red1.algebra.squaring != red2.algebra.squaring
@@ -375,6 +406,8 @@ def cmd_isometry(args) -> int:
     seeds = []
     if args.seed:
         for chunk in args.seed.split(","):
+            if chunk.count("=") != 1:
+                raise CliError(2, f"--seed takes name=name pairs, not {chunk!r}")
             a, b = chunk.split("=")
             seeds.append(
                 (
@@ -578,15 +611,17 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except DocumentError as exc:
+    except (DocumentError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -363,7 +363,7 @@ def _inner_not_derivation(g: SuperAlgebra, parity: int) -> InnerNotDerivation:
             if len({d[k] - d[m] for m, v in enumerate(row) for k in bits(v)}) > 1:
                 return InnerNotDerivation(
                     g.names[i], "the declared degrees do not respect the"
-                    f" bracket: ad({g.names[i]}) mixes degree shifts"
+                    f" bracket: ad({g.names[i]}) mixes degree shifts", True
                 )
         for i, j, k in sorted(grading_terms(g)):
             offsets.setdefault(d[i] + d[j] - d[k], (i, j, k))
@@ -372,7 +372,7 @@ def _inner_not_derivation(g: SuperAlgebra, parity: int) -> InnerNotDerivation:
     i, j, k = list(offsets.values())[1]
     return InnerNotDerivation(
         g.names[i], f"the declared degrees do not respect the term"
-        f" {g.names[k]} of ({g.names[i]}, {g.names[j]})"
+        f" {g.names[k]} of ({g.names[i]}, {g.names[j]})", True
     )
 
 

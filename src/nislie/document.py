@@ -161,7 +161,11 @@ def loads(text: str) -> AlgebraDocument:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"invalid JSON: {exc}") from exc
-    return from_dict(data)
+    try:
+        return from_dict(data)
+    except (AttributeError, TypeError, ValueError) as exc:
+        # a field of the wrong JSON type, such as a number for a list
+        raise DocumentError(f"malformed document: {exc}") from exc
 
 
 def save(doc: AlgebraDocument, path) -> None:

@@ -45,11 +45,13 @@ class InnerNotDerivation(NisLieError):
     Either ad of a basis vector is not a derivation, so the algebra fails
     the axioms, or the declared degrees do not respect the bracket; either
     way there is no outer quotient.  Carries the basis name the message
-    points at.
+    points at, and whether the degrees are at fault (every ad of the parity
+    is a derivation).
     """
 
-    def __init__(self, element: str, message: str):
+    def __init__(self, element: str, message: str, degrees_at_fault=False):
         self.element = element
+        self.degrees_at_fault = degrees_at_fault
         super().__init__(message)
 
 

@@ -8,6 +8,14 @@ isometry_group share one budgeted generator-image backtracking (the first
 isometry it yields, or all of them); the adapted decision procedure
 implements the linear t-forcing route used by the negative results.
 
+The backtracking fixes the images of a greedy generating sequence of g1
+and closes each partial map under brackets and squares.  Both closures
+grow a span that is already closed: only the vectors (or pairs) that
+raised the rank in the last round are bracketed with the span, and the odd
+ones squared.  An exhausted search is a proved negative unless a
+candidate list was cut or a bracket table is malformed (see
+search_isometry).
+
 Over GF(2) the scalar lambda of the adapted conditions is 1, which collapses
 semi-triviality to a single affine solve: conjugating by an isometry of the
 base preserves inner derivations, so an extension is adapted-isometric to an
@@ -436,41 +444,45 @@ class SearchResult:
     reason: str = ""
 
 
-def _subalgebra_closure(g: SuperAlgebra, seeds: list[int]) -> SpanBasis:
-    s = SpanBasis(seeds)
-    changed = True
-    while changed:
-        changed = False
-        vs = s.vectors()
-        for x in vs:
-            for y in vs:
-                b = bracket(g, x, y)
-                if b and s.add(b):
-                    changed = True
-            if g.parity_of(x) == 1:
-                sq = square_element(g, x)
-                if sq and s.add(sq):
-                    changed = True
-    return s
-
-
 def _generating_sequence(g: SuperAlgebra) -> list[int]:
-    """Greedy basis sequence whose subalgebra closure is all of g."""
+    """Greedy basis sequence whose subalgebra closure is all of g.
+
+    Each step takes the first basis vector whose closure with the span so
+    far is largest.  That span is closed, so a closure grows from the one
+    new seed: each round brackets the vectors that raised the rank with a
+    basis of the span and squares the odd ones, as _closure does for pairs.
+    """
     chosen: list[int] = []
     span = SpanBasis()
     while span.dim < g.dim:
-        best, best_span, best_idx = -1, None, None
+        best = None
         for i in range(g.dim):
             if span.contains(1 << i):
                 continue
-            s = _subalgebra_closure(g, span.vectors() + [1 << i])
-            if s.dim > best:
-                best, best_span, best_idx = s.dim, s, i
+            s, frontier = SpanBasis(), [1 << i]
+            s.pivot_rows = dict(span.pivot_rows)
+            s.add(1 << i)
+            while frontier:
+                items = list(s.pivot_rows.values())
+                new = []
+                for x in frontier:
+                    products = [bracket(g, x, y) for y in items]
+                    if g.parity_of(x) == 1:
+                        products.append(square_element(g, x))
+                    new += [p for p in products if s.add(p)]
+                frontier = new
+            if best is None or s.dim > best[1].dim:
+                best = i, s
             if s.dim == g.dim:
                 break
-        chosen.append(best_idx)
-        span = best_span
+        chosen.append(best[0])
+        span = best[1]
     return chosen
+
+
+# solutions w kept per generator in search_isometry; a longer list makes an
+# exhausted search unproved
+_CANDIDATE_LIMIT = 4096
 
 
 def _candidate_images(
@@ -481,10 +493,11 @@ def _candidate_images(
     parity: int,
     determined: list[tuple[int, int]],
     limit: int | None,
-) -> list[int]:
+) -> tuple[list[int], bool]:
     """Homogeneous candidates w with B2(w, w_k) = B1(v, v_k) for known pairs.
 
-    The nonzero ones among the first `limit` solutions (None: all).
+    The nonzero ones among the first `limit` solutions (None: all), and
+    whether there are more solutions.
     """
     idxs = g2.even_indices() if parity == 0 else g2.odd_indices()
     rows = []
@@ -494,8 +507,9 @@ def _candidate_images(
     rhs = sum(b1.pair(v, vk) << r for r, (vk, _) in enumerate(determined))
     sol = solve_affine(GF2Matrix(rows, len(idxs)), rhs)
     if sol is None:
-        return []
-    return [w for w in sol.lift(idxs).points(limit) if w]
+        return [], False
+    cut = limit is not None and 1 << len(sol.kernel_basis) > limit
+    return [w for w in sol.lift(idxs).points(limit) if w], cut
 
 
 def _form_consistent(span: _PairSpan, b1, b2, pairs) -> bool:
@@ -549,12 +563,13 @@ def _closure(g1, g2, span: _PairSpan, frontier, b1=None, b2=None) -> bool:
 def _close(g1, g2, b1, b2, span: _PairSpan, pairs) -> _PairSpan | None:
     """span plus the last of pairs, closed under brackets and squares.
 
-    None when the closure maps 0 to a nonzero vector or breaks the forms.
+    span is closed already, so the last pair is the whole frontier.  None
+    when the closure maps 0 to a nonzero vector or breaks the forms.
     """
     span = span.clone()
     if not span.add(*pairs[-1]) or not _form_consistent(span, b1, b2, pairs[-1:]):
         return None
-    return span if _closure(g1, g2, span, list(pairs), b1, b2) else None
+    return span if _closure(g1, g2, span, pairs[-1:], b1, b2) else None
 
 
 class _Isometries:
@@ -563,7 +578,8 @@ class _Isometries:
     Iterating yields the image tuples in search order; each candidate image
     of a generator is a node, and passing `budget` nodes raises
     SearchBudgetExceeded.  `seeds` maps a generator to its image to try
-    first; `limit` caps the candidates per generator (None: all).
+    first; `limit` caps the candidates per generator (None: all), and
+    `truncated` records whether the cap ever dropped one.
     """
 
     def __init__(self, g1, b1, g2, b2, budget, seeds=None, limit=None):
@@ -571,6 +587,7 @@ class _Isometries:
         self.budget, self.seeds, self.limit = budget, seeds or {}, limit
         self.gens = _generating_sequence(g1)
         self.nodes = 0
+        self.truncated = False
 
     def __iter__(self):
         return self._backtrack(0, _PairSpan(self.g1.dim), [])
@@ -588,9 +605,10 @@ class _Isometries:
         if span.image_of(v) is not None:
             yield from self._backtrack(level + 1, span, determined)
             return
-        cands = _candidate_images(
+        cands, cut = _candidate_images(
             g2, self.b1, self.b2, v, g1.parity[gi], determined, self.limit
         )
+        self.truncated |= cut
         seeded = self.seeds.get(v)
         if seeded is not None and seeded in cands:
             cands.remove(seeded)
@@ -607,6 +625,23 @@ class _Isometries:
                 yield from self._backtrack(level + 1, child, pairs_now)
 
 
+def _closures_complete(g: SuperAlgebra) -> bool:
+    """The table facts the closures need to reach every subalgebra: brackets
+    alternating, symmetric and parity-homogeneous, odd squares even (the
+    alternating, symmetry and grading checks of validate)."""
+    table, p = g.bracket_table, g.parity
+    wrong = (g.odd_mask, g.even_mask)  # the bits a value of parity k lacks
+    return all(
+        not table[i][i]
+        and not (p[i] and g.squaring[i] & wrong[0])
+        and all(
+            table[i][j] == table[j][i] and not table[i][j] & wrong[p[i] ^ p[j]]
+            for j in range(i)
+        )
+        for i in range(g.dim)
+    )
+
+
 def search_isometry(
     g1: SuperAlgebra,
     b1: BilinearForm,
@@ -615,27 +650,46 @@ def search_isometry(
     budget: int = 200_000,
     seed_pairs: Sequence[tuple[int, int]] | None = None,
 ) -> SearchResult:
-    """Backtracking over generator images with form/bracket propagation."""
+    """Backtracking over generator images with form/bracket propagation.
+
+    An exhausted search is a proof (proved=True) when no candidate list was
+    cut at _CANDIDATE_LIMIT and both tables pass _closures_complete, by
+    three facts:
+    - every isometry pi is fixed by the images of the generating sequence,
+      whose subalgebra closure is all of g1, since pi preserves brackets
+      and squares;
+    - the candidates for pi(v) are all nonzero solutions of v's parity to
+      B2(w, pi(v_k)) = B1(v, v_k), equations every isometry satisfies;
+    - a branch is pruned only when the bracket and squaring closure of its
+      pairs maps 0 to a nonzero vector or breaks the forms, which no subset
+      of the graph of an isometry does; the closure of the pairs of pi
+      reaches the whole graph, so the leaf of pi has full rank.
+    """
     if g1.sdim != g2.sdim or b1.parity != b2.parity:
         return SearchResult(
             "not-found", proved=True, reason="superdimension or form parity differ"
         )
     search = _Isometries(
-        g1, b1, g2, b2, budget, dict(seed_pairs or ()), limit=4096
+        g1, b1, g2, b2, budget, dict(seed_pairs or ()), limit=_CANDIDATE_LIMIT
     )
     try:
         images = next(iter(search), None)
     except SearchBudgetExceeded:
         return SearchResult("budget-exhausted", nodes=search.nodes)
-    if images is None:
+    if images is not None:
+        return SearchResult("found", Isometry(images), nodes=search.nodes)
+    if search.truncated:
+        reason = f"some generator has more than {_CANDIDATE_LIMIT} candidates"
+    elif not (_closures_complete(g1) and _closures_complete(g2)):
+        reason = "a bracket table is not symmetric, alternating and graded"
+    else:
         return SearchResult(
             "not-found",
             nodes=search.nodes,
-            proved=False,
-            reason="generator-image search exhausted (pruned by form and"
-            " bracket constraints)",
+            proved=True,
+            reason="generator-image search exhausted",
         )
-    return SearchResult("found", Isometry(images), nodes=search.nodes)
+    return SearchResult("not-found", nodes=search.nodes, reason=reason)
 
 
 def isometry_group(

@@ -9,12 +9,19 @@ triple.
 from __future__ import annotations
 
 import functools
+import itertools
 
 import numpy as np
 
 from nislie.forms import BilinearForm, NISReport
-from nislie.gf2 import GF2Matrix, bits, dot
-from nislie.superalgebra import AxiomFailure, SuperAlgebra, ValidationReport, bracket
+from nislie.gf2 import GF2Matrix, SpanBasis, bits, dot
+from nislie.superalgebra import (
+    AxiomFailure,
+    SuperAlgebra,
+    ValidationReport,
+    bracket,
+    square_element,
+)
 
 
 def dense_from_rows(rows, ncols):
@@ -528,3 +535,79 @@ def relabel(g, form, rng):
         return g2, None
     rows = [move(form.gram.rows[inv[a]]) for a in range(n)]
     return g2, BilinearForm(GF2Matrix(rows, n), form.parity)
+
+
+def reference_subalgebra_closure(g, seeds) -> SpanBasis:
+    """Span of seeds closed by bracketing every pair of its basis, and
+    squaring every odd basis vector, on each pass until nothing changes."""
+    s = SpanBasis(seeds)
+    changed = True
+    while changed:
+        changed = False
+        vs = s.vectors()
+        for x in vs:
+            for y in vs:
+                b = bracket(g, x, y)
+                if b and s.add(b):
+                    changed = True
+            if g.parity_of(x) == 1:
+                sq = square_element(g, x)
+                if sq and s.add(sq):
+                    changed = True
+    return s
+
+
+def reference_generating_sequence(g) -> list[int]:
+    """Greedy basis sequence whose subalgebra closure is all of g: each step
+    takes the first basis vector whose closure with the chosen ones, built
+    from scratch, is largest."""
+    chosen: list[int] = []
+    span = SpanBasis()
+    while span.dim < g.dim:
+        best, best_span, best_idx = -1, None, None
+        for i in range(g.dim):
+            if span.contains(1 << i):
+                continue
+            s = reference_subalgebra_closure(g, span.vectors() + [1 << i])
+            if s.dim > best:
+                best, best_span, best_idx = s.dim, s, i
+            if s.dim == g.dim:
+                break
+        chosen.append(best_idx)
+        span = best_span
+    return chosen
+
+
+def brute_force_isometric(g1, b1, g2, b2) -> bool:
+    """Is some parity-preserving linear map an isometry?  Every map is
+    tried, and each is checked on every basis pair, odd square and form
+    entry before its rank."""
+    n = g1.dim
+    masks = (g2.even_mask, g2.odd_mask)
+    choices = [
+        [w for w in range(1, 1 << g2.dim) if not w & ~masks[p]]
+        for p in g1.parity
+    ]
+
+    def image(images, x):
+        return functools.reduce(int.__xor__, (images[i] for i in bits(x)), 0)
+
+    def preserves(images):
+        return (
+            all(
+                image(images, bracket(g1, 1 << i, 1 << j))
+                == bracket(g2, images[i], images[j])
+                and b1.pair(1 << i, 1 << j) == b2.pair(images[i], images[j])
+                for i in range(n)
+                for j in range(n)
+            )
+            and all(
+                image(images, square_element(g1, 1 << i))
+                == square_element(g2, images[i])
+                for i in range(n)
+                if g1.parity[i]
+            )
+            and gf2_rank_dense(dense_from_rows(images, n)) == n
+        )
+
+    return any(map(preserves, itertools.product(*choices)))

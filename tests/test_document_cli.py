@@ -1,9 +1,10 @@
+import dataclasses
 import json
 
 import pytest
 
 from nislie.catalog import named
-from nislie.cli import main
+from nislie.cli import build_parser, main
 from nislie.document import (
     AlgebraDocument,
     DocumentError,
@@ -11,6 +12,7 @@ from nislie.document import (
     loads,
     recipe_from_meta,
     recipe_to_meta,
+    save,
 )
 
 
@@ -51,6 +53,28 @@ def test_document_rejects_malformed():
                 }
             )
         )
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("bracket", 5), ("squaring", 7), ("degrees", ["x"]), ("form", [])],
+)
+def test_document_fields_of_the_wrong_type_are_document_errors(
+    field, value, tmp_path, capsys
+):
+    obj = named("hei-double")
+    data = json.loads(dumps(AlgebraDocument(obj.algebra, obj.form)))
+    data[field] = value
+    if field == "degrees":
+        data[field] = value * obj.algebra.dim
+    text = json.dumps(data)
+    with pytest.raises(DocumentError):
+        loads(text)
+    path = tmp_path / "typed.json"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_recipe_meta_roundtrip():
@@ -104,6 +128,7 @@ def test_cli_outer_on_invalid_algebra_is_a_negative(capsys):
     assert main(["outer", "po05-m0"]) == 1
     captured = capsys.readouterr()
     assert "an inner map is not a derivation" in captured.err
+    assert "(ad(thetaxi1) is not in the derivation space: leibniz" in captured.err
     assert "nislie validate" in captured.err
     assert "Traceback" not in captured.err and captured.out == ""
 
@@ -242,3 +267,102 @@ def test_cli_outer_json(capsys):
         r.get("degree") for r in data["representatives"] if r["parity"] == 1
     ]
     assert degs and all(d is not None for d in degs)
+
+
+def test_cli_outer_names_declared_degrees_that_do_not_grade(tmp_path, capsys):
+    # gl(1|1) passes the axioms, but degrees (0, 3, 0, 3) split ad(E12)
+    # across two shifts: a negative about the degrees, not the axioms
+    obj = named("gl-1-1")
+    g = dataclasses.replace(obj.algebra, degrees=(0, 3, 0, 3))
+    path = tmp_path / "gl11-degrees.json"
+    save(AlgebraDocument(g, obj.form), path)
+    assert main(["validate", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["outer", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "the declared degrees do not respect the bracket: ad(E12)" in err
+    assert "fails the axioms" not in err and "Traceback" not in err
+
+
+def write(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return f"@{path}"
+
+
+def with_extension_meta(tmp_path, meta):
+    obj = named("hei-double")
+    path = tmp_path / "meta.json"
+    save(AlgebraDocument(obj.algebra, obj.form, {"extension": meta}), path)
+    return str(path)
+
+
+MALFORMED = {
+    "seed without =": lambda tmp: [
+        "isometry", "hei-double", "hei-double", "--seed", "foo"],
+    "seed with two =": lambda tmp: [
+        "isometry", "hei-double", "hei-double", "--seed", "x=y=z"],
+    "missing derivation file": lambda tmp: [
+        "extend", "hei-double", "--case", "evenB-oddD",
+        "--derivation", f"@{tmp / 'missing.json'}", "--out", str(tmp / "o.json")],
+    "derivation file not JSON": lambda tmp: [
+        "extend", "hei-double", "--case", "evenB-oddD",
+        "--derivation", write(tmp, "d.json", "{images"), "--out", str(tmp / "o.json")],
+    "derivation file without images": lambda tmp: [
+        "extend", "hei-double", "--case", "evenB-oddD",
+        "--derivation", write(tmp, "d.json", '{"parity": 1}'),
+        "--out", str(tmp / "o.json")],
+    "derivation index out of range": lambda tmp: [
+        "extend", "hei-double", "--case", "evenB-oddD",
+        "--derivation", write(tmp, "d.json", '{"images": [[0, 9]], "parity": 1}'),
+        "--out", str(tmp / "o.json")],
+    "alpha file without polar": lambda tmp: [
+        "extend", "h1-0-4", "--case", "evenB-evenD", "--derivation", "D7",
+        "--alpha", write(tmp, "a.json", '{"n": 8}'), "--out", str(tmp / "o.json")],
+    "extension metadata without x_index": lambda tmp: [
+        "isometry", with_extension_meta(tmp, {}), "hei-oddD-ext",
+        "--mode", "adapted"],
+    "extension metadata naming a non-central x": lambda tmp: [
+        "isometry", with_extension_meta(tmp, {
+            "x_index": 0, "star_index": 1, "recipe": {"case": "evenB-oddD"}}),
+        "hei-oddD-ext", "--mode", "adapted"],
+    "output directory missing": lambda tmp: [
+        "catalog", "export", "hei-double", "--out", str(tmp / "no" / "x.json")],
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_cli_malformed_input_exits_2(case, tmp_path, capsys):
+    assert main(MALFORMED[case](tmp_path)) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+    assert "Traceback" not in captured.err
+    if case.startswith("extension metadata"):
+        assert "extension metadata does not reduce the input" in captured.err
+
+
+def run_cli(parse, argv, capsys):
+    """Exit code and stdout of one command, through the given parser."""
+    args = parse(argv)
+    code = args.fn(args)
+    return code, capsys.readouterr().out
+
+
+def test_cli_parser_is_reused_without_carrying_options(capsys):
+    # one process, flags that differ from call to call: each call answers
+    # as a fresh parser does, so no option sticks to the shared parser
+    calls = [
+        ["validate", "hei-double", "--json"],
+        ["validate", "hei-double"],
+        ["isometry", "hei-double", "ba-double", "--budget", "5"],
+        ["isometry", "hei-double", "ba-double"],
+        ["outer", "hei-double", "--match-paper"],
+        ["outer", "hei-double"],
+    ]
+    for argv in calls:
+        code = main(argv)
+        out = capsys.readouterr().out
+        fresh = run_cli(build_parser().parse_args, argv, capsys)
+        assert (code, out) == fresh, argv
+    assert main(["validate", "hei-double"]) == 0
+    assert not capsys.readouterr().out.startswith("{")

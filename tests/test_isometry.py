@@ -1,9 +1,11 @@
+import dataclasses
 import random
 
 import pytest
 
 from nislie.catalog import (
     entry_names,
+    hamiltonian,
     h104_alphas,
     h104_cocycles,
     h104_deg_swap,
@@ -26,6 +28,7 @@ from nislie.isometry import (
     Isometry,
     _PairSpan,
     _close,
+    _generating_sequence,
     adapted_isometry_decision,
     build_adapted_isometry,
     complete_by_bracketing,
@@ -34,8 +37,8 @@ from nislie.isometry import (
     search_isometry,
     verify_isometry,
 )
-from nislie.superalgebra import SuperAlgebra, bracket, validate
-from oracles import relabel
+from nislie.superalgebra import SuperAlgebra, bracket, square_element, validate
+from oracles import brute_force_isometric, reference_generating_sequence, relabel
 
 
 def test_identity_isometry(hei_double):
@@ -628,3 +631,159 @@ def test_complete_by_bracketing_runs_to_the_fixed_point(n):
     assert complete_by_bracketing(g, g, [(1, 1), (2, 2)]) == tuple(
         1 << i for i in range(n)
     )
+
+
+def test_generating_sequence_matches_the_all_pairs_reference():
+    # the frontier closures grow the unique smallest closed subspace, so
+    # the greedy choices are the ones rebuilding every closure gives
+    algebras = []
+    for name in entry_names():
+        obj = named(name)
+        if obj.form is None:
+            continue
+        algebras.append(obj.algebra)
+        for r in range(2):
+            rng = random.Random(f"{name}:{r}")
+            algebras.append(relabel(obj.algebra, obj.form, rng)[0])
+    algebras += [hamiltonian(6)[0], hamiltonian(7)[0]]
+    for g in algebras:
+        assert _generating_sequence(g) == reference_generating_sequence(g)
+
+
+def random_superalgebra(rng, n_even, n_odd):
+    """Symmetric, alternating, parity-homogeneous structure constants and
+    even squares, with no Jacobi asked."""
+    n = n_even + n_odd
+    parity = (0,) * n_even + (1,) * n_odd
+    masks = ((1 << n_even) - 1, ((1 << n) - 1) ^ ((1 << n_even) - 1))
+    table = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < 0.5:
+                value = rng.getrandbits(n) & masks[parity[i] ^ parity[j]]
+                table[i][j] = table[j][i] = value
+    squaring = tuple(
+        rng.getrandbits(n) & masks[0] if p and rng.random() < 0.5 else 0
+        for p in parity
+    )
+    names = tuple(f"e{i}" for i in range(n))
+    return SuperAlgebra(names, parity, tuple(map(tuple, table)), squaring)
+
+
+def random_homogeneous_form(rng, g, form_parity):
+    rows = [0] * g.dim
+    for i in range(g.dim):
+        for j in range(i, g.dim):
+            if g.parity[i] ^ g.parity[j] == form_parity and rng.random() < 0.5:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return BilinearForm(GF2Matrix(rows, g.dim), form_parity)
+
+
+def random_invertible_parity_map(rng, g):
+    """Images of the basis: an invertible map keeping each parity."""
+    masks = (g.even_mask, g.odd_mask)
+    while True:
+        images = [rng.getrandbits(g.dim) & masks[p] for p in g.parity]
+        if GF2Matrix(images, g.dim).rank() == g.dim:
+            return images
+
+
+def transport(g, form, images):
+    """(g, form) moved along the invertible map e_i -> images[i]."""
+    phi = Isometry(tuple(images))
+    inv = phi.inverse().images
+    n = g.dim
+    table = tuple(
+        tuple(phi.apply(bracket(g, inv[a], inv[b])) for b in range(n))
+        for a in range(n)
+    )
+    squaring = tuple(
+        phi.apply(square_element(g, inv[a])) if g.parity[a] else 0
+        for a in range(n)
+    )
+    rows = [sum(form.pair(inv[a], inv[b]) << b for b in range(n)) for a in range(n)]
+    return (
+        SuperAlgebra(g.names, g.parity, table, squaring),
+        BilinearForm(GF2Matrix(rows, n), form.parity),
+    )
+
+
+def perturb(rng, g, form):
+    """One bracket value, square or form entry changed, keeping the tables
+    symmetric and parity-homogeneous."""
+    n, p = g.dim, g.parity
+    i, j = rng.randrange(n), rng.randrange(n)
+    of_parity = [[k for k in range(n) if p[k] == q] for q in (0, 1)]
+    roll = rng.randrange(3)
+    if roll == 0 and i != j and of_parity[p[i] ^ p[j]]:
+        table = [list(row) for row in g.bracket_table]
+        k = rng.choice(of_parity[p[i] ^ p[j]])
+        table[i][j] = table[j][i] = table[i][j] ^ 1 << k
+        return dataclasses.replace(g, bracket_table=tuple(map(tuple, table))), form
+    if roll == 1 and p[i] and of_parity[0]:
+        squaring = list(g.squaring)
+        squaring[i] ^= 1 << rng.choice(of_parity[0])
+        return dataclasses.replace(g, squaring=tuple(squaring)), form
+    if p[i] ^ p[j] == form.parity:
+        return g, flip_symmetric_entry(form, i, j)
+    return g, form
+
+
+def random_small_pairs(seed, count):
+    """Pairs of superdimension (p|q), p, q <= 3, p + q <= 4: a transported
+    copy, one with an entry then changed, or an unrelated algebra."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n_even = rng.randrange(0, 4)
+        n_odd = rng.randrange(0 if n_even else 1, min(3, 4 - n_even) + 1)
+        g1 = random_superalgebra(rng, n_even, n_odd)
+        b1 = random_homogeneous_form(rng, g1, rng.randrange(2))
+        kind = rng.randrange(3)
+        if kind == 2:
+            g2 = random_superalgebra(rng, n_even, n_odd)
+            b2 = random_homogeneous_form(rng, g2, b1.parity)
+        else:
+            g2, b2 = transport(g1, b1, random_invertible_parity_map(rng, g1))
+            if kind == 1:
+                g2, b2 = perturb(rng, g2, b2)
+        yield g1, b1, g2, b2
+
+
+def test_exhausted_search_is_proved_exactly_without_an_isometry():
+    outcomes = set()
+    for g1, b1, g2, b2 in random_small_pairs(8, 300):
+        res = search_isometry(g1, b1, g2, b2, budget=100_000)
+        exists = brute_force_isometric(g1, b1, g2, b2)
+        assert res.status == ("found" if exists else "not-found")
+        assert res.proved == (not exists)
+        if exists:
+            assert verify_isometry(g1, b1, g2, b2, res.isometry.images)[0]
+        outcomes.add(res.status)
+    assert outcomes == {"found", "not-found"}
+
+
+def test_cut_candidate_lists_leave_the_negative_unproved(monkeypatch):
+    # with two solutions kept per generator, isometries are missed: the
+    # search then ends not-found, but never with a proof
+    monkeypatch.setattr(isometry, "_CANDIDATE_LIMIT", 2)
+    missed = 0
+    for g1, b1, g2, b2 in random_small_pairs(8, 300):
+        res = search_isometry(g1, b1, g2, b2, budget=100_000)
+        exists = brute_force_isometric(g1, b1, g2, b2)
+        if res.proved:
+            assert not exists
+        elif res.status == "not-found":
+            assert "more than 2 candidates" in res.reason
+            missed += exists
+    assert missed > 0
+
+
+def test_malformed_tables_leave_the_negative_unproved(hei_double):
+    g, b = hei_double.algebra, hei_double.form
+    table = [list(row) for row in g.bracket_table]
+    table[0][1] ^= 1  # [p, q] no longer equals [q, p]
+    g2 = dataclasses.replace(g, bracket_table=tuple(map(tuple, table)))
+    res = search_isometry(g, b, g2, b)
+    assert (res.status, res.proved) == ("not-found", False)
+    assert "not symmetric" in res.reason
