@@ -32,7 +32,12 @@ from .errors import ConditionViolated, InnerNotDerivation, NisLieError, UnknownN
 from .extension import ExtensionRecipe, extend, reduce as ext_reduce
 from .forms import QuadraticForm, check_nis
 from .gf2 import GF2Matrix, bits
-from .isometry import adapted_isometry_decision, search_isometry, verify_isometry
+from .isometry import (
+    _generating_sequence,
+    adapted_isometry_decision,
+    search_isometry,
+    verify_isometry,
+)
 from .superalgebra import validate
 
 REFERENCE_ODD_COCYCLES = {
@@ -403,8 +408,9 @@ def cmd_isometry(args) -> int:
             return 1
         print(f"budget exhausted: {dec.reason}")
         return 3
-    seeds = []
+    seeds, ignored = [], []
     if args.seed:
+        gens = [1 << i for i in _generating_sequence(doc1.algebra)]
         for chunk in args.seed.split(","):
             if chunk.count("=") != 1:
                 raise CliError(2, f"--seed takes name=name pairs, not {chunk!r}")
@@ -414,6 +420,15 @@ def cmd_isometry(args) -> int:
                     _parse_element(doc1, a.strip()),
                     _parse_element(doc2, b.strip()),
                 )
+            )
+            if seeds[-1][0] not in gens:
+                ignored.append(chunk.strip())
+        if ignored:
+            names = ", ".join(doc1.algebra.format_element(v) for v in gens)
+            print(
+                f"note: ignoring --seed {', '.join(ignored)}: only seeds on the"
+                f" generators {names} steer the search",
+                file=sys.stderr,
             )
     res = search_isometry(
         doc1.algebra,
@@ -595,7 +610,8 @@ def build_parser() -> argparse.ArgumentParser:
     i.add_argument("target1")
     i.add_argument("target2")
     i.add_argument("--mode", choices=["adapted", "general"], default="general")
-    i.add_argument("--budget", type=int, default=200_000)
+    i.add_argument("--budget", type=int, default=200_000,
+                   help="search nodes, both modes")
     i.add_argument("--seed", help="comma-separated name=name generator hints")
     i.set_defaults(fn=cmd_isometry)
 

@@ -3,10 +3,11 @@
 verify_isometry is the basis-level decision procedure (bilinearity and the
 polarization argument make basis checks sufficient).  build_adapted_isometry
 assembles the block maps of the four adapted-isometry constructions from
-(pi0, t, nu) after checking the case's condition set.  search_isometry and
-isometry_group share one budgeted generator-image backtracking (the first
-isometry it yields, or all of them); the adapted decision procedure
-implements the linear t-forcing route used by the negative results.
+(pi0, t, nu) after checking the case's condition set against _shifted.
+search_isometry, isometry_group and adapted_isometry_decision share one
+budgeted generator-image backtracking (the first isometry it yields, or all
+of them); the adapted decision runs it on the two extensions from the pair
+(x, x), after the linear t-forcing route used by the negative results.
 
 The backtracking fixes the images of a greedy generating sequence of g1
 and closes each partial map under brackets and squares.  Both closures
@@ -24,7 +25,7 @@ inner-derivation extension exactly when its own derivation is inner.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .derivations import Derivation, case_parities, cohomologous
@@ -37,7 +38,7 @@ from .errors import (
 from .extension import ExtensionRecipe, extend
 from .forms import BilinearForm, QuadraticForm, evaluate_on_algebra
 from .gf2 import AffineSolution, GF2Matrix, SpanBasis, bits, solve_affine
-from .superalgebra import SuperAlgebra, ad_system, bracket, square_element
+from .superalgebra import SuperAlgebra, ad, ad_system, bracket, square_element
 
 
 @dataclass(frozen=True)
@@ -128,6 +129,67 @@ def _quadratic_equal_on_odd(
     return True, None
 
 
+def _shifted(
+    a: SuperAlgebra, form: BilinearForm, recipe: ExtensionRecipe, t: int
+) -> ExtensionRecipe:
+    """The normalized recipe shifted by t, which the adapted conditions
+    compare with the pi0-transport of the target recipe.
+
+    D + ad_t, alpha + B(t, s(.)), beta* + B(t, t), a0 + s(t) + D t and
+    m + alpha(t) + B(t, s(t) + a0); the fields the case lacks stay None.
+    """
+    d = recipe.derivation
+    shifted_d = Derivation(tuple(u ^ v for u, v in zip(d.images, ad(a, t))), d.parity)
+    kw = {"derivation": shifted_d}
+    if recipe.alpha is not None:
+        # v -> B(t, s(v)) has values B(t, s(e_i)) and polar B(t, [e_i, e_j])
+        odd = a.odd_indices()
+        diag = sum(form.pair(t, a.squaring[i]) << k for k, i in enumerate(odd))
+        polar = [
+            row
+            ^ sum(form.pair(t, a.bracket_table[i][j]) << k for k, j in enumerate(odd))
+            for row, i in zip(recipe.alpha.polar.rows, odd)
+        ]
+        kw["alpha"] = QuadraticForm(
+            len(odd), recipe.alpha.diag ^ diag, GF2Matrix(polar, len(odd))
+        )
+    if recipe.beta_star is not None:
+        kw["beta_star"] = recipe.beta_star ^ form.pair(t, t)
+    if recipe.a0 is not None:
+        kw["a0"] = recipe.a0 ^ square_element(a, t) ^ d.apply(t)
+    if recipe.m is not None:
+        kw["m"] = (
+            recipe.m
+            ^ evaluate_on_algebra(a, recipe.alpha, t)
+            ^ form.pair(t, square_element(a, t) ^ recipe.a0)
+        )
+    return replace(recipe, **kw)
+
+
+def _transport_domain(a: SuperAlgebra, case: str) -> Sequence[int]:
+    """The basis vectors on which the adapted conditions transport D."""
+    if case in ("evenB-oddD", "oddB-evenD"):
+        return range(a.dim)
+    return a.even_indices()
+
+
+def _adjointness_defect_rank(a, form, d: Derivation, domain) -> int:
+    """Rank of B(D u, v) + B(u, D v) on the domain.
+
+    ad_t adds nothing to it (B is invariant), and conjugating D by an
+    isometry pi0 gives a congruent form, so the transport condition
+    pi0^{-1} D~ pi0 = D + ad_t equates the ranks of D and D~.
+    """
+    rows = [
+        sum(
+            (form.pair(d.images[i], 1 << j) ^ form.pair(1 << i, d.images[j])) << k
+            for k, j in enumerate(domain)
+        )
+        for i in domain
+    ]
+    return GF2Matrix(rows, len(domain)).rank()
+
+
 def build_adapted_isometry(
     a: SuperAlgebra,
     form: BilinearForm,
@@ -151,24 +213,17 @@ def build_adapted_isometry(
     ok, w = verify_isometry(a, form, a, form, pi0)
     if not ok:
         raise ConditionViolated("pi0", w, "pi0 is not an isometry of the base")
-    _, der_parity = case_parities(case)
-    t_parity = 1 if case in ("evenB-oddD", "oddB-oddD") else 0
+    _, t_parity = case_parities(case)
     if t and a.parity_of(t) != t_parity:
         raise ConditionViolated("t-parity", None, f"t must have parity {t_parity}")
 
-    d_src, d_tgt = recipe_src.derivation, recipe_tgt.derivation
+    shifted = _shifted(a, form, recipe_src, t)
+    d_tgt = recipe_tgt.derivation
     pi = Isometry(tuple(pi0))
     pi_inv = pi.inverse()
 
-    def conjugated(j: int) -> int:
-        return pi_inv.apply(d_tgt.apply(pi.images[j]))
-
     # derivation transport: pi0^{-1} D~ pi0 = D + ad_t
-    domain = (
-        range(a.dim)
-        if case in ("evenB-oddD", "oddB-evenD")
-        else a.even_indices()
-    )
+    domain = _transport_domain(a, case)
     label = {
         "evenB-evenD": "Cd",
         "evenB-oddD": "Cd",
@@ -176,57 +231,31 @@ def build_adapted_isometry(
         "oddB-evenD": "4Cd",
     }[case]
     for j in domain:
-        want = d_src.images[j] ^ bracket(a, t, 1 << j)
-        if conjugated(j) != want:
+        if pi_inv.apply(d_tgt.apply(pi.images[j])) != shifted.derivation.images[j]:
             raise ConditionViolated(label, (j,), "derivation transport fails")
 
     if case in ("evenB-evenD", "oddB-oddD"):
-        alpha_s, alpha_t = recipe_src.alpha, recipe_tgt.alpha
-
-        def lhs(v: int) -> int:
-            return evaluate_on_algebra(a, alpha_t, pi.apply(v))
-
-        def rhs(v: int) -> int:
-            val = evaluate_on_algebra(a, alpha_s, v)
-            sq = square_element(a, v)
-            return val ^ form.pair(t, sq)
-
-        ok, w = _quadratic_equal_on_odd(a, lhs, rhs)
+        ok, w = _quadratic_equal_on_odd(
+            a,
+            lambda v: evaluate_on_algebra(a, recipe_tgt.alpha, pi.apply(v)),
+            lambda v: evaluate_on_algebra(a, shifted.alpha, v),
+        )
         if not ok:
             raise ConditionViolated(
                 "Ca" if case == "evenB-evenD" else "3Ca",
                 (w,),
                 "quadratic-form transport fails",
             )
-
-    if case == "evenB-evenD":
-        if (recipe_src.beta_star or 0) != (
-            form.pair(t, t) ^ (recipe_tgt.beta_star or 0)
-        ):
-            raise ConditionViolated(
-                "beta-star", None, "B(x*,x*) relation fails"
-            )
-    if case in ("evenB-oddD", "oddB-oddD"):
-        want = (
-            pi.apply(recipe_src.a0 or 0)
-            ^ square_element(a, pi.apply(t))
-            ^ pi.apply(d_src.apply(t))
+    if shifted.beta_star != recipe_tgt.beta_star:
+        raise ConditionViolated("beta-star", None, "B(x*,x*) relation fails")
+    if shifted.a0 is not None and pi.apply(shifted.a0) != recipe_tgt.a0:
+        raise ConditionViolated(
+            "a0-transport" if case == "evenB-oddD" else "3Ce",
+            None,
+            "a0 transport fails",
         )
-        if (recipe_tgt.a0 or 0) != want:
-            raise ConditionViolated(
-                "a0-transport" if case == "evenB-oddD" else "3Ce",
-                None,
-                "a0 transport fails",
-            )
-    if case == "oddB-oddD":
-        alpha_s = recipe_src.alpha
-        want = (
-            evaluate_on_algebra(a, alpha_s, t)
-            ^ form.pair(t, square_element(a, t) ^ (recipe_src.a0 or 0))
-            ^ (recipe_src.m or 0)
-        )
-        if (recipe_tgt.m or 0) != want:
-            raise ConditionViolated("3Cf", None, "the scalar m transport fails")
+    if shifted.m != recipe_tgt.m:
+        raise ConditionViolated("3Cf", None, "the scalar m transport fails")
 
     n = a.dim
     xb, sb = 1 << n, 1 << (n + 1)
@@ -292,67 +321,9 @@ def is_semi_trivial(
                 " isometries transport inner derivations to inner ones"
             ),
         )
-    case = recipe.case
-    target = None
-    if case == "evenB-evenD":
-        alpha = recipe.alpha
-
-        def shifted_eval(v):
-            return evaluate_on_algebra(a, alpha, v) ^ form.pair(
-                t, square_element(a, v)
-            )
-
-        target = ExtensionRecipe(
-            case,
-            Derivation((0,) * a.dim, 0),
-            alpha=_quadratic_from_eval(a, shifted_eval),
-            beta_star=(recipe.beta_star or 0) ^ form.pair(t, t),
-        )
-    elif case == "evenB-oddD":
-        target = ExtensionRecipe(
-            case,
-            Derivation((0,) * a.dim, 1),
-            a0=(recipe.a0 or 0)
-            ^ square_element(a, t)
-            ^ d.apply(t),
-        )
-    elif case == "oddB-oddD":
-        target = ExtensionRecipe(
-            case,
-            Derivation((0,) * a.dim, 1),
-            alpha=_quadratic_from_eval(
-                a,
-                lambda v: evaluate_on_algebra(a, recipe.alpha, v)
-                ^ form.pair(t, square_element(a, v)),
-            ),
-            a0=(recipe.a0 or 0) ^ square_element(a, t) ^ d.apply(t),
-            m=(recipe.m or 0)
-            ^ evaluate_on_algebra(a, recipe.alpha, t)
-            ^ form.pair(t, square_element(a, t) ^ (recipe.a0 or 0)),
-        )
-    else:
-        target = ExtensionRecipe(case, Derivation((0,) * a.dim, 0))
     return SemiTriviality(
-        status="semi-trivial", witness_t=t, target=target.normalized()
+        status="semi-trivial", witness_t=t, target=_shifted(a, form, recipe, t)
     )
-
-
-def _quadratic_from_eval(a: SuperAlgebra, fn) -> QuadraticForm:
-    odd = a.odd_indices()
-    k = len(odd)
-    diag = 0
-    for pos, i in enumerate(odd):
-        if fn(1 << i):
-            diag |= 1 << pos
-    rows = [0] * k
-    for s, i in enumerate(odd):
-        for r in range(s + 1, k):
-            j = odd[r]
-            val = fn((1 << i) | (1 << j)) ^ fn(1 << i) ^ fn(1 << j)
-            if val:
-                rows[s] |= 1 << r
-                rows[r] |= 1 << s
-    return QuadraticForm(k, diag, GF2Matrix(rows, k))
 
 
 # ---------------------------------------------------------------------------
@@ -642,6 +613,30 @@ def _closures_complete(g: SuperAlgebra) -> bool:
     )
 
 
+def _first_isometry(search: _Isometries, span: _PairSpan, determined) -> SearchResult:
+    """The first leaf below the closed span of the pairs `determined`, or
+    why there is none: a proof unless a candidate list was cut or a table
+    is not symmetric, alternating and graded."""
+    try:
+        images = next(search._backtrack(0, span, determined), None)
+    except SearchBudgetExceeded as exc:
+        return SearchResult("budget-exhausted", nodes=search.nodes, reason=str(exc))
+    if images is not None:
+        return SearchResult("found", Isometry(images), nodes=search.nodes)
+    if search.truncated:
+        reason = f"some generator has more than {_CANDIDATE_LIMIT} candidates"
+    elif not (_closures_complete(search.g1) and _closures_complete(search.g2)):
+        reason = "a bracket table is not symmetric, alternating and graded"
+    else:
+        return SearchResult(
+            "not-found",
+            nodes=search.nodes,
+            proved=True,
+            reason="generator-image search exhausted",
+        )
+    return SearchResult("not-found", nodes=search.nodes, reason=reason)
+
+
 def search_isometry(
     g1: SuperAlgebra,
     b1: BilinearForm,
@@ -651,6 +646,10 @@ def search_isometry(
     seed_pairs: Sequence[tuple[int, int]] | None = None,
 ) -> SearchResult:
     """Backtracking over generator images with form/bracket propagation.
+
+    A seed (v, w) makes w the first candidate for v when v is a basis
+    vector of _generating_sequence(g1) and w is among its candidates;
+    seeds on other vectors are ignored, and no seed constrains the search.
 
     An exhausted search is a proof (proved=True) when no candidate list was
     cut at _CANDIDATE_LIMIT and both tables pass _closures_complete, by
@@ -672,24 +671,7 @@ def search_isometry(
     search = _Isometries(
         g1, b1, g2, b2, budget, dict(seed_pairs or ()), limit=_CANDIDATE_LIMIT
     )
-    try:
-        images = next(iter(search), None)
-    except SearchBudgetExceeded:
-        return SearchResult("budget-exhausted", nodes=search.nodes)
-    if images is not None:
-        return SearchResult("found", Isometry(images), nodes=search.nodes)
-    if search.truncated:
-        reason = f"some generator has more than {_CANDIDATE_LIMIT} candidates"
-    elif not (_closures_complete(g1) and _closures_complete(g2)):
-        reason = "a bracket table is not symmetric, alternating and graded"
-    else:
-        return SearchResult(
-            "not-found",
-            nodes=search.nodes,
-            proved=True,
-            reason="generator-image search exhausted",
-        )
-    return SearchResult("not-found", nodes=search.nodes, reason=reason)
+    return _first_isometry(search, _PairSpan(g1.dim), [])
 
 
 def isometry_group(
@@ -708,11 +690,6 @@ def isometry_group(
 # ---------------------------------------------------------------------------
 
 
-# solutions t tried per base isometry pi0; a pi0 with more of them makes an
-# exhausted group route budget-exhausted instead of a proved negative
-_T_LIMIT = 4096
-
-
 @dataclass(frozen=True)
 class AdaptedDecision:
     status: str  # "found" | "not-found-proved" | "budget-exhausted"
@@ -729,11 +706,28 @@ def adapted_isometry_decision(
 ) -> AdaptedDecision:
     """Decide existence of an adapted isometry between two extensions.
 
-    First tries the t-forcing route: when both derivations vanish on the
-    even part, the transport condition forces [t, a_even] = 0 independently
-    of pi0, and the pi0-free conditions (the m relation, and the a0 relation
-    when both a0 vanish) can refute every admissible t.  Otherwise falls
-    back to enumerating the isometry group of the base.
+    The adapted isometries are exactly the isometries Pi of the extensions
+    with Pi(x) = x.  Adapted maps fix x by definition.  Conversely, let Pi
+    fix x.  B(x, a) = B(x, x) = 0 and B(x, x*) = 1, so Pi(a) lies in
+    x^perp = a + Kx and Pi(x*) has x*-coefficient 1.  As x is central, the
+    a-projection pi0 of Pi on a preserves brackets and squares, and it
+    preserves B because x is isotropic and orthogonal to a.  With pi0(t)
+    the a-part of Pi(x*), 0 = B(Pi a_j, Pi x*) makes the Kx-part of Pi(a_j)
+    equal to B(t, a_j): Pi is the block map of (pi0, t, nu).
+
+    So the generator-image search of search_isometry, started from the
+    closed pair (x, x) with every basis vector seeded to itself (pi0 = id
+    first), decides the question: a leaf is an adapted isometry, and an
+    exhausted search is a proof on the terms of search_isometry.  A recipe
+    that breaks self-adjointness gives an extension table that is not
+    symmetric, on which an exhausted search proves nothing.
+
+    Two linear routes run first.  The rank of the self-adjointness defect
+    (_adjointness_defect_rank) is the same on both sides of an adapted
+    isometry, which separates a self-adjoint recipe from one that is not.
+    t-forcing: when both derivations vanish on the even part, the transport
+    condition forces [t, a_even] = 0 whatever pi0 is, and the pi0-free
+    conditions can refute every such t.
     """
     recipe_src = recipe_src.normalized()
     recipe_tgt = recipe_tgt.normalized()
@@ -741,25 +735,23 @@ def adapted_isometry_decision(
         return AdaptedDecision(
             "not-found-proved", reason="extension cases differ"
         )
-    case = recipe_src.case
-    d_s, d_t = recipe_src.derivation, recipe_tgt.derivation
-    t_parity = 1 if case in ("evenB-oddD", "oddB-oddD") else 0
+    domain = _transport_domain(a, recipe_src.case)
+    rank_src, rank_tgt = (
+        _adjointness_defect_rank(a, form, r.derivation, domain)
+        for r in (recipe_src, recipe_tgt)
+    )
+    if rank_src != rank_tgt:
+        return AdaptedDecision(
+            "not-found-proved",
+            reason="B(D u, v) + B(u, D v) has different ranks on the two sides",
+        )
+    _, t_parity = case_parities(recipe_src.case)
     t_idxs = a.odd_indices() if t_parity else a.even_indices()
-
-    # fast positive route: pi0 = id with t solved linearly
-    identity = Isometry(tuple(1 << i for i in range(a.dim)))
-    for t in _solve_t(a, recipe_src, recipe_tgt, identity, 256)[0]:
-        try:
-            pi = build_adapted_isometry(
-                a, form, recipe_src, recipe_tgt, identity.images, t
-            )
-            return AdaptedDecision("found", pi)
-        except ConditionViolated:
-            continue
-
     evens = a.even_indices()
-    if all(d_s.images[j] == 0 for j in evens) and all(
-        d_t.images[j] == 0 for j in evens
+    if not any(
+        d.images[j]
+        for d in (recipe_src.derivation, recipe_tgt.derivation)
+        for j in evens
     ):
         # [t, a_even] = 0, independently of pi0
         rows = ad_system(a, t_idxs, evens)
@@ -776,82 +768,31 @@ def adapted_isometry_decision(
                     " condition (m / a0 / beta* transport)"
                 ),
             )
-    # fall back: enumerate isometries of the base and solve for t
-    if a.dim > 10:
+    src = extend(a, form, recipe_src, unchecked=True)
+    tgt = extend(a, form, recipe_tgt, unchecked=True)
+    g1, b1, g2, b2 = src.algebra, src.form, tgt.algebra, tgt.form
+    # x is central, isotropic and squares to 0 in both, so (x, x) closes
+    fixed = [(1 << src.x_index, 1 << tgt.x_index)]
+    start = _close(g1, g2, b1, b2, _PairSpan(g1.dim), fixed)
+    identity = {1 << i: 1 << i for i in range(g1.dim)}
+    search = _Isometries(g1, b1, g2, b2, budget, identity, limit=_CANDIDATE_LIMIT)
+    res = _first_isometry(search, start, fixed)
+    if res.status == "found":
+        return AdaptedDecision("found", res.isometry)
+    if res.proved:
         return AdaptedDecision(
-            "budget-exhausted",
-            reason="base too large to enumerate its isometry group",
+            "not-found-proved", reason="no isometry of the extensions fixes x"
         )
-    try:
-        group = isometry_group(a, form, budget=budget)
-    except SearchBudgetExceeded:
-        return AdaptedDecision("budget-exhausted")
-    truncated = False
-    for pi0 in group:
-        ts, cut = _solve_t(a, recipe_src, recipe_tgt, pi0, _T_LIMIT)
-        truncated |= cut
-        for t in ts:
-            try:
-                pi = build_adapted_isometry(
-                    a, form, recipe_src, recipe_tgt, pi0.images, t
-                )
-            except ConditionViolated:
-                continue
-            return AdaptedDecision("found", pi)
-    if truncated:
-        return AdaptedDecision(
-            "budget-exhausted",
-            reason=f"some pi0 has more than {_T_LIMIT} solutions t",
-        )
-    return AdaptedDecision(
-        "not-found-proved",
-        reason="exhausted the isometry group of the base",
-    )
+    return AdaptedDecision("budget-exhausted", reason=res.reason)
 
 
 def _pi0_free_conditions_fail(a, form, recipe_src, recipe_tgt, t) -> bool:
-    case = recipe_src.case
-    if case == "oddB-oddD":
-        want = (
-            evaluate_on_algebra(a, recipe_src.alpha, t)
-            ^ form.pair(t, square_element(a, t) ^ (recipe_src.a0 or 0))
-            ^ (recipe_src.m or 0)
-        )
-        if (recipe_tgt.m or 0) != want:
-            return True
-        if t == 0 and (recipe_src.a0 or 0) == 0 and (recipe_tgt.a0 or 0) != 0:
-            return True
-    if case == "evenB-evenD":
-        if (recipe_src.beta_star or 0) != (
-            form.pair(t, t) ^ (recipe_tgt.beta_star or 0)
-        ):
-            return True
-    if case == "evenB-oddD":
-        if t == 0 and (recipe_src.a0 or 0) == 0 and (recipe_tgt.a0 or 0) != 0:
-            return True
-    return False
-
-
-def _solve_t(a, recipe_src, recipe_tgt, pi0: Isometry, limit: int):
-    """The first `limit` t with pi0^{-1} D~ pi0 = D + ad_t on the case's
-    domain, and whether there are more."""
-    case = recipe_src.case
-    t_parity = 1 if case in ("evenB-oddD", "oddB-oddD") else 0
-    idxs = a.odd_indices() if t_parity else a.even_indices()
-    pi_inv = pi0.inverse()
-    domain = (
-        range(a.dim)
-        if case in ("evenB-oddD", "oddB-evenD")
-        else a.even_indices()
+    """Whether t breaks an adapted condition that does not involve pi0: the
+    m and beta* relations, or a0 = 0 on one side only (pi0 is a bijection
+    and the target a0 is the pi0-image of the shifted one)."""
+    shifted = _shifted(a, form, recipe_src, t)
+    return (
+        shifted.m != recipe_tgt.m
+        or shifted.beta_star != recipe_tgt.beta_star
+        or (shifted.a0 == 0) != (recipe_tgt.a0 == 0)
     )
-    rhs = 0
-    for pos, j in enumerate(domain):
-        target = (
-            pi_inv.apply(recipe_tgt.derivation.apply(pi0.images[j]))
-            ^ recipe_src.derivation.images[j]
-        )
-        rhs |= target << (pos * a.dim)
-    sol = solve_affine(GF2Matrix(ad_system(a, idxs, domain), len(idxs)), rhs)
-    if sol is None:
-        return [], False
-    return sol.lift(idxs).points(limit), 1 << len(sol.kernel_basis) > limit

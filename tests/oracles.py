@@ -13,8 +13,10 @@ import itertools
 
 import numpy as np
 
-from nislie.forms import BilinearForm, NISReport
+from nislie.errors import ConditionViolated
+from nislie.forms import BilinearForm, NISReport, QuadraticForm
 from nislie.gf2 import GF2Matrix, SpanBasis, bits, dot
+from nislie.isometry import build_adapted_isometry, isometry_group
 from nislie.superalgebra import (
     AxiomFailure,
     SuperAlgebra,
@@ -611,3 +613,66 @@ def brute_force_isometric(g1, b1, g2, b2) -> bool:
         )
 
     return any(map(preserves, itertools.product(*choices)))
+
+
+def reference_adapted_decision(a, form, recipe_src, recipe_tgt, group=None):
+    """The adapted decision by enumerating the isometry group of the base
+    (`group` when given, else isometry_group(a, form)).
+
+    Every isometry pi0 of (a, B), every t of the derivations' parity and
+    both nu go through build_adapted_isometry.  Skipped before the call: a
+    t that breaks beta* = B(t, t) + beta*~, or whose derivation transport
+    pi0^{-1} D~ pi0 = D + ad_t fails on a basis vector of the case's
+    domain; and nu = 1 when nu = 0 broke a condition, since nu enters only
+    the block map.  Returns (status, isometry).
+    """
+    case = recipe_src.case
+    if recipe_tgt.case != case:
+        return "not-found-proved", None
+    d_src, d_tgt = recipe_src.derivation, recipe_tgt.derivation
+    idxs = [i for i in range(a.dim) if a.parity[i] == d_src.parity]
+    ts = [
+        sum(1 << i for k, i in enumerate(idxs) if mask >> k & 1)
+        for mask in range(1 << len(idxs))
+    ]
+    if case == "evenB-evenD":
+        beta, beta_tgt = recipe_src.beta_star or 0, recipe_tgt.beta_star or 0
+        ts = [t for t in ts if beta ^ form.pair(t, t) == beta_tgt]
+    if case in ("evenB-oddD", "oddB-evenD"):
+        domain = range(a.dim)
+    else:
+        domain = [i for i in range(a.dim) if a.parity[i] == 0]
+    for pi0 in group or isometry_group(a, form):
+        inv = pi0.inverse()
+        want = {
+            j: inv.apply(d_tgt.apply(pi0.images[j])) ^ d_src.images[j]
+            for j in domain
+        }
+        for t in ts:
+            if any(bracket(a, t, 1 << j) != want[j] for j in domain):
+                continue
+            for nu in (0, 1):
+                try:
+                    return "found", build_adapted_isometry(
+                        a, form, recipe_src, recipe_tgt, pi0.images, t, nu
+                    )
+                except ConditionViolated as exc:
+                    if exc.condition != "verify":
+                        break
+    return "not-found-proved", None
+
+
+def reference_quadratic_from_eval(g, fn):
+    """The quadratic form on the odd part of g with the values of fn: its
+    values on the odd basis vectors and its polar on their pairs."""
+    odd = [i for i in range(g.dim) if g.parity[i]]
+    k = len(odd)
+    diag = sum(fn(1 << i) << pos for pos, i in enumerate(odd))
+    rows = [0] * k
+    for s, i in enumerate(odd):
+        for r in range(s + 1, k):
+            j = odd[r]
+            if fn((1 << i) | (1 << j)) ^ fn(1 << i) ^ fn(1 << j):
+                rows[s] |= 1 << r
+                rows[r] |= 1 << s
+    return QuadraticForm(k, diag, GF2Matrix(rows, k))

@@ -257,6 +257,34 @@ def test_cli_budget_exhausted_exit_code(tmp_path, capsys):
         assert "budget exhausted" in capsys.readouterr().out
 
 
+def test_cli_adapted_budget_exhausted_prints_the_reason(tmp_path, capsys):
+    paths = {}
+    for label, derivation, a0 in (("d6", "D6", "0"), ("d67", "D6+D7", "z")):
+        paths[label] = str(tmp_path / f"{label}.json")
+        assert main(
+            ["extend", "hei-double", "--case", "evenB-oddD", "--derivation",
+             derivation, "--a0", a0, "--out", paths[label]]
+        ) == 0
+    capsys.readouterr()
+    argv = ["isometry", paths["d6"], paths["d67"], "--mode", "adapted"]
+    assert main(argv) == 1
+    assert main(argv + ["--budget", "1"]) == 3
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1] == "budget exhausted: isometry enumeration exceeded 1 nodes"
+
+
+def test_cli_seed_off_the_generators_gets_a_note(capsys):
+    assert main(["isometry", "hei-double", "hei-double", "--seed", "z=z"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "found (8 nodes); verified: True\n"
+    assert captured.err == (
+        "note: ignoring --seed z=z: only seeds on the generators"
+        " p, q, zstar steer the search\n"
+    )
+    assert main(["isometry", "hei-double", "hei-double", "--seed", "p=p"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_cli_outer_json(capsys):
     assert main(["outer", "h1-0-5", "--json"]) == 0
     import json as _json

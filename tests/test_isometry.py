@@ -18,10 +18,17 @@ from nislie.catalog import (
     substitution_map,
     transport_quadratic,
 )
-from nislie.derivations import ad_derivation, zero_derivation
-from nislie.errors import ConditionViolated
-from nislie.extension import ExtensionRecipe, extend
-from nislie.forms import BilinearForm
+from nislie.derivations import (
+    ad_derivation,
+    case_parities,
+    compatible_subspace,
+    derivation_space,
+    find_a0,
+    zero_derivation,
+)
+from nislie.errors import ConditionViolated, NisLieError
+from nislie.extension import ExtensionRecipe, _odd_polar_matrix, extend
+from nislie.forms import BilinearForm, QuadraticForm
 from nislie.gf2 import GF2Matrix, SpanBasis
 from nislie import isometry
 from nislie.isometry import (
@@ -38,7 +45,13 @@ from nislie.isometry import (
     verify_isometry,
 )
 from nislie.superalgebra import SuperAlgebra, bracket, square_element, validate
-from oracles import brute_force_isometric, reference_generating_sequence, relabel
+from oracles import (
+    brute_force_isometric,
+    reference_adapted_decision,
+    reference_generating_sequence,
+    reference_quadratic_from_eval,
+    relabel,
+)
 
 
 def test_identity_isometry(hei_double):
@@ -194,7 +207,7 @@ def test_hei_512_isometry(hei_double):
 
 def test_hei_512_coefficient_corner_is_not_isometric(hei_double):
     # over GF(2) the (a6, a7) = (1, 1) member is not adapted-isometric to the
-    # (D6, 0) extension; exhaustive over the 32-element isometry group
+    # (D6, 0) extension; the search with x fixed exhausts
     g, b = hei_double.algebra, hei_double.form
     cc = hei_double_cocycles(g)
     rec_src = ExtensionRecipe("evenB-oddD", cc["D6"], a0=0)
@@ -205,22 +218,15 @@ def test_hei_512_coefficient_corner_is_not_isometric(hei_double):
     assert dec.status == "not-found-proved"
 
 
-def test_truncated_t_list_makes_the_group_route_budget_exhausted(
-    hei_double, monkeypatch
-):
+def test_a0_zstar_target_is_a_proved_negative(hei_double):
     # (D6, a0 = 0) vs (D6, a0 = zstar): t ranges over a coset of the odd
-    # center for some pi0, and no t works; the negative is a proof only
-    # while every such coset is enumerated in full
+    # center for some pi0, and no t works
     g, b = hei_double.algebra, hei_double.form
     d6 = hei_double_cocycles(g)["D6"]
     rec_src = ExtensionRecipe("evenB-oddD", d6, a0=0)
     rec_tgt = ExtensionRecipe("evenB-oddD", d6, a0=g.element("zstar"))
     dec = adapted_isometry_decision(g, b, rec_src, rec_tgt)
     assert dec.status == "not-found-proved"
-    monkeypatch.setattr(isometry, "_T_LIMIT", 1)
-    dec = adapted_isometry_decision(g, b, rec_src, rec_tgt)
-    assert dec.status == "budget-exhausted"
-    assert "more than 1 solutions t" in dec.reason
 
 
 def test_ba_522_isometry(ba_double):
@@ -256,7 +262,6 @@ def test_cohomologous_corollary(hei_double):
     # extension via pi0 = id
     from nislie.catalog import hei_even_recipe
     from nislie.forms import evaluate_on_algebra
-    from nislie.isometry import _quadratic_from_eval
     from nislie.superalgebra import square_element
 
     g, b = hei_double.algebra, hei_double.form
@@ -265,7 +270,7 @@ def test_cohomologous_corollary(hei_double):
     for _ in range(5):
         t = rng.getrandbits(g.dim) & g.even_mask
         d_shift = rec.derivation.add(ad_derivation(g, t if t else 0))
-        alpha_shift = _quadratic_from_eval(
+        alpha_shift = reference_quadratic_from_eval(
             g,
             lambda v: evaluate_on_algebra(g, rec.alpha, v)
             ^ b.pair(t, square_element(g, v)),
@@ -427,9 +432,9 @@ def test_cone_membership_of_adjoined_center():
     )
 
 
-def test_adapted_decision_positive_via_group_fallback(hei_double):
-    # D6- and D7-extensions are related by the p <-> q symmetry; the
-    # decision procedure finds it by enumerating the base isometry group
+def test_adapted_decision_positive_and_negative_on_hei_double(hei_double):
+    # D6- and D7-extensions are related by the p <-> q symmetry, which the
+    # search with x fixed finds
     g, b = hei_double.algebra, hei_double.form
     cc = hei_double_cocycles(g)
     rec6 = ExtensionRecipe("evenB-oddD", cc["D6"], a0=0)
@@ -439,6 +444,45 @@ def test_adapted_decision_positive_via_group_fallback(hei_double):
     rec3 = ExtensionRecipe("evenB-oddD", cc["D3"], a0=0)
     dec = adapted_isometry_decision(g, b, rec6, rec3)
     assert dec.status == "not-found-proved"
+
+
+def test_adapted_budget_exhausted_carries_a_reason(hei_double):
+    g, b = hei_double.algebra, hei_double.form
+    cc = hei_double_cocycles(g)
+    rec6 = ExtensionRecipe("evenB-oddD", cc["D6"], a0=0)
+    rec67 = ExtensionRecipe("evenB-oddD", cc["D6"].add(cc["D7"]), a0=g.element("z"))
+    assert adapted_isometry_decision(g, b, rec6, rec67).status == "not-found-proved"
+    dec = adapted_isometry_decision(g, b, rec6, rec67, budget=1)
+    assert dec.status == "budget-exhausted"
+    assert "exceeded 1 nodes" in dec.reason
+
+
+def test_two_non_self_adjoint_recipes_leave_the_negative_unproved(hei_double):
+    # D3 breaks self-adjointness on both sides, so the extension tables are
+    # not symmetric and the exhausted search with x fixed proves nothing
+    g, b = hei_double.algebra, hei_double.form
+    d3 = hei_double_cocycles(g)["D3"]
+    rec_src = ExtensionRecipe("evenB-oddD", d3, a0=0)
+    rec_tgt = ExtensionRecipe("evenB-oddD", d3, a0=g.element("z"))
+    dec = adapted_isometry_decision(g, b, rec_src, rec_tgt)
+    assert dec.status == "budget-exhausted"
+    assert "not symmetric" in dec.reason
+
+
+def test_adapted_decision_finds_the_h104_d2_d3_swap(h104):
+    # the D3 extension is the D2 one transported by the xi1 <-> xi2,
+    # eta1 <-> eta2 swap; the base has dimension 14
+    a, B, basis = h104.algebra, h104.form, h104.basis
+    cc = h104_cocycles(a, basis)
+    alphas = h104_alphas(a, basis)
+    pi0 = substitution_map(a, basis, SWAPS["D3"])
+    src = ExtensionRecipe("evenB-evenD", cc["D2"], alpha=alphas["alpha2"])
+    tgt = ExtensionRecipe(
+        "evenB-evenD", cc["D3"], alpha=transport_quadratic(a, alphas["alpha2"], pi0)
+    )
+    dec = adapted_isometry_decision(a, B, src, tgt)
+    assert dec.status == "found"
+    assert dec.isometry.images[a.dim] == 1 << a.dim
 
 
 # (status, nodes) of search_isometry(budget=500) from each valid catalog
@@ -787,3 +831,98 @@ def test_malformed_tables_leave_the_negative_unproved(hei_double):
     res = search_isometry(g, b, g2, b)
     assert (res.status, res.proved) == ("not-found", False)
     assert "not symmetric" in res.reason
+
+
+def random_recipe(rng, g, form, case, basis):
+    """A recipe of the case with D in span(basis) and random a0, alpha,
+    beta* and m; None when strict extend refuses it."""
+    parity = case_parities(case)[1]
+    d = zero_derivation(g, parity)
+    for b in basis:
+        if rng.getrandbits(1):
+            d = d.add(b)
+    kw = {}
+    if parity:
+        sol = find_a0(g, d)
+        if sol is None:
+            return None
+        kw["a0"] = sol.particular
+        for k in sol.kernel_basis:
+            kw["a0"] ^= k * rng.getrandbits(1)
+    if case in ("evenB-evenD", "oddB-oddD"):
+        k = len(g.odd_indices())
+        polar = _odd_polar_matrix(g, form, d)
+        kw["alpha"] = QuadraticForm(k, rng.getrandbits(k), polar)
+    if case == "evenB-evenD":
+        kw["beta_star"] = rng.getrandbits(1)
+    if case == "oddB-oddD":
+        kw["m"] = rng.getrandbits(1)
+    recipe = ExtensionRecipe(case, d, **kw).normalized()
+    try:
+        extend(g, form, recipe)
+    except NisLieError:
+        return None
+    return recipe
+
+
+def seeded_extension_pairs(seed):
+    """(base, form, isometry group of the base, recipe, recipe) of one case,
+    each recipe accepted by strict extend: per base and case, two random
+    recipes, and a random one with its transport by a random isometry pi0
+    of the base.  The bases are every catalog entry with a form and
+    dim <= 10, and, for the odd-form cases, h'(0|3) and h(0|3) (whose form
+    is degenerate)."""
+    rng = random.Random(seed)
+    bases = [
+        (obj.algebra, obj.form)
+        for obj in map(named, entry_names(include_defective=False))
+        if obj.form is not None and obj.algebra.dim <= 10
+    ]
+    bases += [hamiltonian(3)[:2], hamiltonian(3, derived=False)[:2]]
+    cases = {0: ("evenB-evenD", "evenB-oddD"), 1: ("oddB-oddD", "oddB-evenD")}
+    for g, form in bases:
+        group = isometry_group(g, form)
+        for case in cases[form.parity]:
+            parity = case_parities(case)[1]
+            basis = compatible_subspace(
+                g, form, case, derivation_space(g, parity)
+            ).basis
+            recipes = []
+            while len(recipes) < 3:
+                recipe = random_recipe(rng, g, form, case, basis)
+                recipes += [recipe] if recipe else []
+            yield g, form, group, recipes[0], recipes[1]
+            pi0 = rng.choice(group)
+            inv = pi0.inverse()
+            d = recipes[2].derivation
+            moved = dataclasses.replace(
+                recipes[2],
+                derivation=dataclasses.replace(
+                    d, images=tuple(pi0.apply(d.apply(w)) for w in inv.images)
+                ),
+                a0=None if recipes[2].a0 is None else pi0.apply(recipes[2].a0),
+                alpha=recipes[2].alpha
+                and transport_quadratic(g, recipes[2].alpha, pi0.images),
+            )
+            yield g, form, group, recipes[2], moved
+
+
+def test_adapted_decision_matches_the_base_group_route():
+    statuses = set()
+    for a, form, group, src, tgt in seeded_extension_pairs(3):
+        dec = adapted_isometry_decision(a, form, src, tgt)
+        want, _ = reference_adapted_decision(a, form, src, tgt, group)
+        assert dec.status == want, (src, tgt, dec.reason)
+        statuses.add((src.case, dec.status))
+        if dec.status != "found":
+            continue
+        n = a.dim
+        images = dec.isometry.images
+        assert images[n] == 1 << n  # x is fixed
+        low = (1 << n) - 1
+        pi0 = Isometry(tuple(w & low for w in images[:n]))
+        t = pi0.inverse().apply(images[n + 1] & low)
+        nu = images[n + 1] >> n & 1
+        rebuilt = build_adapted_isometry(a, form, src, tgt, pi0.images, t, nu)
+        assert rebuilt.images == images
+    assert len(statuses) == 8
