@@ -20,10 +20,6 @@ from .extension import (
     ExtensionRecipe,
     ExtensionResult,
     extend,
-    extend_evenB_evenD,
-    extend_evenB_oddD,
-    extend_oddB_evenD,
-    extend_oddB_oddD,
     reduce,
     reduction_candidates,
 )
@@ -32,8 +28,6 @@ from .forms import (
     QuadraticForm,
     arf_invariant,
     check_nis,
-    evaluate_quadratic,
-    polar_of,
     quadratic_lifts,
 )
 from .gf2 import GF2Matrix, quotient_basis, solve_affine
@@ -83,19 +77,13 @@ __all__ = [
     "cone_contains",
     "derivation_space",
     "derived_subalgebra",
-    "evaluate_quadratic",
     "extend",
-    "extend_evenB_evenD",
-    "extend_evenB_oddD",
-    "extend_oddB_evenD",
-    "extend_oddB_oddD",
     "find_a0",
     "inner_derivations",
     "is_semi_trivial",
     "is_two_step_nilpotent",
     "isometry_group",
     "outer_derivations",
-    "polar_of",
     "quadratic_lifts",
     "quotient_basis",
     "reduce",

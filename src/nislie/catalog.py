@@ -21,7 +21,7 @@ from .derivations import Derivation
 from .errors import OutOfRange, UnknownName
 from .extension import ExtensionRecipe, ExtensionResult, extend
 from .forms import BilinearForm, QuadraticForm
-from .gf2 import GF2Matrix
+from .gf2 import GF2Matrix, restrict
 from .superalgebra import (
     SuperAlgebra,
     derived_subalgebra,
@@ -485,65 +485,16 @@ def h105_cocycles(g: SuperAlgebra, basis: MonomialBasis) -> dict[str, Derivation
     }
 
 
-def _odd_positions(g: SuperAlgebra) -> dict[int, int]:
-    return {i: k for k, i in enumerate(g.odd_indices())}
-
-
-def quadratic_by_pairs(
-    g: SuperAlgebra, pairs: list[tuple[int, int]], diag: list[int] = ()
-) -> QuadraticForm:
-    """Quadratic form on the odd part given by coordinate products."""
-    pos = _odd_positions(g)
-    k = len(pos)
-    rows = [0] * k
-    for i, j in pairs:
-        a, b = pos[i], pos[j]
-        rows[a] |= 1 << b
-        rows[b] |= 1 << a
-    d = 0
-    for i in diag:
-        d |= 1 << pos[i]
-    return QuadraticForm(k, d, GF2Matrix(rows, k))
-
-
-def transport_quadratic(
-    g: SuperAlgebra, alpha: QuadraticForm, pi0_images: tuple[int, ...]
-) -> QuadraticForm:
-    """alpha o pi0^(-1) on the odd part of g (pi0 parity-preserving)."""
-    from .gf2 import bits
-
+def quadratic_by_pairs(g: SuperAlgebra, pairs: list[tuple[int, int]]) -> QuadraticForm:
+    """Quadratic form on the odd part: the sum of the coordinate products
+    of the given pairs of odd basis vectors."""
     odd = g.odd_indices()
-    pos = {i: k for k, i in enumerate(odd)}
-    n = len(odd)
-    cols = [0] * n  # pi0 restricted to the odd part, in odd coordinates
-    for k, i in enumerate(odd):
-        img = pi0_images[i]
-        c = 0
-        for b in bits(img):
-            c |= 1 << pos[b]
-        cols[k] = c
-    pmat = GF2Matrix(
-        [sum(((cols[k] >> r) & 1) << k for k in range(n)) for r in range(n)], n
-    )
-    inv = pmat.inverse()
-    diag = 0
-    for k in range(n):
-        pre = inv.mat_vec(1 << k)
-        if alpha.evaluate(pre):
-            diag |= 1 << k
-    rows = [0] * n
-    for a in range(n):
-        for b in range(a + 1, n):
-            pre_a, pre_b = inv.mat_vec(1 << a), inv.mat_vec(1 << b)
-            val = (
-                alpha.evaluate(pre_a ^ pre_b)
-                ^ alpha.evaluate(pre_a)
-                ^ alpha.evaluate(pre_b)
-            )
-            if val:
-                rows[a] |= 1 << b
-                rows[b] |= 1 << a
-    return QuadraticForm(n, diag, GF2Matrix(rows, n))
+    polar = [0] * g.dim
+    for i, j in pairs:
+        polar[i] |= 1 << j
+        polar[j] |= 1 << i
+    k = len(odd)
+    return QuadraticForm(k, 0, GF2Matrix([restrict(polar[i], odd) for i in odd], k))
 
 
 # ---------------------------------------------------------------------------

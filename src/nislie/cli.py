@@ -27,11 +27,18 @@ from .derivations import (
     map_degree,
     outer_derivations,
 )
-from .document import AlgebraDocument, DocumentError, recipe_to_meta
+from .document import (
+    AlgebraDocument,
+    DocumentError,
+    derivation_from_data,
+    extension_meta,
+    quadratic_from_data,
+    recipe_to_meta,
+)
 from .errors import ConditionViolated, InnerNotDerivation, NisLieError, UnknownName
 from .extension import ExtensionRecipe, extend, reduce as ext_reduce
 from .forms import QuadraticForm, check_nis
-from .gf2 import GF2Matrix, bits
+from .gf2 import bits
 from .isometry import (
     _generating_sequence,
     adapted_isometry_decision,
@@ -76,11 +83,7 @@ def _load_target(target: str) -> tuple[AlgebraDocument, str | None]:
             raise CliError(2, str(exc))
         meta = {"catalog": name}
         if obj.extension is not None:
-            meta["extension"] = {
-                "x_index": obj.extension.x_index,
-                "star_index": obj.extension.star_index,
-                "recipe": recipe_to_meta(obj.extension.recipe),
-            }
+            meta["extension"] = extension_meta(obj.extension)
         return AlgebraDocument(obj.algebra, obj.form, meta), name
     try:
         return doc_mod.load(target), None
@@ -114,25 +117,10 @@ def _read_spec_file(spec: str, build):
         raise CliError(2, f"cannot read {path}: {exc}") from None
 
 
-def _index(i, n: int) -> int:
-    if type(i) is not int or not 0 <= i < n:
-        raise ValueError(f"basis index {i!r} outside 0..{n - 1}")
-    return i
-
-
 def _resolve_derivation(args_spec: str, doc, catalog_name) -> Derivation:
     if args_spec.startswith("@"):
         n = doc.algebra.dim
-
-        def build(data):
-            images = [0] * n
-            for j, i in data["images"]:
-                images[_index(j, n)] |= 1 << _index(i, n)
-            if data["parity"] not in (0, 1):
-                raise ValueError("parity must be 0 or 1")
-            return Derivation(tuple(images), data["parity"])
-
-        return _read_spec_file(args_spec, build)
+        return _read_spec_file(args_spec, lambda data: derivation_from_data(data, n))
     source = catalog_name or doc.metadata.get("catalog")
     if source is None:
         raise CliError(
@@ -164,15 +152,7 @@ def _resolve_alpha(spec: str, doc, catalog_name) -> QuadraticForm | None:
         def build(data):
             if data["n"] != k:
                 raise ValueError(f"n must be {k}, the odd dimension")
-            rows = [0] * k
-            for i, j in data["polar"]:
-                rows[_index(i, k)] |= 1 << _index(j, k)
-                if i != j:
-                    rows[j] |= 1 << i
-            diag = 0
-            for i in data.get("diag", []):
-                diag |= 1 << _index(i, k)
-            return QuadraticForm(k, diag, GF2Matrix(rows, k))
+            return quadratic_from_data(data)
 
         return _read_spec_file(spec, build)
     source = catalog_name or doc.metadata.get("catalog")
@@ -321,11 +301,7 @@ def cmd_extend(args) -> int:
         raise CliError(2, str(exc))
     meta = dict(doc.metadata)
     meta.pop("catalog", None)
-    meta["extension"] = {
-        "x_index": res.x_index,
-        "star_index": res.star_index,
-        "recipe": recipe_to_meta(res.recipe),
-    }
+    meta["extension"] = extension_meta(res)
     out = AlgebraDocument(res.algebra, res.form, meta)
     doc_mod.save(out, args.out)
     print(f"wrote {args.out} (dim {res.algebra.dim})")
@@ -548,18 +524,8 @@ def cmd_catalog(args) -> int:
     if args.action == "export":
         if not args.name or not args.out:
             raise CliError(2, "catalog export needs NAME and --out")
-        try:
-            obj = named(args.name)
-        except UnknownName as exc:
-            raise CliError(2, str(exc))
-        meta = {"catalog": args.name}
-        if obj.extension is not None:
-            meta["extension"] = {
-                "x_index": obj.extension.x_index,
-                "star_index": obj.extension.star_index,
-                "recipe": recipe_to_meta(obj.extension.recipe),
-            }
-        doc_mod.save(AlgebraDocument(obj.algebra, obj.form, meta), args.out)
+        doc, _ = _load_target(f"catalog:{args.name}")
+        doc_mod.save(doc, args.out)
         print(f"wrote {args.out}")
         return 0
     raise CliError(2, f"unknown catalog action {args.action!r}")

@@ -26,16 +26,17 @@ must coarsen the fine grading, only label the blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .errors import CaseParityMismatch, DimensionMismatch, InnerNotDerivation
-from .forms import BilinearForm
+from .forms import BilinearForm, adjointness_defect
 from .gf2 import (
     AffineSolution,
     GF2Matrix,
     SpanBasis,
     SubspaceNotContained,
     bits,
+    combine,
     quotient_basis,
     rref_kernel,
     solve_affine,
@@ -65,10 +66,7 @@ class Derivation:
         return len(self.images)
 
     def apply(self, x: int) -> int:
-        y = 0
-        for j in bits(x):
-            y ^= self.images[j]
-        return y
+        return combine(self.images, x)
 
     def compose(self, other: "Derivation") -> "Derivation":
         return Derivation(
@@ -395,56 +393,40 @@ def map_degree(g: SuperAlgebra, d: Derivation) -> int | None:
 
 
 def _coefficient_cut(
-    candidates: Sequence[Derivation],
-    row_makers: Iterable[Callable[[Derivation], int]],
+    candidates: Sequence[Derivation], values: Callable[[Derivation], int]
 ) -> list[int]:
-    """Coefficient vectors of span(candidates) killed by the functionals."""
+    """Coefficient vectors of span(candidates) killed by the functionals.
+
+    Bit r of values(d) is functional r at d, so the cut is the kernel of
+    c -> combine(values of the candidates, c).
+    """
     if not candidates:
         return []
-    rows = []
-    for make in row_makers:
-        row = 0
-        for k, d in enumerate(candidates):
-            if make(d):
-                row |= 1 << k
-        rows.append(row)
-    return GF2Matrix(rows, len(candidates)).kernel_basis()
-
-
-def _combine(candidates: Sequence[Derivation], coeff: int) -> Derivation:
-    n = candidates[0].dim
-    images = [0] * n
-    for k in bits(coeff):
-        for j in range(n):
-            images[j] ^= candidates[k].images[j]
-    return Derivation(tuple(images), candidates[0].parity)
+    vals = [values(d) for d in candidates]
+    return GF2Matrix(vals, max(vals).bit_length()).transpose().kernel_basis()
 
 
 def _linear_cut(
-    candidates: Sequence[Derivation],
-    row_makers: Iterable[Callable[[Derivation], int]],
+    candidates: Sequence[Derivation], values: Callable[[Derivation], int]
 ) -> list[Derivation]:
     """Independent basis of the subspace of span(candidates) killed by the
     functionals (dependent candidate lists collapse to a true basis)."""
     span = SpanBasis()
     out = []
-    for cv in _coefficient_cut(candidates, row_makers):
-        d = _combine(candidates, cv)
+    columns = list(zip(*(d.images for d in candidates)))
+    for cv in _coefficient_cut(candidates, values):
+        d = Derivation(tuple(combine(col, cv) for col in columns), candidates[0].parity)
         if span.add(_vec_full(d)):
             out.append(d)
     return out
 
 
-def self_adjoint_row_makers(g: SuperAlgebra, form: BilinearForm):
-    """Functionals whose joint kernel is {D : B(D a, b) = B(a, D b)}."""
-    makers = []
-    for i in range(g.dim):
-        for j in range(i, g.dim):
-            makers.append(
-                lambda d, i=i, j=j: form.pair(d.images[i], 1 << j)
-                ^ form.pair(1 << i, d.images[j])
-            )
-    return makers
+def self_adjoint_values(form: BilinearForm, d: Derivation) -> int:
+    """B(D e_i, e_j) + B(e_i, D e_j) at bit i * n + j, for j >= i: the
+    functionals whose joint kernel is {D : B(D a, b) = B(a, D b)}."""
+    n = d.dim
+    rows = adjointness_defect(form, d.images, range(n)).rows
+    return sum((row >> i << i) << (i * n) for i, row in enumerate(rows))
 
 
 def self_adjoint_subspace(
@@ -455,7 +437,7 @@ def self_adjoint_subspace(
     This is the bare "compatible with the bilinear form" filter; the case
     conditions of compatible_subspace refine it.
     """
-    return _linear_cut(candidates, self_adjoint_row_makers(g, form))
+    return _linear_cut(candidates, lambda d: self_adjoint_values(form, d))
 
 
 def self_adjoint_coefficients(
@@ -466,7 +448,7 @@ def self_adjoint_coefficients(
     Works for mixed-parity candidate lists, where the combinations are not
     themselves homogeneous derivations.
     """
-    return _coefficient_cut(candidates, self_adjoint_row_makers(g, form))
+    return _coefficient_cut(candidates, lambda d: self_adjoint_values(form, d))
 
 
 @dataclass(frozen=True)
@@ -502,13 +484,15 @@ def compatible_subspace(
         raise CaseParityMismatch(
             f"case {case} needs derivations of parity {der_parity}"
         )
-    makers = self_adjoint_row_makers(g, form)
-    if case in ("evenB-evenD", "oddB-oddD"):
-        for i in range(g.dim):
-            makers.append(
-                lambda d, i=i: form.pair(d.images[i], 1 << i)
-            )
-    basis = _linear_cut(candidates, makers)
+    n = g.dim
+
+    def values(d: Derivation) -> int:
+        v = self_adjoint_values(form, d)
+        if form_parity == der_parity:  # B(D a, a) = 0 on the basis
+            v |= sum(form.pair(d.images[i], 1 << i) << i for i in range(n)) << (n * n)
+        return v
+
+    basis = _linear_cut(candidates, values)
     a0_sols: list[AffineSolution | None] = []
     if der_parity == 1:
         for d in basis:

@@ -14,7 +14,7 @@ from typing import Any
 
 from .derivations import Derivation
 from .errors import NisLieError
-from .extension import ExtensionRecipe
+from .extension import ExtensionRecipe, ExtensionResult
 from .forms import BilinearForm, QuadraticForm
 from .gf2 import GF2Matrix, bits
 from .superalgebra import SuperAlgebra
@@ -210,33 +210,58 @@ def recipe_to_meta(recipe: ExtensionRecipe) -> dict:
     return meta
 
 
-def recipe_from_meta(meta: dict, dim: int) -> ExtensionRecipe:
-    case = meta["case"]
-    dd = meta["derivation"]
+def extension_meta(res: ExtensionResult) -> dict:
+    """The metadata entry "extension" of a document holding res.algebra."""
+    return {
+        "x_index": res.x_index,
+        "star_index": res.star_index,
+        "recipe": recipe_to_meta(res.recipe),
+    }
+
+
+def _index(i, n: int) -> int:
+    if type(i) is not int or not 0 <= i < n:
+        raise ValueError(f"basis index {i!r} outside 0..{n - 1}")
+    return i
+
+
+def derivation_from_data(data: dict, dim: int) -> Derivation:
+    """{"images": [[j, i], ...], "parity": p}: e_i is a term of D(e_j)."""
     images = [0] * dim
-    for j, i in dd["images"]:
-        images[j] |= 1 << i
-    alpha = None
-    if "alpha" in meta:
-        ad = meta["alpha"]
-        k = ad["n"]
-        rows = [0] * k
-        for i, j in ad["polar"]:
-            rows[i] |= 1 << j
-            if i != j:
-                rows[j] |= 1 << i
-        diag = 0
-        for i in ad["diag"]:
-            diag |= 1 << i
-        alpha = QuadraticForm(k, diag, GF2Matrix(rows, k))
+    for j, i in data["images"]:
+        images[_index(j, dim)] |= 1 << _index(i, dim)
+    if data["parity"] not in (0, 1):
+        raise ValueError("parity must be 0 or 1")
+    return Derivation(tuple(images), data["parity"])
+
+
+def quadratic_from_data(data: dict) -> QuadraticForm:
+    """{"n": k, "polar": [[i, j], ...], "diag": [i, ...]}: each polar pair
+    sets entries (i, j) and (j, i), and i = j is refused (polar forms are
+    alternating); diag lists the basis vectors where the form is 1."""
+    k = data["n"]
+    rows = [0] * k
+    for i, j in data["polar"]:
+        if _index(i, k) == _index(j, k):
+            raise ValueError(f"polar pair [{i}, {j}] on the diagonal")
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
+    diag = 0
+    for i in data.get("diag", []):
+        diag |= 1 << _index(i, k)
+    return QuadraticForm(k, diag, GF2Matrix(rows, k))
+
+
+def recipe_from_meta(meta: dict, dim: int) -> ExtensionRecipe:
+    alpha = quadratic_from_data(meta["alpha"]) if "alpha" in meta else None
     a0 = None
     if "a0" in meta:
         a0 = 0
         for i in meta["a0"]:
             a0 |= 1 << i
     return ExtensionRecipe(
-        case,
-        Derivation(tuple(images), dd["parity"]),
+        meta["case"],
+        derivation_from_data(meta["derivation"], dim),
         alpha=alpha,
         a0=a0,
         m=meta.get("m"),

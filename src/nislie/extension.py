@@ -1,6 +1,6 @@
-"""Double extensions: the four constructors and the inverse reduction.
+"""Double extensions: the four cases and the inverse reduction.
 
-Each constructor adjoins a central element x and a derivation carrier
+Each case adjoins a central element x and a derivation carrier
 (x* or e) to a NIS superalgebra, after checking the case's conditions.
 The reducer splits a 2-dimensional slice back off a given central element
 and recovers the full recipe, bit-exactly on constructor output.
@@ -20,11 +20,12 @@ from .derivations import Derivation, case_parities, is_derivation
 from .errors import (
     CaseParityMismatch,
     ConditionViolated,
+    DimensionMismatch,
     HypothesisNotMet,
     SplitsOff,
 )
-from .forms import BilinearForm, QuadraticForm
-from .gf2 import GF2Matrix, bits, solve_affine, span_basis
+from .forms import BilinearForm, QuadraticForm, adjointness_defect
+from .gf2 import GF2Matrix, bits, combine, restrict, solve_affine, span_basis
 from .superalgebra import (
     SuperAlgebra,
     bracket,
@@ -75,14 +76,7 @@ class ExtensionResult:
 def _odd_polar_matrix(g: SuperAlgebra, form: BilinearForm, d: Derivation) -> GF2Matrix:
     """B(D(.), .) restricted to the odd part, as a k x k matrix."""
     odd = g.odd_indices()
-    rows = []
-    for i in odd:
-        row = 0
-        for b, j in enumerate(odd):
-            if form.pair(d.images[i], 1 << j):
-                row |= 1 << b
-        rows.append(row)
-    return GF2Matrix(rows, len(odd))
+    return form.matrix_on([d.images[i] for i in odd], [1 << j for j in odd])
 
 
 def check_conditions(
@@ -107,17 +101,17 @@ def check_conditions(
         "oddB-oddD": "3D1",
         "oddB-evenD": "4D1",
     }[case]
-    for i in range(n):
-        for j in range(i, n):
-            if form.pair(d.images[i], 1 << j) != form.pair(1 << i, d.images[j]):
-                raise ConditionViolated(
-                    self_adjoint_label,
-                    (i, j),
-                    f"B(D {a.names[i]}, {a.names[j]}) != "
-                    f"B({a.names[i]}, D {a.names[j]})",
-                )
+    for i, row in enumerate(adjointness_defect(form, d.images, range(n)).rows):
+        if row >> i:  # the first pair (i, j >= i) in row order
+            j = next(bits(row >> i << i))
+            raise ConditionViolated(
+                self_adjoint_label,
+                (i, j),
+                f"B(D {a.names[i]}, {a.names[j]}) != "
+                f"B({a.names[i]}, D {a.names[j]})",
+            )
 
-    if case in ("evenB-evenD", "oddB-oddD"):
+    if form_parity == der_parity:
         diag_label = "D1" if case == "evenB-evenD" else "3D1p"
         for i in a.even_indices():
             if form.pair(d.images[i], 1 << i):
@@ -133,16 +127,14 @@ def check_conditions(
         # polar forms are alternating, so this also enforces
         # B(D a, a) = 0 on the odd part
         want = _odd_polar_matrix(a, form, d)
-        if alpha.polar != want:
-            odd = a.odd_indices()
-            for i in range(len(odd)):
-                for j in range(len(odd)):
-                    if alpha.polar.entry(i, j) != want.entry(i, j):
-                        raise ConditionViolated(
-                            polar_label,
-                            (odd[i], odd[j]),
-                            "polar(alpha) != B(D ., .) on the odd part",
-                        )
+        odd = a.odd_indices()
+        for i, (got, row) in enumerate(zip(alpha.polar.rows, want.rows)):
+            if got != row:
+                raise ConditionViolated(
+                    polar_label,
+                    (odd[i], odd[next(bits(got ^ row))]),
+                    "polar(alpha) != B(D ., .) on the odd part",
+                )
 
     if der_parity == 1:
         a0 = recipe.a0 or 0
@@ -192,42 +184,34 @@ def extend(
     n = a.dim
     xi, si = n, n + 1
 
-    x_parity = 0 if case in ("evenB-evenD", "oddB-oddD") else 1
-    star_parity = (x_parity + form_parity) & 1
     star_name = "xstar" if case.startswith("evenB") else "e"
     names = tuple(a.names) + tuple(_unique_names(a.names, ["x", star_name]))
-    parity = tuple(a.parity) + (x_parity, star_parity)
+    parity = tuple(a.parity) + (form_parity ^ der_parity, der_parity)
 
     odd = a.odd_indices()
-    odd_pos = {i: k for k, i in enumerate(odd)}
+    odd_units = [1 << j for j in odd]
     alpha = recipe.alpha
-
-    def x_coeff(i: int, j: int) -> int:
-        # central-extension cocycle: the quadratic-form cases replace the
-        # odd-odd block by the (alternating) polar form
-        if alpha is not None and a.parity[i] == 1 and a.parity[j] == 1:
-            return alpha.polar.entry(odd_pos[i], odd_pos[j])
-        return form.pair(d.images[i], 1 << j)
+    if alpha is not None and alpha.n != len(odd):
+        raise DimensionMismatch("quadratic form and odd part differ in size")
+    # central-extension cocycle B(D e_i, e_j): the quadratic-form cases
+    # replace its odd-odd block by the (alternating) polar form
+    cocycle = form.matrix_on(d.images, [1 << j for j in range(n)]).rows
+    squaring = [0] * (n + 2)
+    for k, i in enumerate(odd):
+        squaring[i] = a.squaring[i]
+        if alpha is not None:
+            odd_row = combine(odd_units, alpha.polar.rows[k])
+            cocycle[i] = cocycle[i] & a.even_mask | odd_row
+            squaring[i] |= ((alpha.diag >> k) & 1) << xi
 
     table = [[0] * (n + 2) for _ in range(n + 2)]
     for i in range(n):
         for j in range(n):
-            if i == j:
-                continue
-            val = a.bracket_table[i][j]
-            if x_coeff(i, j):
-                val |= 1 << xi
-            table[i][j] = val
+            if i != j:
+                table[i][j] = a.bracket_table[i][j] | ((cocycle[i] >> j) & 1) << xi
     for j in range(n):
         table[si][j] = d.images[j]
         table[j][si] = d.images[j]
-
-    squaring = [0] * (n + 2)
-    for i in odd:
-        val = a.squaring[i]
-        if alpha is not None and alpha.evaluate(1 << odd_pos[i]):
-            val |= 1 << xi
-        squaring[i] = val
     if case == "evenB-oddD":
         squaring[si] = recipe.a0
     elif case == "oddB-oddD":
@@ -253,34 +237,6 @@ def extend(
     return ExtensionResult(g, b, xi, si, recipe)
 
 
-def extend_evenB_evenD(a, form, derivation, alpha, beta_star=0, unchecked=False):
-    return extend(
-        a,
-        form,
-        ExtensionRecipe("evenB-evenD", derivation, alpha=alpha, beta_star=beta_star),
-        unchecked,
-    )
-
-
-def extend_evenB_oddD(a, form, derivation, a0=0, unchecked=False):
-    return extend(
-        a, form, ExtensionRecipe("evenB-oddD", derivation, a0=a0), unchecked
-    )
-
-
-def extend_oddB_oddD(a, form, derivation, alpha, a0=0, m=0, unchecked=False):
-    return extend(
-        a,
-        form,
-        ExtensionRecipe("oddB-oddD", derivation, alpha=alpha, a0=a0, m=m),
-        unchecked,
-    )
-
-
-def extend_oddB_evenD(a, form, derivation, unchecked=False):
-    return extend(a, form, ExtensionRecipe("oddB-evenD", derivation), unchecked)
-
-
 # ---------------------------------------------------------------------------
 # Reduction
 # ---------------------------------------------------------------------------
@@ -304,50 +260,26 @@ def reduction_candidates(
     The center is graded and s restricted to the odd center is additive
     (cross brackets vanish there), so every hypothesis is a linear cut.
     """
-    form_parity, _ = case_parities(case)
+    form_parity, der_parity = case_parities(case)
     if form.parity != form_parity:
         return []
     z = center(g)
-    sq = squares_span(g)
-    x_parity = 0 if case in ("evenB-evenD", "oddB-oddD") else 1
-    mask = g.even_mask if x_parity == 0 else g.odd_mask
+    mask = g.odd_mask if form_parity ^ der_parity else g.even_mask
     part = [v for v in (z_v & mask for z_v in z) if v]
     part = span_basis(part)
     if not part:
         return []
 
-    def cut(vectors: list[int], value_lists: list[list[int]]) -> list[int]:
-        # value_lists[k] = GF(2)-vector values of linear maps at vectors[k];
-        # returns the combinations where every map vanishes
-        width = len(vectors)
-        rows: dict[tuple[int, int], int] = {}
-        for k, values in enumerate(value_lists):
-            for pos, val in enumerate(values):
-                for comp in bits(val):
-                    key = (pos, comp)
-                    rows[key] = rows.get(key, 0) | (1 << k)
-        coords = GF2Matrix(list(rows.values()), width).kernel_basis()
-        out = []
-        for cv in coords:
-            u = 0
-            for k in bits(cv):
-                u ^= vectors[k]
-            out.append(u)
-        return out
-
-    values: list[list[int]] = []
-    if case == "evenB-evenD":
-        values = [[form.pair(v, w) for w in sq] for v in part]
-    elif case == "oddB-oddD":
-        values = [[] for _ in part]
-    elif case == "evenB-oddD":
-        values = [[square_element(g, v)] for v in part]
-    else:  # oddB-evenD
-        values = [
-            [square_element(g, v)] + [form.pair(v, w) for w in sq]
-            for v in part
-        ]
-    return cut(part, values)
+    # values[k]: the values at part[k] of the maps the case needs to vanish,
+    # side by side; the cut keeps the combinations where all of them vanish
+    values = [0] * len(part)
+    if der_parity == 0:  # B(v, w) = 0 on the squares w, bit r for squares[r]
+        values = form.matrix_on(part, squares_span(g)).rows
+    if form_parity ^ der_parity:  # odd x: s(v) = 0 too, in the n bits below
+        values = [square_element(g, v) | p << g.dim for v, p in zip(part, values)]
+    width = max(values).bit_length()
+    coords = GF2Matrix(values, width).transpose().kernel_basis()
+    return [combine(part, c) for c in coords]
 
 
 def reduce(
@@ -358,36 +290,24 @@ def reduce(
     if form.parity != form_parity:
         raise CaseParityMismatch("form parity does not match the case")
     n = g.dim
-    x_parity = 0 if case in ("evenB-evenD", "oddB-oddD") else 1
+    x_parity = form_parity ^ der_parity
     if x == 0 or g.parity_of(x) != x_parity:
         raise HypothesisNotMet(f"x must be nonzero of parity {x_parity}")
     for j in range(n):
         if bracket(g, x, 1 << j):
             raise HypothesisNotMet("x is not central")
-    if case == "evenB-evenD":
-        if any(form.pair(x, w) for w in squares_span(g)):
-            raise HypothesisNotMet("x is not orthogonal to the squares")
-    if case in ("evenB-oddD", "oddB-evenD"):
-        if square_element(g, x) != 0:
-            raise HypothesisNotMet(
-                "s(x) != 0; reduce along s(x) with the even-x case instead"
-            )
-    if case == "oddB-evenD":
-        if any(form.pair(x, w) for w in squares_span(g)):
-            raise HypothesisNotMet("x is not orthogonal to the squares")
+    if x_parity and square_element(g, x) != 0:
+        raise HypothesisNotMet(
+            "s(x) != 0; reduce along s(x) with the even-x case instead"
+        )
+    if not der_parity and any(form.pair(x, w) for w in squares_span(g)):
+        raise HypothesisNotMet("x is not orthogonal to the squares")
     if form.pair(x, x):
         raise SplitsOff("B(x,x) != 0, the line through x splits off")
 
     # dual vector of the right parity with B(x, xstar) = 1
-    star_parity = (x_parity + form_parity) & 1
-    star_idx = (
-        g.even_indices() if star_parity == 0 else g.odd_indices()
-    )
-    row = 0
-    xrow = form.pair_row(x)
-    for a_pos, i in enumerate(star_idx):
-        if (xrow >> i) & 1:
-            row |= 1 << a_pos
+    star_idx = g.odd_indices() if der_parity else g.even_indices()
+    row = restrict(form.pair_row(x), star_idx)
     sol = solve_affine(GF2Matrix([row], len(star_idx)), 1)
     if sol is None:
         raise HypothesisNotMet("no dual vector pairs with x (degenerate form?)")
@@ -403,57 +323,38 @@ def reduce(
         if g.parity_of(v) is None:
             raise HypothesisNotMet("complement basis is not homogeneous")
 
+    # coordinates in the basis a_basis + [x, xstar] (the columns of P)
     cols = a_basis + [x, xstar]
-    pmat_rows = [0] * n
-    for k, col in enumerate(cols):
-        for i in bits(col):
-            pmat_rows[i] |= 1 << k
-    p = GF2Matrix(pmat_rows, n)
-    p_inv = p.inverse()
+    p_inv = GF2Matrix(cols, n).transpose().inverse()
 
     d = n - 2
     x_bit, star_bit = 1 << d, 1 << (d + 1)
     amask = x_bit - 1
 
-    def coords(v: int) -> int:
-        return p_inv.mat_vec(v)
-
     def project(v: int, what: str) -> int:
-        c = coords(v)
+        c = p_inv.mat_vec(v)
         if c & star_bit:
             raise HypothesisNotMet(f"{what} leaves the ideal K + a")
         return c
 
     table = [[0] * d for _ in range(d)]
-    polar_rows = {}
-    sub_odd = [k for k in range(d) if g.parity_of(a_basis[k]) == 1]
-    odd_pos = {k: t for t, k in enumerate(sub_odd)}
-    cocycle_needed = case in ("evenB-evenD", "oddB-oddD")
+    x_rows = [0] * d  # bit j of row i: the x-coefficient of [a_i, a_j]
     for i in range(d):
         for j in range(i + 1, d):
             c = project(bracket(g, a_basis[i], a_basis[j]), "[a,a]")
             table[i][j] = c & amask
             table[j][i] = c & amask
-            if (
-                cocycle_needed
-                and i in odd_pos
-                and j in odd_pos
-                and (c & x_bit)
-            ):
-                polar_rows[odd_pos[i]] = polar_rows.get(odd_pos[i], 0) | (
-                    1 << odd_pos[j]
-                )
-                polar_rows[odd_pos[j]] = polar_rows.get(odd_pos[j], 0) | (
-                    1 << odd_pos[i]
-                )
+            if c & x_bit:
+                x_rows[i] |= 1 << j
+                x_rows[j] |= 1 << i
 
     squaring = [0] * d
-    alpha_diag = 0
+    x_squares = 0  # bit k: the x-coefficient of s(a_k)
+    sub_odd = [k for k in range(d) if g.parity_of(a_basis[k]) == 1]
     for k in sub_odd:
         c = project(square_element(g, a_basis[k]), "s(a)")
         squaring[k] = c & amask
-        if cocycle_needed and (c & x_bit):
-            alpha_diag |= 1 << odd_pos[k]
+        x_squares |= (c >> d & 1) << k
 
     d_images = []
     for k in range(d):
@@ -477,26 +378,19 @@ def reduce(
         squaring=tuple(squaring),
         degrees=degrees,
     )
-    gram_rows = []
-    for i in range(d):
-        r = 0
-        for j in range(d):
-            if form.pair(a_basis[i], a_basis[j]):
-                r |= 1 << j
-        gram_rows.append(r)
-    sub_form = BilinearForm(GF2Matrix(gram_rows, d), form.parity)
+    sub_form = BilinearForm(form.matrix_on(a_basis, a_basis), form.parity)
     derivation = Derivation(tuple(d_images), der_parity)
 
     alpha = None
     a0 = None
     m_val = None
     beta_star = None
-    if cocycle_needed:
+    if form_parity == der_parity:
         k = len(sub_odd)
         alpha = QuadraticForm(
             k,
-            alpha_diag,
-            GF2Matrix([polar_rows.get(t, 0) for t in range(k)], k),
+            restrict(x_squares, sub_odd),
+            GF2Matrix([restrict(x_rows[i], sub_odd) for i in sub_odd], k),
         )
     if der_parity == 1:
         c = project(square_element(g, xstar), "s(xstar)")

@@ -13,10 +13,10 @@ vectors; the Darboux normal form is an acceptance check, not the algorithm.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import DegeneratePolar, DimensionMismatch, NotAlternating, NotOdd, OutOfRange
-from .gf2 import GF2Matrix, bits, dot
+from .gf2 import GF2Matrix, bits, combine, dot, restrict
 from .superalgebra import SuperAlgebra, ad_planes
 
 
@@ -40,6 +40,24 @@ class BilinearForm:
     def orthogonal_complement(self, vectors: Iterable[int]) -> list[int]:
         rows = [self.gram.mat_vec(v) for v in vectors]
         return GF2Matrix(rows, self.dim).kernel_basis()
+
+    def matrix_on(self, us: Sequence[int], vs: Sequence[int]) -> GF2Matrix:
+        """The matrix of B(us[i], vs[j]): bit j of row i, as pair orders it."""
+        # row u^T G of the Gram matrix G, then its products with each v
+        cols = GF2Matrix(vs, self.dim)
+        rows = [cols.mat_vec(combine(self.gram.rows, u)) for u in us]
+        return GF2Matrix(rows, len(vs))
+
+
+def adjointness_defect(
+    form: BilinearForm, images: Sequence[int], domain: Sequence[int]
+) -> GF2Matrix:
+    """B(D e_i, e_j) + B(e_i, D e_j) over the basis vectors i, j of domain,
+    for the linear map D with basis images `images`."""
+    units = [1 << i for i in domain]
+    moved = [images[i] for i in domain]
+    left, right = form.matrix_on(moved, units), form.matrix_on(units, moved)
+    return GF2Matrix([p ^ q for p, q in zip(left.rows, right.rows)], len(units))
 
 
 @dataclass
@@ -108,14 +126,9 @@ def check_nis(g: SuperAlgebra, form: BilinearForm, max_witnesses: int = 16) -> N
     planes = ad_planes(g)
     table = g.bracket_table
     for i in range(n):
-        row_i = list(bits(rows[i] & full))
+        row_i = rows[i] & full
         for j in range(n):
-            defect = 0
-            for r in bits(table[i][j]):
-                defect ^= rows[r]
-            plane = planes[j]
-            for m in row_i:
-                defect ^= plane[m]
+            defect = combine(rows, table[i][j]) ^ combine(planes[j], row_i)
             for k in bits(defect & full):
                 report.invariant = False
                 note("invariant", (i, j, k))
@@ -157,15 +170,6 @@ class QuadraticForm:
             for j in idx[a + 1 :]:
                 val ^= (row >> j) & 1
         return val
-
-
-def evaluate_quadratic(q: QuadraticForm, x: int) -> int:
-    return q.evaluate(x)
-
-
-def polar_of(q: QuadraticForm) -> GF2Matrix:
-    """The polar form q(u+v)+q(u)+q(v); equals the stored matrix."""
-    return q.polar
 
 
 def is_alternating(m: GF2Matrix) -> bool:
@@ -248,9 +252,24 @@ def evaluate_on_algebra(g: SuperAlgebra, q: QuadraticForm, x: int) -> int:
     """Evaluate an odd-part form on an odd element of the algebra."""
     if x & g.even_mask:
         raise NotOdd("quadratic forms act on the odd part")
+    return q.evaluate(restrict(x, g.odd_indices()))
+
+
+def transport_quadratic(
+    g: SuperAlgebra, alpha: QuadraticForm, pi0_images: Sequence[int]
+) -> QuadraticForm:
+    """alpha o pi0^(-1) on the odd part of g (pi0 parity-preserving)."""
     odd = g.odd_indices()
-    pos = {i: a for a, i in enumerate(odd)}
-    compressed = 0
-    for i in bits(x):
-        compressed |= 1 << pos[i]
-    return q.evaluate(compressed)
+    n = len(odd)
+    # row k: pi0 of the odd basis vector k in odd coordinates, so that the
+    # rows of the inverse are the preimages of the odd basis vectors
+    pre = GF2Matrix([restrict(pi0_images[i], odd) for i in odd], n).inverse().rows
+    diag = sum(alpha.evaluate(p) << k for k, p in enumerate(pre))
+    rows = [
+        sum(
+            (alpha.evaluate(p ^ q) ^ alpha.evaluate(p) ^ alpha.evaluate(q)) << b
+            for b, q in enumerate(pre)
+        )
+        for p in pre
+    ]
+    return QuadraticForm(n, diag, GF2Matrix(rows, n))

@@ -27,6 +27,21 @@ def dot(a: int, b: int) -> int:
     return (a & b).bit_count() & 1
 
 
+def restrict(v: int, idxs: Sequence[int]) -> int:
+    """The coordinates idxs of v: bit pos of the result is bit idxs[pos] of v."""
+    return sum(((v >> i) & 1) << pos for pos, i in enumerate(idxs))
+
+
+def combine(vectors: Sequence[int], coeffs: int) -> int:
+    """The sum of vectors[k] over the set bits k of coeffs."""
+    y = 0
+    while coeffs:
+        low = coeffs & -coeffs
+        y ^= vectors[low.bit_length() - 1]
+        coeffs ^= low
+    return y
+
+
 class SpanBasis:
     """Incremental row-space basis in reduced echelon form.
 
@@ -138,13 +153,12 @@ class AffineSolution:
         return out
 
     def lift(self, idxs: Sequence[int]) -> "AffineSolution":
-        """The same set with coordinate pos moved to coordinate idxs[pos]."""
-
-        def move(x: int) -> int:
-            return sum(1 << idxs[pos] for pos in bits(x))
-
+        """The same set with coordinate pos moved to coordinate idxs[pos]
+        (the inverse of restrict to idxs)."""
+        units = [1 << i for i in idxs]
         return AffineSolution(
-            move(self.particular), tuple(map(move, self.kernel_basis))
+            combine(units, self.particular),
+            tuple(combine(units, k) for k in self.kernel_basis),
         )
 
 
@@ -209,23 +223,12 @@ class GF2Matrix:
 
     def vec_mat(self, x: int) -> int:
         """x^T @ A as a bit vector over columns."""
-        rows, y = self.rows, 0
-        while x:
-            low = x & -x
-            y ^= rows[low.bit_length() - 1]
-            x ^= low
-        return y
+        return combine(self.rows, x)
 
     def mat_mul(self, other: "GF2Matrix") -> "GF2Matrix":
         if self.ncols != other.nrows:
             raise ValueError("dimension mismatch in mat_mul")
-        out = []
-        for row in self.rows:
-            acc = 0
-            for j in bits(row):
-                acc ^= other.rows[j]
-            out.append(acc)
-        return GF2Matrix(out, other.ncols)
+        return GF2Matrix([combine(other.rows, row) for row in self.rows], other.ncols)
 
     def row_reduce(self) -> RowReduction:
         """Reduced row echelon form, rank, and pivot columns.
@@ -261,11 +264,6 @@ class GF2Matrix:
         if any(p >= n for p in pivot_rows):
             raise ValueError("singular matrix over GF(2)")
         return GF2Matrix([pivot_rows[p] >> n for p in range(n)], n)
-
-    def stack(self, other: "GF2Matrix") -> "GF2Matrix":
-        if self.ncols != other.ncols:
-            raise ValueError("column mismatch in stack")
-        return GF2Matrix(self.rows + other.rows, self.ncols)
 
 
 def solve_affine(a: GF2Matrix, b: int) -> AffineSolution | None:

@@ -36,8 +36,22 @@ from .errors import (
     UnderdeterminedMap,
 )
 from .extension import ExtensionRecipe, extend
-from .forms import BilinearForm, QuadraticForm, evaluate_on_algebra
-from .gf2 import AffineSolution, GF2Matrix, SpanBasis, bits, solve_affine
+from .forms import (
+    BilinearForm,
+    QuadraticForm,
+    adjointness_defect,
+    evaluate_on_algebra,
+    transport_quadratic,
+)
+from .gf2 import (
+    AffineSolution,
+    GF2Matrix,
+    SpanBasis,
+    bits,
+    combine,
+    restrict,
+    solve_affine,
+)
 from .superalgebra import SuperAlgebra, ad, ad_system, bracket, square_element
 
 
@@ -50,22 +64,11 @@ class Isometry:
         return len(self.images)
 
     def apply(self, x: int) -> int:
-        y = 0
-        for j in bits(x):
-            y ^= self.images[j]
-        return y
-
-    def matrix(self) -> GF2Matrix:
-        n = len(self.images)
-        rows = [0] * n
-        for j, im in enumerate(self.images):
-            for i in bits(im):
-                rows[i] |= 1 << j
-        return GF2Matrix(rows, n)
+        return combine(self.images, x)
 
     def inverse(self) -> "Isometry":
-        inv = self.matrix().inverse()
-        return Isometry(tuple(inv.mat_vec(1 << j) for j in range(self.dim)))
+        # row j of the inverse of the matrix with rows images is pi^-1(e_j)
+        return Isometry(tuple(GF2Matrix(self.images, self.dim).inverse().rows))
 
     def compose(self, other: "Isometry") -> "Isometry":
         return Isometry(tuple(self.apply(w) for w in other.images))
@@ -99,34 +102,16 @@ def verify_isometry(
         if pi.apply(g1.squaring[i]) != square_element(g2, images[i]):
             return False, ("squaring", i)
     if b1 is not None and b2 is not None:
-        for i in range(n):
-            for j in range(i, n):
-                if b1.pair(1 << i, 1 << j) != b2.pair(images[i], images[j]):
-                    return False, ("form", i, j)
+        moved = b2.matrix_on(images, images).rows
+        for i, (p, q) in enumerate(zip(b1.gram.rows, moved)):
+            if (p ^ q) >> i:  # the first pair (i, j >= i) in row order
+                return False, ("form", i, next(bits((p ^ q) >> i << i)))
     return True, None
 
 
 # ---------------------------------------------------------------------------
 # Adapted isometries of double extensions
 # ---------------------------------------------------------------------------
-
-
-def _quadratic_equal_on_odd(
-    a: SuperAlgebra, q1_eval, q2_eval
-) -> tuple[bool, int | None]:
-    """Compare two quadratic maps on the odd part: basis values and polars."""
-    odd = a.odd_indices()
-    for i in odd:
-        if q1_eval(1 << i) != q2_eval(1 << i):
-            return False, i
-    for s, i in enumerate(odd):
-        for j in odd[s + 1 :]:
-            v = (1 << i) | (1 << j)
-            p1 = q1_eval(v) ^ q1_eval(1 << i) ^ q1_eval(1 << j)
-            p2 = q2_eval(v) ^ q2_eval(1 << i) ^ q2_eval(1 << j)
-            if p1 != p2:
-                return False, i
-    return True, None
 
 
 def _shifted(
@@ -168,9 +153,8 @@ def _shifted(
 
 def _transport_domain(a: SuperAlgebra, case: str) -> Sequence[int]:
     """The basis vectors on which the adapted conditions transport D."""
-    if case in ("evenB-oddD", "oddB-evenD"):
-        return range(a.dim)
-    return a.even_indices()
+    form_parity, der_parity = case_parities(case)
+    return a.even_indices() if form_parity == der_parity else range(a.dim)
 
 
 def _adjointness_defect_rank(a, form, d: Derivation, domain) -> int:
@@ -180,14 +164,7 @@ def _adjointness_defect_rank(a, form, d: Derivation, domain) -> int:
     isometry pi0 gives a congruent form, so the transport condition
     pi0^{-1} D~ pi0 = D + ad_t equates the ranks of D and D~.
     """
-    rows = [
-        sum(
-            (form.pair(d.images[i], 1 << j) ^ form.pair(1 << i, d.images[j])) << k
-            for k, j in enumerate(domain)
-        )
-        for i in domain
-    ]
-    return GF2Matrix(rows, len(domain)).rank()
+    return adjointness_defect(form, d.images, domain).rank()
 
 
 def build_adapted_isometry(
@@ -213,7 +190,7 @@ def build_adapted_isometry(
     ok, w = verify_isometry(a, form, a, form, pi0)
     if not ok:
         raise ConditionViolated("pi0", w, "pi0 is not an isometry of the base")
-    _, t_parity = case_parities(case)
+    form_parity, t_parity = case_parities(case)
     if t and a.parity_of(t) != t_parity:
         raise ConditionViolated("t-parity", None, f"t must have parity {t_parity}")
 
@@ -234,16 +211,21 @@ def build_adapted_isometry(
         if pi_inv.apply(d_tgt.apply(pi.images[j])) != shifted.derivation.images[j]:
             raise ConditionViolated(label, (j,), "derivation transport fails")
 
-    if case in ("evenB-evenD", "oddB-oddD"):
-        ok, w = _quadratic_equal_on_odd(
-            a,
-            lambda v: evaluate_on_algebra(a, recipe_tgt.alpha, pi.apply(v)),
-            lambda v: evaluate_on_algebra(a, shifted.alpha, v),
-        )
-        if not ok:
+    if form_parity == t_parity:
+        # alpha~ o pi0 against the shifted alpha: the first difference among
+        # the values on the odd basis, else among the polar pairs (i, j > i)
+        moved = transport_quadratic(a, recipe_tgt.alpha, pi_inv.images)
+        alpha = shifted.alpha
+        values = moved.diag ^ alpha.diag
+        pairs = [
+            s
+            for s, (p, q) in enumerate(zip(moved.polar.rows, alpha.polar.rows))
+            if (p ^ q) >> (s + 1)
+        ]
+        if values or pairs:
             raise ConditionViolated(
                 "Ca" if case == "evenB-evenD" else "3Ca",
-                (w,),
+                (a.odd_indices()[next(bits(values)) if values else pairs[0]],),
                 "quadratic-form transport fails",
             )
     if shifted.beta_star != recipe_tgt.beta_star:
@@ -267,7 +249,7 @@ def build_adapted_isometry(
         images.append(im)
     images.append(xb)
     star = sb | pi.apply(t)
-    if case in ("evenB-evenD", "evenB-oddD") and nu:
+    if nu and not form_parity:
         star ^= xb
     images.append(star)
     result = Isometry(tuple(images))
@@ -471,10 +453,7 @@ def _candidate_images(
     whether there are more solutions.
     """
     idxs = g2.even_indices() if parity == 0 else g2.odd_indices()
-    rows = []
-    for _, wk in determined:
-        prow = b2.pair_row(wk)
-        rows.append(sum(((prow >> i) & 1) << pos for pos, i in enumerate(idxs)))
+    rows = [restrict(b2.pair_row(wk), idxs) for _, wk in determined]
     rhs = sum(b1.pair(v, vk) << r for r, (vk, _) in enumerate(determined))
     sol = solve_affine(GF2Matrix(rows, len(idxs)), rhs)
     if sol is None:

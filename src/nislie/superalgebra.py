@@ -23,7 +23,7 @@ from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, NotOdd
-from .gf2 import GF2Matrix, SpanBasis, bits, dot, span_basis
+from .gf2 import GF2Matrix, SpanBasis, bits, combine, dot, restrict, span_basis
 
 
 @dataclass(frozen=True)
@@ -455,24 +455,12 @@ def center(g: SuperAlgebra) -> list[int]:
     return GF2Matrix(ad_system(g, range(n), range(n)), n).kernel_basis()
 
 
-def orthogonality_rows(g: SuperAlgebra, gram: GF2Matrix, vectors: Iterable[int]) -> list[int]:
-    """Constraint rows for {x : B(x, v) = 0 for all given v}."""
-    rows = []
-    for v in vectors:
-        row = 0
-        for j in range(g.dim):
-            if dot(gram.rows[j], v):
-                row |= 1 << j
-        rows.append(row)
-    return rows
-
-
 def special_center(g: SuperAlgebra, gram: GF2Matrix) -> tuple[list[int], list[int], list[int]]:
     """z_s(g) = z(g) cut by orthogonality to all squares; plus parity parts."""
     n = g.dim
-    rows = ad_system(g, range(n), range(n)) + orthogonality_rows(
-        g, gram, squares_span(g)
-    )
+    rows = ad_system(g, range(n), range(n)) + [
+        gram.mat_vec(w) for w in squares_span(g)
+    ]
     basis = GF2Matrix(rows, n).kernel_basis()
     ev, od = parity_split(g, basis)
     return span_basis(basis), ev, od
@@ -497,34 +485,22 @@ def sharp_complement(
     ValueError.
     """
     v_ev, v_od = parity_split(g, subspace)
-    v_basis = v_ev + v_od
-    perp = GF2Matrix(orthogonality_rows(g, gram, v_basis), g.dim).kernel_basis()
+    targets = [gram.mat_vec(v) for v in v_ev + v_od]
+    perp = GF2Matrix(targets, g.dim).kernel_basis()
     k_ev, k_od = parity_split(g, perp)
-    if not v_basis:
+    if not targets:
         return span_basis(k_ev + k_od)
     for a, u in enumerate(k_od):
         for w in k_od[a + 1 :]:
             cross = bracket(g, u, w)
-            if any(dot(gram.mat_vec(v), cross) for v in v_basis):
+            if any(dot(t, cross) for t in targets):
                 raise ValueError(
                     "sharp complement is not a subspace for this V"
                 )
-    rows = []
-    targets = [gram.mat_vec(v) for v in v_basis]
-    for t in targets:
-        row = 0
-        for a, u in enumerate(k_od):
-            if dot(t, square_element(g, u)):
-                row |= 1 << a
-        rows.append(row)
+    squares = GF2Matrix([square_element(g, u) for u in k_od], g.dim)
+    rows = [squares.mat_vec(t) for t in targets]
     coords = GF2Matrix(rows, len(k_od)).kernel_basis()
-    odd_part = []
-    for cvec in coords:
-        u = 0
-        for a in bits(cvec):
-            u ^= k_od[a]
-        odd_part.append(u)
-    return span_basis(k_ev + odd_part)
+    return span_basis(k_ev + [combine(k_od, c) for c in coords])
 
 
 def is_two_step_nilpotent(g: SuperAlgebra) -> bool:
@@ -608,22 +584,18 @@ def find_orthogonal_decomposition(
     Seeds are the ideals generated by single basis vectors; exhausting them
     without a hit does not prove irreducibility (best-effort flag).
     """
+    from .forms import BilinearForm  # forms imports this module
+
+    form = BilinearForm(gram, 0)  # the parity plays no part here
     n = g.dim
     for i in range(n):
         ideal = ideal_closure(g, 1 << i)
         d = len(ideal)
         if d == 0 or d == n:
             continue
-        sub_gram = GF2Matrix(
-            [sum(dot(gram.mat_vec(u), v) << k for k, v in enumerate(ideal))
-             for u in ideal],
-            d,
-        )
-        if sub_gram.rank() != d:
+        if form.matrix_on(ideal, ideal).rank() != d:
             continue
-        perp = GF2Matrix(
-            orthogonality_rows(g, gram, ideal), n
-        ).kernel_basis()
+        perp = form.orthogonal_complement(ideal)
         if len(perp) == n - d and is_ideal(g, perp):
             return ideal, perp
     return None
@@ -643,15 +615,14 @@ def restrict_to_coordinates(
     g: SuperAlgebra, indices: Sequence[int]
 ) -> SuperAlgebra:
     """Substructure on a subset of basis vectors (must be closed)."""
-    pos = {i: k for k, i in enumerate(indices)}
+    inside = sum(1 << i for i in indices)
+    # restriction is linear: restrict the basis once, then combine
+    restricted = [restrict(1 << i, indices) for i in range(g.dim)]
 
     def compress(v: int) -> int:
-        out = 0
-        for i in bits(v):
-            if i not in pos:
-                raise ValueError("subset is not closed under the structure")
-            out |= 1 << pos[i]
-        return out
+        if v & ~inside:
+            raise ValueError("subset is not closed under the structure")
+        return combine(restricted, v)
 
     table = tuple(
         tuple(compress(g.bracket_table[i][j]) for j in indices)

@@ -13,7 +13,8 @@ import itertools
 
 import numpy as np
 
-from nislie.errors import ConditionViolated
+from nislie.derivations import case_parities, is_derivation
+from nislie.errors import CaseParityMismatch, ConditionViolated
 from nislie.forms import BilinearForm, NISReport, QuadraticForm
 from nislie.gf2 import GF2Matrix, SpanBasis, bits, dot
 from nislie.isometry import build_adapted_isometry, isometry_group
@@ -676,3 +677,138 @@ def reference_quadratic_from_eval(g, fn):
                 rows[s] |= 1 << r
                 rows[r] |= 1 << s
     return QuadraticForm(k, diag, GF2Matrix(rows, k))
+
+
+# ---------------------------------------------------------------------------
+# Sub-basis loops: restriction, combination and the witness loops of the
+# extension conditions, written out one coordinate at a time
+# ---------------------------------------------------------------------------
+
+
+def reference_restrict(v, idxs):
+    """Bit pos of the result is bit idxs[pos] of v; other bits of v drop."""
+    pos = {i: k for k, i in enumerate(idxs)}
+    out = 0
+    for i in bits(v):
+        if i in pos:
+            out |= 1 << pos[i]
+    return out
+
+
+def reference_combine(vectors, coeffs):
+    """The XOR of vectors[k] over the set bits k of coeffs."""
+    out = 0
+    for k in bits(coeffs):
+        out ^= vectors[k]
+    return out
+
+
+def reference_quadratic_equal_on_odd(a, q1_eval, q2_eval):
+    """Compare two quadratic maps on the odd part of a: basis values, then
+    polars in row order; (ok, odd basis index of the first difference)."""
+    odd = a.odd_indices()
+    for i in odd:
+        if q1_eval(1 << i) != q2_eval(1 << i):
+            return False, i
+    for s, i in enumerate(odd):
+        for j in odd[s + 1 :]:
+            v = (1 << i) | (1 << j)
+            p1 = q1_eval(v) ^ q1_eval(1 << i) ^ q1_eval(1 << j)
+            p2 = q2_eval(v) ^ q2_eval(1 << i) ^ q2_eval(1 << j)
+            if p1 != p2:
+                return False, i
+    return True, None
+
+
+def reference_check_conditions(a, form, recipe):
+    """The hypothesis checks of extension.check_conditions with the
+    self-adjointness and polar witnesses found one pair at a time; raises
+    the same ConditionViolated (label and witness) or returns None."""
+    recipe = recipe.normalized()
+    case = recipe.case
+    form_parity, der_parity = case_parities(case)
+    d = recipe.derivation
+    if form.parity != form_parity or d.parity != der_parity:
+        raise CaseParityMismatch(case)
+    ok, witness = is_derivation(a, d)
+    if not ok:
+        raise ConditionViolated("Der", witness)
+    n = a.dim
+    label = {"evenB-evenD": "D1", "evenB-oddD": "2D1", "oddB-oddD": "3D1",
+             "oddB-evenD": "4D1"}[case]
+    for i in range(n):
+        for j in range(i, n):
+            if form.pair(d.images[i], 1 << j) != form.pair(1 << i, d.images[j]):
+                raise ConditionViolated(label, (i, j))
+    if case in ("evenB-evenD", "oddB-oddD"):
+        for i in a.even_indices():
+            if form.pair(d.images[i], 1 << i):
+                raise ConditionViolated(
+                    "D1" if case == "evenB-evenD" else "3D1p", (i, i)
+                )
+        alpha = recipe.alpha
+        polar_label = "D3" if case == "evenB-evenD" else "3D-polar"
+        odd = a.odd_indices()
+        if alpha is None or alpha.n != len(odd):
+            raise ConditionViolated(polar_label, None)
+        for s, i in enumerate(odd):
+            for t, j in enumerate(odd):
+                if alpha.polar.entry(s, t) != form.pair(d.images[i], 1 << j):
+                    raise ConditionViolated(polar_label, (i, j))
+    if der_parity == 1:
+        a0 = recipe.a0 or 0
+        if a0 & a.odd_mask:
+            raise ConditionViolated("a0-parity", None)
+        lab2, lab3 = ("2D2", "2D3") if case == "evenB-oddD" else ("3D2", "3D3")
+        dd = d.compose(d)
+        for j in range(n):
+            if dd.images[j] != bracket(a, a0, 1 << j):
+                raise ConditionViolated(lab2, (j,))
+        if d.apply(a0) != 0:
+            raise ConditionViolated(lab3, None)
+
+
+def change_basis(g, form, images):
+    """(g, form) in the basis f_i = images[i] (an invertible map that keeps
+    parities): structure constants and Gram entries, one basis pair at a
+    time, in the new coordinates."""
+    n = g.dim
+    back = GF2Matrix(images, n).transpose().inverse()  # old -> new coordinates
+    table = tuple(
+        tuple(back.mat_vec(bracket(g, images[i], images[j])) for j in range(n))
+        for i in range(n)
+    )
+    squaring = tuple(
+        back.mat_vec(square_element(g, images[i])) if g.parity[i] else 0
+        for i in range(n)
+    )
+    h = SuperAlgebra(
+        names=tuple(f"f{i}" for i in range(n)),
+        parity=g.parity,
+        bracket_table=table,
+        squaring=squaring,
+    )
+    if form is None:
+        return h, None
+    rows = [
+        sum(form.pair(images[i], images[j]) << j for j in range(n)) for i in range(n)
+    ]
+    return h, BilinearForm(GF2Matrix(rows, n), form.parity)
+
+
+def reference_coefficient_cut(form, candidates, diagonal=False):
+    """Kernel of the self-adjointness functionals (i, j >= i) on the
+    coefficients of candidates, one row per functional; with diagonal, the
+    functionals B(D e_i, e_i) too."""
+    n = form.dim
+    makers = [
+        lambda d, i=i, j=j: form.pair(d.images[i], 1 << j) ^ form.pair(1 << i, d.images[j])
+        for i in range(n)
+        for j in range(i, n)
+    ]
+    if diagonal:
+        makers += [lambda d, i=i: form.pair(d.images[i], 1 << i) for i in range(n)]
+    rows = [
+        sum(make(d) << k for k, d in enumerate(candidates)) for make in makers
+    ]
+    return GF2Matrix(rows, len(candidates)).kernel_basis()

@@ -29,7 +29,6 @@ from nislie.catalog import (
     named,
     registry,
     substitution_map,
-    transport_quadratic,
 )
 from nislie.derivations import (
     ad_derivation,
@@ -48,6 +47,7 @@ from nislie.forms import (
     arf_invariant,
     check_nis,
     darboux_form,
+    transport_quadratic,
 )
 from nislie.gf2 import GF2Matrix, span_basis
 from nislie.isometry import (

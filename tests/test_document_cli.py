@@ -88,6 +88,13 @@ def test_recipe_meta_roundtrip():
         assert back == rec
 
 
+def test_recipe_meta_refuses_a_polar_pair_on_the_diagonal():
+    meta = recipe_to_meta(named("h104-D7ext").extension.recipe)
+    meta["alpha"]["polar"].append([2, 2])
+    with pytest.raises(ValueError, match="on the diagonal"):
+        recipe_from_meta(meta, named("h1-0-4").algebra.dim)
+
+
 def test_cli_validate_exit_codes(tmp_path):
     assert main(["validate", "hei-double"]) == 0
     assert main(["validate", "catalog:po05-m0"]) == 1
@@ -347,6 +354,14 @@ MALFORMED = {
     "alpha file without polar": lambda tmp: [
         "extend", "h1-0-4", "--case", "evenB-evenD", "--derivation", "D7",
         "--alpha", write(tmp, "a.json", '{"n": 8}'), "--out", str(tmp / "o.json")],
+    "alpha polar pair on the diagonal": lambda tmp: [
+        "extend", "hei-double", "--case", "evenB-evenD", "--derivation", "D9+D10",
+        "--alpha", write(tmp, "a.json", '{"n": 4, "polar": [[0, 0]], "diag": []}'),
+        "--out", str(tmp / "o.json")],
+    "alpha polar pair on the diagonal, unchecked": lambda tmp: [
+        "extend", "hei-double", "--case", "evenB-evenD", "--derivation", "D9+D10",
+        "--alpha", write(tmp, "a.json", '{"n": 4, "polar": [[0, 0]], "diag": []}'),
+        "--unchecked", "--out", str(tmp / "o.json")],
     "extension metadata without x_index": lambda tmp: [
         "isometry", with_extension_meta(tmp, {}), "hei-oddD-ext",
         "--mode", "adapted"],

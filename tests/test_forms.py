@@ -14,7 +14,6 @@ from nislie.forms import (
     darboux_form,
     evaluate_on_algebra,
     is_alternating,
-    polar_of,
     quadratic_lifts,
 )
 from nislie.gf2 import GF2Matrix, bits
@@ -110,7 +109,7 @@ def test_polar_of_matches_exhaustive(hei_double):
     g = hei_double.algebra
     alpha = hei_even_recipe(g).alpha
     # polar(a, b) = s t~ + s~ t + w u~ + w~ u in the (p, q, p*, q*) coords
-    pol = polar_of(alpha)
+    pol = alpha.polar
     for u in range(16):
         for v in range(16):
             direct = (
@@ -146,7 +145,7 @@ def test_polar_random_exhaustive():
 def test_zero_form():
     q = QuadraticForm.zero(4)
     assert all(q.evaluate(x) == 0 for x in range(16))
-    assert polar_of(q) == GF2Matrix.zeros(4, 4)
+    assert q.polar == GF2Matrix.zeros(4, 4)
 
 
 def test_quadratic_lifts():
@@ -157,7 +156,7 @@ def test_quadratic_lifts():
     members = list(fam)
     assert len(members) == 16
     for q in members:
-        assert polar_of(q) == pol
+        assert q.polar == pol
         # recompute the polar by evaluation
         for i in range(4):
             for j in range(4):

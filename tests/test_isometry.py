@@ -16,7 +16,6 @@ from nislie.catalog import (
     hei_odd_recipe,
     named,
     substitution_map,
-    transport_quadratic,
 )
 from nislie.derivations import (
     ad_derivation,
@@ -28,7 +27,7 @@ from nislie.derivations import (
 )
 from nislie.errors import ConditionViolated, NisLieError
 from nislie.extension import ExtensionRecipe, _odd_polar_matrix, extend
-from nislie.forms import BilinearForm, QuadraticForm
+from nislie.forms import BilinearForm, QuadraticForm, transport_quadratic
 from nislie.gf2 import GF2Matrix, SpanBasis
 from nislie import isometry
 from nislie.isometry import (
