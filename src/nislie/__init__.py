@@ -14,6 +14,7 @@ from .derivations import (
     find_a0,
     inner_derivations,
     outer_derivations,
+    self_adjoint_coefficients,
     self_adjoint_subspace,
 )
 from .extension import (
@@ -89,6 +90,7 @@ __all__ = [
     "reduce",
     "reduction_candidates",
     "search_isometry",
+    "self_adjoint_coefficients",
     "self_adjoint_subspace",
     "sharp_complement",
     "solve_affine",

@@ -139,9 +139,7 @@ class MonomialBasis:
         return self.index[s]
 
 
-def monomial_basis(
-    m: int, include_constant: bool, include_top: bool
-) -> MonomialBasis:
+def monomial_basis(m: int, include_constant: bool) -> MonomialBasis:
     if not 1 <= m <= 12:
         raise OutOfRange("monomial algebras supported for 1 <= m <= 12")
     k = m // 2
@@ -155,8 +153,7 @@ def monomial_basis(
 
     monos = []
     lo = 0 if include_constant else 1
-    hi = m if include_top else m - 1
-    for d in range(lo, hi + 1):
+    for d in range(lo, m + 1):
         for combo in combinations(range(m), d):
             monos.append(frozenset(combo))
     index = {s: i for i, s in enumerate(monos)}
@@ -247,7 +244,7 @@ def hamiltonian(m: int, derived: bool = True):
     """
     if not 2 <= m <= 8:
         raise OutOfRange("hamiltonian(m) supported for 2 <= m <= 8")
-    basis = monomial_basis(m, include_constant=False, include_top=True)
+    basis = monomial_basis(m, include_constant=False)
     g = _monomial_algebra(basis, drop_constants=True)
     if derived:
         sub = derived_subalgebra(g, 1)
@@ -278,7 +275,7 @@ def poisson(m: int, m_param: int = 0):
         raise OutOfRange("poisson(m) supported for 2 <= m <= 8")
     if m_param and m % 2 == 0:
         raise OutOfRange("the squaring parameter needs odd m")
-    basis = monomial_basis(m, include_constant=True, include_top=True)
+    basis = monomial_basis(m, include_constant=True)
     g = _monomial_algebra(basis, drop_constants=False, squaring_top=m_param)
     return g, _complement_form(basis, g), basis
 
@@ -495,40 +492,6 @@ def quadratic_by_pairs(g: SuperAlgebra, pairs: list[tuple[int, int]]) -> Quadrat
         polar[j] |= 1 << i
     k = len(odd)
     return QuadraticForm(k, 0, GF2Matrix([restrict(polar[i], odd) for i in odd], k))
-
-
-# ---------------------------------------------------------------------------
-# Variable-substitution isometries of the monomial algebras
-# ---------------------------------------------------------------------------
-
-
-def substitution_map(
-    g: SuperAlgebra, basis: MonomialBasis, swaps: dict[str, str]
-) -> tuple[int, ...]:
-    """Extend a permutation of the indeterminates to all monomials."""
-    rev = {nm: v for v, nm in enumerate(basis.var_names)}
-    perm = {v: v for v in range(basis.m)}
-    for a, b in swaps.items():
-        perm[rev[a]] = rev[b]
-    images = []
-    for s in basis.monomials:
-        images.append(1 << basis.index[frozenset(perm[v] for v in s)])
-    return tuple(images)
-
-
-def h104_deg_swap(g: SuperAlgebra, basis: MonomialBasis) -> tuple[int, ...]:
-    """The degree-1 <-> degree-3 involution fixing the middle monomials."""
-    pairs = [
-        ("xi1", "xi1 xi2 eta2"),
-        ("xi2", "xi1 xi2 eta1"),
-        ("eta1", "xi2 eta1 eta2"),
-        ("eta2", "xi1 eta1 eta2"),
-    ]
-    images = [1 << i for i in range(g.dim)]
-    for a, b in pairs:
-        ia, ib = basis.find(a), basis.find(b)
-        images[ia], images[ib] = 1 << ib, 1 << ia
-    return tuple(images)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,9 @@ from .catalog import (
     registry,
 )
 from .derivations import (
+    CASES,
     Derivation,
+    case_parities,
     class_coordinates,
     map_degree,
     outer_derivations,
@@ -308,12 +310,8 @@ def cmd_extend(args) -> int:
     return 0
 
 
-_CASE_BY_PARITY = {
-    (0, 0): "evenB-evenD",
-    (0, 1): "evenB-oddD",
-    (1, 0): "oddB-oddD",
-    (1, 1): "oddB-evenD",
-}
+# (parity of B, parity of x) -> case: D has the parity of B plus that of x
+_CASE_BY_PARITY = {(b, b ^ d): c for c in CASES for b, d in [case_parities(c)]}
 
 
 def cmd_reduce(args) -> int:
@@ -551,8 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     e = sub.add_parser("extend", help="build a double extension")
     e.add_argument("target")
-    e.add_argument("--case", required=True, choices=[
-        "evenB-evenD", "evenB-oddD", "oddB-oddD", "oddB-evenD"])
+    e.add_argument("--case", required=True, choices=CASES)
     e.add_argument("--derivation", required=True)
     e.add_argument("--alpha")
     e.add_argument("--a0")
@@ -566,8 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("reduce", help="split off a double extension")
     r.add_argument("target")
     r.add_argument("--center-element", required=True)
-    r.add_argument("--case", choices=[
-        "evenB-evenD", "evenB-oddD", "oddB-oddD", "oddB-evenD"])
+    r.add_argument("--case", choices=CASES)
     r.add_argument("--out", required=True)
     r.add_argument("--recipe-out")
     r.set_defaults(fn=cmd_reduce)

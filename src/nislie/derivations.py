@@ -82,9 +82,6 @@ class Derivation:
             self.parity,
         )
 
-    def is_zero(self) -> bool:
-        return not any(self.images)
-
     @classmethod
     def from_vec(
         cls, vec: int, unknowns: Sequence[tuple[int, int]], n: int, parity: int
@@ -94,10 +91,6 @@ class Derivation:
             i, j = unknowns[k]
             images[j] |= 1 << i
         return cls(tuple(images), parity)
-
-
-def zero_derivation(g: SuperAlgebra, parity: int) -> Derivation:
-    return Derivation((0,) * g.dim, parity)
 
 
 def ad_derivation(g: SuperAlgebra, v: int) -> Derivation:

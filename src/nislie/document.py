@@ -75,6 +75,13 @@ def to_dict(doc: AlgebraDocument) -> dict:
     return data
 
 
+def _index(i, n: int, what: str = "basis index") -> int:
+    """i when it is an integer in 0..n-1; JSON true, 1.0 and "1" are not."""
+    if type(i) is not int or not 0 <= i < n:
+        raise ValueError(f"{what} {i!r} outside 0..{n - 1}")
+    return i
+
+
 def from_dict(data: dict) -> AlgebraDocument:
     if not isinstance(data, dict):
         raise DocumentError("document must be a JSON object")
@@ -87,26 +94,17 @@ def from_dict(data: dict) -> AlgebraDocument:
     for entry in basis:
         try:
             names.append(str(entry["name"]))
-            p = int(entry["parity"])
+            parity.append(_index(entry["parity"], 2, "parity"))
         except (TypeError, KeyError, ValueError) as exc:
             raise DocumentError(f"bad basis entry: {entry!r}") from exc
-        if p not in (0, 1):
-            raise DocumentError("parity must be 0 or 1")
-        parity.append(p)
     n = len(names)
     if len(set(names)) != n:
         raise DocumentError("basis names must be distinct")
-
-    def check_index(i):
-        if not isinstance(i, int) or not 0 <= i < n:
-            raise DocumentError(f"index {i!r} out of range")
-        return i
-
     table = [[0] * n for _ in range(n)]
     for triple in data.get("bracket", []):
         if not isinstance(triple, list) or len(triple) != 3:
             raise DocumentError(f"bad bracket triple {triple!r}")
-        i, j, k = (check_index(t) for t in triple)
+        i, j, k = (_index(t, n) for t in triple)
         if i >= j:
             raise DocumentError("bracket triples must have i < j")
         table[i][j] ^= 1 << k
@@ -115,13 +113,15 @@ def from_dict(data: dict) -> AlgebraDocument:
     for pair in data.get("squaring", []):
         if not isinstance(pair, list) or len(pair) != 2:
             raise DocumentError(f"bad squaring pair {pair!r}")
-        i, k = (check_index(t) for t in pair)
+        i, k = (_index(t, n) for t in pair)
         squaring[i] ^= 1 << k
     degrees = data.get("degrees")
     if degrees is not None:
         if len(degrees) != n:
             raise DocumentError("degrees length mismatch")
-        degrees = tuple(int(d) for d in degrees)
+        if any(type(d) is not int for d in degrees):
+            raise DocumentError(f"degrees must be integers: {degrees!r}")
+        degrees = tuple(degrees)
     g = SuperAlgebra(
         names=tuple(names),
         parity=tuple(parity),
@@ -132,14 +132,12 @@ def from_dict(data: dict) -> AlgebraDocument:
     form = None
     if "form" in data:
         fdata = data["form"]
-        p = fdata.get("parity")
-        if p not in (0, 1):
-            raise DocumentError("form parity must be 0 or 1")
+        p = _index(fdata.get("parity"), 2, "form parity")
         rows = [0] * n
         for pair in fdata.get("gram", []):
             if not isinstance(pair, list) or len(pair) != 2:
                 raise DocumentError(f"bad gram pair {pair!r}")
-            i, j = (check_index(t) for t in pair)
+            i, j = (_index(t, n) for t in pair)
             if i > j:
                 raise DocumentError("gram pairs must have i <= j")
             rows[i] |= 1 << j
@@ -219,20 +217,12 @@ def extension_meta(res: ExtensionResult) -> dict:
     }
 
 
-def _index(i, n: int) -> int:
-    if type(i) is not int or not 0 <= i < n:
-        raise ValueError(f"basis index {i!r} outside 0..{n - 1}")
-    return i
-
-
 def derivation_from_data(data: dict, dim: int) -> Derivation:
     """{"images": [[j, i], ...], "parity": p}: e_i is a term of D(e_j)."""
     images = [0] * dim
     for j, i in data["images"]:
         images[_index(j, dim)] |= 1 << _index(i, dim)
-    if data["parity"] not in (0, 1):
-        raise ValueError("parity must be 0 or 1")
-    return Derivation(tuple(images), data["parity"])
+    return Derivation(tuple(images), _index(data["parity"], 2, "parity"))
 
 
 def quadratic_from_data(data: dict) -> QuadraticForm:
@@ -250,20 +240,3 @@ def quadratic_from_data(data: dict) -> QuadraticForm:
     for i in data.get("diag", []):
         diag |= 1 << _index(i, k)
     return QuadraticForm(k, diag, GF2Matrix(rows, k))
-
-
-def recipe_from_meta(meta: dict, dim: int) -> ExtensionRecipe:
-    alpha = quadratic_from_data(meta["alpha"]) if "alpha" in meta else None
-    a0 = None
-    if "a0" in meta:
-        a0 = 0
-        for i in meta["a0"]:
-            a0 |= 1 << i
-    return ExtensionRecipe(
-        meta["case"],
-        derivation_from_data(meta["derivation"], dim),
-        alpha=alpha,
-        a0=a0,
-        m=meta.get("m"),
-        beta_star=meta.get("beta_star"),
-    ).normalized()

@@ -47,8 +47,8 @@ class SpanBasis:
 
     Pivots are the lowest set bits; rows are kept mutually reduced, so the
     representation of the spanned subspace is canonical.  This is the one
-    elimination of the package: row reduction, rank, kernels, inversion
-    and affine solving all read their results off it.
+    elimination of the package: rank, kernels, inversion and affine
+    solving all read their results off it.
     """
 
     __slots__ = ("pivot_rows",)
@@ -116,13 +116,6 @@ def rref_kernel(pivot_rows: dict[int, int], width: int) -> list[int]:
 
 def span_basis(vectors: Iterable[int]) -> list[int]:
     return SpanBasis(vectors).vectors()
-
-
-@dataclass(frozen=True)
-class RowReduction:
-    matrix: "GF2Matrix"
-    rank: int
-    pivot_columns: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -199,13 +192,6 @@ class GF2Matrix:
     def entry(self, i: int, j: int) -> int:
         return (self.rows[i] >> j) & 1
 
-    def column(self, j: int) -> int:
-        c = 0
-        for i, row in enumerate(self.rows):
-            if (row >> j) & 1:
-                c |= 1 << i
-        return c
-
     def transpose(self) -> "GF2Matrix":
         cols = [0] * self.ncols
         for i, row in enumerate(self.rows):
@@ -229,18 +215,6 @@ class GF2Matrix:
         if self.ncols != other.nrows:
             raise ValueError("dimension mismatch in mat_mul")
         return GF2Matrix([combine(other.rows, row) for row in self.rows], other.ncols)
-
-    def row_reduce(self) -> RowReduction:
-        """Reduced row echelon form, rank, and pivot columns.
-
-        The pivot rows of SpanBasis in pivot order, padded with zero rows:
-        a row space has exactly one fully reduced echelon form.
-        """
-        pivot_rows = SpanBasis(self.rows).pivot_rows
-        pivots = tuple(sorted(pivot_rows))
-        work = [pivot_rows[p] for p in pivots]
-        work += [0] * (self.nrows - len(work))
-        return RowReduction(GF2Matrix(work, self.ncols), len(pivots), pivots)
 
     def rank(self) -> int:
         return SpanBasis(self.rows).dim

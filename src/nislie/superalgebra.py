@@ -530,83 +530,6 @@ def is_two_step_nilpotent(g: SuperAlgebra) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Ideals and the best-effort irreducibility flag
-# ---------------------------------------------------------------------------
-
-
-def ideal_closure(g: SuperAlgebra, seed: int) -> list[int]:
-    """Smallest ideal containing the homogeneous element `seed`.
-
-    Closed under bracketing with g and under the squaring of its odd part.
-    """
-    if g.parity_of(seed) is None and seed != 0:
-        raise ValueError("ideal_closure expects a homogeneous seed")
-    basis = SpanBasis([seed] if seed else [])
-    # brackets and squares of homogeneous vectors stay homogeneous, so the
-    # frontier spans the closure through homogeneous vectors only
-    frontier = [seed] if seed else []
-    while frontier:
-        new = []
-        for w in frontier:
-            for j in range(g.dim):
-                b = bracket(g, w, 1 << j)
-                if b and basis.add(b):
-                    new.append(b)
-            if g.parity_of(w) == 1:
-                sq = square_element(g, w)
-                if sq and basis.add(sq):
-                    new.append(sq)
-        frontier = new
-    return basis.vectors()
-
-
-def is_ideal(g: SuperAlgebra, vectors: Sequence[int]) -> bool:
-    basis = SpanBasis(vectors)
-    try:
-        ev, od = parity_split(g, vectors)
-    except ValueError:
-        return False
-    for w in ev + od:
-        for j in range(g.dim):
-            if not basis.contains(bracket(g, w, 1 << j)):
-                return False
-    for w in od:
-        if not basis.contains(square_element(g, w)):
-            return False
-    return True
-
-
-def find_orthogonal_decomposition(
-    g: SuperAlgebra, gram: GF2Matrix
-) -> tuple[list[int], list[int]] | None:
-    """Search for g = I + I-perp with both summands nonzero ideals.
-
-    Seeds are the ideals generated by single basis vectors; exhausting them
-    without a hit does not prove irreducibility (best-effort flag).
-    """
-    from .forms import BilinearForm  # forms imports this module
-
-    form = BilinearForm(gram, 0)  # the parity plays no part here
-    n = g.dim
-    for i in range(n):
-        ideal = ideal_closure(g, 1 << i)
-        d = len(ideal)
-        if d == 0 or d == n:
-            continue
-        if form.matrix_on(ideal, ideal).rank() != d:
-            continue
-        perp = form.orthogonal_complement(ideal)
-        if len(perp) == n - d and is_ideal(g, perp):
-            return ideal, perp
-    return None
-
-
-def irreducible_flag(g: SuperAlgebra, gram: GF2Matrix) -> bool:
-    """True when no orthogonal ideal decomposition was found (best effort)."""
-    return find_orthogonal_decomposition(g, gram) is None
-
-
-# ---------------------------------------------------------------------------
 # Restriction to a coordinate subalgebra
 # ---------------------------------------------------------------------------
 

@@ -140,8 +140,8 @@ def brute_force_solutions(rows, ncols, rhs) -> set[int]:
 def reference_row_reduce(rows, ncols):
     """Gauss-Jordan by columns: (RREF rows with zero rows last, rank, pivots).
 
-    The column-sweep elimination GF2Matrix.row_reduce used before it read
-    its result off SpanBasis.
+    The column-sweep elimination the package used before SpanBasis; its
+    nonzero rows are SpanBasis(rows).vectors().
     """
     work = list(rows)
     pivots = []
@@ -454,7 +454,7 @@ def reference_check_nis(g, form, max_witnesses: int = 16):
                 note("parity", (i, j) if gram.entry(i, j) else (j, i))
 
     rows = gram.rows
-    cols = [gram.column(k) for k in range(n)]
+    cols = gram.transpose().rows
     table = g.bracket_table
     for i in range(n):
         for j in range(n):
@@ -538,6 +538,35 @@ def relabel(g, form, rng):
         return g2, None
     rows = [move(form.gram.rows[inv[a]]) for a in range(n)]
     return g2, BilinearForm(GF2Matrix(rows, n), form.parity)
+
+
+def substitution_map(g, basis, swaps):
+    """Extend a permutation of the indeterminates of a monomial algebra to
+    all monomials (a variable-substitution isometry)."""
+    rev = {nm: v for v, nm in enumerate(basis.var_names)}
+    perm = {v: v for v in range(basis.m)}
+    for a, b in swaps.items():
+        perm[rev[a]] = rev[b]
+    images = []
+    for s in basis.monomials:
+        images.append(1 << basis.index[frozenset(perm[v] for v in s)])
+    return tuple(images)
+
+
+def h104_deg_swap(g, basis):
+    """The degree-1 <-> degree-3 involution of h(0|4) fixing the middle
+    monomials."""
+    pairs = [
+        ("xi1", "xi1 xi2 eta2"),
+        ("xi2", "xi1 xi2 eta1"),
+        ("eta1", "xi2 eta1 eta2"),
+        ("eta2", "xi1 eta1 eta2"),
+    ]
+    images = [1 << i for i in range(g.dim)]
+    for a, b in pairs:
+        ia, ib = basis.find(a), basis.find(b)
+        images[ia], images[ib] = 1 << ib, 1 << ia
+    return tuple(images)
 
 
 def reference_subalgebra_closure(g, seeds) -> SpanBasis:

@@ -20,7 +20,6 @@ from nislie.catalog import (
     entry_names,
     h104_alphas,
     h104_cocycles,
-    h104_deg_swap,
     h105_alpha6,
     h105_cocycles,
     hamiltonian,
@@ -28,7 +27,6 @@ from nislie.catalog import (
     hei_odd_recipe,
     named,
     registry,
-    substitution_map,
 )
 from nislie.derivations import (
     ad_derivation,
@@ -68,6 +66,7 @@ from oracles import (
     jacobi_defect,
     squaring_defect,
     squaring_jacobi_defect,
+    substitution_map,
     unvec,
 )
 

@@ -1,7 +1,9 @@
-"""The public names and the names the tracing harness wraps resolve."""
+"""The public names and the names the tracing harness wraps resolve, and
+every definition of the package has a caller outside the tests."""
 
 import ast
 import importlib
+from collections import Counter
 from pathlib import Path
 
 import nislie
@@ -40,3 +42,43 @@ def test_every_traced_name_resolves_in_the_package():
             owner = getattr(owner, part, None)
             assert owner is not None, f"{module_name}.{attr}"
         assert callable(owner), f"{module_name}.{attr}"
+
+
+def references(node):
+    """How often each name is referred to inside node: identifiers,
+    attribute and imported names, and the parts of dotted-name strings
+    (the tracing harness and __all__ name what they use in strings)."""
+    found = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            found[sub.attr] += 1
+        elif isinstance(sub, ast.alias):
+            found[sub.name.rpartition(".")[2]] += 1
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            parts = sub.value.split(".")
+            if all(part.isidentifier() for part in parts):
+                found.update(parts)
+    return found
+
+
+def test_every_definition_in_the_package_has_a_caller():
+    """Each module-level function and class of src/nislie is referred to in
+    src/, demos/ or perfbench/ outside its own body, or is public."""
+    trees = {
+        path: ast.parse(path.read_text())
+        for folder in ("src", "demos", "perfbench")
+        for path in sorted((ROOT / folder).rglob("*.py"))
+    }
+    total = sum((references(tree) for tree in trees.values()), Counter())
+    uncalled = []
+    for path in sorted((ROOT / "src" / "nislie").glob("*.py")):
+        for node in trees[path].body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if node.name in nislie.__all__:
+                continue
+            if total[node.name] == references(node)[node.name]:
+                uncalled.append(f"{path.stem}.{node.name}")
+    assert uncalled == []

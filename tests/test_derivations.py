@@ -27,7 +27,6 @@ from nislie.derivations import (
     outer_derivations,
     outer_dimension_by_degree,
     self_adjoint_coefficients,
-    zero_derivation,
 )
 from nislie.errors import InnerNotDerivation, NisLieError
 from nislie.gf2 import GF2Matrix, bits, span_basis
@@ -284,10 +283,10 @@ def test_zero_derivation_always_compatible(hei_double):
     # the zero derivation passes every case filter; dependent candidate
     # lists collapse to an honest basis
     g, b = hei_double.algebra, hei_double.form
-    got = compatible_subspace(g, b, "evenB-evenD", [zero_derivation(g, 0)])
+    got = compatible_subspace(g, b, "evenB-evenD", [Derivation((0,) * g.dim, 0)])
     assert got.dim == 0
     got = compatible_subspace(
-        g, b, "evenB-oddD", [zero_derivation(g, 1), hei_double_cocycles(g)["D6"]]
+        g, b, "evenB-oddD", [Derivation((0,) * g.dim, 1), hei_double_cocycles(g)["D6"]]
     )
     assert got.dim == 1
     assert got.basis[0].images == hei_double_cocycles(g)["D6"].images
@@ -302,7 +301,7 @@ def test_find_a0(hei_double, h105):
     assert sol.particular == 0
     assert set(sol) == {0, g.element("z")}
     # D = 0: a0 ranges over the even center
-    sol = find_a0(g, zero_derivation(g, 1))
+    sol = find_a0(g, Derivation((0,) * g.dim, 1))
     assert sol is not None
     assert span_basis(sol.kernel_basis) == span_basis([g.element("z")])
     # h1(0|5) has no center: a0 = 0 only
@@ -327,7 +326,7 @@ def test_cohomologous(hei_double):
             adt = ad_derivation(g, t)
             assert base.add(shifted).images == adt.images
     # outer representative vs zero: no witness
-    assert cohomologous(g, cc["D6"], zero_derivation(g, 1)) is None
+    assert cohomologous(g, cc["D6"], Derivation((0,) * g.dim, 1)) is None
     # two members of the same class
     t0 = g.element("p")
     d2 = cc["D6"].add(ad_derivation(g, t0))
@@ -368,7 +367,7 @@ def test_ad_solves_match_brute_force_enumeration():
             parity, reps = outer.parity, outer.representatives
             idxs = g.odd_indices() if parity else g.even_indices()
             by_ad = _solutions_by_ad(g, idxs)
-            zero = zero_derivation(g, parity)
+            zero = Derivation((0,) * g.dim, parity)
             sums = {}
             for mu in range(1 << len(reps)):
                 total = zero

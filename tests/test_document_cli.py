@@ -1,19 +1,29 @@
 import dataclasses
+import functools
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nislie.catalog import named
 from nislie.cli import build_parser, main
 from nislie.document import (
     AlgebraDocument,
     DocumentError,
+    derivation_from_data,
     dumps,
+    extension_meta,
     loads,
-    recipe_from_meta,
+    quadratic_from_data,
     recipe_to_meta,
     save,
 )
+from nislie.extension import ExtensionRecipe
 
 
 def test_document_roundtrip_bit_identical():
@@ -57,16 +67,34 @@ def test_document_rejects_malformed():
 
 @pytest.mark.parametrize(
     "field, value",
-    [("bracket", 5), ("squaring", 7), ("degrees", ["x"]), ("form", [])],
+    [
+        ("bracket", 5),
+        ("squaring", 7),
+        ("degrees", ["x"]),
+        ("form", []),
+        # JSON numbers that are not integers, booleans and strings
+        pytest.param("bracket", [[0, True, 2]], id="bracket-true"),
+        pytest.param("squaring", [[False, 2]], id="squaring-false"),
+        pytest.param("basis.0.parity", 1.7, id="parity-1.7"),
+        pytest.param("basis.0.parity", "1", id="parity-string"),
+        pytest.param("degrees", [1.9], id="degrees-1.9"),
+        pytest.param("form.parity", True, id="form-parity-true"),
+    ],
 )
 def test_document_fields_of_the_wrong_type_are_document_errors(
     field, value, tmp_path, capsys
 ):
+    """field is a dotted path into the document; a degrees value is
+    repeated once per basis vector."""
     obj = named("hei-double")
     data = json.loads(dumps(AlgebraDocument(obj.algebra, obj.form)))
-    data[field] = value
     if field == "degrees":
-        data[field] = value * obj.algebra.dim
+        value = value * obj.algebra.dim
+    *path, key = field.split(".")
+    owner = data
+    for step in path:
+        owner = owner[int(step) if step.isdigit() else step]
+    owner[key] = value
     text = json.dumps(data)
     with pytest.raises(DocumentError):
         loads(text)
@@ -75,6 +103,24 @@ def test_document_fields_of_the_wrong_type_are_document_errors(
     assert main(["validate", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def recipe_from_meta(meta, dim):
+    """The recipe written by recipe_to_meta (`nislie reduce --recipe-out`)."""
+    alpha = quadratic_from_data(meta["alpha"]) if "alpha" in meta else None
+    a0 = None
+    if "a0" in meta:
+        a0 = 0
+        for i in meta["a0"]:
+            a0 |= 1 << i
+    return ExtensionRecipe(
+        meta["case"],
+        derivation_from_data(meta["derivation"], dim),
+        alpha=alpha,
+        a0=a0,
+        m=meta.get("m"),
+        beta_star=meta.get("beta_star"),
+    ).normalized()
 
 
 def test_recipe_meta_roundtrip():
@@ -93,6 +139,84 @@ def test_recipe_meta_refuses_a_polar_pair_on_the_diagonal():
     meta["alpha"]["polar"].append([2, 2])
     with pytest.raises(ValueError, match="on the diagonal"):
         recipe_from_meta(meta, named("h1-0-4").algebra.dim)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 40) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@functools.cache
+def catalog_document(name):
+    """The text `nislie catalog export` writes for a catalog entry."""
+    obj = named(name)
+    meta = {"catalog": name}
+    if obj.extension is not None:
+        meta["extension"] = extension_meta(obj.extension)
+    return dumps(AlgebraDocument(obj.algebra, obj.form, meta))
+
+
+def json_positions(node, path=()):
+    """Every position in a JSON tree, the root included, as a key path."""
+    yield path
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, child in children:
+        yield from json_positions(child, path + (key,))
+
+
+@st.composite
+def mutated_documents(draw):
+    """A small catalog document with one to three positions replaced by
+    arbitrary JSON, moved by one (integers) or deleted."""
+    data = json.loads(
+        catalog_document(draw(st.sampled_from(["hei-double", "ba-double", "hei-oddD-ext"])))
+    )
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(json_positions(data))))
+        owner = data
+        for key in path[:-1]:
+            owner = owner[key]
+        value = owner[path[-1]] if path else data
+        action = draw(st.sampled_from(["replace", "nudge", "delete"]))
+        if action == "delete" and path:
+            del owner[path[-1]]
+            continue
+        if action == "nudge" and type(value) is int:
+            value += draw(st.sampled_from([-1, 1]))
+        else:
+            value = draw(JSON_VALUES)
+        if path:
+            owner[path[-1]] = value
+        else:
+            data = value
+    return json.dumps(data)
+
+
+@given(mutated_documents())
+@settings(max_examples=100, deadline=None)
+def test_fuzzed_documents_load_or_fail_as_input_errors(text):
+    try:
+        loads(text)
+        loaded = True
+    except DocumentError:
+        loaded = False
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzzed.json"
+        path.write_text(text)
+        for command in ("validate", "outer"):
+            err = io.StringIO()
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                code = main([command, str(path)])
+            assert code in (0, 1, 2) and (loaded or code == 2), (command, code)
+            assert "Traceback" not in err.getvalue()
 
 
 def test_cli_validate_exit_codes(tmp_path):

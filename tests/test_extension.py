@@ -13,7 +13,7 @@ from nislie.catalog import (
     purely_odd,
     purely_odd_recipe,
 )
-from nislie.derivations import Derivation, zero_derivation
+from nislie.derivations import Derivation
 from nislie.errors import ConditionViolated, HypothesisNotMet, SplitsOff
 from nislie.extension import (
     ExtensionRecipe,
@@ -75,7 +75,7 @@ def test_odd_d_extensions(hei_double, ba_double):
 
 def test_trivial_odd_extension_is_direct_sum(hei_double):
     g, b = hei_double.algebra, hei_double.form
-    res = extend(g, b, ExtensionRecipe("evenB-oddD", zero_derivation(g, 1), a0=0))
+    res = extend(g, b, ExtensionRecipe("evenB-oddD", Derivation((0,) * g.dim, 1), a0=0))
     assert validate(res.algebra).passed
     assert check_nis(res.algebra, res.form).passed
     x, s = res.x_index, res.star_index
@@ -254,7 +254,7 @@ def test_trivial_oddB_oddD_extension():
         b,
         ExtensionRecipe(
             "oddB-oddD",
-            zero_derivation(g, 1),
+            Derivation((0,) * g.dim, 1),
             alpha=QuadraticForm.zero(1),
             a0=0,
             m=0,
@@ -270,7 +270,7 @@ def test_trivial_oddB_oddD_extension():
 
 def test_trivial_oddB_evenD_extension():
     g, b = _odd_nis_abelian()
-    res = extend(g, b, ExtensionRecipe("oddB-evenD", zero_derivation(g, 0)))
+    res = extend(g, b, ExtensionRecipe("oddB-evenD", Derivation((0,) * g.dim, 0)))
     assert validate(res.algebra).passed
     assert check_nis(res.algebra, res.form).passed
     assert res.algebra.squaring[res.x_index] == 0

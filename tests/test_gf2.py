@@ -8,6 +8,7 @@ from nislie.gf2 import (
     AffineSolution,
     GF2Matrix,
     SpanBasis,
+    combine,
     quotient_basis,
     rref_kernel,
     solve_affine,
@@ -28,15 +29,14 @@ def random_matrix(rng, nrows, ncols):
 
 
 def test_row_reduce_identity():
-    red = GF2Matrix.identity(3).row_reduce()
-    assert red.rank == 3
-    assert red.pivot_columns == (0, 1, 2)
-    assert red.matrix == GF2Matrix.identity(3)
+    red = SpanBasis(GF2Matrix.identity(3).rows)
+    assert red.dim == 3
+    assert sorted(red.pivot_rows) == [0, 1, 2]
+    assert red.vectors() == GF2Matrix.identity(3).rows
 
 
 def test_row_reduce_all_ones():
-    m = GF2Matrix([0b11, 0b11], 2)
-    assert m.row_reduce().rank == 1
+    assert SpanBasis([0b11, 0b11]).dim == 1
 
 
 def test_rank_matches_fraction_free_oracle():
@@ -50,9 +50,10 @@ def test_rref_is_canonical_and_preserves_span():
     rng = random.Random(7)
     for _ in range(50):
         m = random_matrix(rng, 8, 10)
-        red = m.row_reduce()
-        assert span_basis(m.rows) == span_basis(red.matrix.rows)
-        assert red.rank == m.rank()
+        red = SpanBasis(m.rows)
+        assert all(red.contains(row) for row in m.rows)
+        assert SpanBasis(reversed(m.rows)).vectors() == red.vectors()
+        assert red.dim == m.rank()
 
 
 def test_solve_identity():
@@ -109,10 +110,10 @@ def seeded_systems():
 def test_elimination_is_bit_identical_to_reference_gauss_jordan():
     singular = inconsistent = 0
     for m, rhs in seeded_systems():
-        red = m.row_reduce()
-        got = (red.matrix.rows, red.rank, red.pivot_columns)
-        assert got == reference_row_reduce(m.rows, m.ncols)
-        assert red.matrix.ncols == m.ncols
+        red = SpanBasis(m.rows)
+        pivots = tuple(sorted(red.pivot_rows))
+        rows = red.vectors() + [0] * (m.nrows - red.dim)
+        assert (rows, red.dim, pivots) == reference_row_reduce(m.rows, m.ncols)
         sol = solve_affine(m, rhs)
         want = reference_solve_affine(m.rows, m.ncols, rhs)
         assert (None if sol is None else (sol.particular, sol.kernel_basis)) == want
@@ -233,10 +234,12 @@ def test_quotient_basis_random_dims():
 )
 @settings(max_examples=100, deadline=None)
 def test_property_rowspan_preserved(rows):
-    m = GF2Matrix(rows, 10)
-    red = m.row_reduce()
-    assert span_basis(rows) == span_basis(red.matrix.rows)
-    assert red.rank == len(span_basis(rows))
+    red = SpanBasis(rows)
+    span = {0}
+    for row in rows:
+        span |= {v ^ row for v in span}
+    assert {combine(red.vectors(), c) for c in range(1 << red.dim)} == span
+    assert 1 << red.dim == len(span)
 
 
 @given(

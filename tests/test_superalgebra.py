@@ -22,8 +22,6 @@ from nislie.superalgebra import (
     center,
     cone_contains,
     derived_subalgebra,
-    find_orthogonal_decomposition,
-    irreducible_flag,
     is_two_step_nilpotent,
     sharp_complement,
     special_center,
@@ -294,32 +292,6 @@ def test_two_step_nilpotency(h104):
     assert is_two_step_nilpotent(ba_1())
     assert is_two_step_nilpotent(abelian([0, 1, 1]))
     assert not is_two_step_nilpotent(h104.algebra)
-
-
-def test_irreducibility_flag(hei_double):
-    g, b = hei_double.algebra, hei_double.form
-    assert irreducible_flag(g, b.gram)
-    # a decomposition the single-seed heuristic does find: a 1-dim even
-    # summand with B(e,e) = 1 glued to the double
-    from nislie.gf2 import GF2Matrix
-
-    n = g.dim + 1
-    table = [[0] * n for _ in range(n)]
-    for i in range(g.dim):
-        for j in range(g.dim):
-            table[i][j] = g.bracket_table[i][j]
-    gsum = SuperAlgebra(
-        g.names + ("w",),
-        g.parity + (0,),
-        tuple(tuple(r) for r in table),
-        g.squaring + (0,),
-    )
-    gram = GF2Matrix(list(b.gram.rows) + [1 << g.dim], n)
-    dec = find_orthogonal_decomposition(gsum, gram)
-    assert dec is not None
-    left, right = dec
-    assert sorted([len(left), len(right)]) == [1, g.dim]
-    assert not irreducible_flag(gsum, gram)
 
 
 def test_special_center_odd_part_equals_center_odd_for_even_form(hei_double, ba_double):
