@@ -176,6 +176,7 @@ def cmd_validate(args) -> int:
     rep = validate(doc.algebra)
     payload = {
         "axioms": rep.passed,
+        "jacobi_generators": rep.jacobi_generators,
         "failures": [
             {"axiom": f.axiom, "witness": list(f.witness), "detail": f.detail}
             for f in rep.failures
@@ -356,7 +357,12 @@ def cmd_isometry(args) -> int:
             raise CliError(2, "adapted mode needs extension metadata")
         try:
             red1, red2 = (
-                ext_reduce(d.algebra, d.form, 1 << e["x_index"], e["recipe"]["case"])
+                ext_reduce(
+                    d.algebra,
+                    d.form,
+                    1 << doc_mod._index(e["x_index"], d.algebra.dim, "x_index"),
+                    e["recipe"]["case"],
+                )
                 for d, e in ((doc1, ext1), (doc2, ext2))
             )
         except (KeyError, TypeError, ValueError, NisLieError) as exc:

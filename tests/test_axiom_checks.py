@@ -1,11 +1,12 @@
 """validate and check_nis against the per-triple reference loops.
 
-The library decides Jacobi, the squaring rule and invariance through
-products of adjoint matrices; oracles.reference_validate and
-oracles.reference_check_nis keep the bracket()/dot() loop on every basis
-triple.  Reports must agree exactly, witnesses, order and truncation
-included.  A parity-preserving relabelling must map the reports onto each
-other, one-sided flips of a bracket table or Gram matrix included.
+The library decides Jacobi from a generating set, and the squaring rule
+and invariance through products of adjoint matrices;
+oracles.reference_validate and oracles.reference_check_nis keep the
+bracket()/dot() loop on every basis triple.  Reports must agree exactly,
+witnesses, order and truncation included.  A parity-preserving
+relabelling must map the reports onto each other, one-sided flips of a
+bracket table or Gram matrix included.
 """
 
 import random
@@ -14,10 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nislie.catalog import entry_names, named
+from nislie import superalgebra
+from nislie.catalog import entry_names, hamiltonian, named
 from nislie.errors import DimensionMismatch
 from nislie.forms import BilinearForm, check_nis
-from nislie.superalgebra import SuperAlgebra, validate
+from nislie.superalgebra import SuperAlgebra, bracket, validate
 from oracles import flip, reference_check_nis, reference_validate, relabel
 
 CAPS = (1, 4, 64)
@@ -71,6 +73,92 @@ def test_checks_match_reference_loops_on_seeded_flips():
     assert {kind for kind, _, _ in seen} == set(FLIPS)
     assert {v for _, v, _ in seen} == {True, False}
     assert {v for _, _, v in seen} == {True, False}
+
+
+def route_flip(g, rng):
+    """A seeded flip that reaches the Jacobi stage of validate.
+
+    A symmetric bracket flip into the right parity keeps the table
+    symmetric, alternating and graded; a flip of an odd square into the
+    even part keeps Jacobi and can break only the squaring rule.
+    """
+    n = g.dim
+    if rng.random() < 0.25 and g.odd_indices():
+        i = rng.choice(g.odd_indices())
+        return flip(g, None, "squaring", i, i, rng.choice(g.even_indices()))[0]
+    i, j = rng.sample(range(n), 2)
+    k = rng.choice([k for k in range(n) if g.parity[k] == g.parity[i] ^ g.parity[j]])
+    return flip(g, None, "bracket-sym", i, j, k)[0]
+
+
+@pytest.mark.parametrize("name, flips", [("h'(0|6)", 16), ("h1-0-5", 40)])
+def test_generating_set_route_matches_reference_on_seeded_flips(name, flips):
+    g = hamiltonian(6)[0] if name == "h'(0|6)" else named(name).algebra
+    # far fewer generators than basis vectors (17 of 62, 10 of 30)
+    assert validate(g).jacobi_generators < g.dim // 2
+    rng = random.Random(f"generators:{name}")
+    proved = set()
+    for _ in range(flips):
+        # a new basis order per flip gives a new generating set
+        h = route_flip(relabel(g, None, rng)[0], rng)
+        assert_same_reports(h, None)
+        rep = validate(h)
+        assert (rep.jacobi_generators is None) == any(
+            f.axiom == "jacobi" for f in rep.failures
+        )
+        proved.add(rep.jacobi_generators is not None)
+    # both the proof and the witness scan ran
+    assert proved == {True, False}
+
+
+def test_forced_witness_scan_gives_the_same_report(monkeypatch):
+    rng = random.Random(20261018)
+    algebras = [hamiltonian(6)[0], named("h1-0-5").algebra, named("po05-m0").algebra]
+    algebras += [route_flip(algebras[1], rng) for _ in range(6)]
+    routed = [validate(g, cap) for g in algebras for cap in CAPS]
+    assert any(r.jacobi_generators is not None for r in routed)
+    monkeypatch.setattr(superalgebra, "_jacobi_generators", lambda *args: None)
+    scanned = [validate(g, cap) for g in algebras for cap in CAPS]
+    assert all(r.jacobi_generators is None for r in scanned)
+    assert scanned == routed
+
+
+def test_jacobi_failure_seen_only_by_the_last_generator():
+    """[a, b] = c + d, [a, c] = c, [b, d] = a, all even.
+
+    a alone closes to <a>, of codimension 3, and ad_a is a derivation; b
+    then generates the rest.  The one failing triple (b, c, d) shows only
+    in the pairs (b, c) and (b, d) of the last generator b.
+    """
+    names = ("a", "b", "c", "d")
+    table = [[0] * 4 for _ in range(4)]
+    for i, j, v in ((0, 1, 0b1100), (0, 2, 0b0100), (1, 3, 0b0001)):
+        table[i][j] = table[j][i] = v
+    g = SuperAlgebra(names, (0,) * 4, tuple(map(tuple, table)), (0,) * 4)
+    a = 1
+    for y in range(4):
+        for z in range(4):
+            ad_a_defect = bracket(g, a, table[y][z])
+            ad_a_defect ^= bracket(g, bracket(g, a, 1 << y), 1 << z)
+            ad_a_defect ^= bracket(g, 1 << y, bracket(g, a, 1 << z))
+            assert not ad_a_defect
+    for cap in CAPS:
+        assert validate(g, cap) == reference_validate(g, cap)
+    rep = validate(g)
+    assert [(f.axiom, f.witness) for f in rep.failures] == [("jacobi", (1, 2, 3))]
+    assert rep.jacobi_generators is None
+
+
+def test_jacobi_generators_report_how_jacobi_was_decided():
+    # at most two basis vectors: Jacobi holds on any alternating table
+    assert validate(named("purely-odd").algebra).jacobi_generators == 0
+    assert validate(named("h1-0-5").algebra).jacobi_generators == 10
+    rep = validate(named("po05-m0").algebra)
+    assert rep.failures[0].axiom == "jacobi" and rep.jacobi_generators is None
+    # a structural failure ends the report before Jacobi
+    g = flip(named("hei-double").algebra, None, "bracket-one", 0, 1, 3)[0]
+    rep = validate(g)
+    assert rep.failures[0].axiom == "symmetry" and rep.jacobi_generators is None
 
 
 def test_bracket_value_outside_the_algebra_raises():

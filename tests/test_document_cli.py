@@ -3,6 +3,7 @@ import functools
 import io
 import json
 import tempfile
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from nislie.catalog import named
 from nislie.cli import build_parser, main
+from nislie.derivations import CASES
 from nislie.document import (
     AlgebraDocument,
     DocumentError,
@@ -428,6 +430,16 @@ def test_cli_outer_json(capsys):
     assert degs and all(d is not None for d in degs)
 
 
+def test_cli_validate_json_says_how_jacobi_was_decided(capsys):
+    assert main(["validate", "h1-0-5", "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["axioms"] is True and data["jacobi_generators"] == 10
+    assert main(["validate", "catalog:po05-m0", "--json"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert data["failures"][0]["axiom"] == "jacobi"
+    assert data["jacobi_generators"] is None
+
+
 def test_cli_outer_names_declared_degrees_that_do_not_grade(tmp_path, capsys):
     # gl(1|1) passes the axioms, but degrees (0, 3, 0, 3) split ad(E12)
     # across two shifts: a negative about the degrees, not the axioms
@@ -506,6 +518,90 @@ def test_cli_malformed_input_exits_2(case, tmp_path, capsys):
     assert "Traceback" not in captured.err
     if case.startswith("extension metadata"):
         assert "extension metadata does not reduce the input" in captured.err
+
+
+@functools.cache
+def hei_double_extension(derivation):
+    """The document `nislie extend hei-double --case evenB-oddD` writes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ext.json"
+        argv = ["extend", "hei-double", "--case", "evenB-oddD",
+                "--derivation", derivation, "--out", str(path)]
+        with redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        return path.read_text()
+
+
+@pytest.mark.parametrize("x_index", [268435456, True], ids=["huge", "true"])
+def test_cli_adapted_refuses_an_x_index_that_is_not_a_basis_index(
+    x_index, tmp_path, capsys
+):
+    data = json.loads(hei_double_extension("D6"))
+    data["metadata"]["extension"]["x_index"] = x_index
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps(data))
+    tracemalloc.start()
+    try:
+        code = main(["isometry", str(path), "hei-oddD-ext", "--mode", "adapted"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"x_index {x_index!r} outside 0..7" in captured.err
+    # the index is refused before 1 << x_index is formed (32 MB here)
+    assert peak < 4 * 2**20
+
+
+# positions of the extension metadata that adapted mode reads or carries;
+# () is the whole "extension" object
+ADAPTED_FIELDS = [("x_index",), ("star_index",), ("recipe", "case"), ("recipe",), ()]
+METADATA_VALUES = (
+    JSON_VALUES
+    | st.integers(0, 9)
+    | st.integers(2**20, 2**64)
+    | st.integers(-(2**64), -1)
+    | st.sampled_from(CASES)
+)
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from([0, 1]),
+            st.sampled_from(ADAPTED_FIELDS),
+            st.none() | st.tuples(METADATA_VALUES),  # None deletes the field
+        ),
+        min_size=1,
+        max_size=3,
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_fuzzed_extension_metadata_gives_an_exit_code(mutations):
+    docs = [json.loads(hei_double_extension(d)) for d in ("D6", "D7")]
+    for which, field, value in mutations:
+        owner, key = docs[which]["metadata"], "extension"
+        for step in field:
+            owner = owner.get(key) if isinstance(owner, dict) else None
+            key = step
+        if not isinstance(owner, dict) or (value is None and key not in owner):
+            continue
+        if value is None:
+            del owner[key]
+        else:
+            owner[key] = value[0]
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for k, data in enumerate(docs):
+            paths.append(Path(tmp) / f"ext{k}.json")
+            paths[-1].write_text(json.dumps(data))
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(["isometry", *map(str, paths), "--mode", "adapted",
+                         "--budget", "2000"])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
 
 
 def run_cli(parse, argv, capsys):
