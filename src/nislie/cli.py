@@ -224,6 +224,7 @@ def cmd_outer(args) -> int:
             "odd": oo.derivation_dim,
         },
         "inner": {"even": oe.inner_dim, "odd": oo.inner_dim},
+        "leibniz_sources": oe.leibniz_sources,
     }
     human = [
         f"out: {oe.dim + oo.dim} classes ({oe.dim} even, {oo.dim} odd)",

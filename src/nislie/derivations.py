@@ -3,12 +3,29 @@
 A derivation is stored by its basis images (column form).  The derivation
 space of a fixed parity is the kernel of the linear system
 
-    Leibniz rule on every basis pair  +  squaring rule on every odd basis
-    vector.
+    Leibniz rule on the basis pairs that touch the Jacobi walk's vectors
+    +  squaring rule on every odd basis vector.
 
-That system decides the defining conditions on all elements: the squaring
-rule at e_i + e_j equals (rule at e_i) + (rule at e_j) + (Leibniz at
-(e_i, e_j)), so polarization recovers every instance from basis ones.
+The squaring rows decide the squaring rule on all elements: the rule at
+e_i + e_j equals (rule at e_i) + (rule at e_j) + (Leibniz at (e_i, e_j)),
+so polarization recovers every instance from basis ones once Leibniz
+holds on all pairs.
+
+Leibniz on all pairs follows from the pairs that touch a generating set
+(de Graaf, Lie Algebras: Theory and Algorithms, 2000).  The walk
+SuperAlgebra.jacobi_walk returns (S, E):
+- each ad_s, s in S, is a derivation, and the ad_S-closure C of S has
+  codimension at most 2, so the Jacobi identity holds on all of g;
+- E lists the basis vectors (at most 2) that complete C to a spanning set.
+For a linear map D of either parity, L_D = {x : D[x,y] = [Dx,y] + [x,Dy]
+for all y} is a subspace, and it contains S and E, whose rows are in the
+system (the rule at (j, k) is the rule at (k, j) on a symmetric table).
+It is stable under ad_s for each s in S: expanding D[[s,v],y] with Jacobi
+at (s, v, y), (s, Dv, y), (s, v, Dy) and (Ds, v, y) gives the Leibniz rule
+at ([s,v], y) for v in L_D.  So L_D contains C + span(E) = g, and these
+rows have the kernel of the rows on every pair.  When the walk is None (a
+table that is not structurally_sound, or a failing Jacobi identity), every
+pair gives its rows.
 
 The system is block-diagonal over the shift of the unknown map under the
 finest free grading that the structure constants allow
@@ -25,7 +42,8 @@ must coarsen the fine grading, only label the blocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import sub
 from typing import Callable, Sequence
 
 from .errors import CaseParityMismatch, DimensionMismatch, InnerNotDerivation
@@ -132,10 +150,12 @@ def is_derivation(g: SuperAlgebra, d: Derivation) -> tuple[bool, tuple | None]:
 def _fine_blocks(g: SuperAlgebra, parity: int):
     """The derivation system of one parity, split by fine shift.
 
-    Unknown (i, m) means e_m |-> ... + e_i; it lies in the block of its
-    shift f_i - f_m under g.fine_degrees.  Every rule row is homogeneous:
-    the row of output l of the rule at (j, k) only touches unknowns of
-    shift f_l - f_j - f_k.  Returns (unknowns, kernels), one entry per
+    Leibniz rows come from the pairs that touch g.jacobi_walk, or from
+    every pair when it is None (see the module docstring).  Unknown (i, m)
+    means e_m |-> ... + e_i; it lies in the block of its shift f_i - f_m
+    under g.fine_degrees.  Every rule row is homogeneous: the row of
+    output l of the rule at (j, k) only touches unknowns of shift
+    f_l - f_j - f_k.  Returns (unknowns, kernels), one entry per
     block in order of shift, with kernel vectors over the block's own
     unknowns.
     """
@@ -147,7 +167,7 @@ def _fine_blocks(g: SuperAlgebra, parity: int):
         fm = fine[m]
         for i in range(n):
             if g.parity[i] == want:
-                shift = tuple(a - b for a, b in zip(fine[i], fm))
+                shift = tuple(map(sub, fine[i], fm))
                 layout.setdefault(shift, []).append((i, m))
     unknowns = [layout[s] for s in sorted(layout)]
     # by_source[m]: (i, b * n, bit) for each unknown (i, m) of a block b
@@ -194,9 +214,12 @@ def _fine_blocks(g: SuperAlgebra, parity: int):
                 for m in {m for _, m in unknowns[b]}:
                     by_source[m] = [e for e in by_source[m] if e[1] != off]
 
+    walk = g.jacobi_walk
+    sources = range(n) if walk is None else frozenset(walk[0] + walk[1])
     for j in range(n):
         for k in range(j + 1, n):
-            add_rule(table[j][k], j, k, True)
+            if j in sources or k in sources:
+                add_rule(table[j][k], j, k, True)
     for j in g.odd_indices():
         add_rule(g.squaring[j], j, j, False)
     kernels = [
@@ -242,6 +265,8 @@ class OuterBasis:
     representatives: tuple[Derivation, ...]
     derivation_dim: int
     inner_dim: int
+    # basis vectors whose Leibniz rows built the system; None: every pair
+    leibniz_sources: int | None = field(default=None, compare=False)
 
     @property
     def dim(self) -> int:
@@ -302,11 +327,13 @@ def outer_derivations(g: SuperAlgebra, parity: int | None = None):
         for v in vecs
     )
     derivation_dim = sum(len(kernel) for _, kernel, _ in blocks)
+    walk = g.jacobi_walk
     return OuterBasis(
         parity=parity,
         representatives=reps,
         derivation_dim=derivation_dim,
         inner_dim=derivation_dim - len(reps),
+        leibniz_sources=None if walk is None else len(walk[0]) + len(walk[1]),
     )
 
 

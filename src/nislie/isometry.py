@@ -52,7 +52,14 @@ from .gf2 import (
     restrict,
     solve_affine,
 )
-from .superalgebra import SuperAlgebra, ad, ad_system, bracket, square_element
+from .superalgebra import (
+    SuperAlgebra,
+    ad,
+    ad_system,
+    bracket,
+    square_element,
+    structurally_sound,
+)
 
 
 @dataclass(frozen=True)
@@ -575,23 +582,6 @@ class _Isometries:
                 yield from self._backtrack(level + 1, child, pairs_now)
 
 
-def _closures_complete(g: SuperAlgebra) -> bool:
-    """The table facts the closures need to reach every subalgebra: brackets
-    alternating, symmetric and parity-homogeneous, odd squares even (the
-    alternating, symmetry and grading checks of validate)."""
-    table, p = g.bracket_table, g.parity
-    wrong = (g.odd_mask, g.even_mask)  # the bits a value of parity k lacks
-    return all(
-        not table[i][i]
-        and not (p[i] and g.squaring[i] & wrong[0])
-        and all(
-            table[i][j] == table[j][i] and not table[i][j] & wrong[p[i] ^ p[j]]
-            for j in range(i)
-        )
-        for i in range(g.dim)
-    )
-
-
 def _first_isometry(search: _Isometries, span: _PairSpan, determined) -> SearchResult:
     """The first leaf below the closed span of the pairs `determined`, or
     why there is none: a proof unless a candidate list was cut or a table
@@ -604,7 +594,7 @@ def _first_isometry(search: _Isometries, span: _PairSpan, determined) -> SearchR
         return SearchResult("found", Isometry(images), nodes=search.nodes)
     if search.truncated:
         reason = f"some generator has more than {_CANDIDATE_LIMIT} candidates"
-    elif not (_closures_complete(search.g1) and _closures_complete(search.g2)):
+    elif not (structurally_sound(search.g1) and structurally_sound(search.g2)):
         reason = "a bracket table is not symmetric, alternating and graded"
     else:
         return SearchResult(
@@ -631,7 +621,7 @@ def search_isometry(
     seeds on other vectors are ignored, and no seed constrains the search.
 
     An exhausted search is a proof (proved=True) when no candidate list was
-    cut at _CANDIDATE_LIMIT and both tables pass _closures_complete, by
+    cut at _CANDIDATE_LIMIT and both tables are structurally_sound, by
     three facts:
     - every isometry pi is fixed by the images of the generating sequence,
       whose subalgebra closure is all of g1, since pi preserves brackets

@@ -23,6 +23,15 @@ contains the ad_S-closure of S, and Jacobi holds on g once that closure
 is g.  Codimension 2 is enough: J(x, x, y) = 0, so J is an alternating
 trilinear form on g / L.  validate decides Jacobi this way and scans the
 basis pairs only to list witnesses.
+
+The walk runs once per algebra: SuperAlgebra.jacobi_walk caches its
+generators S and the basis vectors E that complete their closure to a
+spanning set, or None when the table is not structurally_sound (values
+inside the algebra, alternating, symmetric, graded, odd squares even) or
+Jacobi fails.  validate fills that cache, and the derivation system
+(derivations) reads it to build Leibniz rows only on the pairs that
+touch S and E.  Both read the adjoint maps as columns straight off the
+table, so neither builds ad_planes.
 """
 
 from __future__ import annotations
@@ -30,9 +39,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property
 from math import gcd, lcm
-from operator import or_
+from operator import and_, xor
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, NotOdd
@@ -80,6 +89,18 @@ class SuperAlgebra:
     def fine_degrees(self) -> tuple[tuple[int, ...], ...]:
         """Degree of each basis vector in the finest free grading."""
         return fine_grading(self)
+
+    @cached_property
+    def jacobi_walk(self) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+        """(S, E): basis indices whose adjoint maps are checked derivations,
+        and the basis indices that complete their ad_S-closure to a
+        spanning set (at most 2).  None when the table is not
+        structurally_sound or the Jacobi identity fails.  See
+        _jacobi_generators.
+        """
+        if not structurally_sound(self):
+            return None
+        return _jacobi_generators(self, _adjoint_entries(self))
 
     @property
     def sdim(self) -> tuple[int, int]:
@@ -234,12 +255,13 @@ def fine_grading(g: SuperAlgebra) -> tuple[tuple[int, ...], ...]:
     for f in range(n):
         if f in pivots:
             continue
-        vec = [Fraction(0)] * n
-        vec[f] = Fraction(1)
-        for p, row in pivots.items():
-            vec[p] = -Fraction(row.get(f, 0))
-        scale = lcm(*(x.denominator for x in vec))
-        basis.append([int(x * scale) for x in vec])
+        column = {p: -row[f] for p, row in pivots.items() if f in row}
+        scale = lcm(*(x.denominator for x in column.values()))  # 1 for ints
+        vec = [0] * n
+        vec[f] = scale
+        for p, x in column.items():
+            vec[p] = int(x * scale)
+        basis.append(vec)
     return tuple(tuple(v[i] for v in basis) for i in range(n))
 
 
@@ -264,6 +286,26 @@ def ad_system(g: SuperAlgebra, idxs: Sequence[int], domain: Iterable[int]) -> li
     ]
 
 
+def structurally_sound(g: SuperAlgebra) -> bool:
+    """Bracket values inside the algebra, alternating, symmetric and
+    parity-homogeneous, odd squares even: the alternating, symmetry and
+    grading checks of validate that closures and the Jacobi walk need."""
+    table, p = g.bracket_table, g.parity
+    outside = -1 << g.dim  # the bits of no basis vector
+    lacks = (g.odd_mask | outside, g.even_mask | outside)  # by value parity
+    # wrong[k][j]: the bits [e_i, e_j] lacks for an e_i of parity k
+    wrong = tuple(tuple(lacks[k ^ q] for q in p) for k in (0, 1))
+    for i, (row, column) in enumerate(zip(table, zip(*table))):
+        if (
+            row[i]
+            or row != column
+            or any(map(and_, row, wrong[p[i]]))
+            or p[i] and g.squaring[i] & lacks[0]
+        ):
+            return False
+    return True
+
+
 def ad_planes(g: SuperAlgebra) -> list[list[int]]:
     """The matrices of the adjoint maps of the basis, row by row.
 
@@ -282,25 +324,32 @@ def ad_planes(g: SuperAlgebra) -> list[list[int]]:
     return planes
 
 
-def _nonzero_columns(planes, entries, products, x: int) -> int:
+def _adjoint_entries(g: SuperAlgebra) -> list[list[tuple[int, int]]]:
+    """The nonzero entries (k, l) of each ad_{e_b}: bit l of [e_b, e_k]."""
+    return [
+        [(k, l) for k, v in enumerate(row) for l in bits(v)]
+        for row in g.bracket_table
+    ]
+
+
+def _nonzero_columns(table, entries, products, x: int) -> int:
     """Mask of the nonzero columns of ad_x + the sum of ad_a ad_b.
 
-    products lists the index pairs (a, b).  entries[a] lists the nonzero
-    entries (l, m) of ad_a, bit m of planes[a][l], as a pair of parallel
-    tuples (rows, columns); row l of ad_a ad_b is the sum of planes[b][m]
-    over them.
+    products lists the index pairs (a, b); entries is _adjoint_entries.
+    Column k of ad_x is the sum of table[m][k] over the bits m of x, and
+    column k of ad_a ad_b, ad_a applied to [e_b, e_k], is the sum of
+    table[a][l] over the entries (k, l) of ad_b.
     """
-    if x >> len(planes):
+    if x >> len(table):
         raise DimensionMismatch("element outside the algebra")
-    acc = [0] * len(planes)
-    for a, b in products:
-        plane = planes[b]
-        for l, m in zip(*entries[a]):
-            acc[l] ^= plane[m]
+    acc = [0] * len(table)
     for m in bits(x):
-        for l, k in zip(*entries[m]):
-            acc[l] ^= 1 << k
-    return reduce(or_, acc)
+        acc = list(map(xor, acc, table[m]))
+    for a, b in products:
+        row = table[a]
+        for k, l in entries[b]:
+            acc[k] ^= row[l]
+    return sum(1 << k for k, v in enumerate(acc) if v) if any(acc) else 0
 
 
 # ---------------------------------------------------------------------------
@@ -347,19 +396,22 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def _jacobi_generators(g: SuperAlgebra, planes, entries) -> int | None:
-    """Prove Jacobi from a generating set: its size, or None at a failure.
+def _jacobi_generators(
+    g: SuperAlgebra, entries
+) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """Prove Jacobi from a generating set: (S, E), or None at a failure.
 
-    The table must be symmetric and alternating.  The basis is walked in
-    order; each e_i outside the ad_S-closure of the generators S so far
-    (the least subspace containing S and stable under every ad_s, built
+    The table must be structurally_sound.  The basis is walked in order;
+    each e_i outside the ad_S-closure of the generators S so far (the
+    least subspace containing S and stable under every ad_s, built
     without assuming Jacobi) joins S once the Jacobi masks of the pairs
     (i, j), j > i, are zero.  The closure lies in L = {x : ad_x is a
     derivation}, and so does every e_j with j < i, so ad_{e_i} is then a
     derivation.  The walk ends when the closure has codimension at most
     2: J vanishes once an argument lies in L, so it is an alternating
     trilinear form on g / L, and such a form on a space of dimension 2 is
-    zero.
+    zero.  E lists the basis vectors of the closure's free columns, which
+    complete it to g.
     """
     n = g.dim
     table = g.bracket_table
@@ -375,7 +427,7 @@ def _jacobi_generators(g: SuperAlgebra, planes, entries) -> int | None:
         # each e_j, j < i, is a generator or in the closure, so J(e_j, ., .)
         # is zero already; J(e_i, e_i, .) is zero on an alternating table
         for j in range(i + 1, n):
-            if _nonzero_columns(planes, entries, ((i, j), (j, i)), row[j]):
+            if _nonzero_columns(table, entries, ((i, j), (j, i)), row[j]):
                 return None
         # [e_i, v] for v in the closure so far; [e_s, e_i] for an earlier
         # generator s is [e_i, e_s], one of them, as the table is symmetric
@@ -388,7 +440,10 @@ def _jacobi_generators(g: SuperAlgebra, planes, entries) -> int | None:
             if v and closure.add(v):
                 spanning.append(v)
                 frontier.extend(combine(table[s], v) for s in gens)
-    return len(gens)
+    # the rows are fully reduced with lowest-bit pivots, so they and the
+    # unit vectors of the free columns are a triangular basis of g
+    free = tuple(j for j in range(n) if j not in closure.pivot_rows)
+    return tuple(gens), free
 
 
 def validate(g: SuperAlgebra, max_failures: int = 64) -> ValidationReport:
@@ -400,9 +455,10 @@ def validate(g: SuperAlgebra, max_failures: int = 64) -> ValidationReport:
     symmetric, alternating table it holds on all of g once ad_s is a
     derivation for every s in a set S whose ad_S-closure has codimension
     at most 2 (see the module docstring); report.jacobi_generators is the
-    size of S.  Only when a Jacobi mask is nonzero does the scan over the
-    pairs i < j run, and it lists the witnesses (i, j, k), i < j < k, in
-    order.  The squaring rule is checked on each odd basis vector.  At
+    size of S.  The walk is cached as g.jacobi_walk, which the derivation
+    system reads too.  Only when a Jacobi mask is nonzero does the scan
+    over the pairs i < j run, and it lists the witnesses (i, j, k),
+    i < j < k, in order.  The squaring rule is checked on each odd basis vector.  At
     most max_failures failures are kept; Jacobi witnesses stop at that
     count.
     """
@@ -415,8 +471,10 @@ def validate(g: SuperAlgebra, max_failures: int = 64) -> ValidationReport:
             report.failures.append(AxiomFailure(axiom, witness, detail))
 
     parity = g.parity
+    values = 0  # the OR of the bracket and squaring values
     for i in range(n):
         row = table[i]
+        values |= g.squaring[i]
         if row[i]:
             fail("alternating", (i, i), "[e,e] != 0")
         if parity[i] == 0 and g.squaring[i]:
@@ -425,6 +483,7 @@ def validate(g: SuperAlgebra, max_failures: int = 64) -> ValidationReport:
             fail("grading", (i,), "squaring value not even")
         for j in range(i + 1, n):
             a, b = row[j], table[j][i]
+            values |= a | b
             if a != b:
                 fail("symmetry", (i, j), "bracket table not symmetric")
             bad = g.odd_mask if parity[i] == parity[j] else g.even_mask
@@ -436,22 +495,27 @@ def validate(g: SuperAlgebra, max_failures: int = 64) -> ValidationReport:
         # Jacobi witnesses would be noise on a malformed table.
         return report
 
-    # Jacobi at (i, j, k) is column k of ad_[e_i,e_j] + ad_i ad_j + ad_j ad_i
-    # (the table is symmetric here); the OR of that matrix's rows is the
-    # mask of failing k, and only the rare witnesses go through bracket().
-    planes = ad_planes(g)
-    entries = [
-        tuple(zip(*((l, m) for l, r in enumerate(p) for m in bits(r))))
-        for p in planes
-    ]
-    report.jacobi_generators = _jacobi_generators(g, planes, entries)
-    if report.jacobi_generators is None:
+    if values >> n:
+        raise DimensionMismatch("element outside the algebra")
+    # The table is structurally_sound here.  Jacobi at (i, j, k) is column
+    # k of ad_[e_i,e_j] + ad_i ad_j + ad_j ad_i; the nonzero columns of that
+    # matrix are the failing k, and only the rare witnesses go through
+    # bracket().
+    entries = _adjoint_entries(g)
+    if "jacobi_walk" not in vars(g):
+        # walk with these entries and cache the result where the property
+        # keeps it, rather than let the property build them a second time
+        vars(g)["jacobi_walk"] = _jacobi_generators(g, entries)
+    walk = g.jacobi_walk
+    if walk is not None:
+        report.jacobi_generators = len(walk[0])
+    else:
         # some mask is nonzero: list the witnesses in order, pair by pair
         for i in range(n):
             for j in range(i + 1, n):
                 bij = table[i][j]
                 failing = _nonzero_columns(
-                    planes, entries, ((i, j), (j, i)), bij
+                    table, entries, ((i, j), (j, i)), bij
                 )
                 for k in bits(failing >> (j + 1) << (j + 1)):
                     cycle = bracket(g, 1 << i, table[j][k])
@@ -468,7 +532,7 @@ def validate(g: SuperAlgebra, max_failures: int = 64) -> ValidationReport:
     # squaring rule at (i, j) is column j of ad_{s(e_i)} + ad_i ad_i
     for i in g.odd_indices():
         si = g.squaring[i]
-        for j in bits(_nonzero_columns(planes, entries, ((i, i),), si)):
+        for j in bits(_nonzero_columns(table, entries, ((i, i),), si)):
             lhs = bracket(g, si, 1 << j)
             rhs = bracket(g, 1 << i, table[i][j])
             fail(

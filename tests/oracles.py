@@ -16,7 +16,7 @@ import numpy as np
 from nislie.derivations import case_parities, is_derivation
 from nislie.errors import CaseParityMismatch, ConditionViolated
 from nislie.forms import BilinearForm, NISReport, QuadraticForm
-from nislie.gf2 import GF2Matrix, SpanBasis, bits, dot
+from nislie.gf2 import GF2Matrix, SpanBasis, bits, dot, rref_kernel
 from nislie.isometry import build_adapted_isometry, isometry_group
 from nislie.superalgebra import (
     AxiomFailure,
@@ -841,3 +841,77 @@ def reference_coefficient_cut(form, candidates, diagonal=False):
         sum(make(d) << k for k, d in enumerate(candidates)) for make in makers
     ]
     return GF2Matrix(rows, len(candidates)).kernel_basis()
+
+
+def reference_fine_blocks(g: SuperAlgebra, parity: int):
+    """derivations._fine_blocks with the Leibniz rows of every basis pair.
+
+    The same blocks in the same order, the same squaring rows, and a
+    Leibniz rule at every pair j < k instead of the pairs that touch the
+    Jacobi walk's vectors; the kernels must be bit-identical.
+    """
+    n = g.dim
+    fine = g.fine_degrees
+    layout: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    for m in range(n):
+        want = (g.parity[m] + parity) & 1
+        fm = fine[m]
+        for i in range(n):
+            if g.parity[i] == want:
+                shift = tuple(a - b for a, b in zip(fine[i], fm))
+                layout.setdefault(shift, []).append((i, m))
+    unknowns = [layout[s] for s in sorted(layout)]
+    # by_source[m]: (i, b * n, bit) for each unknown (i, m) of a block b
+    # whose kernel is still open; a row of block b and output l has key
+    # b * n + l
+    by_source: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    for b, block in enumerate(unknowns):
+        for pos, (i, m) in enumerate(block):
+            by_source[m].append((i, b * n, 1 << pos))
+    spans = [SpanBasis() for _ in unknowns]
+    table = g.bracket_table
+
+    def add_rule(image: int, j: int, k: int, leibniz: bool):
+        # D(image) + [D e_j, e_k] (+ [e_j, D e_k] for Leibniz), per output
+        rows: dict[int, int] = {}
+        get = rows.get
+        while image:
+            low = image & -image
+            image ^= low
+            for i, off, bit in by_source[low.bit_length() - 1]:
+                rows[off + i] = get(off + i, 0) ^ bit
+        for m, off, bit in by_source[j]:
+            v = table[m][k]
+            while v:
+                low = v & -v
+                v ^= low
+                key = off + low.bit_length() - 1
+                rows[key] = get(key, 0) ^ bit
+        if leibniz:
+            row_j = table[j]
+            for m, off, bit in by_source[k]:
+                v = row_j[m]
+                while v:
+                    low = v & -v
+                    v ^= low
+                    key = off + low.bit_length() - 1
+                    rows[key] = get(key, 0) ^ bit
+        for key, r in rows.items():
+            b = key // n
+            span = spans[b]
+            if r and span.add(r) and span.dim == len(unknowns[b]):
+                # full rank: the block's kernel is 0, so its unknowns drop out
+                off = b * n
+                for m in {m for _, m in unknowns[b]}:
+                    by_source[m] = [e for e in by_source[m] if e[1] != off]
+
+    for j in range(n):
+        for k in range(j + 1, n):
+            add_rule(table[j][k], j, k, True)
+    for j in g.odd_indices():
+        add_rule(g.squaring[j], j, j, False)
+    kernels = [
+        rref_kernel(span.pivot_rows, len(block))
+        for span, block in zip(spans, unknowns)
+    ]
+    return unknowns, kernels

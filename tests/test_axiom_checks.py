@@ -10,6 +10,7 @@ bracket table or Gram matrix included.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,7 @@ from nislie import superalgebra
 from nislie.catalog import entry_names, hamiltonian, named
 from nislie.errors import DimensionMismatch
 from nislie.forms import BilinearForm, check_nis
-from nislie.superalgebra import SuperAlgebra, bracket, validate
+from nislie.superalgebra import SuperAlgebra, bracket, structurally_sound, validate
 from oracles import flip, reference_check_nis, reference_validate, relabel
 
 CAPS = (1, 4, 64)
@@ -68,6 +69,12 @@ def test_checks_match_reference_loops_on_seeded_flips():
         )
         assert_same_reports(g, form)
         assert_witnesses_at_wrong_entries(g, form)
+        # the structural failures, but for the squares of even vectors
+        assert structurally_sound(g) != any(
+            f.axiom in ("alternating", "symmetry", "grading")
+            and (len(f.witness) == 2 or g.parity[f.witness[0]] == 1)
+            for f in validate(g).failures
+        )
         seen.add((kind, validate(g).passed, check_nis(g, form).passed))
     # the flips reach every kind, and both verdicts of each check
     assert {kind for kind, _, _ in seen} == set(FLIPS)
@@ -118,7 +125,8 @@ def test_forced_witness_scan_gives_the_same_report(monkeypatch):
     routed = [validate(g, cap) for g in algebras for cap in CAPS]
     assert any(r.jacobi_generators is not None for r in routed)
     monkeypatch.setattr(superalgebra, "_jacobi_generators", lambda *args: None)
-    scanned = [validate(g, cap) for g in algebras for cap in CAPS]
+    # fresh copies: each algebra caches its walk (SuperAlgebra.jacobi_walk)
+    scanned = [validate(replace(g), cap) for g in algebras for cap in CAPS]
     assert all(r.jacobi_generators is None for r in scanned)
     assert scanned == routed
 
@@ -168,6 +176,7 @@ def test_bracket_value_outside_the_algebra_raises():
     table[0][1] ^= 1 << n
     table[1][0] ^= 1 << n
     bad = SuperAlgebra(g.names, g.parity, tuple(map(tuple, table)), g.squaring)
+    assert not structurally_sound(bad) and bad.jacobi_walk is None
     with pytest.raises(DimensionMismatch):
         validate(bad)
     with pytest.raises(DimensionMismatch):

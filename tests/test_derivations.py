@@ -4,6 +4,10 @@ import random
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nislie import derivations, superalgebra
 from nislie.catalog import (
     ba_double_cocycles,
     entry_names,
@@ -35,9 +39,17 @@ from nislie.superalgebra import (
     bracket,
     center,
     square_element,
+    structurally_sound,
     validate,
 )
-from oracles import derivation_system_dense, flip, gf2_rank_dense, relabel
+from oracles import (
+    derivation_system_dense,
+    flip,
+    gf2_rank_dense,
+    reference_fine_blocks,
+    reference_validate,
+    relabel,
+)
 
 
 def abelian(parities):
@@ -534,3 +546,100 @@ def test_outer_dimension_by_degree_survives_relabelling(name):
             assert outer_dimension_by_degree(g2, parity) == (
                 outer_dimension_by_degree(g, parity)
             )
+
+
+def outcome(fn, g, parity):
+    """fn(g, parity), or the type and message of what it raised."""
+    try:
+        return fn(g, parity)
+    except Exception as exc:  # compared with the reference's
+        return type(exc), str(exc)
+
+
+def assert_generator_rows_match_all_pairs(g):
+    """derivation_space and outer_derivations give what the all-pairs
+    builder gives, errors included, in both parities."""
+    calls = (derivation_space, outer_derivations)
+    for parity in (0, 1):
+        got = [outcome(fn, g, parity) for fn in calls]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(derivations, "_fine_blocks", reference_fine_blocks)
+            want = [outcome(fn, g, parity) for fn in calls]
+        assert got == want, (g.names, parity)
+
+
+def test_generator_rows_match_all_pairs_on_catalog():
+    # po05-m0, po05-m1 and po-0-5 fail Jacobi: all pairs, and their
+    # InnerNotDerivation errors
+    for name in entry_names():
+        g = named(name).algebra
+        assert_generator_rows_match_all_pairs(g)
+        walk = g.jacobi_walk
+        assert (walk is None) == (not validate(g).passed)
+        if walk is not None:
+            sources = len(walk[0]) + len(walk[1])
+            assert outer_derivations(g, 0).leibniz_sources == sources
+    assert outer_derivations(named("h1-0-5").algebra, 1).leibniz_sources == 10
+
+
+@pytest.mark.parametrize("m", [4, 5, 6])
+def test_generator_rows_match_all_pairs_on_relabelled_hamiltonians(m):
+    g, form, _ = hamiltonian(m)
+    rng = random.Random(f"generator rows:{m}")
+    for _ in range(3 if m < 6 else 1):
+        g2, _ = relabel(g, form, rng)
+        # some pairs are left out of the system
+        assert len(g2.jacobi_walk[0]) + len(g2.jacobi_walk[1]) < g2.dim - 1
+        assert_generator_rows_match_all_pairs(g2)
+
+
+def test_generator_rows_match_all_pairs_on_flips_that_break_jacobi():
+    # a symmetric flip into the right parity keeps the table structurally
+    # sound; the per-triple reference decides that Jacobi fails
+    pool = [named(name).algebra for name in entry_names(include_defective=False)]
+    pool = [g for g in pool if 6 <= g.dim <= 16]
+    rng = random.Random(20261020)
+    broken = 0
+    while broken < 24:
+        g0 = rng.choice(pool)
+        i, j = rng.sample(range(g0.dim), 2)
+        want = g0.parity[i] ^ g0.parity[j]
+        k = rng.choice([k for k in range(g0.dim) if g0.parity[k] == want])
+        g, _ = flip(g0, None, "bracket-sym", i, j, k)
+        if not any(f.axiom == "jacobi" for f in reference_validate(g, 1).failures):
+            continue
+        broken += 1
+        assert structurally_sound(g)
+        assert_generator_rows_match_all_pairs(g)
+        assert g.jacobi_walk is None
+
+
+VALID_SMALL = [
+    name for name in entry_names(include_defective=False)
+    if named(name).algebra.dim <= 16
+]
+
+
+@given(st.sampled_from(VALID_SMALL), st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_generator_rows_survive_relabelling(name, rng):
+    g = named(name).algebra
+    g2, _ = relabel(g, named(name).form, rng)
+    assert_generator_rows_match_all_pairs(g2)
+    for parity in (0, 1):
+        o, o2 = outer_derivations(g, parity), outer_derivations(g2, parity)
+        assert (o.dim, o.derivation_dim, o.inner_dim) == (
+            o2.dim, o2.derivation_dim, o2.inner_dim
+        )
+
+
+def test_validate_then_outer_derivations_walk_once(monkeypatch):
+    g = dataclasses.replace(named("h1-0-5").algebra)  # nothing cached yet
+    assert validate(g).jacobi_generators == 10
+
+    def walk_again(*args):
+        raise AssertionError("the Jacobi walk ran a second time")
+
+    monkeypatch.setattr(superalgebra, "_jacobi_generators", walk_again)
+    assert outer_derivations(g, 1).leibniz_sources == 10
+    assert derivation_space(g, 0)

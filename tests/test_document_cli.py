@@ -174,13 +174,9 @@ def json_positions(node, path=()):
         yield from json_positions(child, path + (key,))
 
 
-@st.composite
-def mutated_documents(draw):
-    """A small catalog document with one to three positions replaced by
-    arbitrary JSON, moved by one (integers) or deleted."""
-    data = json.loads(
-        catalog_document(draw(st.sampled_from(["hei-double", "ba-double", "hei-oddD-ext"])))
-    )
+def mutate(draw, data):
+    """data with one to three positions replaced by arbitrary JSON, moved
+    by one (integers) or deleted."""
     for _ in range(draw(st.integers(1, 3))):
         path = draw(st.sampled_from(list(json_positions(data))))
         owner = data
@@ -199,7 +195,24 @@ def mutated_documents(draw):
             owner[path[-1]] = value
         else:
             data = value
-    return json.dumps(data)
+    return data
+
+
+@st.composite
+def mutated_documents(draw):
+    """A small catalog document, mutated."""
+    data = json.loads(
+        catalog_document(draw(st.sampled_from(["hei-double", "ba-double", "hei-oddD-ext"])))
+    )
+    return json.dumps(mutate(draw, data))
+
+
+def exit_code_and_stderr(argv):
+    """The exit code of `nislie argv` and what it wrote to stderr."""
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
 
 
 @given(mutated_documents())
@@ -214,11 +227,9 @@ def test_fuzzed_documents_load_or_fail_as_input_errors(text):
         path = Path(tmp) / "fuzzed.json"
         path.write_text(text)
         for command in ("validate", "outer"):
-            err = io.StringIO()
-            with redirect_stdout(io.StringIO()), redirect_stderr(err):
-                code = main([command, str(path)])
+            code, err = exit_code_and_stderr([command, str(path)])
             assert code in (0, 1, 2) and (loaded or code == 2), (command, code)
-            assert "Traceback" not in err.getvalue()
+            assert "Traceback" not in err
 
 
 def test_cli_validate_exit_codes(tmp_path):
@@ -424,6 +435,8 @@ def test_cli_outer_json(capsys):
 
     data = _json.loads(capsys.readouterr().out)
     assert data["dim_even"] == 5 and data["dim_odd"] == 1
+    # the Leibniz rows of 10 generators built the system, not all 30 vectors
+    assert data["leibniz_sources"] == 10
     degs = [
         r.get("degree") for r in data["representatives"] if r["parity"] == 1
     ]
@@ -596,12 +609,72 @@ def test_fuzzed_extension_metadata_gives_an_exit_code(mutations):
         for k, data in enumerate(docs):
             paths.append(Path(tmp) / f"ext{k}.json")
             paths[-1].write_text(json.dumps(data))
-        err = io.StringIO()
-        with redirect_stdout(io.StringIO()), redirect_stderr(err):
-            code = main(["isometry", *map(str, paths), "--mode", "adapted",
-                         "--budget", "2000"])
+        code, err = exit_code_and_stderr(
+            ["isometry", *map(str, paths), "--mode", "adapted", "--budget", "2000"]
+        )
     assert code in (0, 1, 2, 3)
-    assert "Traceback" not in err.getvalue()
+    assert "Traceback" not in err
+
+
+@functools.cache
+def h104_d7_spec_files():
+    """The derivation and alpha of h104-D7ext as @file JSON."""
+    meta = recipe_to_meta(named("h104-D7ext").extension.recipe)
+    return {"derivation": meta["derivation"], "alpha": meta["alpha"]}
+
+
+def extend_h104_with_spec_files(files):
+    """Exit code and stderr of `nislie extend h1-0-4` with the recipe of
+    h104-D7ext read from --derivation and --alpha @files."""
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["extend", "h1-0-4", "--case", "evenB-evenD", "--beta-star", "0",
+                "--out", str(Path(tmp) / "ext.json")]
+        for key, value in files.items():
+            path = Path(tmp) / f"{key}.json"
+            path.write_text(value)
+            argv += [f"--{key}", f"@{path}"]
+        return exit_code_and_stderr(argv)
+
+
+def test_extend_reads_spec_files():
+    files = {key: json.dumps(value) for key, value in h104_d7_spec_files().items()}
+    assert extend_h104_with_spec_files(files) == (0, "")
+
+
+@given(st.sets(st.sampled_from(["derivation", "alpha"]), min_size=1), st.data())
+@settings(max_examples=100, deadline=None)
+def test_fuzzed_extend_spec_files_give_an_exit_code(which, data):
+    files = {}
+    for key, value in h104_d7_spec_files().items():
+        if key in which:
+            value = mutate(data.draw, json.loads(json.dumps(value)))
+        files[key] = json.dumps(value)
+    code, err = extend_h104_with_spec_files(files)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+
+
+SEED_TOKENS = st.sampled_from(
+    ["p", "q", "z", "pstar", "qstar", "zstar", "0", "", " ", "x", "P", "+", "=", ",", "-p"]
+) | st.text(max_size=3)
+
+
+@given(
+    st.lists(
+        st.tuples(st.lists(SEED_TOKENS, max_size=3), st.lists(SEED_TOKENS, max_size=3)),
+        min_size=1,
+        max_size=3,
+    ),
+    st.sampled_from(["hei-double", "ba-double"]),
+)
+@settings(max_examples=100, deadline=None)
+def test_fuzzed_isometry_seeds_give_an_exit_code(pairs, target):
+    text = ",".join(f"{'+'.join(a)}={'+'.join(b)}" for a, b in pairs)
+    code, err = exit_code_and_stderr(
+        ["isometry", "hei-double", target, f"--seed={text}", "--budget", "500"]
+    )
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
 
 
 def run_cli(parse, argv, capsys):
