@@ -225,6 +225,7 @@ def cmd_outer(args) -> int:
         },
         "inner": {"even": oe.inner_dim, "odd": oo.inner_dim},
         "leibniz_sources": oe.leibniz_sources,
+        "rows": {"even": oe.rows, "odd": oo.rows},
     }
     human = [
         f"out: {oe.dim + oo.dim} classes ({oe.dim} even, {oo.dim} odd)",

@@ -34,10 +34,24 @@ It is built in one pass over the rules: each basis vector lists the
 unknowns that have it as source, with their block, so a rule row touches
 only unknowns that exist and goes to the block of its shift.  Each block
 keeps its own fully reduced SpanBasis, its kernel is read off the pivot
-rows with no second elimination, and a block that reaches full rank drops
+rows with no second elimination, and a block whose kernel is known drops
 out of the index.  Inner maps ad_{e_i} lie in the block of e_i's degree,
 so the outer quotient is taken block by block; declared degrees, which
 must coarsen the fine grading, only label the blocks.
+
+A block's kernel is known at full rank, and earlier once the inner maps
+are proved derivations: g.jacobi_walk is a tuple (Jacobi holds) and
+g.squaring_rule_holds (ad_{s(e_i)} = ad_i ad_i on odd e_i).  Then a block
+closes at rank size - r_b, where r_b is the rank of its inner maps:
+- K_true is the kernel of every row, K_partial the kernel of the rows
+  inserted so far, so K_partial contains K_true;
+- K_true contains the block's inner span, which has dimension r_b;
+- at rank size - r_b, dim K_partial = r_b, so K_partial = K_true = the
+  inner span;
+- equal kernels mean equal row spaces, and the reduced echelon form is
+  canonical, so rref_kernel returns bit-identical kernels.
+Without either proof a block closes only at full rank, so a table that
+fails the axioms keeps its kernels and its InnerNotDerivation errors.
 """
 
 from __future__ import annotations
@@ -155,9 +169,12 @@ def _fine_blocks(g: SuperAlgebra, parity: int):
     means e_m |-> ... + e_i; it lies in the block of its shift f_i - f_m
     under g.fine_degrees.  Every rule row is homogeneous: the row of
     output l of the rule at (j, k) only touches unknowns of shift
-    f_l - f_j - f_k.  Returns (unknowns, kernels), one entry per
-    block in order of shift, with kernel vectors over the block's own
-    unknowns.
+    f_l - f_j - f_k.  A block closes at full rank, or, once every ad_x is
+    a proved derivation, at its size minus the rank of its inner maps.
+    Returns (unknowns, kernels, inner, rows): one entry of unknowns,
+    kernels and inner per block in order of shift, with kernel vectors
+    over the block's own unknowns; inner is _inner_vectors; rows counts
+    the rule rows inserted into the blocks' spans.
     """
     n = g.dim
     fine = g.fine_degrees
@@ -170,26 +187,37 @@ def _fine_blocks(g: SuperAlgebra, parity: int):
                 shift = tuple(map(sub, fine[i], fm))
                 layout.setdefault(shift, []).append((i, m))
     unknowns = [layout[s] for s in sorted(layout)]
-    # by_source[m]: (i, b * n, bit) for each unknown (i, m) of a block b
+    inner = _inner_vectors(g, parity, unknowns)
+    walk = g.jacobi_walk
+    # rank at which a block's kernel is known: its inner span, once the
+    # inner maps are proved derivations (see the module docstring)
+    target = [len(block) for block in unknowns]
+    if walk is not None and inner is not None and g.squaring_rule_holds:
+        for b, ads in enumerate(inner):
+            target[b] -= SpanBasis(ads).dim
+    # by_source[m]: (i, b * n) -> bit for each unknown (i, m) of a block b
     # whose kernel is still open; a row of block b and output l has key
     # b * n + l
-    by_source: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    by_source: list[dict[tuple[int, int], int]] = [{} for _ in range(n)]
     for b, block in enumerate(unknowns):
-        for pos, (i, m) in enumerate(block):
-            by_source[m].append((i, b * n, 1 << pos))
+        if target[b]:
+            for pos, (i, m) in enumerate(block):
+                by_source[m][i, b * n] = 1 << pos
     spans = [SpanBasis() for _ in unknowns]
     table = g.bracket_table
+    inserted = 0
 
     def add_rule(image: int, j: int, k: int, leibniz: bool):
         # D(image) + [D e_j, e_k] (+ [e_j, D e_k] for Leibniz), per output
+        nonlocal inserted
         rows: dict[int, int] = {}
         get = rows.get
         while image:
             low = image & -image
             image ^= low
-            for i, off, bit in by_source[low.bit_length() - 1]:
+            for (i, off), bit in by_source[low.bit_length() - 1].items():
                 rows[off + i] = get(off + i, 0) ^ bit
-        for m, off, bit in by_source[j]:
+        for (m, off), bit in by_source[j].items():
             v = table[m][k]
             while v:
                 low = v & -v
@@ -198,7 +226,7 @@ def _fine_blocks(g: SuperAlgebra, parity: int):
                 rows[key] = get(key, 0) ^ bit
         if leibniz:
             row_j = table[j]
-            for m, off, bit in by_source[k]:
+            for (m, off), bit in by_source[k].items():
                 v = row_j[m]
                 while v:
                     low = v & -v
@@ -206,15 +234,17 @@ def _fine_blocks(g: SuperAlgebra, parity: int):
                     key = off + low.bit_length() - 1
                     rows[key] = get(key, 0) ^ bit
         for key, r in rows.items():
+            if not r:
+                continue
+            inserted += 1
             b = key // n
             span = spans[b]
-            if r and span.add(r) and span.dim == len(unknowns[b]):
-                # full rank: the block's kernel is 0, so its unknowns drop out
+            if span.add(r) and span.dim == target[b]:
+                # the block's kernel is known, so its unknowns drop out
                 off = b * n
-                for m in {m for _, m in unknowns[b]}:
-                    by_source[m] = [e for e in by_source[m] if e[1] != off]
+                for i, m in unknowns[b]:
+                    del by_source[m][i, off]
 
-    walk = g.jacobi_walk
     sources = range(n) if walk is None else frozenset(walk[0] + walk[1])
     for j in range(n):
         for k in range(j + 1, n):
@@ -226,12 +256,39 @@ def _fine_blocks(g: SuperAlgebra, parity: int):
         rref_kernel(span.pivot_rows, len(block))
         for span, block in zip(spans, unknowns)
     ]
-    return unknowns, kernels
+    return unknowns, kernels, inner, inserted
+
+
+def _inner_vectors(g: SuperAlgebra, parity: int, unknowns):
+    """The nonzero ad_{e_i}, e_i of the parity, in block coordinates.
+
+    ad_{e_i} lies in the block of shift f_i; the result lists each block's
+    inner vectors, or is None when an image has the wrong parity or lies
+    outside the algebra (then ad_{e_i} is no map of the parity).
+    """
+    where = {
+        u: (b, 1 << pos)
+        for b, block in enumerate(unknowns)
+        for pos, u in enumerate(block)
+    }
+    inner: list[list[int]] = [[] for _ in unknowns]
+    for i in g.odd_indices() if parity else g.even_indices():
+        v = 0
+        try:
+            for m, image in enumerate(g.bracket_table[i]):
+                for k in bits(image):
+                    b, bit = where[(k, m)]
+                    v |= bit
+        except KeyError:
+            return None
+        if v:
+            inner[b].append(v)
+    return inner
 
 
 def derivation_space(g: SuperAlgebra, parity: int) -> list[Derivation]:
     """Basis of the parity-homogeneous derivations of g."""
-    unknowns, kernels = _fine_blocks(g, parity)
+    unknowns, kernels, *_ = _fine_blocks(g, parity)
     return [
         Derivation.from_vec(v, block, g.dim, parity)
         for block, kernel in zip(unknowns, kernels)
@@ -267,6 +324,8 @@ class OuterBasis:
     inner_dim: int
     # basis vectors whose Leibniz rows built the system; None: every pair
     leibniz_sources: int | None = field(default=None, compare=False)
+    # rule rows inserted into the block spans; None: not counted
+    rows: int | None = field(default=None, compare=False)
 
     @property
     def dim(self) -> int:
@@ -274,43 +333,29 @@ class OuterBasis:
 
 
 def _outer_blocks(g: SuperAlgebra, parity: int):
-    """(unknowns, kernel, outer representatives) per fine block.
+    """(blocks, rows): (unknowns, kernel, outer representatives) per fine
+    block, and the rule rows inserted (None when the builder does not
+    count them).
 
     ad_{e_i} lies in the block of shift f_i, and the representatives
     complete its inner maps to a basis of the block's kernel.  Declared
-    degrees must coarsen the fine grading affinely (d_i + d_j - d_k is
-    one constant over grading_terms), so that each block has one degree
-    shift.
+    degrees must coarsen the fine grading affinely
+    (g.degrees_coarsen_fine), so that each block has one degree shift.
     """
-    if g.degrees is not None:
-        d = g.degrees
-        if len({d[i] + d[j] - d[k] for i, j, k in grading_terms(g)}) > 1:
-            raise _inner_not_derivation(g, parity)
-    unknowns, kernels = _fine_blocks(g, parity)
-    where = {
-        u: (b, 1 << pos)
-        for b, block in enumerate(unknowns)
-        for pos, u in enumerate(block)
-    }
-    inner: list[list[int]] = [[] for _ in unknowns]
-    for i in g.odd_indices() if parity else g.even_indices():
-        v = 0
-        try:
-            for m, image in enumerate(g.bracket_table[i]):
-                for k in bits(image):
-                    b, bit = where[(k, m)]
-                    v |= bit
-        except KeyError:  # a wrong-parity image
-            raise _inner_not_derivation(g, parity) from None
-        if v:
-            inner[b].append(v)
+    if not g.degrees_coarsen_fine:
+        raise _inner_not_derivation(g, parity)
+    unknowns, kernels, *built = _fine_blocks(g, parity)
+    # the all-pairs reference builder returns (unknowns, kernels) alone
+    inner, rows = built or (_inner_vectors(g, parity, unknowns), None)
+    if inner is None:
+        raise _inner_not_derivation(g, parity)
     out = []
     for block, kernel, ads in zip(unknowns, kernels, inner):
         try:
             out.append((block, kernel, quotient_basis(kernel, ads)))
         except SubspaceNotContained:
             raise _inner_not_derivation(g, parity) from None
-    return out
+    return out, rows
 
 
 def outer_derivations(g: SuperAlgebra, parity: int | None = None):
@@ -320,7 +365,7 @@ def outer_derivations(g: SuperAlgebra, parity: int | None = None):
     """
     if parity is None:
         return outer_derivations(g, 0), outer_derivations(g, 1)
-    blocks = _outer_blocks(g, parity)
+    blocks, rows = _outer_blocks(g, parity)
     reps = tuple(
         Derivation.from_vec(v, block, g.dim, parity)
         for block, _, vecs in blocks
@@ -334,6 +379,7 @@ def outer_derivations(g: SuperAlgebra, parity: int | None = None):
         derivation_dim=derivation_dim,
         inner_dim=derivation_dim - len(reps),
         leibniz_sources=None if walk is None else len(walk[0]) + len(walk[1]),
+        rows=rows,
     )
 
 
@@ -346,7 +392,7 @@ def outer_dimension_by_degree(g: SuperAlgebra, parity: int) -> dict[int, int]:
     if g.degrees is None:
         raise ValueError("algebra carries no grading")
     result: dict[int, int] = {}
-    for block, _, reps in _outer_blocks(g, parity):
+    for block, _, reps in _outer_blocks(g, parity)[0]:
         if reps:
             i, m = block[0]
             s = g.degrees[i] - g.degrees[m]

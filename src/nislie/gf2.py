@@ -211,11 +211,6 @@ class GF2Matrix:
         """x^T @ A as a bit vector over columns."""
         return combine(self.rows, x)
 
-    def mat_mul(self, other: "GF2Matrix") -> "GF2Matrix":
-        if self.ncols != other.nrows:
-            raise ValueError("dimension mismatch in mat_mul")
-        return GF2Matrix([combine(other.rows, row) for row in self.rows], other.ncols)
-
     def rank(self) -> int:
         return SpanBasis(self.rows).dim
 

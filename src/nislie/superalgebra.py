@@ -31,7 +31,10 @@ inside the algebra, alternating, symmetric, graded, odd squares even) or
 Jacobi fails.  validate fills that cache, and the derivation system
 (derivations) reads it to build Leibniz rows only on the pairs that
 touch S and E.  Both read the adjoint maps as columns straight off the
-table, so neither builds ad_planes.
+table, so neither builds ad_planes.  From the same columns they decide
+the squaring rule on the odd basis (SuperAlgebra.squaring_rule_holds);
+with the walk it proves every ad_x a derivation, which lets the
+derivation system close a block once only its inner maps are left.
 """
 
 from __future__ import annotations
@@ -100,7 +103,37 @@ class SuperAlgebra:
         """
         if not structurally_sound(self):
             return None
-        return _jacobi_generators(self, _adjoint_entries(self))
+        entries = _adjoint_entries(self)
+        walk = _jacobi_generators(self, entries)
+        if walk is not None:
+            # the squaring verdict reads the same entries
+            vars(self).setdefault(
+                "squaring_rule_holds", _squaring_rule_holds(self, entries)
+            )
+        return walk
+
+    @cached_property
+    def squaring_rule_holds(self) -> bool:
+        """Whether [s(e_i), x] = [e_i, [e_i, x]] for every odd e_i and x,
+        on a structurally_sound table (False on any other).
+
+        jacobi_walk (when it is a tuple) and validate fill it from the
+        adjoint entries they build, so it is decided once per algebra.
+        With the walk it says that every ad_x is a derivation.
+        """
+        return structurally_sound(self) and _squaring_rule_holds(
+            self, _adjoint_entries(self)
+        )
+
+    @cached_property
+    def degrees_coarsen_fine(self) -> bool:
+        """Whether the declared degrees give every term (i, j, k) of
+        grading_terms one offset d_i + d_j - d_k (True without degrees):
+        then they coarsen the finest grading affinely."""
+        d = self.degrees
+        if d is None:
+            return True
+        return len({d[i] + d[j] - d[k] for i, j, k in grading_terms(self)}) < 2
 
     @property
     def sdim(self) -> tuple[int, int]:
@@ -352,6 +385,16 @@ def _nonzero_columns(table, entries, products, x: int) -> int:
     return sum(1 << k for k, v in enumerate(acc) if v) if any(acc) else 0
 
 
+def _squaring_defects(g: SuperAlgebra, entries, i: int) -> int:
+    """Mask of the j at which [s(e_i), e_j] != [e_i, [e_i, e_j]]: the
+    nonzero columns of ad_{s(e_i)} + ad_i ad_i."""
+    return _nonzero_columns(g.bracket_table, entries, ((i, i),), g.squaring[i])
+
+
+def _squaring_rule_holds(g: SuperAlgebra, entries) -> bool:
+    return not any(_squaring_defects(g, entries, i) for i in g.odd_indices())
+
+
 # ---------------------------------------------------------------------------
 # Axiom checking
 # ---------------------------------------------------------------------------
@@ -455,8 +498,9 @@ def validate(g: SuperAlgebra, max_failures: int = 64) -> ValidationReport:
     symmetric, alternating table it holds on all of g once ad_s is a
     derivation for every s in a set S whose ad_S-closure has codimension
     at most 2 (see the module docstring); report.jacobi_generators is the
-    size of S.  The walk is cached as g.jacobi_walk, which the derivation
-    system reads too.  Only when a Jacobi mask is nonzero does the scan
+    size of S.  The walk is cached as g.jacobi_walk, and the squaring
+    verdict of the basis as g.squaring_rule_holds; the derivation system
+    reads both.  Only when a Jacobi mask is nonzero does the scan
     over the pairs i < j run, and it lists the witnesses (i, j, k),
     i < j < k, in order.  The squaring rule is checked on each odd basis vector.  At
     most max_failures failures are kept; Jacobi witnesses stop at that
@@ -530,9 +574,12 @@ def validate(g: SuperAlgebra, max_failures: int = 64) -> ValidationReport:
                         return report
 
     # squaring rule at (i, j) is column j of ad_{s(e_i)} + ad_i ad_i
+    holds = True
     for i in g.odd_indices():
         si = g.squaring[i]
-        for j in bits(_nonzero_columns(table, entries, ((i, i),), si)):
+        defects = _squaring_defects(g, entries, i)
+        holds = holds and not defects
+        for j in bits(defects):
             lhs = bracket(g, si, 1 << j)
             rhs = bracket(g, 1 << i, table[i][j])
             fail(
@@ -541,6 +588,7 @@ def validate(g: SuperAlgebra, max_failures: int = 64) -> ValidationReport:
                 f"[s(f),g] = {g.format_element(lhs)}"
                 f" but [f,[f,g]] = {g.format_element(rhs)}",
             )
+    vars(g).setdefault("squaring_rule_holds", holds)
     return report
 
 

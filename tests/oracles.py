@@ -16,7 +16,7 @@ import numpy as np
 from nislie.derivations import case_parities, is_derivation
 from nislie.errors import CaseParityMismatch, ConditionViolated
 from nislie.forms import BilinearForm, NISReport, QuadraticForm
-from nislie.gf2 import GF2Matrix, SpanBasis, bits, dot, rref_kernel
+from nislie.gf2 import GF2Matrix, SpanBasis, bits, combine, dot, rref_kernel
 from nislie.isometry import build_adapted_isometry, isometry_group
 from nislie.superalgebra import (
     AxiomFailure,
@@ -159,6 +159,14 @@ def reference_row_reduce(rows, ncols):
         pivots.append(col)
         r += 1
     return work, r, tuple(pivots)
+
+
+def mat_mul(a: GF2Matrix, b: GF2Matrix) -> GF2Matrix:
+    """The product a b: row i is the sum of the rows of b at the bits of
+    row i of a."""
+    if a.ncols != b.nrows:
+        raise ValueError("dimension mismatch in mat_mul")
+    return GF2Matrix([combine(b.rows, row) for row in a.rows], b.ncols)
 
 
 def reference_inverse(rows):

@@ -33,7 +33,7 @@ from nislie.derivations import (
     self_adjoint_coefficients,
 )
 from nislie.errors import InnerNotDerivation, NisLieError
-from nislie.gf2 import GF2Matrix, bits, span_basis
+from nislie.gf2 import GF2Matrix, SpanBasis, bits, span_basis
 from nislie.superalgebra import (
     SuperAlgebra,
     bracket,
@@ -614,6 +614,40 @@ def test_generator_rows_match_all_pairs_on_flips_that_break_jacobi():
         assert g.jacobi_walk is None
 
 
+def test_generator_rows_match_all_pairs_on_flips_that_break_squaring():
+    # a flip of an even bit of s(e_i), e_i odd, keeps the table structurally
+    # sound and leaves Jacobi alone; when it breaks the squaring rule, the
+    # inner maps are no derivations and no block may close at its inner rank
+    pool = [named(name).algebra for name in entry_names(include_defective=False)]
+    pool = [g for g in pool if g.odd_mask and g.even_mask]
+    rng = random.Random(20261018)
+    broken = 0
+    while broken < 24:
+        g0 = rng.choice(pool)
+        i = rng.choice(g0.odd_indices())
+        k = rng.choice(g0.even_indices())
+        g, _ = flip(g0, None, "squaring", i, None, k)
+        if g.jacobi_walk is None or validate(g).passed:
+            continue
+        broken += 1
+        assert not g.squaring_rule_holds
+        assert_generator_rows_match_all_pairs(g)
+
+
+def test_outer_basis_counts_fewer_rows_than_all_pairs(monkeypatch):
+    g, form, _ = hamiltonian(6)
+    g2, _ = relabel(g, form, random.Random("rows"))
+    inserted = []
+    add = SpanBasis.add
+    monkeypatch.setattr(
+        SpanBasis, "add", lambda span, v: inserted.append(v) or add(span, v)
+    )
+    reference_fine_blocks(g2, 1)
+    monkeypatch.undo()
+    rows = outer_derivations(g2, 1).rows
+    assert 0 < rows < len(inserted) / 2
+
+
 VALID_SMALL = [
     name for name in entry_names(include_defective=False)
     if named(name).algebra.dim <= 16
@@ -631,6 +665,23 @@ def test_generator_rows_survive_relabelling(name, rng):
         assert (o.dim, o.derivation_dim, o.inner_dim) == (
             o2.dim, o2.derivation_dim, o2.inner_dim
         )
+
+
+def test_declared_degrees_are_checked_once_per_algebra(monkeypatch):
+    g = dataclasses.replace(named("h1-0-5").algebra)  # nothing cached yet
+    calls = []
+    terms = superalgebra.grading_terms
+
+    def counted(g):
+        calls.append(g)
+        return terms(g)
+
+    monkeypatch.setattr(superalgebra, "grading_terms", counted)
+    monkeypatch.setattr(derivations, "grading_terms", counted)
+    for _ in range(2):
+        outer_derivations(g)
+    # one pass for the fine grading, one for the declared degrees
+    assert len(calls) == 2
 
 
 def test_validate_then_outer_derivations_walk_once(monkeypatch):

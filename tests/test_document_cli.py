@@ -437,6 +437,8 @@ def test_cli_outer_json(capsys):
     assert data["dim_even"] == 5 and data["dim_odd"] == 1
     # the Leibniz rows of 10 generators built the system, not all 30 vectors
     assert data["leibniz_sources"] == 10
+    # the rule rows inserted into the block spans, per parity
+    assert data["rows"]["even"] > 0 and data["rows"]["odd"] > 0
     degs = [
         r.get("degree") for r in data["representatives"] if r["parity"] == 1
     ]
@@ -702,3 +704,51 @@ def test_cli_parser_is_reused_without_carrying_options(capsys):
         assert (code, out) == fresh, argv
     assert main(["validate", "hei-double"]) == 0
     assert not capsys.readouterr().out.startswith("{")
+
+
+def element_tokens(names):
+    """Basis names, near misses and junk, joined the way elements are
+    written ("p + q")."""
+    token = st.sampled_from([*names, "0", "", " ", "+", "-", "x0", "P"]) | st.text(
+        max_size=3
+    )
+    return st.lists(token, max_size=4).map("+".join)
+
+
+def parses(g, text):
+    """Whether text names an element of g ("0" and "" name zero)."""
+    if text.strip() in ("0", ""):
+        return True
+    try:
+        g.element(text)
+    except ValueError:
+        return False
+    return True
+
+
+@given(element_tokens(named("hei-double").algebra.names))
+@settings(max_examples=100, deadline=None)
+def test_fuzzed_a0_gives_an_exit_code(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        code, err = exit_code_and_stderr(
+            ["extend", "hei-double", "--case", "evenB-oddD", "--derivation", "D6",
+             f"--a0={text}", "--out", str(Path(tmp) / "ext.json")]
+        )
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+    if not parses(named("hei-double").algebra, text):
+        assert code == 2
+
+
+@given(element_tokens(named("h104-D7ext").algebra.names))
+@settings(max_examples=100, deadline=None)
+def test_fuzzed_center_element_gives_an_exit_code(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        code, err = exit_code_and_stderr(
+            ["reduce", "h104-D7ext", f"--center-element={text}",
+             "--out", str(Path(tmp) / "red.json")]
+        )
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+    if not parses(named("h104-D7ext").algebra, text):
+        assert code == 2

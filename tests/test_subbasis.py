@@ -51,6 +51,7 @@ from nislie.isometry import (
 from nislie.superalgebra import SuperAlgebra, validate
 from oracles import (
     change_basis,
+    mat_mul,
     reference_check_conditions,
     reference_coefficient_cut,
     reference_combine,
@@ -320,7 +321,7 @@ def random_parity_preserving(g, rng):
         k = len(idxs)
         lower = [1 << i | rng.getrandbits(k) & ((1 << i) - 1) for i in range(k)]
         upper = [1 << i | rng.getrandbits(k) >> (i + 1) << (i + 1) for i in range(k)]
-        rows = GF2Matrix(lower, k).mat_mul(GF2Matrix(upper, k)).rows
+        rows = mat_mul(GF2Matrix(lower, k), GF2Matrix(upper, k)).rows
         rng.shuffle(rows)
         for i, row in zip(idxs, rows):
             images[i] = combine([1 << j for j in idxs], row)
