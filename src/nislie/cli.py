@@ -119,19 +119,24 @@ def _read_spec_file(spec: str, build):
         raise CliError(2, f"cannot read {path}: {exc}") from None
 
 
+def _cocycle_table(doc, catalog_name, what: str):
+    """(source, cocycles, alphas) of the catalog entry behind the input;
+    an input with no entry or no table is an input error."""
+    source = catalog_name or doc.metadata.get("catalog")
+    if source is None:
+        raise CliError(2, f"named {what} need a catalog-backed input (use @file)")
+    try:
+        _, cocycles, alphas = cocycles_for(source)
+    except UnknownName as exc:
+        raise CliError(2, str(exc)) from None
+    return source, cocycles, alphas
+
+
 def _resolve_derivation(args_spec: str, doc, catalog_name) -> Derivation:
     if args_spec.startswith("@"):
         n = doc.algebra.dim
         return _read_spec_file(args_spec, lambda data: derivation_from_data(data, n))
-    source = catalog_name or doc.metadata.get("catalog")
-    if source is None:
-        raise CliError(
-            2, "named derivations need a catalog-backed input (use @file)"
-        )
-    try:
-        _, cocycles, _ = cocycles_for(source)
-    except UnknownName as exc:
-        raise CliError(2, str(exc))
+    source, cocycles, _ = _cocycle_table(doc, catalog_name, "derivations")
     total = None
     for part in args_spec.split("+"):
         part = part.strip()
@@ -157,10 +162,7 @@ def _resolve_alpha(spec: str, doc, catalog_name) -> QuadraticForm | None:
             return quadratic_from_data(data)
 
         return _read_spec_file(spec, build)
-    source = catalog_name or doc.metadata.get("catalog")
-    if source is None:
-        raise CliError(2, "named forms need a catalog-backed input")
-    _, _, alphas = cocycles_for(source)
+    source, _, alphas = _cocycle_table(doc, catalog_name, "forms")
     if spec not in alphas:
         raise CliError(2, f"unknown quadratic form {spec!r} for {source}")
     return alphas[spec]

@@ -33,7 +33,7 @@ finest free grading that the structure constants allow
 It is built in one pass over the rules: each basis vector lists the
 unknowns that have it as source, with their block, so a rule row touches
 only unknowns that exist and goes to the block of its shift.  Each block
-keeps its own fully reduced SpanBasis, its kernel is read off the pivot
+keeps its own fully reduced SpanBasis, its kernel is read off the echelon
 rows with no second elimination, and a block whose kernel is known drops
 out of the index.  Inner maps ad_{e_i} lie in the block of e_i's degree,
 so the outer quotient is taken block by block; declared degrees, which
@@ -49,7 +49,7 @@ closes at rank size - r_b, where r_b is the rank of its inner maps:
 - at rank size - r_b, dim K_partial = r_b, so K_partial = K_true = the
   inner span;
 - equal kernels mean equal row spaces, and the reduced echelon form is
-  canonical, so rref_kernel returns bit-identical kernels.
+  canonical, so SpanBasis.kernel returns bit-identical kernels.
 Without either proof a block closes only at full rank, so a table that
 fails the axioms keeps its kernels and its InnerNotDerivation errors.
 """
@@ -70,7 +70,6 @@ from .gf2 import (
     bits,
     combine,
     quotient_basis,
-    rref_kernel,
     solve_affine,
 )
 from .superalgebra import SuperAlgebra, ad, ad_system, bracket, grading_terms
@@ -190,9 +189,11 @@ def _fine_blocks(g: SuperAlgebra, parity: int):
     inner = _inner_vectors(g, parity, unknowns)
     walk = g.jacobi_walk
     # rank at which a block's kernel is known: its inner span, once the
-    # inner maps are proved derivations (see the module docstring)
+    # inner maps are proved derivations (see the module docstring).  A
+    # tuple walk means a structurally_sound table, whose ad_{e_i} have
+    # graded images inside the algebra, so inner is not None then.
     target = [len(block) for block in unknowns]
-    if walk is not None and inner is not None and g.squaring_rule_holds:
+    if walk is not None and g.squaring_rule_holds:
         for b, ads in enumerate(inner):
             target[b] -= SpanBasis(ads).dim
     # by_source[m]: (i, b * n) -> bit for each unknown (i, m) of a block b
@@ -252,10 +253,7 @@ def _fine_blocks(g: SuperAlgebra, parity: int):
                 add_rule(table[j][k], j, k, True)
     for j in g.odd_indices():
         add_rule(g.squaring[j], j, j, False)
-    kernels = [
-        rref_kernel(span.pivot_rows, len(block))
-        for span, block in zip(spans, unknowns)
-    ]
+    kernels = [span.kernel(len(block)) for span, block in zip(spans, unknowns)]
     return unknowns, kernels, inner, inserted
 
 
@@ -344,9 +342,7 @@ def _outer_blocks(g: SuperAlgebra, parity: int):
     """
     if not g.degrees_coarsen_fine:
         raise _inner_not_derivation(g, parity)
-    unknowns, kernels, *built = _fine_blocks(g, parity)
-    # the all-pairs reference builder returns (unknowns, kernels) alone
-    inner, rows = built or (_inner_vectors(g, parity, unknowns), None)
+    unknowns, kernels, inner, rows = _fine_blocks(g, parity)
     if inner is None:
         raise _inner_not_derivation(g, parity)
     out = []

@@ -212,14 +212,17 @@ def quadratic_lifts(polar: GF2Matrix) -> QuadraticLiftFamily:
     return QuadraticLiftFamily(polar)
 
 
-def arf_invariant(q: QuadraticForm, max_dim: int = 24) -> int:
+_ARF_MAX_DIM = 24  # arf_invariant counts the values of all 2^n vectors
+
+
+def arf_invariant(q: QuadraticForm) -> int:
     """Democratic invariant: the value taken on a minority of vectors is 1.
 
     Requires a non-degenerate polar form, under which the zero count is
     2^(n-1) +- 2^(n/2-1) and the majority verdict is well defined.
     """
-    if q.n > max_dim:
-        raise OutOfRange(f"exhaustive count beyond {max_dim} generators")
+    if q.n > _ARF_MAX_DIM:
+        raise OutOfRange(f"exhaustive count beyond {_ARF_MAX_DIM} generators")
     if q.polar.rank() != q.n:
         raise DegeneratePolar("polar form is degenerate")
     zeros = sum(1 for x in range(1 << q.n) if q.evaluate(x) == 0)

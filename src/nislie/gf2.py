@@ -48,19 +48,20 @@ class SpanBasis:
     Pivots are the lowest set bits; rows are kept mutually reduced, so the
     representation of the spanned subspace is canonical.  This is the one
     elimination of the package: rank, kernels, inversion and affine
-    solving all read their results off it.
+    solving all read their results off it.  The rows are private: they
+    leave only through copy, rows, vectors and kernel.
     """
 
-    __slots__ = ("pivot_rows",)
+    __slots__ = ("_rows",)
 
     def __init__(self, vectors: Iterable[int] = ()):  # noqa: D107
-        self.pivot_rows: dict[int, int] = {}
+        self._rows: dict[int, int] = {}  # pivot column -> row
         for v in vectors:
             self.add(v)
 
     def reduce(self, v: int) -> int:
         """Fully reduce v; zero iff v is in the span."""
-        rows = self.pivot_rows
+        rows = self._rows
         done = 0  # bits confirmed to have no pivot row
         while True:
             rest = v & ~done
@@ -81,10 +82,10 @@ class SpanBasis:
             return False
         p = (v & -v).bit_length() - 1
         # keep full reduction: clear bit p from existing rows
-        for q, row in self.pivot_rows.items():
+        for q, row in self._rows.items():
             if (row >> p) & 1:
-                self.pivot_rows[q] = row ^ v
-        self.pivot_rows[p] = v
+                self._rows[q] = row ^ v
+        self._rows[p] = v
         return True
 
     def contains(self, v: int) -> bool:
@@ -92,26 +93,30 @@ class SpanBasis:
 
     @property
     def dim(self) -> int:
-        return len(self.pivot_rows)
+        return len(self._rows)
+
+    def copy(self) -> "SpanBasis":
+        c = SpanBasis.__new__(SpanBasis)  # no __init__: the search copies often
+        c._rows = self._rows.copy()
+        return c
+
+    def rows(self) -> Iterable[int]:
+        """The basis rows in no set order, as a read-only view."""
+        return self._rows.values()
 
     def vectors(self) -> list[int]:
         """Canonical basis, sorted by pivot position."""
-        return [self.pivot_rows[p] for p in sorted(self.pivot_rows)]
+        return [self._rows[p] for p in sorted(self._rows)]
 
-
-def rref_kernel(pivot_rows: dict[int, int], width: int) -> list[int]:
-    """Kernel basis of a fully reduced echelon form, one vector per free column.
-
-    pivot_rows maps each pivot column to its row, whose lowest set bit is
-    that pivot and which has no other pivot set (SpanBasis.pivot_rows is
-    such a map).  The vector of free column f is e_f plus e_p for every
-    pivot row p containing f; vectors come in ascending order of f.
-    """
-    kernel = {f: 1 << f for f in range(width) if f not in pivot_rows}
-    for p, row in pivot_rows.items():
-        for f in bits(row ^ (1 << p)):
-            kernel[f] |= 1 << p
-    return list(kernel.values())
+    def kernel(self, width: int) -> list[int]:
+        """Basis of {x < 2^width : x is orthogonal to every row}, one vector
+        per free column f in ascending order: e_f plus e_p for every pivot
+        row p containing f.  The rows must lie below bit width."""
+        kernel = {f: 1 << f for f in range(width) if f not in self._rows}
+        for p, row in self._rows.items():
+            for f in bits(row ^ (1 << p)):
+                kernel[f] |= 1 << p
+        return list(kernel.values())
 
 
 def span_basis(vectors: Iterable[int]) -> list[int]:
@@ -216,44 +221,41 @@ class GF2Matrix:
 
     def kernel_basis(self) -> list[int]:
         """Basis of {x : A x = 0}."""
-        return rref_kernel(SpanBasis(self.rows).pivot_rows, self.ncols)
+        return SpanBasis(self.rows).kernel(self.ncols)
 
     def inverse(self) -> "GF2Matrix":
         """Reduce the rows of [A | I]; the high halves are then A^-1.
 
         [A | I] has rank n, so A is singular exactly when a pivot lies in
-        the identity half.
+        the identity half, that is when a row is zero on the A half.
         """
         n = self.nrows
         if n != self.ncols:
             raise ValueError("inverse of non-square matrix")
-        pivot_rows = SpanBasis(
+        rows = SpanBasis(
             row | (1 << (n + i)) for i, row in enumerate(self.rows)
-        ).pivot_rows
-        if any(p >= n for p in pivot_rows):
+        ).vectors()
+        if any(not row & ((1 << n) - 1) for row in rows):
             raise ValueError("singular matrix over GF(2)")
-        return GF2Matrix([pivot_rows[p] >> n for p in range(n)], n)
+        return GF2Matrix([row >> n for row in rows], n)
 
 
 def solve_affine(a: GF2Matrix, b: int) -> AffineSolution | None:
     """Solve A x = b; None when inconsistent.
 
     b is a bit vector over the rows of A.  One elimination of [A | b]:
-    the system is inconsistent iff bit n is a pivot; otherwise bit n of
-    each pivot row is that pivot's coordinate in the particular solution.
+    the system is consistent iff column n is free, and then it is the last
+    free column, so the last kernel vector of [A | b] is x + e_n for a
+    particular solution x and the others are the kernel of A.
     """
     n = a.ncols
-    pivot_rows = SpanBasis(
+    kernel = SpanBasis(
         row | (((b >> i) & 1) << n) for i, row in enumerate(a.rows)
-    ).pivot_rows
-    if n in pivot_rows:
+    ).kernel(n + 1)
+    if not kernel or not (kernel[-1] >> n) & 1:
         return None
-    particular = 0
-    for p, row in pivot_rows.items():
-        particular |= ((row >> n) & 1) << p
-    mask = (1 << n) - 1
-    kernel = rref_kernel({p: row & mask for p, row in pivot_rows.items()}, n)
-    return AffineSolution(particular, tuple(kernel))
+    *kernel, last = kernel
+    return AffineSolution(last ^ (1 << n), tuple(kernel))
 
 
 def quotient_basis(

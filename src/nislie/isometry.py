@@ -280,7 +280,7 @@ def build_adapted_isometry(
 
 @dataclass(frozen=True)
 class SemiTriviality:
-    status: str  # "semi-trivial" | "not-semi-trivial" | "unknown"
+    status: str  # "semi-trivial" | "not-semi-trivial"
     witness_t: int | None = None
     target: ExtensionRecipe | None = None
     certificate: str = ""
@@ -324,19 +324,17 @@ class _PairSpan:
     """Row space of (v, w) pairs encoding a partial linear map v -> w.
 
     Every row has its pivot below n1 (add refuses a pair that would map 0 to
-    a nonzero vector), so rank, the dimension of the domain, counts the rows.
+    a nonzero vector), so basis.dim is the dimension of the domain.
     """
 
     def __init__(self, n1: int):
         self.n1 = n1
         self.basis = SpanBasis()
         self.mask1 = (1 << n1) - 1
-        self.rank = 0
 
     def clone(self) -> "_PairSpan":
-        c = _PairSpan(self.n1)
-        c.basis.pivot_rows = dict(self.basis.pivot_rows)
-        c.rank = self.rank
+        c = _PairSpan.__new__(_PairSpan)
+        c.n1, c.mask1, c.basis = self.n1, self.mask1, self.basis.copy()
         return c
 
     def add(self, v: int, w: int) -> bool:
@@ -346,7 +344,6 @@ class _PairSpan:
             if not combined & self.mask1:
                 return False  # forces 0 -> nonzero
             self.basis.add(combined)
-            self.rank += 1
         return True
 
     def image_of(self, v: int) -> int | None:
@@ -357,10 +354,7 @@ class _PairSpan:
 
     def pairs(self) -> list[tuple[int, int]]:
         mask1, n1 = self.mask1, self.n1
-        return [
-            (row & mask1, row >> n1)
-            for _, row in sorted(self.basis.pivot_rows.items())
-        ]
+        return [(row & mask1, row >> n1) for row in self.basis.vectors()]
 
 
 def complete_by_bracketing(
@@ -377,9 +371,9 @@ def complete_by_bracketing(
             raise ValueError("inconsistent generator images")
     if not _closure(g1, g2, span, list(pairs)):
         raise ValueError("bracket or squaring closure is inconsistent")
-    if span.rank != g1.dim:
+    if span.basis.dim != g1.dim:
         raise UnderdeterminedMap(
-            f"bracket closure determined rank {span.rank} of {g1.dim}"
+            f"bracket closure determined rank {span.basis.dim} of {g1.dim}"
         )
     images = []
     for j in range(g1.dim):
@@ -419,11 +413,10 @@ def _generating_sequence(g: SuperAlgebra) -> list[int]:
         for i in range(g.dim):
             if span.contains(1 << i):
                 continue
-            s, frontier = SpanBasis(), [1 << i]
-            s.pivot_rows = dict(span.pivot_rows)
+            s, frontier = span.copy(), [1 << i]
             s.add(1 << i)
             while frontier:
-                items = list(s.pivot_rows.values())
+                items = list(s.rows())
                 new = []
                 for x in frontier:
                     products = [bracket(g, x, y) for y in items]
@@ -474,7 +467,7 @@ def _form_consistent(span: _PairSpan, b1, b2, pairs) -> bool:
     for v, w in pairs:
         # B1(v, .) + B2(w, .) on the combined coordinates x | y << n1
         defect = b1.gram.vec_mat(v) | b2.gram.vec_mat(w) << span.n1
-        for row in span.basis.pivot_rows.values():
+        for row in span.basis.rows():
             if (defect & row).bit_count() & 1:
                 return False
     return True
@@ -498,18 +491,18 @@ def _closure(g1, g2, span: _PairSpan, frontier, b1=None, b2=None) -> bool:
             for v2, w2 in items:
                 bv, bw = bracket(g1, v, v2), bracket(g2, w, w2)
                 if bv or bw:
-                    before = span.rank
+                    before = span.basis.dim
                     if not span.add(bv, bw):
                         return False
-                    if span.rank > before:
+                    if span.basis.dim > before:
                         new.append((bv, bw))
             if g1.parity_of(v) == 1 and g2.parity_of(w) == 1:
                 sv, sw = square_element(g1, v), square_element(g2, w)
                 if sv or sw:
-                    before = span.rank
+                    before = span.basis.dim
                     if not span.add(sv, sw):
                         return False
-                    if span.rank > before:
+                    if span.basis.dim > before:
                         new.append((sv, sw))
         if b1 is not None and not _form_consistent(span, b1, b2, new):
             return False
@@ -552,7 +545,7 @@ class _Isometries:
     def _backtrack(self, level: int, span: _PairSpan, determined):
         g1, g2 = self.g1, self.g2
         if level == len(self.gens):
-            if span.rank == g1.dim:
+            if span.basis.dim == g1.dim:
                 images = tuple(span.image_of(1 << j) for j in range(g1.dim))
                 if verify_isometry(g1, self.b1, g2, self.b2, images)[0]:
                     yield images

@@ -484,8 +484,10 @@ def _jacobi_generators(
                 spanning.append(v)
                 frontier.extend(combine(table[s], v) for s in gens)
     # the rows are fully reduced with lowest-bit pivots, so they and the
-    # unit vectors of the free columns are a triangular basis of g
-    free = tuple(j for j in range(n) if j not in closure.pivot_rows)
+    # unit vectors of the free columns are a triangular basis of g; the
+    # rows' low bits are their pivots, all distinct
+    pivots = sum(row & -row for row in closure.rows())
+    free = tuple(j for j in range(n) if not (pivots >> j) & 1)
     return tuple(gens), free
 
 

@@ -13,10 +13,10 @@ import itertools
 
 import numpy as np
 
-from nislie.derivations import case_parities, is_derivation
+from nislie.derivations import _inner_vectors, case_parities, is_derivation
 from nislie.errors import CaseParityMismatch, ConditionViolated
 from nislie.forms import BilinearForm, NISReport, QuadraticForm
-from nislie.gf2 import GF2Matrix, SpanBasis, bits, combine, dot, rref_kernel
+from nislie.gf2 import GF2Matrix, SpanBasis, bits, combine, dot
 from nislie.isometry import build_adapted_isometry, isometry_group
 from nislie.superalgebra import (
     AxiomFailure,
@@ -856,7 +856,9 @@ def reference_fine_blocks(g: SuperAlgebra, parity: int):
 
     The same blocks in the same order, the same squaring rows, and a
     Leibniz rule at every pair j < k instead of the pairs that touch the
-    Jacobi walk's vectors; the kernels must be bit-identical.
+    Jacobi walk's vectors; the kernels must be bit-identical.  Returns
+    _fine_blocks's (unknowns, kernels, inner, rows), with rows None: the
+    rule rows are not counted.
     """
     n = g.dim
     fine = g.fine_degrees
@@ -918,8 +920,5 @@ def reference_fine_blocks(g: SuperAlgebra, parity: int):
             add_rule(table[j][k], j, k, True)
     for j in g.odd_indices():
         add_rule(g.squaring[j], j, j, False)
-    kernels = [
-        rref_kernel(span.pivot_rows, len(block))
-        for span, block in zip(spans, unknowns)
-    ]
-    return unknowns, kernels
+    kernels = [span.kernel(len(block)) for span, block in zip(spans, unknowns)]
+    return unknowns, kernels, _inner_vectors(g, parity, unknowns), None

@@ -82,3 +82,16 @@ def test_every_definition_in_the_package_has_a_caller():
             if total[node.name] == references(node)[node.name]:
                 uncalled.append(f"{path.stem}.{node.name}")
     assert uncalled == []
+
+
+def test_only_gf2_touches_the_echelon_rows():
+    """The rows of SpanBasis are private to gf2: no other module of
+    src/nislie reads or writes ._rows or .pivot_rows."""
+    touching = [
+        f"{path.stem}:{node.lineno}"
+        for path in sorted((ROOT / "src" / "nislie").glob("*.py"))
+        if path.name != "gf2.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in ("_rows", "pivot_rows")
+    ]
+    assert touching == []

@@ -513,6 +513,10 @@ MALFORMED = {
         "extend", "hei-double", "--case", "evenB-evenD", "--derivation", "D9+D10",
         "--alpha", write(tmp, "a.json", '{"n": 4, "polar": [[0, 0]], "diag": []}'),
         "--unchecked", "--out", str(tmp / "o.json")],
+    "named alpha of an entry without a cocycle table": lambda tmp: [
+        "extend", "gl-1-1", "--case", "evenB-evenD",
+        "--derivation", write(tmp, "d.json", '{"parity": 0, "images": []}'),
+        "--alpha", "alpha1", "--out", str(tmp / "o.json")],
     "extension metadata without x_index": lambda tmp: [
         "isometry", with_extension_meta(tmp, {}), "hei-oddD-ext",
         "--mode", "adapted"],

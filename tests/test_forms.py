@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nislie.catalog import h104_alphas, hei_even_recipe, named
-from nislie.errors import DegeneratePolar, NotAlternating
+from nislie.errors import DegeneratePolar, NotAlternating, OutOfRange
 from nislie.forms import (
     BilinearForm,
     QuadraticForm,
@@ -207,6 +207,11 @@ def test_arf_degenerate_guard():
     q = QuadraticForm(2, 0, GF2Matrix.zeros(2, 2))
     with pytest.raises(DegeneratePolar):
         arf_invariant(q)
+
+
+def test_arf_refuses_more_than_24_generators():
+    with pytest.raises(OutOfRange, match="beyond 24"):
+        arf_invariant(darboux_form(13, 0))
 
 
 def test_arf_invariant_under_polar_preserving_maps():

@@ -10,7 +10,6 @@ from nislie.gf2 import (
     SpanBasis,
     combine,
     quotient_basis,
-    rref_kernel,
     solve_affine,
     span_basis,
 )
@@ -32,8 +31,7 @@ def random_matrix(rng, nrows, ncols):
 def test_row_reduce_identity():
     red = SpanBasis(GF2Matrix.identity(3).rows)
     assert red.dim == 3
-    assert sorted(red.pivot_rows) == [0, 1, 2]
-    assert red.vectors() == GF2Matrix.identity(3).rows
+    assert sorted(red.rows()) == red.vectors() == GF2Matrix.identity(3).rows
 
 
 def test_row_reduce_all_ones():
@@ -112,7 +110,7 @@ def test_elimination_is_bit_identical_to_reference_gauss_jordan():
     singular = inconsistent = 0
     for m, rhs in seeded_systems():
         red = SpanBasis(m.rows)
-        pivots = tuple(sorted(red.pivot_rows))
+        pivots = tuple((v & -v).bit_length() - 1 for v in red.vectors())
         rows = red.vectors() + [0] * (m.nrows - red.dim)
         assert (rows, red.dim, pivots) == reference_row_reduce(m.rows, m.ncols)
         sol = solve_affine(m, rhs)
@@ -176,7 +174,7 @@ def test_kernel_readout_from_span_basis_matches_kernel_basis():
         rows[rng.randrange(nrows)] = 0
         cases.append(GF2Matrix(rows, ncols))
     for m in cases:
-        got = rref_kernel(SpanBasis(m.rows).pivot_rows, m.ncols)
+        got = SpanBasis(m.rows).kernel(m.ncols)
         assert got == m.kernel_basis()
         spanned = set(AffineSolution(0, tuple(got)))
         assert len(spanned) == 1 << len(got)
@@ -262,6 +260,19 @@ def test_span_basis_is_canonical():
     shuffled = vecs[:]
     rng.shuffle(shuffled)
     assert span_basis(vecs) == span_basis(shuffled)
+
+
+def test_spanbasis_copy_is_independent():
+    rng = random.Random(17)
+    for _ in range(30):
+        b = SpanBasis(rng.getrandbits(9) for _ in range(rng.randrange(6)))
+        c = b.copy()
+        before = b.vectors()
+        for _ in range(4):
+            c.add(rng.getrandbits(9))
+        assert b.vectors() == before
+        assert sorted(c.rows()) == sorted(c.vectors())
+        assert all(c.contains(v) for v in before)
 
 
 def test_spanbasis_contains_and_dim():

@@ -565,8 +565,8 @@ def test_pair_span_rank_counts_the_pivots():
                 continue
             span.add(rng.getrandbits(n1), rng.getrandbits(n2))
         for span in spans:
-            pivots = [p for p in span.basis.pivot_rows if p < n1]
-            assert span.rank == len(pivots) == len(span.pairs())
+            pivots = [v & -v for v in span.basis.rows() if v & -v < 1 << n1]
+            assert span.basis.dim == len(pivots) == len(span.pairs())
 
 
 def random_even_algebra(rng, n):
@@ -639,8 +639,8 @@ def test_close_matches_naive_closure_on_random_even_algebras():
             verdicts.add(consistent)
             assert (span is not None) == consistent
             if span is not None:
-                assert sorted(span.basis.pivot_rows.values()) == sorted(rows)
-                assert span.rank == len(rows)
+                assert sorted(span.basis.rows()) == sorted(rows)
+                assert span.basis.dim == len(rows)
     assert verdicts == {True, False}
 
 
