@@ -348,6 +348,8 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_isometry(args) -> int:
+    if args.budget < 0:
+        raise CliError(2, f"--budget must be at least 0, not {args.budget}")
     doc1, _ = _load_target(args.target1)
     doc2, _ = _load_target(args.target2)
     if doc1.form is None or doc2.form is None:
@@ -385,13 +387,13 @@ def cmd_isometry(args) -> int:
             red1.algebra, red1.form, red1.recipe, red2.recipe, budget=args.budget
         )
         if dec.status == "found":
-            print("found: adapted isometry exists")
-            return 0
-        if dec.status == "not-found-proved":
-            print(f"not found (proved): {dec.reason}")
-            return 1
-        print(f"budget exhausted: {dec.reason}")
-        return 3
+            human, code = "found: adapted isometry exists", 0
+        elif dec.status == "not-found-proved":
+            human, code = f"not found (proved): {dec.reason}", 1
+        else:
+            human, code = f"budget exhausted: {dec.reason}", 3
+        _emit(args, {"status": dec.status, "reason": dec.reason}, [human])
+        return code
     seeds, ignored = [], []
     if args.seed:
         gens = [1 << i for i in _generating_sequence(doc1.algebra)]
@@ -422,18 +424,25 @@ def cmd_isometry(args) -> int:
         budget=args.budget,
         seed_pairs=seeds,
     )
+    payload = {
+        "status": res.status,
+        "proved": res.proved,
+        "nodes": res.nodes,
+        "reason": res.reason,
+    }
     if res.status == "found":
         ok, _ = verify_isometry(
             doc1.algebra, doc1.form, doc2.algebra, doc2.form, res.isometry.images
         )
-        print(f"found ({res.nodes} nodes); verified: {ok}")
-        return 0
-    if res.status == "not-found":
+        payload["verified"] = ok
+        human, code = f"found ({res.nodes} nodes); verified: {ok}", 0
+    elif res.status == "not-found":
         proved = "proved" if res.proved else f"search-complete ({res.reason})"
-        print(f"not found [{proved}] after {res.nodes} nodes")
-        return 1
-    print(f"budget exhausted after {res.nodes} nodes")
-    return 3
+        human, code = f"not found [{proved}] after {res.nodes} nodes", 1
+    else:
+        human, code = f"budget exhausted after {res.nodes} nodes", 3
+    _emit(args, payload, [human])
+    return code
 
 
 def cmd_report(args) -> int:
@@ -585,6 +594,7 @@ def build_parser() -> argparse.ArgumentParser:
     i.add_argument("--budget", type=int, default=200_000,
                    help="search nodes, both modes")
     i.add_argument("--seed", help="comma-separated name=name generator hints")
+    i.add_argument("--json", action="store_true")
     i.set_defaults(fn=cmd_isometry)
 
     rep = sub.add_parser("report", help="regenerate a worked-example table")

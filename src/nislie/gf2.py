@@ -132,23 +132,39 @@ class AffineSolution:
 
     def __iter__(self) -> Iterator[int]:
         """Enumerate all solutions (use only for small kernels)."""
-        return iter(self.points())
+        return self.points()
 
-    def points(self, limit: int | None = None) -> list[int]:
-        """The first `limit` (at least 1; None: all) solutions, in order.
+    def points(self, limit: int | None = None) -> Iterator[int]:
+        """The first `limit` (at least 1; None: all) solutions, lazily and
+        in order.
 
         Solution number mask is particular plus kernel_basis[i] for each
-        bit i of mask, so it is solution mask - low plus one kernel vector.
+        bit i of mask.  Going from mask - 1 to mask flips bits 0..t, t the
+        lowest set bit of mask, so each step adds the prefix sum
+        kernel_basis[0] + ... + kernel_basis[t]: a caller that stops early
+        pays only for the solutions it took.
         """
         kernel = self.kernel_basis
         count = 1 << len(kernel)
         if limit is not None:
             count = min(count, limit)
-        out = [self.particular]
+        prefix, acc = [], 0
+        for k in kernel:
+            acc ^= k
+            prefix.append(acc)
+        x = self.particular
+        yield x
         for mask in range(1, count):
-            low = mask & -mask
-            out.append(out[mask ^ low] ^ kernel[low.bit_length() - 1])
-        return out
+            x ^= prefix[(mask & -mask).bit_length() - 1]
+            yield x
+
+    def index(self, x: int) -> int | None:
+        """The mask of x in points() order, or None when x is no solution."""
+        kernel = self.kernel_basis
+        width = max(x, self.particular, *kernel).bit_length()
+        tagged = SpanBasis(k | 1 << (width + i) for i, k in enumerate(kernel))
+        rest = tagged.reduce(x ^ self.particular)
+        return None if rest & ((1 << width) - 1) else rest >> width
 
     def lift(self, idxs: Sequence[int]) -> "AffineSolution":
         """The same set with coordinate pos moved to coordinate idxs[pos]

@@ -13,7 +13,10 @@ The backtracking fixes the images of a greedy generating sequence of g1
 and closes each partial map under brackets and squares.  Both closures
 grow a span that is already closed: only the vectors (or pairs) that
 raised the rank in the last round are bracketed with the span, and the odd
-ones squared.  An exhausted search is a proved negative unless a
+ones squared.  A node pays only for what deciding it needs: the candidate
+images of a generator are enumerated lazily in solution order, and each
+is checked against the forms on the parent's closed span before the span
+is copied and closed.  An exhausted search is a proved negative unless a
 candidate list was cut or a bracket table is malformed (see
 search_isometry).
 
@@ -25,8 +28,9 @@ inner-derivation extension exactly when its own derivation is inner.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .derivations import Derivation, case_parities, cohomologous
 from .errors import (
@@ -49,6 +53,7 @@ from .gf2 import (
     SpanBasis,
     bits,
     combine,
+    dot,
     restrict,
     solve_affine,
 )
@@ -405,13 +410,20 @@ def _generating_sequence(g: SuperAlgebra) -> list[int]:
     far is largest.  That span is closed, so a closure grows from the one
     new seed: each round brackets the vectors that raised the rank with a
     basis of the span and squares the odd ones, as _closure does for pairs.
+
+    A basis vector e_j inside the closure built for an earlier e_i of the
+    same step is skipped: its closure lies inside that of e_i, so it cannot
+    be strictly larger, and the earlier e_i (or a later winner) is chosen
+    either way.  This holds when the frontier closure is the least closed
+    subspace containing the span and the seed, which it is on tables that
+    are structurally_sound.
     """
     chosen: list[int] = []
     span = SpanBasis()
     while span.dim < g.dim:
-        best = None
+        best, covered = None, 0
         for i in range(g.dim):
-            if span.contains(1 << i):
+            if covered >> i & 1 or span.contains(1 << i):
                 continue
             s, frontier = span.copy(), [1 << i]
             s.add(1 << i)
@@ -428,6 +440,9 @@ def _generating_sequence(g: SuperAlgebra) -> list[int]:
                 best = i, s
             if s.dim == g.dim:
                 break
+            for j in range(i + 1, g.dim):
+                if s.contains(1 << j):
+                    covered |= 1 << j
         chosen.append(best[0])
         span = best[1]
     return chosen
@@ -446,20 +461,29 @@ def _candidate_images(
     parity: int,
     determined: list[tuple[int, int]],
     limit: int | None,
-) -> tuple[list[int], bool]:
+    seed: int | None = None,
+) -> tuple[Iterator[int], bool]:
     """Homogeneous candidates w with B2(w, w_k) = B1(v, v_k) for known pairs.
 
-    The nonzero ones among the first `limit` solutions (None: all), and
-    whether there are more solutions.
+    The nonzero ones among the first `limit` solutions (None: all), lazily
+    and in points() order, with `seed` moved to the front when it is one of
+    them; and whether there are more solutions.
     """
     idxs = g2.even_indices() if parity == 0 else g2.odd_indices()
     rows = [restrict(b2.pair_row(wk), idxs) for _, wk in determined]
     rhs = sum(b1.pair(v, vk) << r for r, (vk, _) in enumerate(determined))
     sol = solve_affine(GF2Matrix(rows, len(idxs)), rhs)
     if sol is None:
-        return [], False
+        return iter(()), False
+    sol = sol.lift(idxs)
     cut = limit is not None and 1 << len(sol.kernel_basis) > limit
-    return [w for w in sol.lift(idxs).points(limit) if w], cut
+    ahead = ()
+    if seed:
+        mask = sol.index(seed)
+        if mask is not None and (limit is None or mask < limit):
+            ahead = (seed,)
+    rest = (w for w in sol.points(limit) if w and w not in ahead)
+    return itertools.chain(ahead, rest), cut
 
 
 def _form_consistent(span: _PairSpan, b1, b2, pairs) -> bool:
@@ -510,26 +534,54 @@ def _closure(g1, g2, span: _PairSpan, frontier, b1=None, b2=None) -> bool:
     return True
 
 
+def _form_test(b1, b2, span: _PairSpan, v: int):
+    """The form check of the pairs (v, w) against the closed span, as a
+    test of w: B1(v, x) = B2(w, y) for each row (x, y) of span, and
+    B1(v, v) = B2(w, w).
+
+    span is form-consistent, so by bilinearity this is the form check on
+    span plus (v, w), decided before anything is copied.  The part fixed by
+    v and span is computed once: bit r of combine(cols, w) is B2(w, y_r)
+    and bit r of rhs is B1(v, x_r), for the r-th row (x_r, y_r).
+    """
+    rows = span.pairs()
+    left = b1.gram.vec_mat(v)
+    rhs = sum(dot(left, x) << r for r, (x, _) in enumerate(rows))
+    cols = GF2Matrix([b2.pair_row(y) for _, y in rows], b2.dim).transpose().rows
+    vv, gram2 = dot(left, v), b2.gram
+    return lambda w: combine(cols, w) == rhs and dot(gram2.vec_mat(w), w) == vv
+
+
+def _grow(g1, g2, b1, b2, span: _PairSpan, pair) -> _PairSpan | None:
+    """A copy of span plus pair, closed under brackets and squares; pair
+    has passed the _form_test of span.  None when the closure maps 0 to a
+    nonzero vector or breaks the forms."""
+    span = span.clone()
+    if not span.add(*pair):
+        return None
+    return span if _closure(g1, g2, span, [pair], b1, b2) else None
+
+
 def _close(g1, g2, b1, b2, span: _PairSpan, pairs) -> _PairSpan | None:
     """span plus the last of pairs, closed under brackets and squares.
 
     span is closed already, so the last pair is the whole frontier.  None
     when the closure maps 0 to a nonzero vector or breaks the forms.
     """
-    span = span.clone()
-    if not span.add(*pairs[-1]) or not _form_consistent(span, b1, b2, pairs[-1:]):
+    v, w = pairs[-1]
+    if not _form_test(b1, b2, span, v)(w):
         return None
-    return span if _closure(g1, g2, span, pairs[-1:], b1, b2) else None
+    return _grow(g1, g2, b1, b2, span, (v, w))
 
 
 class _Isometries:
     """Generator-image backtracking over the isometries (g1, b1) -> (g2, b2).
 
     Iterating yields the image tuples in search order; each candidate image
-    of a generator is a node, and passing `budget` nodes raises
-    SearchBudgetExceeded.  `seeds` maps a generator to its image to try
-    first; `limit` caps the candidates per generator (None: all), and
-    `truncated` records whether the cap ever dropped one.
+    of a generator is a node, counted before its form check, and passing
+    `budget` nodes raises SearchBudgetExceeded.  `seeds` maps a generator
+    to its image to try first; `limit` caps the candidates per generator
+    (None: all), and `truncated` records whether the cap ever dropped one.
     """
 
     def __init__(self, g1, b1, g2, b2, budget, seeds=None, limit=None):
@@ -556,22 +608,28 @@ class _Isometries:
             yield from self._backtrack(level + 1, span, determined)
             return
         cands, cut = _candidate_images(
-            g2, self.b1, self.b2, v, g1.parity[gi], determined, self.limit
+            g2,
+            self.b1,
+            self.b2,
+            v,
+            g1.parity[gi],
+            determined,
+            self.limit,
+            self.seeds.get(v),
         )
         self.truncated |= cut
-        seeded = self.seeds.get(v)
-        if seeded is not None and seeded in cands:
-            cands.remove(seeded)
-            cands.insert(0, seeded)
+        fits = _form_test(self.b1, self.b2, span, v)
         for w in cands:
             self.nodes += 1
             if self.nodes > self.budget:
                 raise SearchBudgetExceeded(
                     f"isometry enumeration exceeded {self.budget} nodes"
                 )
-            pairs_now = determined + [(v, w)]
-            child = _close(g1, g2, self.b1, self.b2, span, pairs_now)
+            if not fits(w):
+                continue
+            child = _grow(g1, g2, self.b1, self.b2, span, (v, w))
             if child is not None:
+                pairs_now = determined + [(v, w)]
                 yield from self._backtrack(level + 1, child, pairs_now)
 
 
@@ -612,6 +670,11 @@ def search_isometry(
     A seed (v, w) makes w the first candidate for v when v is a basis
     vector of _generating_sequence(g1) and w is among its candidates;
     seeds on other vectors are ignored, and no seed constrains the search.
+
+    The candidates of a generator are enumerated lazily, in the order of
+    AffineSolution.points, so only those tried are built.  Each counts as
+    a node before its form check against the parent's span, so `budget`
+    bounds the candidates tried, as with whole lists.
 
     An exhausted search is a proof (proved=True) when no candidate list was
     cut at _CANDIDATE_LIMIT and both tables are structurally_sound, by

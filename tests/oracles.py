@@ -14,16 +14,25 @@ import itertools
 import numpy as np
 
 from nislie.derivations import _inner_vectors, case_parities, is_derivation
-from nislie.errors import CaseParityMismatch, ConditionViolated
+from nislie.errors import CaseParityMismatch, ConditionViolated, SearchBudgetExceeded
 from nislie.forms import BilinearForm, NISReport, QuadraticForm
-from nislie.gf2 import GF2Matrix, SpanBasis, bits, combine, dot
-from nislie.isometry import build_adapted_isometry, isometry_group
+from nislie.gf2 import GF2Matrix, SpanBasis, bits, combine, dot, restrict, solve_affine
+from nislie import isometry
+from nislie.isometry import (
+    _PairSpan,
+    _closure,
+    _form_consistent,
+    build_adapted_isometry,
+    isometry_group,
+    verify_isometry,
+)
 from nislie.superalgebra import (
     AxiomFailure,
     SuperAlgebra,
     ValidationReport,
     bracket,
     square_element,
+    structurally_sound,
 )
 
 
@@ -616,6 +625,77 @@ def reference_generating_sequence(g) -> list[int]:
         chosen.append(best_idx)
         span = best_span
     return chosen
+
+
+def reference_search_isometry(g1, b1, g2, b2, budget, seed_pairs=()):
+    """(status, nodes, proved, images) of search_isometry, by the search
+    with every candidate list built whole before it is tried (the seed
+    moved to its front when the list holds it) and each candidate pair
+    inserted into a copy of the span before its form check."""
+    if g1.sdim != g2.sdim or b1.parity != b2.parity:
+        return "not-found", 0, True, None
+    gens = [1 << i for i in reference_generating_sequence(g1)]
+    seeds = dict(seed_pairs)
+    limit = isometry._CANDIDATE_LIMIT
+    nodes, truncated = 0, False
+
+    def candidates(v, determined):
+        nonlocal truncated
+        idxs = g2.odd_indices() if g1.parity_of(v) else g2.even_indices()
+        rows = [restrict(b2.pair_row(y), idxs) for _, y in determined]
+        rhs = sum(b1.pair(v, x) << r for r, (x, _) in enumerate(determined))
+        sol = solve_affine(GF2Matrix(rows, len(idxs)), rhs)
+        if sol is None:
+            return []
+        size = 1 << len(sol.kernel_basis)
+        truncated |= size > limit
+        units = [1 << i for i in idxs]
+        cands = [
+            combine(units, sol.particular ^ combine(sol.kernel_basis, mask))
+            for mask in range(min(size, limit))
+        ]
+        cands = [w for w in cands if w]
+        seed = seeds.get(v)
+        if seed in cands:
+            cands.remove(seed)
+            cands.insert(0, seed)
+        return cands
+
+    def close(span, v, w):
+        span = span.clone()
+        if not span.add(v, w) or not _form_consistent(span, b1, b2, [(v, w)]):
+            return None
+        return span if _closure(g1, g2, span, [(v, w)], b1, b2) else None
+
+    def first_leaf(level, span, determined):
+        nonlocal nodes
+        if level == len(gens):
+            images = tuple(span.image_of(1 << j) for j in range(g1.dim))
+            if span.basis.dim == g1.dim and verify_isometry(g1, b1, g2, b2, images)[0]:
+                return images
+            return None
+        v = gens[level]
+        if span.image_of(v) is not None:
+            return first_leaf(level + 1, span, determined)
+        for w in candidates(v, determined):
+            nodes += 1
+            if nodes > budget:
+                raise SearchBudgetExceeded(budget)
+            child = close(span, v, w)
+            if child is not None:
+                images = first_leaf(level + 1, child, determined + [(v, w)])
+                if images is not None:
+                    return images
+        return None
+
+    try:
+        images = first_leaf(0, _PairSpan(g1.dim), [])
+    except SearchBudgetExceeded:
+        return "budget-exhausted", nodes, False, None
+    if images is not None:
+        return "found", nodes, False, images
+    sound = structurally_sound(g1) and structurally_sound(g2)
+    return "not-found", nodes, sound and not truncated, None
 
 
 def brute_force_isometric(g1, b1, g2, b2) -> bool:

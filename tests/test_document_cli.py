@@ -429,6 +429,38 @@ def test_cli_seed_off_the_generators_gets_a_note(capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_cli_isometry_json_general_mode(capsys):
+    argv = ["isometry", "hei-double", "hei-double", "--json"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "status": "found", "proved": False, "nodes": 8, "reason": "",
+        "verified": True,
+    }
+    assert main(["isometry", "gl-1-1", "purely-odd-ext", "--json"]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "status": "not-found", "proved": True, "nodes": 3,
+        "reason": "generator-image search exhausted",
+    }
+    argv = ["isometry", "hei-double", "ba-double", "--budget", "5", "--json"]
+    assert main(argv) == 3
+    assert json.loads(capsys.readouterr().out) == {
+        "status": "budget-exhausted", "proved": False, "nodes": 6,
+        "reason": "isometry enumeration exceeded 5 nodes",
+    }
+
+
+def test_cli_isometry_json_adapted_mode(capsys):
+    argv = ["isometry", "po05-m1", "po05-m0", "--mode", "adapted", "--json"]
+    assert main(argv) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "not-found-proved" and report["reason"]
+    assert set(report) == {"status", "reason"}
+    argv = ["isometry", "hei-oddD-ext", "hei-oddD-ext", "--mode", "adapted",
+            "--json"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out) == {"status": "found", "reason": ""}
+
+
 def test_cli_outer_json(capsys):
     assert main(["outer", "h1-0-5", "--json"]) == 0
     import json as _json
@@ -524,6 +556,11 @@ MALFORMED = {
         "isometry", with_extension_meta(tmp, {
             "x_index": 0, "star_index": 1, "recipe": {"case": "evenB-oddD"}}),
         "hei-oddD-ext", "--mode", "adapted"],
+    "negative budget": lambda tmp: [
+        "isometry", "hei-double", "hei-double", "--budget", "-1"],
+    "negative budget, adapted": lambda tmp: [
+        "isometry", "hei-oddD-ext", "hei-oddD-ext", "--mode", "adapted",
+        "--budget", "-1"],
     "output directory missing": lambda tmp: [
         "catalog", "export", "hei-double", "--out", str(tmp / "no" / "x.json")],
 }

@@ -154,6 +154,25 @@ def test_solve_random_10x15_consistent_system():
     assert set(sol) == expected
 
 
+def test_points_are_lazy_in_mask_order_and_index_inverts_them():
+    rng = random.Random(17)
+    for _ in range(40):
+        m = random_matrix(rng, rng.randrange(1, 8), 10)
+        sol = solve_affine(m, m.mat_vec(rng.getrandbits(10)))
+        kernel = sol.kernel_basis
+        limit = rng.choice([None, 1, 5, 1 << len(kernel), 3000])
+        count = 1 << len(kernel) if limit is None else min(limit, 1 << len(kernel))
+        want = [sol.particular ^ combine(kernel, mask) for mask in range(count)]
+        points = sol.points(limit)
+        assert iter(points) is points
+        assert list(points) == want
+        for mask, x in enumerate(sol.points()):
+            assert sol.index(x) == mask
+        solutions = set(sol)
+        outside = [x for x in range(1 << 10) if x not in solutions]
+        assert all(sol.index(x) is None for x in outside)
+
+
 def test_kernel_basis():
     rng = random.Random(5)
     for _ in range(30):

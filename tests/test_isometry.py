@@ -48,6 +48,7 @@ from oracles import (
     reference_adapted_decision,
     reference_generating_sequence,
     reference_quadratic_from_eval,
+    reference_search_isometry,
     relabel,
     substitution_map,
 )
@@ -526,6 +527,48 @@ def test_search_isometry_golden_nodes_on_relabellings():
                     obj.algebra, obj.form, g2, b2, res.isometry.images
                 )[0]
         assert tuple(got) == SEARCH_GOLDEN[name], name
+
+
+def search_fingerprint(res):
+    return res.status, res.nodes, res.proved, res.isometry and res.isometry.images
+
+
+def test_search_tree_matches_the_eager_reference():
+    # lazy candidate lists and the form test before the copy build the
+    # tree that whole lists and a clone-then-check closure build
+    for name in entry_names(include_defective=False):
+        obj = named(name)
+        if obj.form is None:
+            continue
+        for r in range(2):
+            g2, b2 = relabel(obj.algebra, obj.form, random.Random(f"{name}:{r}"))
+            res = search_isometry(obj.algebra, obj.form, g2, b2, budget=500)
+            assert search_fingerprint(res) == reference_search_isometry(
+                obj.algebra, obj.form, g2, b2, 500
+            ), (name, r)
+
+
+@pytest.mark.parametrize("first, status", [(5, "budget-exhausted"), (-1, "found")])
+def test_a_seed_goes_first_only_among_the_kept_candidates(first, status):
+    # h(1|0;5) to itself, generators seeded to themselves but the first
+    # one, e_0: its 2^15 odd candidates are cut at 4096.  Odd vector 5 is
+    # solution 2^5 and goes first; the last odd vector is solution 2^14,
+    # beyond the cut, so the search starts as an unseeded one would
+    obj = named("h1-0-5")
+    g, b = obj.algebra, obj.form
+    gens = [1 << i for i in _generating_sequence(g)]
+    seed = 1 << g.odd_indices()[first]
+    assert gens[0] == 1
+    cands, cut = isometry._candidate_images(
+        g, b, b, 1, 1, [], isometry._CANDIDATE_LIMIT, seed
+    )
+    assert cut and (next(cands) == seed) == (first == 5)
+    seeds = [(1, seed)] + [(v, v) for v in gens[1:]]
+    res = search_isometry(g, b, g, b, budget=500, seed_pairs=seeds)
+    assert res.status == status
+    assert search_fingerprint(res) == reference_search_isometry(
+        g, b, g, b, 500, seeds
+    )
 
 
 GROUP_SIZES = {
