@@ -42,7 +42,6 @@ from .extension import ExtensionRecipe, extend, reduce as ext_reduce
 from .forms import QuadraticForm, check_nis
 from .gf2 import bits
 from .isometry import (
-    _generating_sequence,
     adapted_isometry_decision,
     search_isometry,
     verify_isometry,
@@ -396,7 +395,7 @@ def cmd_isometry(args) -> int:
         return code
     seeds, ignored = [], []
     if args.seed:
-        gens = [1 << i for i in _generating_sequence(doc1.algebra)]
+        gens = [1 << i for i in doc1.algebra.generating_sequence]
         for chunk in args.seed.split(","):
             if chunk.count("=") != 1:
                 raise CliError(2, f"--seed takes name=name pairs, not {chunk!r}")

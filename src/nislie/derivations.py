@@ -37,7 +37,10 @@ keeps its own fully reduced SpanBasis, its kernel is read off the echelon
 rows with no second elimination, and a block whose kernel is known drops
 out of the index.  Inner maps ad_{e_i} lie in the block of e_i's degree,
 so the outer quotient is taken block by block; declared degrees, which
-must coarsen the fine grading, only label the blocks.
+must coarsen the fine grading, only label the blocks.  The blocks go in
+order of their shift in the canonical degrees of fine_degrees, so the
+block order, and with it the order of OuterBasis.representatives,
+depends only on the algebra and the order of its basis.
 
 A block's kernel is known at full rank, and earlier once the inner maps
 are proved derivations: g.jacobi_walk is a tuple (Jacobi holds) and
@@ -72,7 +75,7 @@ from .gf2 import (
     quotient_basis,
     solve_affine,
 )
-from .superalgebra import SuperAlgebra, ad, ad_system, bracket, grading_terms
+from .superalgebra import SuperAlgebra, ad, ad_system, bracket
 
 CASES = ("evenB-evenD", "evenB-oddD", "oddB-oddD", "oddB-evenD")
 
@@ -425,7 +428,7 @@ def _inner_not_derivation(g: SuperAlgebra, parity: int) -> InnerNotDerivation:
                     g.names[i], "the declared degrees do not respect the"
                     f" bracket: ad({g.names[i]}) mixes degree shifts", True
                 )
-        for i, j, k in sorted(grading_terms(g)):
+        for i, j, k in g.terms:
             offsets.setdefault(d[i] + d[j] - d[k], (i, j, k))
     if len(offsets) < 2:
         raise AssertionError("no inner map or degree defect to report")

@@ -403,51 +403,6 @@ class SearchResult:
     reason: str = ""
 
 
-def _generating_sequence(g: SuperAlgebra) -> list[int]:
-    """Greedy basis sequence whose subalgebra closure is all of g.
-
-    Each step takes the first basis vector whose closure with the span so
-    far is largest.  That span is closed, so a closure grows from the one
-    new seed: each round brackets the vectors that raised the rank with a
-    basis of the span and squares the odd ones, as _closure does for pairs.
-
-    A basis vector e_j inside the closure built for an earlier e_i of the
-    same step is skipped: its closure lies inside that of e_i, so it cannot
-    be strictly larger, and the earlier e_i (or a later winner) is chosen
-    either way.  This holds when the frontier closure is the least closed
-    subspace containing the span and the seed, which it is on tables that
-    are structurally_sound.
-    """
-    chosen: list[int] = []
-    span = SpanBasis()
-    while span.dim < g.dim:
-        best, covered = None, 0
-        for i in range(g.dim):
-            if covered >> i & 1 or span.contains(1 << i):
-                continue
-            s, frontier = span.copy(), [1 << i]
-            s.add(1 << i)
-            while frontier:
-                items = list(s.rows())
-                new = []
-                for x in frontier:
-                    products = [bracket(g, x, y) for y in items]
-                    if g.parity_of(x) == 1:
-                        products.append(square_element(g, x))
-                    new += [p for p in products if s.add(p)]
-                frontier = new
-            if best is None or s.dim > best[1].dim:
-                best = i, s
-            if s.dim == g.dim:
-                break
-            for j in range(i + 1, g.dim):
-                if s.contains(1 << j):
-                    covered |= 1 << j
-        chosen.append(best[0])
-        span = best[1]
-    return chosen
-
-
 # solutions w kept per generator in search_isometry; a longer list makes an
 # exhausted search unproved
 _CANDIDATE_LIMIT = 4096
@@ -587,7 +542,7 @@ class _Isometries:
     def __init__(self, g1, b1, g2, b2, budget, seeds=None, limit=None):
         self.g1, self.b1, self.g2, self.b2 = g1, b1, g2, b2
         self.budget, self.seeds, self.limit = budget, seeds or {}, limit
-        self.gens = _generating_sequence(g1)
+        self.gens = g1.generating_sequence
         self.nodes = 0
         self.truncated = False
 
@@ -668,7 +623,7 @@ def search_isometry(
     """Backtracking over generator images with form/bracket propagation.
 
     A seed (v, w) makes w the first candidate for v when v is a basis
-    vector of _generating_sequence(g1) and w is among its candidates;
+    vector of g1.generating_sequence and w is among its candidates;
     seeds on other vectors are ignored, and no seed constrains the search.
 
     The candidates of a generator are enumerated lazily, in the order of

@@ -41,10 +41,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import repeat
 from math import gcd, lcm
-from operator import and_, xor
+from operator import add, and_, mul, or_, sub, xor
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, NotOdd
@@ -113,6 +113,13 @@ class SuperAlgebra:
         return walk
 
     @cached_property
+    def generating_sequence(self) -> tuple[int, ...]:
+        """_generating_sequence, built once per algebra: the isometry
+        search fixes the images of these basis vectors, and nislie
+        isometry --seed keeps only the seeds on them."""
+        return tuple(_generating_sequence(self))
+
+    @cached_property
     def squaring_rule_holds(self) -> bool:
         """Whether [s(e_i), x] = [e_i, [e_i, x]] for every odd e_i and x,
         on a structurally_sound table (False on any other).
@@ -126,14 +133,20 @@ class SuperAlgebra:
         )
 
     @cached_property
+    def terms(self) -> tuple[tuple[int, int, int], ...]:
+        """grading_terms, built once per algebra: the fine grading and the
+        declared-degree check both read them."""
+        return grading_terms(self)
+
+    @cached_property
     def degrees_coarsen_fine(self) -> bool:
         """Whether the declared degrees give every term (i, j, k) of
-        grading_terms one offset d_i + d_j - d_k (True without degrees):
+        self.terms one offset d_i + d_j - d_k (True without degrees):
         then they coarsen the finest grading affinely."""
         d = self.degrees
         if d is None:
             return True
-        return len({d[i] + d[j] - d[k] for i, j, k in grading_terms(self)}) < 2
+        return len({d[i] + d[j] - d[k] for i, j, k in self.terms}) < 2
 
     @property
     def sdim(self) -> tuple[int, int]:
@@ -210,92 +223,174 @@ def square_element(g: SuperAlgebra, x: int) -> int:
     return acc
 
 
-def grading_terms(g: SuperAlgebra) -> set[tuple[int, int, int]]:
-    """(i, j, k) with i <= j for each term e_k of a bracket or a square.
+def grading_terms(g: SuperAlgebra) -> tuple[tuple[int, int, int], ...]:
+    """(i, j, k) with i <= j for each term e_k of a bracket or a square,
+    each once, in sorted order.
 
     The bracket terms come from both entries [e_i, e_j] and [e_j, e_i], so
     an asymmetric table contributes both; (i, i, k) is a term of s(e_i) or
     of a nonzero diagonal entry.
     """
     n = g.dim
-    terms = set()
-    for i, row in enumerate(g.bracket_table):
-        for j, v in enumerate(row):
-            if v >> n:
-                raise DimensionMismatch("element outside the algebra")
-            for k in bits(v):
-                terms.add((i, j, k) if i <= j else (j, i, k))
-    for i, v in enumerate(g.squaring):
-        if v >> n:
-            raise DimensionMismatch("element outside the algebra")
-        for k in bits(v):
-            terms.add((i, i, k))
-    return terms
+    table = g.bracket_table
+    if reduce(or_, g.squaring, 0) >> n or any(
+        reduce(or_, row, 0) >> n for row in table
+    ):
+        raise DimensionMismatch("element outside the algebra")
+    terms = []
+    for i, (row, column, square) in enumerate(
+        zip(table, zip(*table), g.squaring)
+    ):
+        values = list(map(or_, row[i:], column[i:]))
+        values[0] |= square
+        for j, v in enumerate(values, i):
+            while v:
+                low = v & -v
+                v ^= low
+                terms.append((i, j, low.bit_length() - 1))
+    return tuple(terms)
 
 
 def fine_grading(g: SuperAlgebra) -> tuple[tuple[int, ...], ...]:
     """The finest grading of g by a free abelian group Z^r.
 
     Degrees f_i grade g when f_i + f_j = f_k for every term (i, j, k) of
-    grading_terms, which covers 2 f_i = f_k for a square term.  The integer
-    solutions are the rational kernel of this relation matrix intersected
-    with Z^n, so any integer basis of the kernel (here: one vector per free
-    column of the reduced relations, cleared of denominators) grades g as
-    finely as any torsion-free grading can; it is the free part of the
-    universal grading group (Patera-Zassenhaus).  f_i is the tuple of the
-    basis vectors' i-th coordinates, so r is n minus the rank of the
-    relations.  Every bracket and square is homogeneous, and two maps
-    e_m |-> e_i, e_m' |-> e_i' have equal shift f_i - f_m exactly when
-    every grading of g gives them equal shifts.
+    g.terms, which covers 2 f_i = f_k for a square term.  The integer
+    solutions span the rational solution space K, and any basis of K
+    grades g as finely as any torsion-free grading can: it is the free
+    part of the universal grading group (Patera-Zassenhaus), and r is n
+    minus the rank of the relations.  Every bracket and square is
+    homogeneous, and two maps e_m |-> e_i, e_m' |-> e_i' have equal shift
+    f_i - f_m exactly when every grading of g gives them equal shifts.
+
+    K is found by propagation over the terms, not by elimination on the
+    relation matrix.  Each f_c is an integer combination of parameters.
+    A walk from a start column fixes, through each term whose other sides
+    are known, the one side left when its coefficient is +-1; a new
+    parameter opens only at the first column that no term can fix (one
+    reached only through 2 f_i = f_k, or one that no term touches).  So
+    the parameters number n minus the rank of the terms used for a fix:
+    a handful on a connected table (4 or 5 on h'(0|7) and h'(0|8), for
+    126 and 254 columns), while the terms left over give a small integer
+    system over the parameters, whose kernel maps onto K.
+
+    The result is canonical: f_c is the tuple of the c-th coordinates of
+    the reduced echelon basis of K over Q, each row scaled to the
+    primitive integer vector with a positive leading entry
+    (_primitive_echelon).  That depends on K and the column order alone,
+    not on the order of the terms or on how K was found.
     """
     n = g.dim
-    # reduced relations: pivot p -> {free column f: c}, meaning
-    # x_p + sum c x_f = 0; entries are ints unless a pivot was not a unit
-    pivots: dict[int, dict[int, int | Fraction]] = {}
-    for term in sorted(grading_terms(g)):
-        vec: dict[int, int | Fraction] = {}
-        for c, a in zip(term, (1, 1, -1)):
-            row = pivots.get(c)
-            if row is None:
-                vec[c] = vec.get(c, 0) + a
-            else:
-                for f, b in row.items():
-                    vec[f] = vec.get(f, 0) - a * b
-        vec = {c: a for c, a in vec.items() if a}
-        if not vec:
+    terms = g.terms
+    # each term's sides with their coefficients in f_i + f_j - f_k,
+    # zeros dropped; touching[c] lists the terms with side c
+    sides = []
+    touching: list[list[int]] = [[] for _ in range(n)]
+    for r, (i, j, k) in enumerate(terms):
+        if i == j or k == i or k == j:
+            coefficient = {i: 1}
+            coefficient[j] = coefficient.get(j, 0) + 1
+            coefficient[k] = coefficient.get(k, 0) - 1
+            side = [(c, a) for c, a in coefficient.items() if a]
+        else:
+            side = [(i, 1), (j, 1), (k, -1)]
+        sides.append(side)
+        for c, _ in side:
+            touching[c].append(r)
+    # degree[c]: f_c as {parameter: coefficient}, None while unknown
+    degree: list[dict[int, int] | None] = [None] * n
+    unknown = [len(s) for s in sides]  # sides not yet known, per term
+    used = [False] * len(terms)  # the terms that fixed a side
+    ready: list[int] = []  # terms that had one side left when last seen
+
+    def know(c: int, value: dict[int, int]):
+        degree[c] = value
+        for r in touching[c]:
+            unknown[r] -= 1
+            if unknown[r] == 1:
+                ready.append(r)
+
+    params = 0
+    for start in range(n):
+        if degree[start] is not None:
             continue
-        if all(type(a) is int for a in vec.values()):
-            content = gcd(*vec.values())
-            vec = {c: a // content for c, a in vec.items()}
-        units = [c for c, a in vec.items() if a in (1, -1)]
-        p = min(units or vec)
-        lead = vec.pop(p)
-        new = {
-            f: a * lead if lead in (1, -1) else Fraction(a) / lead
-            for f, a in vec.items()
-        }
-        for row in pivots.values():
-            b = row.pop(p, 0)
-            if b:
-                for f, a in new.items():
-                    v = row.get(f, 0) - b * a
-                    if v:
-                        row[f] = v
-                    else:
-                        del row[f]
-        pivots[p] = new
-    basis = []
-    for f in range(n):
-        if f in pivots:
+        know(start, {params: 1})
+        params += 1
+        while ready:
+            r = ready.pop()
+            if unknown[r] != 1:
+                continue
+            c, a = next((c, a) for c, a in sides[r] if degree[c] is None)
+            if a not in (1, -1):
+                continue
+            # a f_c = -(the known sides), and 1 / a = a
+            value: dict[int, int] = {}
+            for d, b in sides[r]:
+                if d != c:
+                    for p, x in degree[d].items():
+                        value[p] = value.get(p, 0) - a * b * x
+            used[r] = True
+            know(c, {p: x for p, x in value.items() if x})
+    coords = [tuple(map(d.get, range(params), repeat(0))) for d in degree]
+    # every other term is an equation on the parameters
+    equations = {
+        tuple(map(sub, map(add, coords[i], coords[j]), coords[k]))
+        for (i, j, k), fixed in zip(terms, used)
+        if not fixed
+    }
+    equations.discard((0,) * params)
+    # a kernel vector per free parameter f: x_f = scale, and each pivot
+    # row a x_p + sum b_f x_f = 0 gives x_p
+    solved = _primitive_echelon(equations)
+    kernel = []
+    for f in range(params):
+        if f in solved:
             continue
-        column = {p: -row[f] for p, row in pivots.items() if f in row}
-        scale = lcm(*(x.denominator for x in column.values()))  # 1 for ints
-        vec = [0] * n
-        vec[f] = scale
-        for p, x in column.items():
-            vec[p] = int(x * scale)
-        basis.append(vec)
-    return tuple(tuple(v[i] for v in basis) for i in range(n))
+        scale = lcm(*(row[p] for p, row in solved.items() if row[f]))
+        x = [0] * params
+        x[f] = scale
+        for p, row in solved.items():
+            x[p] = -scale * row[f] // row[p]
+        kernel.append(x)
+    basis = _primitive_echelon(
+        [sum(map(mul, coords[c], x)) for c in range(n)] for x in kernel
+    ).values()
+    return tuple(tuple(v[c] for v in basis) for c in range(n))
+
+
+def _primitive_echelon(rows: Iterable[Sequence[int]]) -> dict[int, list[int]]:
+    """The reduced echelon basis of the rational span of integer rows, as
+    pivot column -> row in pivot order, each row scaled to the primitive
+    integer vector with a positive leading entry: a form that depends on
+    the span alone.
+
+    Rows stay integer: clearing a pivot column c from a row takes
+    prow[c] * row - row[c] * prow, with prow[c] > 0, and divides out the
+    content, so every kept row is zero on the other pivots, positive on
+    its own and primitive.
+    """
+    echelon: dict[int, list[int]] = {}  # pivot column -> row
+
+    def clear(row, prow, c):
+        row = [prow[c] * x - row[c] * y for x, y in zip(row, prow)]
+        content = gcd(*row)
+        return [x // content for x in row] if content > 1 else row
+
+    for row in rows:
+        row = list(row)
+        for c, prow in echelon.items():
+            if row[c]:
+                row = clear(row, prow, c)
+        lead = next((c for c, x in enumerate(row) if x), None)
+        if lead is None:
+            continue
+        content = gcd(*row) if row[lead] > 0 else -gcd(*row)
+        row = [x // content for x in row]
+        for c, prow in echelon.items():
+            if prow[lead]:
+                echelon[c] = clear(prow, row, lead)
+        echelon[lead] = row
+    return {c: echelon[c] for c in sorted(echelon)}
 
 
 def ad(g: SuperAlgebra, v: int) -> list[int]:
@@ -722,6 +817,52 @@ def is_two_step_nilpotent(g: SuperAlgebra) -> bool:
         if square_element(g, w):
             return False
     return True
+
+
+def _generating_sequence(g: SuperAlgebra) -> list[int]:
+    """Greedy basis sequence whose subalgebra closure is all of g.
+
+    Each step takes the first basis vector whose closure with the span so
+    far is largest.  That span is closed, so a closure grows from the one
+    new seed: each round brackets the vectors that raised the rank with a
+    basis of the span and squares the odd ones, as isometry._closure does
+    for pairs.
+
+    A basis vector e_j inside the closure built for an earlier e_i of the
+    same step is skipped: its closure lies inside that of e_i, so it cannot
+    be strictly larger, and the earlier e_i (or a later winner) is chosen
+    either way.  This holds when the frontier closure is the least closed
+    subspace containing the span and the seed, which it is on tables that
+    are structurally_sound.
+    """
+    chosen: list[int] = []
+    span = SpanBasis()
+    while span.dim < g.dim:
+        best, covered = None, 0
+        for i in range(g.dim):
+            if covered >> i & 1 or span.contains(1 << i):
+                continue
+            s, frontier = span.copy(), [1 << i]
+            s.add(1 << i)
+            while frontier:
+                items = list(s.rows())
+                new = []
+                for x in frontier:
+                    products = [bracket(g, x, y) for y in items]
+                    if g.parity_of(x) == 1:
+                        products.append(square_element(g, x))
+                    new += [p for p in products if s.add(p)]
+                frontier = new
+            if best is None or s.dim > best[1].dim:
+                best = i, s
+            if s.dim == g.dim:
+                break
+            for j in range(i + 1, g.dim):
+                if s.contains(1 << j):
+                    covered |= 1 << j
+        chosen.append(best[0])
+        span = best[1]
+    return chosen
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -1002,3 +1004,103 @@ def reference_fine_blocks(g: SuperAlgebra, parity: int):
         add_rule(g.squaring[j], j, j, False)
     kernels = [span.kernel(len(block)) for span, block in zip(spans, unknowns)]
     return unknowns, kernels, _inner_vectors(g, parity, unknowns), None
+
+
+def reference_fine_basis(g: SuperAlgebra) -> list[list[int]]:
+    """An integer basis of the rational solutions of f_i + f_j = f_k over
+    the terms (i, j, k) of g, by elimination on the relation matrix.
+
+    The terms are taken straight off the table, with i <= j.  The
+    relations are reduced in sorted term order, with a unit pivot where
+    the row has one, and each free column gives one basis vector, cleared
+    of denominators.  The basis depends on that order: it is not
+    canonical (reference_fine_grading canonicalises it).
+    """
+    n = g.dim
+    terms = set()
+    for i, row in enumerate(g.bracket_table):
+        for j, v in enumerate(row):
+            terms.update((min(i, j), max(i, j), k) for k in bits(v))
+    for i, v in enumerate(g.squaring):
+        terms.update((i, i, k) for k in bits(v))
+    # reduced relations: pivot p -> {free column f: c}, meaning
+    # x_p + sum c x_f = 0; entries are ints unless a pivot was not a unit
+    pivots: dict[int, dict[int, int | Fraction]] = {}
+    for term in sorted(terms):
+        vec: dict[int, int | Fraction] = {}
+        for c, a in zip(term, (1, 1, -1)):
+            row = pivots.get(c)
+            if row is None:
+                vec[c] = vec.get(c, 0) + a
+            else:
+                for f, b in row.items():
+                    vec[f] = vec.get(f, 0) - a * b
+        vec = {c: a for c, a in vec.items() if a}
+        if not vec:
+            continue
+        if all(type(a) is int for a in vec.values()):
+            content = math.gcd(*vec.values())
+            vec = {c: a // content for c, a in vec.items()}
+        units = [c for c, a in vec.items() if a in (1, -1)]
+        p = min(units or vec)
+        lead = vec.pop(p)
+        new = {
+            f: a * lead if lead in (1, -1) else Fraction(a) / lead
+            for f, a in vec.items()
+        }
+        for row in pivots.values():
+            b = row.pop(p, 0)
+            if b:
+                for f, a in new.items():
+                    v = row.get(f, 0) - b * a
+                    if v:
+                        row[f] = v
+                    else:
+                        del row[f]
+        pivots[p] = new
+    basis = []
+    for f in range(n):
+        if f in pivots:
+            continue
+        column = {p: -row[f] for p, row in pivots.items() if f in row}
+        scale = math.lcm(*(x.denominator for x in column.values()))
+        vec = [0] * n
+        vec[f] = scale
+        for p, x in column.items():
+            vec[p] = int(x * scale)
+        basis.append(vec)
+    return basis
+
+
+def degrees_of(basis, n: int) -> tuple[tuple[int, ...], ...]:
+    """Per basis vector e_c, its coordinates in the rows of basis: the
+    shape of SuperAlgebra.fine_degrees."""
+    return tuple(tuple(v[c] for v in basis) for c in range(n))
+
+
+def canonical_grading(basis, n: int) -> tuple[tuple[int, ...], ...]:
+    """The reduced echelon basis over Q of the span of the rows, each row
+    scaled to the primitive integer vector with a positive leading entry,
+    as degrees: Gauss-Jordan elimination on Fractions."""
+    rows = [[Fraction(x) for x in v] for v in basis]
+    reduced = []
+    for c in range(n):
+        pivot = next((r for r in rows if r[c]), None)
+        if pivot is None:
+            continue
+        rows.remove(pivot)
+        pivot = [x / pivot[c] for x in pivot]
+        rows = [[x - r[c] * y for x, y in zip(r, pivot)] for r in rows]
+        reduced = [[x - r[c] * y for x, y in zip(r, pivot)] for r in reduced]
+        reduced.append(pivot)
+    primitive = []
+    for r in reduced:
+        scale = math.lcm(*(x.denominator for x in r))
+        primitive.append([int(x * scale) for x in r])
+    return degrees_of(primitive, n)
+
+
+def reference_fine_grading(g: SuperAlgebra) -> tuple[tuple[int, ...], ...]:
+    """SuperAlgebra.fine_degrees by elimination on the relation matrix
+    (reference_fine_basis), in the canonical form of canonical_grading."""
+    return canonical_grading(reference_fine_basis(g), g.dim)

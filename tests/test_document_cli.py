@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nislie import superalgebra
 from nislie.catalog import named
 from nislie.cli import build_parser, main
 from nislie.derivations import CASES
@@ -427,6 +428,21 @@ def test_cli_seed_off_the_generators_gets_a_note(capsys):
     )
     assert main(["isometry", "hei-double", "hei-double", "--seed", "p=p"]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_cli_seed_builds_the_generating_sequence_once(monkeypatch, capsys):
+    # the seed filter and the search read the same cached sequence
+    calls = []
+    build = superalgebra._generating_sequence
+
+    def counted(g):
+        calls.append(g)
+        return build(g)
+
+    monkeypatch.setattr(superalgebra, "_generating_sequence", counted)
+    assert main(["isometry", "hei-double", "hei-double", "--seed", "p=p"]) == 0
+    assert capsys.readouterr().out == "found (8 nodes); verified: True\n"
+    assert len(calls) == 1
 
 
 def test_cli_isometry_json_general_mode(capsys):

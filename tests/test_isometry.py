@@ -32,7 +32,6 @@ from nislie.isometry import (
     Isometry,
     _PairSpan,
     _close,
-    _generating_sequence,
     adapted_isometry_decision,
     build_adapted_isometry,
     complete_by_bracketing,
@@ -41,7 +40,13 @@ from nislie.isometry import (
     search_isometry,
     verify_isometry,
 )
-from nislie.superalgebra import SuperAlgebra, bracket, square_element, validate
+from nislie.superalgebra import (
+    SuperAlgebra,
+    _generating_sequence,
+    bracket,
+    square_element,
+    validate,
+)
 from oracles import (
     brute_force_isometric,
     h104_deg_swap,

@@ -29,7 +29,17 @@ from nislie.superalgebra import (
     squares_span,
     validate,
 )
-from oracles import dense_square, flip, jacobi_defect, structure_tensor, unvec, vec
+from oracles import (
+    canonical_grading,
+    dense_square,
+    flip,
+    jacobi_defect,
+    reference_fine_grading,
+    relabel,
+    structure_tensor,
+    unvec,
+    vec,
+)
 
 
 def abelian(parities):
@@ -339,10 +349,8 @@ def test_fine_grading_of_derived_hamiltonian(m, rank):
     assert_finest_grading(g)
 
 
-def test_fine_grading_on_catalog_and_seeded_flips():
-    pool = [named(name).algebra for name in entry_names()]
-    for g in pool:
-        assert_finest_grading(g)
+def seeded_flips(pool):
+    """60 one-bit flips of the algebras of pool of dimension at most 16."""
     rng = random.Random(20261020)
     small = [g for g in pool if g.dim <= 16]
     for _ in range(60):
@@ -352,4 +360,42 @@ def test_fine_grading_on_catalog_and_seeded_flips():
         g, _ = flip(
             g0, None, kind, rng.randrange(n), rng.randrange(n), rng.randrange(n)
         )
+        yield g
+
+
+def test_fine_grading_on_catalog_and_seeded_flips():
+    pool = [named(name).algebra for name in entry_names()]
+    for g in pool:
         assert_finest_grading(g)
+    for g in seeded_flips(pool):
+        assert_finest_grading(g)
+
+
+def test_fine_grading_matches_the_reference():
+    # the canonical form of the elimination's basis, on the catalog
+    # (defective entries included), h'(0|m) as built and relabelled, and
+    # the seeded flips
+    pool = [named(name).algebra for name in entry_names()]
+    algebras = pool + list(seeded_flips(pool))
+    for m in range(4, 9):
+        g, form, _ = hamiltonian(m)
+        rng = random.Random(f"fine grading:{m}")
+        algebras += [g] + [relabel(g, form, rng)[0] for _ in range(2)]
+    for g in algebras:
+        assert g.fine_degrees == reference_fine_grading(g), g.names
+
+
+def test_fine_grading_follows_a_relabelling():
+    # relabelling permutes the columns of the grading space: the canonical
+    # form of the permuted degrees is the relabelled algebra's grading
+    pairs = [(obj.algebra, obj.form) for obj in map(named, entry_names())]
+    pairs += [hamiltonian(m)[:2] for m in (4, 5, 6)]
+    rng = random.Random(20261019)
+    for g, form in pairs:
+        g2, _ = relabel(g, form, rng)
+        at = {name: a for a, name in enumerate(g2.names)}
+        moved = [None] * g.dim
+        for i, name in enumerate(g.names):
+            moved[at[name]] = g.fine_degrees[i]
+        rows = [list(row) for row in zip(*moved)]
+        assert g2.fine_degrees == canonical_grading(rows, g.dim), g.names
