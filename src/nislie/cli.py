@@ -33,6 +33,7 @@ from .document import (
     AlgebraDocument,
     DocumentError,
     derivation_from_data,
+    derivation_to_data,
     extension_meta,
     quadratic_from_data,
     recipe_to_meta,
@@ -236,12 +237,7 @@ def cmd_outer(args) -> int:
     reps = []
     for outer in (oe, oo):
         for d in outer.representatives:
-            entry = {
-                "parity": d.parity,
-                "images": sorted(
-                    [j, i] for j, im in enumerate(d.images) for i in bits(im)
-                ),
-            }
+            entry = derivation_to_data(d)
             deg = map_degree(g, d)
             if deg is not None:
                 entry["degree"] = deg
@@ -450,16 +446,17 @@ def cmd_report(args) -> int:
     ok = True
     lines = []
     if args.table == "h04":
-        expected = {"D2": 5, "D6": 1, "D7": 3}
         target_names = {"D2": "tilde-po(0|4)", "D6": "gl(2|2)", "D7": "po(0|4)"}
-        for label, want in expected.items():
-            obj = named(f"h104-{label}ext")
+        for label, target in target_names.items():
+            name = f"h104-{label}ext"
+            want = registry()[name].out_dim
+            obj = named(name)
             oe, oo = outer_derivations(obj.algebra)
             got = oe.dim + oo.dim
             row_ok = got == want
             ok = ok and row_ok
             lines.append(
-                f"{label} -> {target_names[label]}: out = {got}"
+                f"{label} -> {target}: out = {got}"
                 f" (expected {want}) {'ok' if row_ok else 'MISMATCH'}"
             )
         lines.append(

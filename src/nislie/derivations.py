@@ -194,7 +194,7 @@ def _fine_blocks(g: SuperAlgebra, parity: int):
     # rank at which a block's kernel is known: its inner span, once the
     # inner maps are proved derivations (see the module docstring).  A
     # tuple walk means a structurally_sound table, whose ad_{e_i} have
-    # graded images inside the algebra, so inner is not None then.
+    # graded images, so inner is not None then.
     target = [len(block) for block in unknowns]
     if walk is not None and g.squaring_rule_holds:
         for b, ads in enumerate(inner):
@@ -264,8 +264,8 @@ def _inner_vectors(g: SuperAlgebra, parity: int, unknowns):
     """The nonzero ad_{e_i}, e_i of the parity, in block coordinates.
 
     ad_{e_i} lies in the block of shift f_i; the result lists each block's
-    inner vectors, or is None when an image has the wrong parity or lies
-    outside the algebra (then ad_{e_i} is no map of the parity).
+    inner vectors, or is None when an image has the wrong parity (then
+    ad_{e_i} is no map of the parity).
     """
     where = {
         u: (b, 1 << pos)

@@ -183,15 +183,9 @@ def load(path) -> AlgebraDocument:
 
 def recipe_to_meta(recipe: ExtensionRecipe) -> dict:
     recipe = recipe.normalized()
-    d = recipe.derivation
     meta: dict[str, Any] = {
         "case": recipe.case,
-        "derivation": {
-            "parity": d.parity,
-            "images": sorted(
-                [j, i] for j, im in enumerate(d.images) for i in bits(im)
-            ),
-        },
+        "derivation": derivation_to_data(recipe.derivation),
     }
     if recipe.alpha is not None:
         meta["alpha"] = {
@@ -214,6 +208,16 @@ def extension_meta(res: ExtensionResult) -> dict:
         "x_index": res.x_index,
         "star_index": res.star_index,
         "recipe": recipe_to_meta(res.recipe),
+    }
+
+
+def derivation_to_data(d: Derivation) -> dict:
+    """The inverse of derivation_from_data."""
+    return {
+        "parity": d.parity,
+        "images": sorted(
+            [j, i] for j, im in enumerate(d.images) for i in bits(im)
+        ),
     }
 
 

@@ -24,24 +24,25 @@ is g.  Codimension 2 is enough: J(x, x, y) = 0, so J is an alternating
 trilinear form on g / L.  validate decides Jacobi this way and scans the
 basis pairs only to list witnesses.
 
-The walk runs once per algebra: SuperAlgebra.jacobi_walk caches its
+The walk runs once per algebra: SuperAlgebra.axiom_proof caches its
 generators S and the basis vectors E that complete their closure to a
-spanning set, or None when the table is not structurally_sound (values
-inside the algebra, alternating, symmetric, graded, odd squares even) or
-Jacobi fails.  validate fills that cache, and the derivation system
-(derivations) reads it to build Leibniz rows only on the pairs that
-touch S and E.  Both read the adjoint maps as columns straight off the
-table, so neither builds ad_planes.  From the same columns they decide
-the squaring rule on the odd basis (SuperAlgebra.squaring_rule_holds);
-with the walk it proves every ad_x a derivation, which lets the
+spanning set, or None when the table is not structurally_sound
+(alternating, symmetric, graded, odd squares even) or Jacobi fails, next
+to the squaring verdict on the odd basis.  validate reads it, and the
+derivation system (derivations) builds Leibniz rows only on the pairs
+that touch S and E.  The proof reads the adjoint maps as columns
+straight off the table, so it builds no ad_planes; with the walk, the
+squaring verdict proves every ad_x a derivation, which lets the
 derivation system close a block once only its inner maps are left.
+Every bracket and squaring value lies inside the algebra: SuperAlgebra
+refuses any other table when it is built.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import repeat
 from math import gcd, lcm
 from operator import add, and_, mul, or_, sub, xor
@@ -69,6 +70,11 @@ class SuperAlgebra:
             raise DimensionMismatch("bracket table is not n x n")
         if self.degrees is not None and len(self.degrees) != n:
             raise DimensionMismatch("degree vector length disagrees")
+        # every value is a mask of basis vectors, 0 <= v < 2^n
+        table = self.bracket_table
+        bounds = (*map(min, table), *map(max, table), *self.squaring)
+        if min(bounds, default=0) < 0 or max(bounds, default=0) >> n:
+            raise DimensionMismatch("element outside the algebra")
 
     @property
     def dim(self) -> int:
@@ -94,23 +100,36 @@ class SuperAlgebra:
         return fine_grading(self)
 
     @cached_property
-    def jacobi_walk(self) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-        """(S, E): basis indices whose adjoint maps are checked derivations,
-        and the basis indices that complete their ad_S-closure to a
-        spanning set (at most 2).  None when the table is not
-        structurally_sound or the Jacobi identity fails.  See
-        _jacobi_generators.
+    def axiom_proof(
+        self,
+    ) -> tuple[tuple[tuple[int, ...], tuple[int, ...]] | None, bool]:
+        """(walk, squaring_holds), decided once per algebra from one build
+        of the adjoint entries; (None, False) when the table is not
+        structurally_sound.
+
+        walk is (S, E): basis indices whose adjoint maps are checked
+        derivations, and the basis indices that complete their
+        ad_S-closure to a spanning set (at most 2), or None when the
+        Jacobi identity fails; see _jacobi_generators.  squaring_holds
+        says whether [s(e_i), x] = [e_i, [e_i, x]] for every odd e_i and
+        x.  With a walk it says that every ad_x is a derivation.
         """
         if not structurally_sound(self):
-            return None
+            return None, False
         entries = _adjoint_entries(self)
-        walk = _jacobi_generators(self, entries)
-        if walk is not None:
-            # the squaring verdict reads the same entries
-            vars(self).setdefault(
-                "squaring_rule_holds", _squaring_rule_holds(self, entries)
-            )
-        return walk
+        return _jacobi_generators(self, entries), not any(
+            _squaring_defects(self, entries, i) for i in self.odd_indices()
+        )
+
+    @property
+    def jacobi_walk(self) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+        """The walk of axiom_proof."""
+        return self.axiom_proof[0]
+
+    @property
+    def squaring_rule_holds(self) -> bool:
+        """The squaring verdict of axiom_proof."""
+        return self.axiom_proof[1]
 
     @cached_property
     def generating_sequence(self) -> tuple[int, ...]:
@@ -118,19 +137,6 @@ class SuperAlgebra:
         search fixes the images of these basis vectors, and nislie
         isometry --seed keeps only the seeds on them."""
         return tuple(_generating_sequence(self))
-
-    @cached_property
-    def squaring_rule_holds(self) -> bool:
-        """Whether [s(e_i), x] = [e_i, [e_i, x]] for every odd e_i and x,
-        on a structurally_sound table (False on any other).
-
-        jacobi_walk (when it is a tuple) and validate fill it from the
-        adjoint entries they build, so it is decided once per algebra.
-        With the walk it says that every ad_x is a derivation.
-        """
-        return structurally_sound(self) and _squaring_rule_holds(
-            self, _adjoint_entries(self)
-        )
 
     @cached_property
     def terms(self) -> tuple[tuple[int, int, int], ...]:
@@ -231,12 +237,7 @@ def grading_terms(g: SuperAlgebra) -> tuple[tuple[int, int, int], ...]:
     an asymmetric table contributes both; (i, i, k) is a term of s(e_i) or
     of a nonzero diagonal entry.
     """
-    n = g.dim
     table = g.bracket_table
-    if reduce(or_, g.squaring, 0) >> n or any(
-        reduce(or_, row, 0) >> n for row in table
-    ):
-        raise DimensionMismatch("element outside the algebra")
     terms = []
     for i, (row, column, square) in enumerate(
         zip(table, zip(*table), g.squaring)
@@ -415,12 +416,11 @@ def ad_system(g: SuperAlgebra, idxs: Sequence[int], domain: Iterable[int]) -> li
 
 
 def structurally_sound(g: SuperAlgebra) -> bool:
-    """Bracket values inside the algebra, alternating, symmetric and
-    parity-homogeneous, odd squares even: the alternating, symmetry and
-    grading checks of validate that closures and the Jacobi walk need."""
+    """Alternating, symmetric and parity-homogeneous, odd squares even:
+    the alternating, symmetry and grading checks of validate that
+    closures and the Jacobi walk need."""
     table, p = g.bracket_table, g.parity
-    outside = -1 << g.dim  # the bits of no basis vector
-    lacks = (g.odd_mask | outside, g.even_mask | outside)  # by value parity
+    lacks = (g.odd_mask, g.even_mask)  # by value parity
     # wrong[k][j]: the bits [e_i, e_j] lacks for an e_i of parity k
     wrong = tuple(tuple(lacks[k ^ q] for q in p) for k in (0, 1))
     for i, (row, column) in enumerate(zip(table, zip(*table))):
@@ -438,15 +438,12 @@ def ad_planes(g: SuperAlgebra) -> list[list[int]]:
     """The matrices of the adjoint maps of the basis, row by row.
 
     planes[i][l] is the mask of the k for which [e_i, e_k] has bit l: row l
-    of the matrix of ad_{e_i}.  A bracket value outside the algebra raises
-    DimensionMismatch.
+    of the matrix of ad_{e_i}.
     """
     n = g.dim
     planes = [[0] * n for _ in range(n)]
     for plane, row in zip(planes, g.bracket_table):
         for k, v in enumerate(row):
-            if v >> n:
-                raise DimensionMismatch("element outside the algebra")
             for l in bits(v):
                 plane[l] |= 1 << k
     return planes
@@ -468,8 +465,6 @@ def _nonzero_columns(table, entries, products, x: int) -> int:
     column k of ad_a ad_b, ad_a applied to [e_b, e_k], is the sum of
     table[a][l] over the entries (k, l) of ad_b.
     """
-    if x >> len(table):
-        raise DimensionMismatch("element outside the algebra")
     acc = [0] * len(table)
     for m in bits(x):
         acc = list(map(xor, acc, table[m]))
@@ -484,10 +479,6 @@ def _squaring_defects(g: SuperAlgebra, entries, i: int) -> int:
     """Mask of the j at which [s(e_i), e_j] != [e_i, [e_i, e_j]]: the
     nonzero columns of ad_{s(e_i)} + ad_i ad_i."""
     return _nonzero_columns(g.bracket_table, entries, ((i, i),), g.squaring[i])
-
-
-def _squaring_rule_holds(g: SuperAlgebra, entries) -> bool:
-    return not any(_squaring_defects(g, entries, i) for i in g.odd_indices())
 
 
 # ---------------------------------------------------------------------------
@@ -590,18 +581,17 @@ def validate(g: SuperAlgebra, max_failures: int = 64) -> ValidationReport:
     """Check the superalgebra axioms on the structure constants.
 
     The structural checks (alternating, symmetric, graded table and
-    squaring) come first; any failure there ends the report.  Jacobi is
-    then proved from a generating set (_jacobi_generators): on a
+    squaring) come first; any failure there ends the report.  Jacobi and
+    the squaring rule on the odd basis are then read off g.axiom_proof:
+    Jacobi is proved from a generating set (_jacobi_generators), as on a
     symmetric, alternating table it holds on all of g once ad_s is a
     derivation for every s in a set S whose ad_S-closure has codimension
     at most 2 (see the module docstring); report.jacobi_generators is the
-    size of S.  The walk is cached as g.jacobi_walk, and the squaring
-    verdict of the basis as g.squaring_rule_holds; the derivation system
-    reads both.  Only when a Jacobi mask is nonzero does the scan
-    over the pairs i < j run, and it lists the witnesses (i, j, k),
-    i < j < k, in order.  The squaring rule is checked on each odd basis vector.  At
-    most max_failures failures are kept; Jacobi witnesses stop at that
-    count.
+    size of S.  When both hold the report is complete.  Otherwise only
+    the failing axioms are scanned for witnesses: Jacobi over the pairs
+    i < j, listing the witnesses (i, j, k), i < j < k, in order, and the
+    squaring rule on each odd basis vector.  At most max_failures
+    failures are kept; Jacobi witnesses stop at that count.
     """
     report = ValidationReport()
     n = g.dim
@@ -612,10 +602,8 @@ def validate(g: SuperAlgebra, max_failures: int = 64) -> ValidationReport:
             report.failures.append(AxiomFailure(axiom, witness, detail))
 
     parity = g.parity
-    values = 0  # the OR of the bracket and squaring values
     for i in range(n):
         row = table[i]
-        values |= g.squaring[i]
         if row[i]:
             fail("alternating", (i, i), "[e,e] != 0")
         if parity[i] == 0 and g.squaring[i]:
@@ -624,7 +612,6 @@ def validate(g: SuperAlgebra, max_failures: int = 64) -> ValidationReport:
             fail("grading", (i,), "squaring value not even")
         for j in range(i + 1, n):
             a, b = row[j], table[j][i]
-            values |= a | b
             if a != b:
                 fail("symmetry", (i, j), "bracket table not symmetric")
             bad = g.odd_mask if parity[i] == parity[j] else g.even_mask
@@ -636,21 +623,17 @@ def validate(g: SuperAlgebra, max_failures: int = 64) -> ValidationReport:
         # Jacobi witnesses would be noise on a malformed table.
         return report
 
-    if values >> n:
-        raise DimensionMismatch("element outside the algebra")
-    # The table is structurally_sound here.  Jacobi at (i, j, k) is column
-    # k of ad_[e_i,e_j] + ad_i ad_j + ad_j ad_i; the nonzero columns of that
-    # matrix are the failing k, and only the rare witnesses go through
-    # bracket().
-    entries = _adjoint_entries(g)
-    if "jacobi_walk" not in vars(g):
-        # walk with these entries and cache the result where the property
-        # keeps it, rather than let the property build them a second time
-        vars(g)["jacobi_walk"] = _jacobi_generators(g, entries)
-    walk = g.jacobi_walk
+    # The table is structurally_sound here.
+    walk, squaring_holds = g.axiom_proof
     if walk is not None:
         report.jacobi_generators = len(walk[0])
-    else:
+        if squaring_holds:
+            return report
+    # Jacobi at (i, j, k) is column k of ad_[e_i,e_j] + ad_i ad_j +
+    # ad_j ad_i; the nonzero columns of that matrix are the failing k, and
+    # only the rare witnesses go through bracket().
+    entries = _adjoint_entries(g)
+    if walk is None:
         # some mask is nonzero: list the witnesses in order, pair by pair
         for i in range(n):
             for j in range(i + 1, n):
@@ -669,14 +652,13 @@ def validate(g: SuperAlgebra, max_failures: int = 64) -> ValidationReport:
                     )
                     if len(report.failures) >= max_failures:
                         return report
+    if squaring_holds:
+        return report
 
     # squaring rule at (i, j) is column j of ad_{s(e_i)} + ad_i ad_i
-    holds = True
     for i in g.odd_indices():
         si = g.squaring[i]
-        defects = _squaring_defects(g, entries, i)
-        holds = holds and not defects
-        for j in bits(defects):
+        for j in bits(_squaring_defects(g, entries, i)):
             lhs = bracket(g, si, 1 << j)
             rhs = bracket(g, 1 << i, table[i][j])
             fail(
@@ -685,7 +667,6 @@ def validate(g: SuperAlgebra, max_failures: int = 64) -> ValidationReport:
                 f"[s(f),g] = {g.format_element(lhs)}"
                 f" but [f,[f,g]] = {g.format_element(rhs)}",
             )
-    vars(g).setdefault("squaring_rule_holds", holds)
     return report
 
 

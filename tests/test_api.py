@@ -95,3 +95,17 @@ def test_only_gf2_touches_the_echelon_rows():
         if isinstance(node, ast.Attribute) and node.attr in ("_rows", "pivot_rows")
     ]
     assert touching == []
+
+
+def test_no_module_writes_around_a_cached_property():
+    """No module of src/nislie calls vars(...): a cached value is filled
+    by its own cached_property, never by a hand-written __dict__ entry."""
+    calling = [
+        f"{path.stem}:{node.lineno}"
+        for path in sorted((ROOT / "src" / "nislie").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "vars"
+    ]
+    assert calling == []

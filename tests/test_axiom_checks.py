@@ -170,17 +170,22 @@ def test_jacobi_generators_report_how_jacobi_was_decided():
 
 
 def test_bracket_value_outside_the_algebra_raises():
-    obj = named("hei-double")
-    g, n = obj.algebra, obj.algebra.dim
-    table = [list(r) for r in g.bracket_table]
-    table[0][1] ^= 1 << n
-    table[1][0] ^= 1 << n
-    bad = SuperAlgebra(g.names, g.parity, tuple(map(tuple, table)), g.squaring)
-    assert not structurally_sound(bad) and bad.jacobi_walk is None
-    with pytest.raises(DimensionMismatch):
-        validate(bad)
-    with pytest.raises(DimensionMismatch):
-        check_nis(bad, obj.form)
+    # values are masks of basis vectors: a table with a bit at or above n,
+    # or a negative value, is refused where it is built, so validate and
+    # check_nis never see one
+    g = named("hei-double").algebra
+    n = g.dim
+    i = g.odd_indices()[0]
+    for top in (1 << n, 1 << (n + 3), -1):
+        table = [list(r) for r in g.bracket_table]
+        table[0][1] ^= top
+        table[1][0] ^= top
+        with pytest.raises(DimensionMismatch):
+            SuperAlgebra(g.names, g.parity, tuple(map(tuple, table)), g.squaring)
+        squaring = list(g.squaring)
+        squaring[i] ^= top
+        with pytest.raises(DimensionMismatch):
+            SuperAlgebra(g.names, g.parity, g.bracket_table, tuple(squaring))
 
 
 # witness positions that are unordered, so a relabelling may reorder them

@@ -595,43 +595,51 @@ def test_generator_rows_match_all_pairs_on_relabelled_hamiltonians(m):
         assert_generator_rows_match_all_pairs(g2)
 
 
-def test_generator_rows_match_all_pairs_on_flips_that_break_jacobi():
-    # a symmetric flip into the right parity keeps the table structurally
-    # sound; the per-triple reference decides that Jacobi fails
+def flips_that_break_jacobi(rng):
+    """Symmetric flips into the right parity of valid catalog tables of
+    dimension 6 to 16 that the per-triple reference finds break Jacobi:
+    such a flip keeps the table structurally sound."""
     pool = [named(name).algebra for name in entry_names(include_defective=False)]
     pool = [g for g in pool if 6 <= g.dim <= 16]
-    rng = random.Random(20261020)
-    broken = 0
-    while broken < 24:
+    while True:
         g0 = rng.choice(pool)
         i, j = rng.sample(range(g0.dim), 2)
         want = g0.parity[i] ^ g0.parity[j]
         k = rng.choice([k for k in range(g0.dim) if g0.parity[k] == want])
         g, _ = flip(g0, None, "bracket-sym", i, j, k)
-        if not any(f.axiom == "jacobi" for f in reference_validate(g, 1).failures):
-            continue
-        broken += 1
+        if any(f.axiom == "jacobi" for f in reference_validate(g, 1).failures):
+            yield g
+
+
+def flips_that_break_squaring(rng):
+    """Flips of an even bit of s(e_i), e_i odd, that break the squaring
+    rule: such a flip keeps the table structurally sound and leaves
+    Jacobi alone."""
+    pool = [named(name).algebra for name in entry_names(include_defective=False)]
+    pool = [g for g in pool if g.odd_mask and g.even_mask]
+    while True:
+        g0 = rng.choice(pool)
+        i = rng.choice(g0.odd_indices())
+        k = rng.choice(g0.even_indices())
+        g, _ = flip(g0, None, "squaring", i, None, k)
+        if g.jacobi_walk is not None and not validate(g).passed:
+            yield g
+
+
+def test_generator_rows_match_all_pairs_on_flips_that_break_jacobi():
+    # the per-triple reference decides that Jacobi fails: all pairs
+    flips = flips_that_break_jacobi(random.Random(20261020))
+    for _, g in zip(range(24), flips):
         assert structurally_sound(g)
         assert_generator_rows_match_all_pairs(g)
         assert g.jacobi_walk is None
 
 
 def test_generator_rows_match_all_pairs_on_flips_that_break_squaring():
-    # a flip of an even bit of s(e_i), e_i odd, keeps the table structurally
-    # sound and leaves Jacobi alone; when it breaks the squaring rule, the
-    # inner maps are no derivations and no block may close at its inner rank
-    pool = [named(name).algebra for name in entry_names(include_defective=False)]
-    pool = [g for g in pool if g.odd_mask and g.even_mask]
-    rng = random.Random(20261018)
-    broken = 0
-    while broken < 24:
-        g0 = rng.choice(pool)
-        i = rng.choice(g0.odd_indices())
-        k = rng.choice(g0.even_indices())
-        g, _ = flip(g0, None, "squaring", i, None, k)
-        if g.jacobi_walk is None or validate(g).passed:
-            continue
-        broken += 1
+    # when the squaring rule fails, the inner maps are no derivations and
+    # no block may close at its inner rank
+    flips = flips_that_break_squaring(random.Random(20261018))
+    for _, g in zip(range(24), flips):
         assert not g.squaring_rule_holds
         assert_generator_rows_match_all_pairs(g)
 
@@ -695,6 +703,36 @@ def test_validate_then_outer_derivations_walk_once(monkeypatch):
     monkeypatch.setattr(superalgebra, "_jacobi_generators", walk_again)
     assert outer_derivations(g, 1).leibniz_sources == 10
     assert derivation_space(g, 0)
+
+
+def test_axiom_proof_has_one_owner(monkeypatch):
+    calls = []
+    for name in ("_adjoint_entries", "_jacobi_generators"):
+        fn = getattr(superalgebra, name)
+
+        def counted(*args, name=name, fn=fn):
+            calls.append(name)
+            return fn(*args)
+
+        monkeypatch.setattr(superalgebra, name, counted)
+    g = hamiltonian(6)[0]  # built here, so nothing is cached yet
+    first = validate(g)
+    assert first.passed and validate(g) == first
+    outer_derivations(g)
+    assert sorted(calls) == ["_adjoint_entries", "_jacobi_generators"]
+    # where an axiom fails, the witness scan rebuilds the entries and a
+    # repeat gives the same report as the first call and the reference
+    for flips in (
+        flips_that_break_jacobi(random.Random("one owner")),
+        flips_that_break_squaring(random.Random("one owner")),
+    ):
+        for _, g in zip(range(4), flips):
+            g = dataclasses.replace(g)
+            for cap in (1, 64):
+                first = validate(g, cap)
+                assert not first.passed
+                assert validate(g, cap) == first == reference_validate(g, cap)
+            assert (first.jacobi_generators is None) == (g.jacobi_walk is None)
 
 
 def fine_block_contents(g, parity):

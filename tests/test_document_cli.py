@@ -19,6 +19,7 @@ from nislie.document import (
     AlgebraDocument,
     DocumentError,
     derivation_from_data,
+    derivation_to_data,
     dumps,
     extension_meta,
     loads,
@@ -135,6 +136,9 @@ def test_recipe_meta_roundtrip():
             json.loads(json.dumps(meta)), obj.algebra.dim - 2
         )
         assert back == rec
+        d = rec.derivation
+        data = json.loads(json.dumps(derivation_to_data(d)))
+        assert derivation_from_data(data, d.dim) == d
 
 
 def test_recipe_meta_refuses_a_polar_pair_on_the_diagonal():
