@@ -15,7 +15,6 @@ from .derivations import (
     inner_derivations,
     outer_derivations,
     self_adjoint_coefficients,
-    self_adjoint_subspace,
 )
 from .extension import (
     ExtensionRecipe,
@@ -91,7 +90,6 @@ __all__ = [
     "reduction_candidates",
     "search_isometry",
     "self_adjoint_coefficients",
-    "self_adjoint_subspace",
     "sharp_complement",
     "solve_affine",
     "special_center",

@@ -1,6 +1,11 @@
 """Constructors for the worked examples: doubles, Hamiltonian and Poisson
 algebras, matrix algebras, named cocycles, and the named-extension recipes.
 
+The registry is the one owner of the paper's named data.  Each entry
+builds its object and carries its named cocycles and quadratic forms
+(`tables`) and the cocycle labels the paper underlines (`underlined`); an
+extension entry is its base entry plus a recipe on the base's tables.
+
 Basis conventions (fixed so that Gram matrices and cocycle matrices come out
 bit-exactly):
 
@@ -13,6 +18,7 @@ bit-exactly):
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable
@@ -509,6 +515,10 @@ class CatalogObject:
 
 @dataclass
 class CatalogEntry:
+    """A named example.  `tables` gives the paper's named cocycles and
+    quadratic forms on the built object, and `underlined` the labels of the
+    cocycles the paper underlines as odd."""
+
     name: str
     build: Callable[[], CatalogObject]
     sdim: tuple[int, int] | None = None
@@ -516,31 +526,13 @@ class CatalogEntry:
     valid: bool = True
     note: str = ""
     aliases: tuple[str, ...] = ()
-
-
-def _hei_double() -> CatalogObject:
-    g, b = manin_double(heisenberg_0_2())
-    return CatalogObject(g, b)
-
-
-def _ba_double() -> CatalogObject:
-    g, b = manin_double(ba_1())
-    return CatalogObject(g, b)
-
-
-def _purely_odd() -> CatalogObject:
-    g, b = purely_odd()
-    return CatalogObject(g, b)
+    tables: Callable[[CatalogObject], tuple[dict, dict]] | None = None
+    underlined: frozenset[str] = frozenset()
 
 
 def _h1(m: int) -> CatalogObject:
     g, b, basis = hamiltonian(m, derived=True)
     return CatalogObject(g, b, basis=basis)
-
-
-def _gl(p: int, q: int) -> CatalogObject:
-    g, b = gl(p, q)
-    return CatalogObject(g, b)
 
 
 def _poisson(m: int, m_param: int = 0) -> CatalogObject:
@@ -615,60 +607,38 @@ def h105_alpha6(g: SuperAlgebra, basis: MonomialBasis) -> QuadraticForm:
     )
 
 
-def _h104_extension(which: str) -> CatalogObject:
-    obj = _h1(4)
-    cocycles = h104_cocycles(obj.algebra, obj.basis)
-    alphas = h104_alphas(obj.algebra, obj.basis)
-    beta = 1 if which == "D6" else 0
-    res = extend(
-        obj.algebra,
-        obj.form,
-        ExtensionRecipe(
-            "evenB-evenD",
-            cocycles[which],
-            alpha=alphas[f"alpha{which[1:]}"],
-            beta_star=beta,
-        ),
-    )
-    return CatalogObject(res.algebra, res.form, extension=res, basis=obj.basis)
+def _extension(base: str, recipe: Callable, unchecked: bool = False) -> Callable:
+    """Builder of the double extension of the entry `base` by
+    recipe(algebra, cocycles, alphas), read from the base's tables; the
+    extension keeps the base's monomial basis."""
 
-
-def _h105_d1_extension() -> CatalogObject:
-    obj = _h1(5)
-    cocycles = h105_cocycles(obj.algebra, obj.basis)
-    res = extend(
-        obj.algebra, obj.form, ExtensionRecipe("oddB-evenD", cocycles["D1"])
-    )
-    return CatalogObject(res.algebra, res.form, extension=res, basis=obj.basis)
-
-
-def _po05_extension(m_param: int) -> CatalogObject:
-    # literal reference data; fails the odd-diagonal polar condition,
-    # see the catalog entry note
-    obj = _h1(5)
-    cocycles = h105_cocycles(obj.algebra, obj.basis)
-    res = extend(
-        obj.algebra,
-        obj.form,
-        ExtensionRecipe(
-            "oddB-oddD",
-            cocycles["D6"],
-            alpha=h105_alpha6(obj.algebra, obj.basis),
-            a0=0,
-            m=m_param,
-        ),
-        unchecked=True,
-    )
-    return CatalogObject(res.algebra, res.form, extension=res, basis=obj.basis)
-
-
-def _simple_ext(builder, recipe_fn) -> Callable[[], CatalogObject]:
     def build():
-        obj = builder()
-        res = extend(obj.algebra, obj.form, recipe_fn(obj.algebra))
-        return CatalogObject(res.algebra, res.form, extension=res)
+        entry = registry()[base]
+        obj = entry.build()
+        tables = entry.tables(obj) if entry.tables else ({}, {})
+        res = extend(
+            obj.algebra, obj.form, recipe(obj.algebra, *tables), unchecked=unchecked
+        )
+        return CatalogObject(res.algebra, res.form, extension=res, basis=obj.basis)
 
     return build
+
+
+def _h104_recipe(label: str, beta_star: int = 0):
+    return lambda g, cocycles, alphas: ExtensionRecipe(
+        "evenB-evenD",
+        cocycles[label],
+        alpha=alphas[f"alpha{label[1:]}"],
+        beta_star=beta_star,
+    )
+
+
+def _po05_recipe(m_param: int):
+    # literal reference data; fails the odd-diagonal polar condition,
+    # see the catalog entry note
+    return lambda g, cocycles, alphas: ExtensionRecipe(
+        "oddB-oddD", cocycles["D6"], alpha=alphas["alpha6"], a0=0, m=m_param
+    )
 
 
 _DEFECT_NOTE = (
@@ -682,60 +652,109 @@ def _entries() -> dict[str, CatalogEntry]:
     entries = [
         CatalogEntry("hei-0-2", lambda: CatalogObject(heisenberg_0_2(), None), (1, 2)),
         CatalogEntry("ba-1", lambda: CatalogObject(ba_1(), None), (1, 2)),
-        CatalogEntry("hei-double", _hei_double, (2, 4), out_dim=11),
-        CatalogEntry("ba-double", _ba_double, (2, 4), out_dim=11),
-        CatalogEntry("purely-odd", _purely_odd, (0, 2), out_dim=4),
+        CatalogEntry(
+            "hei-double",
+            lambda: CatalogObject(*manin_double(heisenberg_0_2())),
+            (2, 4),
+            out_dim=11,
+            tables=lambda obj: (hei_double_cocycles(obj.algebra), {}),
+            underlined=frozenset({"D3", "D5", "D6", "D7"}),
+        ),
+        CatalogEntry(
+            "ba-double",
+            lambda: CatalogObject(*manin_double(ba_1())),
+            (2, 4),
+            out_dim=11,
+            tables=lambda obj: (ba_double_cocycles(obj.algebra), {}),
+            underlined=frozenset({"D2", "D3", "D4", "D8"}),
+        ),
+        CatalogEntry(
+            "purely-odd", lambda: CatalogObject(*purely_odd()), (0, 2), out_dim=4
+        ),
         CatalogEntry(
             "purely-odd-ext",
-            _simple_ext(_purely_odd, purely_odd_recipe),
+            _extension("purely-odd", lambda g, *_: purely_odd_recipe(g)),
             (2, 2),
         ),
         CatalogEntry(
-            "hei-evenD-ext", _simple_ext(_hei_double, hei_even_recipe), (4, 4)
+            "hei-evenD-ext",
+            _extension("hei-double", lambda g, *_: hei_even_recipe(g)),
+            (4, 4),
         ),
         CatalogEntry(
-            "hei-oddD-ext", _simple_ext(_hei_double, hei_odd_recipe), (2, 6)
+            "hei-oddD-ext",
+            _extension("hei-double", lambda g, *_: hei_odd_recipe(g)),
+            (2, 6),
         ),
         CatalogEntry(
-            "ba-evenD-ext", _simple_ext(_ba_double, ba_even_recipe), (4, 4)
+            "ba-evenD-ext",
+            _extension("ba-double", lambda g, *_: ba_even_recipe(g)),
+            (4, 4),
         ),
         CatalogEntry(
-            "ba-oddD-ext", _simple_ext(_ba_double, ba_odd_recipe), (2, 6)
+            "ba-oddD-ext",
+            _extension("ba-double", lambda g, *_: ba_odd_recipe(g)),
+            (2, 6),
         ),
-        CatalogEntry("h1-0-4", lambda: _h1(4), (6, 8), out_dim=7),
-        CatalogEntry("h1-0-5", lambda: _h1(5), (15, 15), out_dim=6),
-        CatalogEntry("gl-1-1", lambda: _gl(1, 1), (2, 2)),
-        CatalogEntry("gl-2-2", lambda: _gl(2, 2), (8, 8), out_dim=1),
+        CatalogEntry(
+            "h1-0-4",
+            lambda: _h1(4),
+            (6, 8),
+            out_dim=7,
+            tables=lambda obj: (
+                h104_cocycles(obj.algebra, obj.basis),
+                h104_alphas(obj.algebra, obj.basis),
+            ),
+        ),
+        CatalogEntry(
+            "h1-0-5",
+            lambda: _h1(5),
+            (15, 15),
+            out_dim=6,
+            tables=lambda obj: (
+                h105_cocycles(obj.algebra, obj.basis),
+                {"alpha6": h105_alpha6(obj.algebra, obj.basis)},
+            ),
+            underlined=frozenset({"D6"}),
+        ),
+        CatalogEntry("gl-1-1", lambda: CatalogObject(*gl(1, 1)), (2, 2)),
+        CatalogEntry("gl-2-2", lambda: CatalogObject(*gl(2, 2)), (8, 8), out_dim=1),
         CatalogEntry(
             "h104-D2ext",
-            lambda: _h104_extension("D2"),
+            _extension("h1-0-4", _h104_recipe("D2")),
             (8, 8),
             out_dim=5,
             aliases=("tilde-po-0-4",),
         ),
         CatalogEntry(
-            "h104-D6ext", lambda: _h104_extension("D6"), (8, 8), out_dim=1
+            "h104-D6ext",
+            _extension("h1-0-4", _h104_recipe("D6", beta_star=1)),
+            (8, 8),
+            out_dim=1,
         ),
         CatalogEntry(
-            "h104-D7ext", lambda: _h104_extension("D7"), (8, 8), out_dim=3
+            "h104-D7ext", _extension("h1-0-4", _h104_recipe("D7")), (8, 8), out_dim=3
         ),
         CatalogEntry("po-0-4", lambda: _poisson(4), (8, 8), out_dim=3),
         CatalogEntry(
             "tilde-po-0-5",
-            _h105_d1_extension,
+            _extension(
+                "h1-0-5",
+                lambda g, cocycles, _: ExtensionRecipe("oddB-evenD", cocycles["D1"]),
+            ),
             (16, 16),
             aliases=("h105-D1ext",),
         ),
         CatalogEntry(
             "po05-m0",
-            lambda: _po05_extension(0),
+            _extension("h1-0-5", _po05_recipe(0), unchecked=True),
             (16, 16),
             valid=False,
             note=_DEFECT_NOTE,
         ),
         CatalogEntry(
             "po05-m1",
-            lambda: _po05_extension(1),
+            _extension("h1-0-5", _po05_recipe(1), unchecked=True),
             (16, 16),
             valid=False,
             note=_DEFECT_NOTE,
@@ -756,14 +775,7 @@ def _entries() -> dict[str, CatalogEntry]:
     return table
 
 
-_REGISTRY = None
-
-
-def registry() -> dict[str, CatalogEntry]:
-    global _REGISTRY
-    if _REGISTRY is None:
-        _REGISTRY = _entries()
-    return _REGISTRY
+registry = functools.cache(_entries)
 
 
 def entry_names(include_defective: bool = True) -> list[str]:
@@ -786,25 +798,9 @@ def named(name: str) -> CatalogObject:
 
 
 def cocycles_for(name: str):
-    """Named cocycles (and quadratic forms) attached to a catalog algebra."""
-    if name in ("hei-double",):
-        obj = named(name)
-        return obj, hei_double_cocycles(obj.algebra), {}
-    if name in ("ba-double",):
-        obj = named(name)
-        return obj, ba_double_cocycles(obj.algebra), {}
-    if name in ("h1-0-4",):
-        obj = named(name)
-        return (
-            obj,
-            h104_cocycles(obj.algebra, obj.basis),
-            h104_alphas(obj.algebra, obj.basis),
-        )
-    if name in ("h1-0-5",):
-        obj = named(name)
-        return (
-            obj,
-            h105_cocycles(obj.algebra, obj.basis),
-            {"alpha6": h105_alpha6(obj.algebra, obj.basis)},
-        )
-    raise UnknownName(f"no cocycle table for {name!r}")
+    """The built entry with its named cocycles and quadratic forms."""
+    e = registry().get(name)
+    if e is None or e.tables is None:
+        raise UnknownName(f"no cocycle table for {name!r}")
+    obj = e.build()
+    return (obj, *e.tables(obj))

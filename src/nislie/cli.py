@@ -49,14 +49,6 @@ from .isometry import (
 )
 from .superalgebra import validate
 
-REFERENCE_ODD_COCYCLES = {
-    "hei-double": {"D3", "D5", "D6", "D7"},
-    "ba-double": {"D2", "D3", "D4", "D8"},
-    "h1-0-4": set(),
-    "h1-0-5": {"D6"},
-}
-
-
 class CliError(Exception):
     def __init__(self, code: int, message: str):
         self.code = code
@@ -71,8 +63,9 @@ def _emit(args, payload: dict, human: list[str]):
             print(line)
 
 
-def _load_target(target: str) -> tuple[AlgebraDocument, str | None]:
-    """A document plus the catalog name when the target is catalog-backed."""
+def _load_target(target: str) -> tuple[AlgebraDocument, object]:
+    """A document, plus the catalog object it was built from when the target
+    names a catalog entry (None for a file)."""
     name = None
     if target.startswith("catalog:"):
         name = target.split(":", 1)[1]
@@ -86,7 +79,7 @@ def _load_target(target: str) -> tuple[AlgebraDocument, str | None]:
         meta = {"catalog": name}
         if obj.extension is not None:
             meta["extension"] = extension_meta(obj.extension)
-        return AlgebraDocument(obj.algebra, obj.form, meta), name
+        return AlgebraDocument(obj.algebra, obj.form, meta), obj
     try:
         return doc_mod.load(target), None
     except FileNotFoundError:
@@ -119,35 +112,46 @@ def _read_spec_file(spec: str, build):
         raise CliError(2, f"cannot read {path}: {exc}") from None
 
 
-def _cocycle_table(doc, catalog_name, what: str):
-    """(source, cocycles, alphas) of the catalog entry behind the input;
-    an input with no entry or no table is an input error."""
-    source = catalog_name or doc.metadata.get("catalog")
-    if source is None:
-        raise CliError(2, f"named {what} need a catalog-backed input (use @file)")
-    try:
-        _, cocycles, alphas = cocycles_for(source)
-    except UnknownName as exc:
-        raise CliError(2, str(exc)) from None
-    return source, cocycles, alphas
+def _cocycle_table(doc, obj):
+    """(entry, cocycles, alphas) of the catalog entry behind the input.
+
+    The names are written in the entry's basis, so a file is read against
+    the entry its metadata names, built here, and must equal it; any other
+    input is an input error.
+    """
+    name = doc.metadata.get("catalog")
+    if name is None:
+        raise CliError(
+            2, "named cocycles and forms need a catalog-backed input (use @file)"
+        )
+    entry = registry().get(name) if isinstance(name, str) else None
+    if entry is None or entry.tables is None:
+        raise CliError(2, f"no cocycle table for {name!r}")
+    if obj is None:
+        obj = named(name)
+        if (doc.algebra, doc.form) != (obj.algebra, obj.form):
+            raise CliError(
+                2, f"the input is not the catalog entry {name!r} its metadata"
+                " names, so named cocycles and forms do not apply; pass @file"
+            )
+    return (entry, *entry.tables(obj))
 
 
-def _resolve_derivation(args_spec: str, doc, catalog_name) -> Derivation:
+def _resolve_derivation(args_spec: str, doc, tables) -> Derivation:
     if args_spec.startswith("@"):
         n = doc.algebra.dim
         return _read_spec_file(args_spec, lambda data: derivation_from_data(data, n))
-    source, cocycles, _ = _cocycle_table(doc, catalog_name, "derivations")
-    total = None
-    for part in args_spec.split("+"):
-        part = part.strip()
+    entry, cocycles, _ = tables()
+    parts = [part.strip() for part in args_spec.split("+")]
+    for part in parts:
         if part not in cocycles:
-            raise CliError(2, f"unknown cocycle {part!r} for {source}")
-        d = cocycles[part]
-        total = d if total is None else total.add(d)
-    return total
+            raise CliError(2, f"unknown cocycle {part!r} for {entry.name}")
+    if len({cocycles[part].parity for part in parts}) > 1:
+        raise CliError(2, f"{args_spec!r} mixes parities; a sum must have one parity")
+    return functools.reduce(Derivation.add, (cocycles[part] for part in parts))
 
 
-def _resolve_alpha(spec: str, doc, catalog_name) -> QuadraticForm | None:
+def _resolve_alpha(spec: str, doc, tables) -> QuadraticForm | None:
     if spec is None:
         return None
     if spec == "zero":
@@ -162,9 +166,9 @@ def _resolve_alpha(spec: str, doc, catalog_name) -> QuadraticForm | None:
             return quadratic_from_data(data)
 
         return _read_spec_file(spec, build)
-    source, _, alphas = _cocycle_table(doc, catalog_name, "forms")
+    entry, _, alphas = tables()
     if spec not in alphas:
-        raise CliError(2, f"unknown quadratic form {spec!r} for {source}")
+        raise CliError(2, f"unknown quadratic form {spec!r} for {entry.name}")
     return alphas[spec]
 
 
@@ -207,7 +211,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_outer(args) -> int:
-    doc, name = _load_target(args.target)
+    doc, obj = _load_target(args.target)
     g = doc.algebra
     try:
         oe, oo = outer_derivations(g)
@@ -243,11 +247,8 @@ def cmd_outer(args) -> int:
                 entry["degree"] = deg
             reps.append(entry)
     payload["representatives"] = reps
-    source = name or doc.metadata.get("catalog")
     if args.match_paper:
-        if source not in REFERENCE_ODD_COCYCLES:
-            raise CliError(2, f"no stored cocycle table for {source!r}")
-        _, cocycles, _ = cocycles_for(source)
+        paper_entry, cocycles, _ = _cocycle_table(doc, obj)
         rows = []
         discrepancies = []
         for label, d in cocycles.items():
@@ -260,8 +261,7 @@ def cmd_outer(args) -> int:
                     "coordinates": None if mu is None else sorted(bits(mu)),
                 }
             )
-            underlined = label in REFERENCE_ODD_COCYCLES[source]
-            if underlined != (d.parity == 1):
+            if (label in paper_entry.underlined) != (d.parity == 1):
                 discrepancies.append(label)
         payload["match_paper"] = rows
         payload["underlining_discrepancies"] = discrepancies
@@ -280,11 +280,12 @@ def cmd_outer(args) -> int:
 
 
 def cmd_extend(args) -> int:
-    doc, name = _load_target(args.target)
+    doc, obj = _load_target(args.target)
     if doc.form is None:
         raise CliError(2, "extension needs an input with a bilinear form")
-    derivation = _resolve_derivation(args.derivation, doc, name)
-    alpha = _resolve_alpha(args.alpha, doc, name)
+    tables = functools.cache(lambda: _cocycle_table(doc, obj))
+    derivation = _resolve_derivation(args.derivation, doc, tables)
+    alpha = _resolve_alpha(args.alpha, doc, tables)
     a0 = _parse_element(doc, args.a0) if args.a0 is not None else None
     recipe = ExtensionRecipe(
         args.case,
@@ -441,8 +442,6 @@ def cmd_isometry(args) -> int:
 
 
 def cmd_report(args) -> int:
-    from .catalog import h105_cocycles  # local import: heavy tables
-
     ok = True
     lines = []
     if args.table == "h04":
@@ -463,18 +462,11 @@ def cmd_report(args) -> int:
             "pairwise distinct out-dimensions, hence pairwise non-isomorphic"
         )
     elif args.table == "h05p":
-        base = named("h1-0-5")
-        cocycles = h105_cocycles(base.algebra, base.basis)
-        d1_ok = True
         try:
-            res = extend(
-                base.algebra,
-                base.form,
-                ExtensionRecipe("oddB-evenD", cocycles["D1"]),
-            )
-            rep = validate(res.algebra)
-            nis = check_nis(res.algebra, res.form)
-            d1_ok = rep.passed and nis.passed and res.algebra.sdim == (16, 16)
+            ext = named("tilde-po-0-5")
+            rep = validate(ext.algebra)
+            nis = check_nis(ext.algebra, ext.form)
+            d1_ok = rep.passed and nis.passed and ext.algebra.sdim == (16, 16)
         except ConditionViolated:
             d1_ok = False
         ok = ok and d1_ok
@@ -482,6 +474,7 @@ def cmd_report(args) -> int:
             f"D1: compatible yes, s(x) = 0, extension tilde-po(0|5)"
             f" sdim 16|16 {'ok' if d1_ok else 'MISMATCH'}"
         )
+        base, cocycles, _ = cocycles_for("h1-0-5")
         d5_rejected = False
         try:
             extend(

@@ -494,17 +494,6 @@ def self_adjoint_values(form: BilinearForm, d: Derivation) -> int:
     return sum((row >> i << i) << (i * n) for i, row in enumerate(rows))
 
 
-def self_adjoint_subspace(
-    g: SuperAlgebra, form: BilinearForm, candidates: Sequence[Derivation]
-) -> list[Derivation]:
-    """Cut span(candidates) by B(D a, b) = B(a, D b) alone.
-
-    This is the bare "compatible with the bilinear form" filter; the case
-    conditions of compatible_subspace refine it.
-    """
-    return _linear_cut(candidates, lambda d: self_adjoint_values(form, d))
-
-
 def self_adjoint_coefficients(
     g: SuperAlgebra, form: BilinearForm, candidates: Sequence[Derivation]
 ) -> list[int]:

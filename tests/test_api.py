@@ -97,6 +97,20 @@ def test_only_gf2_touches_the_echelon_rows():
     assert touching == []
 
 
+def test_the_cli_reads_the_paper_data_from_the_catalog():
+    """The CLI names no cocycle tables of its own: of nislie.catalog it
+    imports only the entry lookups."""
+    tree = ast.parse((ROOT / "src" / "nislie" / "cli.py").read_text())
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and node.module in ("catalog", "nislie.catalog")
+        for alias in node.names
+    }
+    assert imported <= {"cocycles_for", "entry_names", "named", "registry"}
+
+
 def test_no_module_writes_around_a_cached_property():
     """No module of src/nislie calls vars(...): a cached value is filled
     by its own cached_property, never by a hand-written __dict__ entry."""

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import io
 import json
+import random
 import tempfile
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nislie import superalgebra
+from nislie import catalog, superalgebra
 from nislie.catalog import named
 from nislie.cli import build_parser, main
 from nislie.derivations import CASES
@@ -28,6 +29,7 @@ from nislie.document import (
     save,
 )
 from nislie.extension import ExtensionRecipe
+from oracles import relabel
 
 
 def test_document_roundtrip_bit_identical():
@@ -299,13 +301,6 @@ def test_cli_extend_reduce_roundtrip(tmp_path, capsys):
         ]
     )
     assert rc == 0
-    exported = tmp_path / "cat.json"
-    assert main(["catalog", "export", "h104-D7ext", "--out", str(exported)]) == 0
-    a = json.loads(out1.read_text())
-    b = json.loads(exported.read_text())
-    assert {k: v for k, v in a.items() if k != "metadata"} == {
-        k: v for k, v in b.items() if k != "metadata"
-    }
     back = tmp_path / "red.json"
     rc = main(
         ["reduce", str(out1), "--center-element", "x", "--out", str(back)]
@@ -317,6 +312,68 @@ def test_cli_extend_reduce_roundtrip(tmp_path, capsys):
     assert red["squaring"] == base["squaring"]
     recipe_sidecar = json.loads((tmp_path / "red.json.recipe.json").read_text())
     assert recipe_sidecar["case"] == "evenB-evenD"
+
+
+# catalog extension entry -> the `nislie extend` arguments that rebuild it
+CATALOG_EXTENSIONS = {
+    "h104-D2ext": ["h1-0-4", "--case", "evenB-evenD", "--derivation", "D2",
+                   "--alpha", "alpha2", "--beta-star", "0"],
+    "h104-D6ext": ["h1-0-4", "--case", "evenB-evenD", "--derivation", "D6",
+                   "--alpha", "alpha6", "--beta-star", "1"],
+    "h104-D7ext": ["h1-0-4", "--case", "evenB-evenD", "--derivation", "D7",
+                   "--alpha", "alpha7", "--beta-star", "0"],
+    "tilde-po-0-5": ["h1-0-5", "--case", "oddB-evenD", "--derivation", "D1"],
+    "po05-m0": ["h1-0-5", "--case", "oddB-oddD", "--derivation", "D6",
+                "--alpha", "alpha6", "--a0", "0", "--m", "0", "--unchecked"],
+    "po05-m1": ["h1-0-5", "--case", "oddB-oddD", "--derivation", "D6",
+                "--alpha", "alpha6", "--a0", "0", "--m", "1", "--unchecked"],
+    "hei-oddD-ext": ["hei-double", "--case", "evenB-oddD", "--derivation", "D6",
+                     "--a0", "0"],
+    "ba-oddD-ext": ["ba-double", "--case", "evenB-oddD", "--derivation", "D4",
+                    "--a0", "0"],
+}
+
+
+@pytest.mark.parametrize("via", ["name", "document"])
+@pytest.mark.parametrize("name", CATALOG_EXTENSIONS)
+def test_cli_extend_writes_the_catalog_extension(name, via, tmp_path, capsys):
+    base, *args = CATALOG_EXTENSIONS[name]
+    if via == "document":
+        # a document equal to its entry resolves the entry's names too
+        path = tmp_path / "base.json"
+        path.write_text(catalog_document(base))
+        base = str(path)
+    out = tmp_path / "ext.json"
+    assert main(["extend", base, *args, "--out", str(out)]) == 0
+    built = json.loads(out.read_text())
+    entry = json.loads(catalog_document(name))
+    built.pop("metadata")
+    entry.pop("metadata")
+    assert built == entry
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["extend", "h1-0-4", "--case", "evenB-evenD", "--derivation", "D7",
+         "--alpha", "alpha7", "--beta-star", "0"],
+        ["outer", "h1-0-5", "--match-paper"],
+    ],
+    ids=["extend", "match-paper"],
+)
+def test_cli_builds_the_catalog_entry_once(argv, monkeypatch, tmp_path, capsys):
+    calls = []
+    build = catalog.hamiltonian
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(catalog, "hamiltonian", counted)
+    if argv[0] == "extend":
+        argv = [*argv, "--out", str(tmp_path / "ext.json")]
+    assert main(argv) == 0
+    assert len(calls) == 1
 
 
 def test_cli_extend_rejects_incompatible(capsys):
@@ -528,10 +585,24 @@ def write(tmp_path, name, text):
     return f"@{path}"
 
 
-def with_extension_meta(tmp_path, meta):
+def with_metadata(tmp_path, metadata):
     obj = named("hei-double")
     path = tmp_path / "meta.json"
-    save(AlgebraDocument(obj.algebra, obj.form, {"extension": meta}), path)
+    save(AlgebraDocument(obj.algebra, obj.form, metadata), path)
+    return str(path)
+
+
+def with_extension_meta(tmp_path, meta):
+    return with_metadata(tmp_path, {"extension": meta})
+
+
+def relabelled_as_catalog_entry(tmp_path, name):
+    """A relabelling of the entry, saved with the entry's catalog metadata:
+    the document no longer carries the entry's basis."""
+    obj = named(name)
+    algebra, form = relabel(obj.algebra, obj.form, random.Random(1))
+    path = tmp_path / "relabelled.json"
+    save(AlgebraDocument(algebra, form, {"catalog": name}), path)
     return str(path)
 
 
@@ -565,6 +636,19 @@ MALFORMED = {
         "extend", "hei-double", "--case", "evenB-evenD", "--derivation", "D9+D10",
         "--alpha", write(tmp, "a.json", '{"n": 4, "polar": [[0, 0]], "diag": []}'),
         "--unchecked", "--out", str(tmp / "o.json")],
+    "named derivations of mixed parity": lambda tmp: [
+        "extend", "hei-double", "--case", "evenB-evenD", "--derivation", "D1+D3",
+        "--out", str(tmp / "o.json")],
+    "named cocycles on a relabelled entry, match-paper": lambda tmp: [
+        "outer", relabelled_as_catalog_entry(tmp, "hei-double"), "--match-paper"],
+    "named cocycles on a relabelled entry, extend": lambda tmp: [
+        "extend", relabelled_as_catalog_entry(tmp, "hei-double"),
+        "--case", "evenB-oddD", "--derivation", "D6", "--a0", "0",
+        "--out", str(tmp / "o.json")],
+    "named cocycles on a document whose catalog metadata is not a name": lambda tmp: [
+        "extend", with_metadata(tmp, {"catalog": ["hei-double"]}),
+        "--case", "evenB-oddD", "--derivation", "D6", "--a0", "0",
+        "--out", str(tmp / "o.json")],
     "named alpha of an entry without a cocycle table": lambda tmp: [
         "extend", "gl-1-1", "--case", "evenB-evenD",
         "--derivation", write(tmp, "d.json", '{"parity": 0, "images": []}'),
@@ -594,6 +678,8 @@ def test_cli_malformed_input_exits_2(case, tmp_path, capsys):
     assert "Traceback" not in captured.err
     if case.startswith("extension metadata"):
         assert "extension metadata does not reduce the input" in captured.err
+    if case.startswith("named cocycles on a relabelled entry"):
+        assert "pass @file" in captured.err
 
 
 @functools.cache
