@@ -490,8 +490,9 @@ def cmd_report(args) -> int:
         )
     elif args.table == "h05":
         base = named("h1-0-5")
+        built = {}
         for m_param, label in [(0, "po(0|5)"), (1, "po(0|5;m), m != 0")]:
-            obj = named(f"po05-m{m_param}")
+            obj = built[m_param] = named(f"po05-m{m_param}")
             rep = validate(obj.algebra)
             lines.append(
                 f"D6, s(e) = {'0' if m_param == 0 else 'mx'} -> {label}:"
@@ -499,12 +500,11 @@ def cmd_report(args) -> int:
                 f" axioms {'pass' if rep.passed else 'FAIL (known defect:'}"
                 + ("" if rep.passed else " B(D6 theta, theta) = 1)")
             )
-        m0, m1 = named("po05-m0"), named("po05-m1")
         dec = adapted_isometry_decision(
             base.algebra,
             base.form,
-            m1.extension.recipe,
-            m0.extension.recipe,
+            built[1].extension.recipe,
+            built[0].extension.recipe,
         )
         row_ok = dec.status == "not-found-proved"
         ok = ok and row_ok

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 from .errors import DegeneratePolar, DimensionMismatch, NotAlternating, NotOdd, OutOfRange
 from .gf2 import GF2Matrix, bits, combine, dot, restrict
-from .superalgebra import SuperAlgebra, ad_planes
+from .superalgebra import SuperAlgebra
 
 
 @dataclass(frozen=True)
@@ -88,7 +88,26 @@ class NISReport:
 
 
 def check_nis(g: SuperAlgebra, form: BilinearForm, max_witnesses: int = 16) -> NISReport:
-    """Symmetry (with odd isotropy), invariance, and non-degeneracy."""
+    """Symmetry (with odd isotropy), invariance, and non-degeneracy.
+
+    Invariance, B([x, y], z) = B(x, [y, z]) on all of g, is proved on the
+    middles y in S and E of g.jacobi_walk when g has one.  L_B = {y : it
+    holds for all x, z} is a subspace, and once Jacobi holds on the
+    symmetric table, ad_[a,b] = ad_a ad_b + ad_b ad_a, so for a, b in L_B
+
+        B(ad_a ad_b x, z) = B(ad_b x, ad_a z) = B(x, ad_b ad_a z):
+
+    L_B is a subalgebra, whatever B is.  So it holds the ad_S-closure of
+    the generators S once it holds S, and all of g once it also holds the
+    vectors E that complete that closure.  (The walk itself checks each
+    pair (i, j) of a generator i only on the columns k > j, as the Jacobi
+    sum is symmetric; see the nislie.superalgebra docstring.)  Only when
+    a middle in S or E fails, or g has no walk, are the basis triples
+    (i, j, k) scanned in order for witnesses, until one is found and the
+    witness list is full.  The Gram entries are compared one by one only
+    when the matrix differs from its transpose or has an odd diagonal
+    entry.
+    """
     if form.dim != g.dim:
         raise DimensionMismatch("form and algebra dimensions differ")
     report = NISReport()
@@ -99,44 +118,73 @@ def check_nis(g: SuperAlgebra, form: BilinearForm, max_witnesses: int = 16) -> N
         if len(report.witnesses) < max_witnesses:
             report.witnesses.append((kind, witness))
 
-    for i in range(n):
-        if g.parity[i] == 1 and gram.entry(i, i):
-            report.symmetric = False
-            note("symmetric", (i, i))
-        for j in range(i + 1, n):
-            if gram.entry(i, j) != gram.entry(j, i):
+    rows = gram.rows
+    if rows != gram.transpose().rows or any(rows[i] >> i & 1 for i in g.odd_indices()):
+        for i in range(n):
+            if g.parity[i] == 1 and gram.entry(i, i):
                 report.symmetric = False
-                note("symmetric", (i, j))
+                note("symmetric", (i, i))
+            for j in range(i + 1, n):
+                if gram.entry(i, j) != gram.entry(j, i):
+                    report.symmetric = False
+                    note("symmetric", (i, j))
     # nonzero entries of the wrong parity, once per pair {i, j}: at (i, j)
     # for i <= j when that entry is one of them, else at (j, i)
     wrong_at: dict[tuple[int, int], tuple[int, int]] = {}
     for i in range(n):
         wrong = g.even_mask if g.parity[i] ^ form.parity else g.odd_mask
-        for j in bits(gram.rows[i] & wrong):
+        for j in bits(rows[i] & wrong):
             wrong_at.setdefault((min(i, j), max(i, j)), (i, j))
     for pair in sorted(wrong_at):
         report.parity_homogeneous = False
         note("parity", wrong_at[pair])
 
-    # B([e_i, e_j], e_k) = B(e_i, [e_j, e_k]) on all basis triples.  Over k,
-    # the left side is the sum of the Gram rows at the bits of [e_i, e_j];
-    # the right side sums the rows of ad_{e_j} at the bits of Gram row i.
-    full = (1 << n) - 1
-    rows = gram.rows
-    planes = ad_planes(g)
     table = g.bracket_table
-    for i in range(n):
-        row_i = rows[i] & full
-        for j in range(n):
-            defect = combine(rows, table[i][j]) ^ combine(planes[j], row_i)
-            for k in bits(defect & full):
-                report.invariant = False
-                note("invariant", (i, j, k))
+    walk = g.jacobi_walk
+    middles = range(n) if walk is None else sorted({*walk[0], *walk[1]})
+    planes: list[list[int] | None] = [None] * n
+    for j in middles:
+        planes[j] = _ad_plane(table[j], n)
+    if walk is None or next(_invariance_defects(rows, table, planes, middles), None):
+        planes = [p or _ad_plane(row, n) for p, row in zip(planes, table)]
+        for witness in _invariance_defects(rows, table, planes, range(n)):
+            report.invariant = False
+            note("invariant", witness)
+            if len(report.witnesses) >= max_witnesses:
+                # nothing later changes the report
+                break
 
     if gram.rank() != n:
         report.non_degenerate = False
         note("non-degenerate", ())
     return report
+
+
+def _invariance_defects(rows, table, planes, middles: Iterable[int]):
+    """The basis triples (i, j, k), j in middles, at which B([e_i, e_j],
+    e_k) != B(e_i, [e_j, e_k]), in order.
+
+    rows are the Gram rows, and planes[j] is ad_{e_j} by rows.  Over k,
+    the left side is the sum of the Gram rows at the bits of [e_i, e_j];
+    the right side sums the rows of ad_{e_j} at the bits of Gram row i.
+    """
+    full = (1 << len(table)) - 1
+    for i, (row_i, values) in enumerate(zip(rows, table)):
+        row_i &= full
+        for j in middles:
+            defect = combine(rows, values[j]) ^ combine(planes[j], row_i)
+            for k in bits(defect & full):
+                yield i, j, k
+
+
+def _ad_plane(row: Sequence[int], n: int) -> list[int]:
+    """The matrix of ad_{e_j} by rows, from the table row of j: row l is
+    the mask of the k for which [e_j, e_k] has bit l."""
+    plane = [0] * n
+    for k, v in enumerate(row):
+        for l in bits(v):
+            plane[l] |= 1 << k
+    return plane
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,11 @@ if ad_s is a derivation for each s in a set S of basis vectors, L
 contains the ad_S-closure of S, and Jacobi holds on g once that closure
 is g.  Codimension 2 is enough: J(x, x, y) = 0, so J is an alternating
 trilinear form on g / L.  validate decides Jacobi this way and scans the
-basis pairs only to list witnesses.
+basis pairs only to list witnesses.  The walk takes the basis in order,
+so when e_i is checked every e_k with k < i already lies in L, and
+J(e_i, ., e_k) = 0.  J(e_i, e_j, e_j) = 0 too, and J is symmetric, so of
+the columns k of a pair (i, j), j > i, only those with k > j are needed:
+J(e_i, e_j, e_k) with i < k < j is column j of the pair (i, k).
 
 The walk runs once per algebra: SuperAlgebra.axiom_proof caches its
 generators S and the basis vectors E that complete their closure to a
@@ -31,19 +35,27 @@ spanning set, or None when the table is not structurally_sound
 to the squaring verdict on the odd basis.  validate reads it, and the
 derivation system (derivations) builds Leibniz rows only on the pairs
 that touch S and E.  The proof reads the adjoint maps as columns
-straight off the table, so it builds no ad_planes; with the walk, the
-squaring verdict proves every ad_x a derivation, which lets the
-derivation system close a block once only its inner maps are left.
-Every bracket and squaring value lies inside the algebra: SuperAlgebra
-refuses any other table when it is built.
+straight off the table; with the walk, the squaring verdict proves every
+ad_x a derivation, which lets the derivation system close a block once
+only its inner maps are left.  Every bracket and squaring value lies
+inside the algebra: SuperAlgebra refuses any other table when it is
+built.
+
+The same walk decides the invariance of a form (forms.check_nis).
+L_B = {y : B([x, y], z) = B(x, [y, z]) for all x, z} is a subspace, and
+once Jacobi holds, ad_[a,b] = ad_a ad_b + ad_b ad_a, so for a, b in L_B
+B(ad_a ad_b x, z) = B(ad_b x, ad_a z) = B(x, ad_b ad_a z): L_B is a
+subalgebra, whatever B is.  It holds the ad_S-closure of S once it holds
+S, so it is g once it holds S and E.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import repeat
+from itertools import islice, repeat
 from math import gcd, lcm
 from operator import add, and_, mul, or_, sub, xor
 from typing import Iterable, Sequence
@@ -114,12 +126,18 @@ class SuperAlgebra:
         says whether [s(e_i), x] = [e_i, [e_i, x]] for every odd e_i and
         x.  With a walk it says that every ad_x is a derivation.
         """
-        if not structurally_sound(self):
+        if not self._sound:
             return None, False
         entries = _adjoint_entries(self)
         return _jacobi_generators(self, entries), not any(
             _squaring_defects(self, entries, i) for i in self.odd_indices()
         )
+
+    @cached_property
+    def _sound(self) -> bool:
+        """structurally_sound(self), decided once per algebra: validate and
+        axiom_proof both read it."""
+        return structurally_sound(self)
 
     @property
     def jacobi_walk(self) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
@@ -434,21 +452,6 @@ def structurally_sound(g: SuperAlgebra) -> bool:
     return True
 
 
-def ad_planes(g: SuperAlgebra) -> list[list[int]]:
-    """The matrices of the adjoint maps of the basis, row by row.
-
-    planes[i][l] is the mask of the k for which [e_i, e_k] has bit l: row l
-    of the matrix of ad_{e_i}.
-    """
-    n = g.dim
-    planes = [[0] * n for _ in range(n)]
-    for plane, row in zip(planes, g.bracket_table):
-        for k, v in enumerate(row):
-            for l in bits(v):
-                plane[l] |= 1 << k
-    return planes
-
-
 def _adjoint_entries(g: SuperAlgebra) -> list[list[tuple[int, int]]]:
     """The nonzero entries (k, l) of each ad_{e_b}: bit l of [e_b, e_k]."""
     return [
@@ -457,22 +460,31 @@ def _adjoint_entries(g: SuperAlgebra) -> list[list[tuple[int, int]]]:
     ]
 
 
-def _nonzero_columns(table, entries, products, x: int) -> int:
-    """Mask of the nonzero columns of ad_x + the sum of ad_a ad_b.
+def _nonzero_columns(table, entries, products, x: int, low: int = 0) -> int:
+    """Mask of the nonzero columns k >= low of ad_x + the sum of ad_a ad_b.
 
     products lists the index pairs (a, b); entries is _adjoint_entries.
     Column k of ad_x is the sum of table[m][k] over the bits m of x, and
     column k of ad_a ad_b, ad_a applied to [e_b, e_k], is the sum of
-    table[a][l] over the entries (k, l) of ad_b.
+    table[a][l] over the entries (k, l) of ad_b.  The entries are sorted
+    by k, so those of the columns below low are cut off by bisection.
     """
-    acc = [0] * len(table)
-    for m in bits(x):
-        acc = list(map(xor, acc, table[m]))
+    if x & (x - 1):
+        acc = [0] * len(table)
+        for m in bits(x):
+            acc = list(map(xor, acc, table[m]))
+    else:
+        # one row is copied, not added to zeros: its values are masks of up
+        # to n bits, and a sum would build each one anew
+        acc = list(table[x.bit_length() - 1]) if x else [0] * len(table)
     for a, b in products:
         row = table[a]
-        for k, l in entries[b]:
+        column = entries[b]
+        for k, l in column[bisect_left(column, (low,)) :]:
             acc[k] ^= row[l]
-    return sum(1 << k for k, v in enumerate(acc) if v) if any(acc) else 0
+    if not any(islice(acc, low, None)):
+        return 0
+    return sum(1 << k for k, v in enumerate(acc) if v) >> low << low
 
 
 def _squaring_defects(g: SuperAlgebra, entries, i: int) -> int:
@@ -534,8 +546,9 @@ def _jacobi_generators(
     each e_i outside the ad_S-closure of the generators S so far (the
     least subspace containing S and stable under every ad_s, built
     without assuming Jacobi) joins S once the Jacobi masks of the pairs
-    (i, j), j > i, are zero.  The closure lies in L = {x : ad_x is a
-    derivation}, and so does every e_j with j < i, so ad_{e_i} is then a
+    (i, j), j > i, are zero on the columns k > j.  The closure lies in
+    L = {x : ad_x is a derivation}, and so does every e_k with k < i, so
+    by the symmetry of J (see the module docstring) ad_{e_i} is then a
     derivation.  The walk ends when the closure has codimension at most
     2: J vanishes once an argument lies in L, so it is an alternating
     trilinear form on g / L, and such a form on a space of dimension 2 is
@@ -553,10 +566,11 @@ def _jacobi_generators(
         if closure.contains(1 << i):
             continue
         row = table[i]
-        # each e_j, j < i, is a generator or in the closure, so J(e_j, ., .)
-        # is zero already; J(e_i, e_i, .) is zero on an alternating table
+        # each e_k, k < i, is a generator or in the closure, so J(e_k, ., .)
+        # is zero already; the other columns k <= j are zero or seen at the
+        # pair (i, k), J being symmetric and alternating
         for j in range(i + 1, n):
-            if _nonzero_columns(table, entries, ((i, j), (j, i)), row[j]):
+            if _nonzero_columns(table, entries, ((i, j), (j, i)), row[j], j + 1):
                 return None
         # [e_i, v] for v in the closure so far; [e_s, e_i] for an earlier
         # generator s is [e_i, e_s], one of them, as the table is symmetric
@@ -602,26 +616,28 @@ def validate(g: SuperAlgebra, max_failures: int = 64) -> ValidationReport:
             report.failures.append(AxiomFailure(axiom, witness, detail))
 
     parity = g.parity
-    for i in range(n):
-        row = table[i]
-        if row[i]:
-            fail("alternating", (i, i), "[e,e] != 0")
-        if parity[i] == 0 and g.squaring[i]:
-            fail("squaring-domain", (i,), "squaring value on even vector")
-        if g.squaring[i] & g.odd_mask:
-            fail("grading", (i,), "squaring value not even")
-        for j in range(i + 1, n):
-            a, b = row[j], table[j][i]
-            if a != b:
-                fail("symmetry", (i, j), "bracket table not symmetric")
-            bad = g.odd_mask if parity[i] == parity[j] else g.even_mask
-            if (a | b) & bad:
-                # once per pair, at an entry that has the wrong bits
-                at = (i, j) if a & bad else (j, i)
-                fail("grading", at, "bracket value has wrong parity")
-    if report.failures:
-        # Jacobi witnesses would be noise on a malformed table.
-        return report
+    # on a structurally_sound table only an even square can fail here
+    if any(s for s, p in zip(g.squaring, parity) if not p) or not g._sound:
+        for i in range(n):
+            row = table[i]
+            if row[i]:
+                fail("alternating", (i, i), "[e,e] != 0")
+            if parity[i] == 0 and g.squaring[i]:
+                fail("squaring-domain", (i,), "squaring value on even vector")
+            if g.squaring[i] & g.odd_mask:
+                fail("grading", (i,), "squaring value not even")
+            for j in range(i + 1, n):
+                a, b = row[j], table[j][i]
+                if a != b:
+                    fail("symmetry", (i, j), "bracket table not symmetric")
+                bad = g.odd_mask if parity[i] == parity[j] else g.even_mask
+                if (a | b) & bad:
+                    # once per pair, at an entry that has the wrong bits
+                    at = (i, j) if a & bad else (j, i)
+                    fail("grading", at, "bracket value has wrong parity")
+        if report.failures:
+            # Jacobi witnesses would be noise on a malformed table.
+            return report
 
     # The table is structurally_sound here.
     walk, squaring_holds = g.axiom_proof
@@ -639,9 +655,9 @@ def validate(g: SuperAlgebra, max_failures: int = 64) -> ValidationReport:
             for j in range(i + 1, n):
                 bij = table[i][j]
                 failing = _nonzero_columns(
-                    table, entries, ((i, j), (j, i)), bij
+                    table, entries, ((i, j), (j, i)), bij, j + 1
                 )
-                for k in bits(failing >> (j + 1) << (j + 1)):
+                for k in bits(failing):
                     cycle = bracket(g, 1 << i, table[j][k])
                     cycle ^= bracket(g, 1 << j, table[i][k])
                     cycle ^= bracket(g, 1 << k, bij)

@@ -490,6 +490,43 @@ def reference_check_nis(g, form, max_witnesses: int = 16):
     return report
 
 
+def reference_jacobi_walk(g):
+    """The Jacobi walk of SuperAlgebra.jacobi_walk with every column k of
+    each pair (i, j), j > i, of a generator e_i checked, by bracket() on
+    the cyclic sum: (S, E), or None when the table is not
+    structurally_sound or a column fails."""
+    if not structurally_sound(g):
+        return None
+    n = g.dim
+    table = g.bracket_table
+    closure = SpanBasis()
+    spanning: list[int] = []
+    gens: list[int] = []
+    for i in range(n):
+        if closure.dim >= n - 2:
+            break
+        if closure.contains(1 << i):
+            continue
+        for j in range(i + 1, n):
+            for k in range(n):
+                cycle = bracket(g, 1 << i, table[j][k])
+                cycle ^= bracket(g, 1 << j, table[k][i])
+                cycle ^= bracket(g, 1 << k, table[i][j])
+                if cycle:
+                    return None
+        frontier = [combine(table[i], v) for v in spanning]
+        gens.append(i)
+        closure.add(1 << i)
+        spanning.append(1 << i)
+        while frontier:
+            v = frontier.pop()
+            if v and closure.add(v):
+                spanning.append(v)
+                frontier.extend(combine(table[s], v) for s in gens)
+    pivots = sum(row & -row for row in closure.rows())
+    return tuple(gens), tuple(j for j in range(n) if not (pivots >> j) & 1)
+
+
 # ---------------------------------------------------------------------------
 # Metamorphic inputs
 # ---------------------------------------------------------------------------

@@ -1,12 +1,16 @@
 """validate and check_nis against the per-triple reference loops.
 
-The library decides Jacobi from a generating set, and the squaring rule
-and invariance through products of adjoint matrices;
+The library decides Jacobi from a generating set, checking each pair
+(i, j) of a generator only on the columns k > j, and the squaring rule
+through products of adjoint matrices; check_nis proves invariance on the
+middles in that walk's generators S and completing vectors E, and scans
+the basis triples only when that proof fails or there is no walk.
 oracles.reference_validate and oracles.reference_check_nis keep the
-bracket()/dot() loop on every basis triple.  Reports must agree exactly,
-witnesses, order and truncation included.  A parity-preserving
-relabelling must map the reports onto each other, one-sided flips of a
-bracket table or Gram matrix included.
+bracket()/dot() loop on every basis triple, and
+oracles.reference_jacobi_walk the walk over every column.  Reports and
+walks must agree exactly, witnesses, order and truncation included.  A
+parity-preserving relabelling must map the reports onto each other,
+one-sided flips of a bracket table or Gram matrix included.
 """
 
 import random
@@ -16,12 +20,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nislie import superalgebra
+from nislie import forms, superalgebra
 from nislie.catalog import entry_names, hamiltonian, named
 from nislie.errors import DimensionMismatch
 from nislie.forms import BilinearForm, check_nis
 from nislie.superalgebra import SuperAlgebra, bracket, structurally_sound, validate
-from oracles import flip, reference_check_nis, reference_validate, relabel
+from oracles import (
+    flip,
+    reference_check_nis,
+    reference_jacobi_walk,
+    reference_validate,
+    relabel,
+)
 
 CAPS = (1, 4, 64)
 FLIPS = ("bracket-sym", "bracket-one", "squaring", "gram-sym", "gram-one")
@@ -129,6 +139,69 @@ def test_forced_witness_scan_gives_the_same_report(monkeypatch):
     scanned = [validate(replace(g), cap) for g in algebras for cap in CAPS]
     assert all(r.jacobi_generators is None for r in scanned)
     assert scanned == routed
+
+
+def test_half_column_walk_matches_the_full_column_reference():
+    walks = []
+    for name in entry_names():
+        g = named(name).algebra
+        assert g.jacobi_walk == reference_jacobi_walk(g), name
+        walks.append(g.jacobi_walk)
+    base = named("h1-0-5").algebra
+    rng = random.Random("walk:h1-0-5")
+    for _ in range(40):
+        h = route_flip(base, rng)
+        assert h.jacobi_walk == reference_jacobi_walk(h)
+        walks.append(h.jacobi_walk)
+    g = relabel(hamiltonian(6)[0], None, random.Random("walk:h'(0|6)"))[0]
+    assert g.jacobi_walk == reference_jacobi_walk(g)
+    walks.append(g.jacobi_walk)
+    # proofs and failures both
+    assert None in walks and any(w is not None for w in walks)
+
+
+def test_failed_invariance_proof_scans_like_the_reference():
+    """Gram flips keep the table, so the walk; those that break invariance
+    fail the proof on the walk's middles, and the scan lists witnesses."""
+    g6, b6, _ = hamiltonian(6)
+    pool = [(*relabel(g6, b6, random.Random("nis:h'(0|6)")), 3)]
+    for name in entry_names():
+        obj = named(name)
+        if obj.form is not None and obj.algebra.jacobi_walk is not None:
+            pool.append((obj.algebra, obj.form, 8))
+    rng = random.Random(20261019)
+    broken = 0
+    for g, form, flips in pool:
+        n = g.dim
+        for _ in range(flips):
+            kind = rng.choice(("gram-sym", "gram-one"))
+            h, b = flip(g, form, kind, rng.randrange(n), rng.randrange(n), 0)
+            assert h.jacobi_walk == g.jacobi_walk
+            for cap in CAPS:
+                assert check_nis(h, b, cap) == reference_check_nis(h, b, cap)
+            broken += not check_nis(h, b).invariant
+    assert broken >= 50
+
+
+def test_passing_invariance_check_reads_only_the_walks_middles(monkeypatch):
+    g, form = relabel(*hamiltonian(6)[:2], random.Random("nis:spy"))
+    gens, completion = g.jacobi_walk
+    defects, ad_plane = forms._invariance_defects, forms._ad_plane
+    read, planes = [], []
+
+    def spy_defects(rows, table, planes_, middles):
+        read.append(list(middles))
+        return defects(rows, table, planes_, middles)
+
+    def spy_plane(row, n):
+        planes.append(row)
+        return ad_plane(row, n)
+
+    monkeypatch.setattr(forms, "_invariance_defects", spy_defects)
+    monkeypatch.setattr(forms, "_ad_plane", spy_plane)
+    assert check_nis(g, form).passed
+    assert read == [sorted({*gens, *completion})]
+    assert len(planes) == len(read[0]) < g.dim // 2
 
 
 def test_jacobi_failure_seen_only_by_the_last_generator():

@@ -376,6 +376,21 @@ def test_cli_builds_the_catalog_entry_once(argv, monkeypatch, tmp_path, capsys):
     assert len(calls) == 1
 
 
+def test_cli_report_h05_builds_each_entry_once(monkeypatch, capsys):
+    calls = []
+    build = catalog.hamiltonian
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(catalog, "hamiltonian", counted)
+    assert main(["report", "--table", "h05"]) == 0
+    # h1-0-5, po05-m0 and po05-m1: the adapted-isometry row reuses the
+    # extensions of the rows above it
+    assert len(calls) == 3
+
+
 def test_cli_extend_rejects_incompatible(capsys):
     rc = main(
         [
