@@ -72,6 +72,7 @@ from .gf2 import (
     SubspaceNotContained,
     bits,
     combine,
+    dependencies,
     quotient_basis,
     solve_affine,
 )
@@ -457,29 +458,16 @@ def map_degree(g: SuperAlgebra, d: Derivation) -> int | None:
 # ---------------------------------------------------------------------------
 
 
-def _coefficient_cut(
-    candidates: Sequence[Derivation], values: Callable[[Derivation], int]
-) -> list[int]:
-    """Coefficient vectors of span(candidates) killed by the functionals.
-
-    Bit r of values(d) is functional r at d, so the cut is the kernel of
-    c -> combine(values of the candidates, c).
-    """
-    if not candidates:
-        return []
-    vals = [values(d) for d in candidates]
-    return GF2Matrix(vals, max(vals).bit_length()).transpose().kernel_basis()
-
-
 def _linear_cut(
     candidates: Sequence[Derivation], values: Callable[[Derivation], int]
 ) -> list[Derivation]:
     """Independent basis of the subspace of span(candidates) killed by the
-    functionals (dependent candidate lists collapse to a true basis)."""
+    functionals, bit r of values(d) being functional r at d (dependent
+    candidate lists collapse to a true basis)."""
     span = SpanBasis()
     out = []
     columns = list(zip(*(d.images for d in candidates)))
-    for cv in _coefficient_cut(candidates, values):
+    for cv in dependencies([values(d) for d in candidates]):
         d = Derivation(tuple(combine(col, cv) for col in columns), candidates[0].parity)
         if span.add(_vec_full(d)):
             out.append(d)
@@ -502,7 +490,7 @@ def self_adjoint_coefficients(
     Works for mixed-parity candidate lists, where the combinations are not
     themselves homogeneous derivations.
     """
-    return _coefficient_cut(candidates, lambda d: self_adjoint_values(form, d))
+    return dependencies([self_adjoint_values(form, d) for d in candidates])
 
 
 @dataclass(frozen=True)

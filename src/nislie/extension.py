@@ -25,7 +25,7 @@ from .errors import (
     SplitsOff,
 )
 from .forms import BilinearForm, QuadraticForm, adjointness_defect
-from .gf2 import GF2Matrix, bits, combine, restrict, solve_affine, span_basis
+from .gf2 import GF2Matrix, bits, combine, dependencies, restrict, solve_affine, span_basis
 from .superalgebra import (
     SuperAlgebra,
     bracket,
@@ -258,18 +258,15 @@ def reduction_candidates(
     """Basis of the subspace of central elements satisfying the hypothesis.
 
     The center is graded and s restricted to the odd center is additive
-    (cross brackets vanish there), so every hypothesis is a linear cut.
+    (cross brackets vanish there), so every hypothesis is a linear cut:
+    the dependencies of the hypothesis values on the center's part of
+    x's parity.
     """
     form_parity, der_parity = case_parities(case)
     if form.parity != form_parity:
         return []
-    z = center(g)
     mask = g.odd_mask if form_parity ^ der_parity else g.even_mask
-    part = [v for v in (z_v & mask for z_v in z) if v]
-    part = span_basis(part)
-    if not part:
-        return []
-
+    part = span_basis(v & mask for v in center(g))
     # values[k]: the values at part[k] of the maps the case needs to vanish,
     # side by side; the cut keeps the combinations where all of them vanish
     values = [0] * len(part)
@@ -277,9 +274,7 @@ def reduction_candidates(
         values = form.matrix_on(part, squares_span(g)).rows
     if form_parity ^ der_parity:  # odd x: s(v) = 0 too, in the n bits below
         values = [square_element(g, v) | p << g.dim for v, p in zip(part, values)]
-    width = max(values).bit_length()
-    coords = GF2Matrix(values, width).transpose().kernel_basis()
-    return [combine(part, c) for c in coords]
+    return [combine(part, c) for c in dependencies(values)]
 
 
 def reduce(
@@ -313,10 +308,7 @@ def reduce(
         raise HypothesisNotMet("no dual vector pairs with x (degenerate form?)")
     xstar = sol.lift(star_idx).particular
 
-    # a = orthogonal complement of span{x, xstar}
-    a_basis = GF2Matrix(
-        [form.pair_row(x), form.pair_row(xstar)], n
-    ).kernel_basis()
+    a_basis = form.orthogonal_complement([x, xstar])
     if len(a_basis) != n - 2:
         raise HypothesisNotMet("orthogonal complement has wrong dimension")
     for v in a_basis:

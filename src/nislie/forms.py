@@ -38,6 +38,7 @@ class BilinearForm:
         return self.gram.mat_vec(y)
 
     def orthogonal_complement(self, vectors: Iterable[int]) -> list[int]:
+        """Basis of {x : B(x, v) = 0 for every v in vectors}."""
         rows = [self.gram.mat_vec(v) for v in vectors]
         return GF2Matrix(rows, self.dim).kernel_basis()
 

@@ -123,6 +123,15 @@ def span_basis(vectors: Iterable[int]) -> list[int]:
     return SpanBasis(vectors).vectors()
 
 
+def dependencies(values: Sequence[int]) -> list[int]:
+    """Basis of {c : combine(values, c) = 0}: with bit r of values[k] the
+    value of functional r at candidate k, the combinations of the
+    candidates on which every functional vanishes."""
+    if not values:
+        return []
+    return GF2Matrix(values, max(values).bit_length()).transpose().kernel_basis()
+
+
 @dataclass(frozen=True)
 class AffineSolution:
     """Solution set of A x = b: particular + span of kernel_basis."""

@@ -60,8 +60,8 @@ from .gf2 import (
 from .superalgebra import (
     SuperAlgebra,
     ad,
-    ad_system,
     bracket,
+    centralizer,
     square_element,
     structurally_sound,
 )
@@ -734,9 +734,8 @@ def adapted_isometry_decision(
         for j in evens
     ):
         # [t, a_even] = 0, independently of pi0
-        rows = ad_system(a, t_idxs, evens)
-        kernel = GF2Matrix(rows, len(t_idxs)).kernel_basis()
-        ts = AffineSolution(0, tuple(kernel)).lift(t_idxs)
+        kernel = centralizer(a, evens, t_idxs)
+        ts = AffineSolution(0, tuple(kernel))
         if len(kernel) <= 12 and all(
             _pi0_free_conditions_fail(a, form, recipe_src, recipe_tgt, t)
             for t in ts

@@ -61,7 +61,7 @@ from operator import add, and_, mul, or_, sub, xor
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, NotOdd
-from .gf2 import GF2Matrix, SpanBasis, bits, combine, dot, restrict, span_basis
+from .gf2 import GF2Matrix, SpanBasis, bits, combine, dependencies, dot, restrict, span_basis
 
 
 @dataclass(frozen=True)
@@ -689,6 +689,8 @@ def validate(g: SuperAlgebra, max_failures: int = 64) -> ValidationReport:
 # ---------------------------------------------------------------------------
 # Structural subspaces
 # ---------------------------------------------------------------------------
+# Each is a composition of centralizer, squares_span and gf2.dependencies
+# (the combinations of a basis on which given functionals vanish).
 
 
 def parity_split(g: SuperAlgebra, vectors: Iterable[int]) -> tuple[list[int], list[int]]:
@@ -708,53 +710,73 @@ def parity_split(g: SuperAlgebra, vectors: Iterable[int]) -> tuple[list[int], li
     return ev.vectors(), od.vectors()
 
 
-def squares_span(g: SuperAlgebra) -> list[int]:
-    """Span of {s(f) : f odd}; generated by basis squares and odd brackets."""
-    basis = SpanBasis(g.squaring[i] for i in g.odd_indices())
-    odd = g.odd_indices()
-    for a, i in enumerate(odd):
-        for j in odd[a + 1 :]:
-            basis.add(g.bracket_table[i][j])
+def squares_span(g: SuperAlgebra, odd: Sequence[int] | None = None) -> list[int]:
+    """Span of {s(f) : f in span(odd)}, odd a list of odd vectors (the odd
+    basis when None): by polarization, the squares s(u) of the listed
+    vectors and the brackets [u, w] of each pair of them."""
+    if odd is None:
+        odd = [1 << i for i in g.odd_indices()]
+    basis = SpanBasis(square_element(g, u) for u in odd)
+    for a, u in enumerate(odd):
+        for w in odd[a + 1 :]:
+            basis.add(bracket(g, u, w))
     return basis.vectors()
 
 
 def derived_subalgebra(g: SuperAlgebra, step: int = 1) -> list[int]:
-    """Basis of the step-th derived algebra g^(step)."""
+    """Basis of the step-th derived algebra g^(step): g^(k+1) is spanned by
+    [g^(k), g^(k)] and the squares of the odd part of g^(k), which
+    squares_span gives with the brackets of its odd pairs."""
     if step < 0:
         raise ValueError("step must be >= 0")
     current = [1 << i for i in range(g.dim)]
     for _ in range(step):
-        nxt = SpanBasis()
         ev, od = parity_split(g, current)
-        homog = ev + od
-        for a, u in enumerate(homog):
-            for v in homog[a:]:
+        nxt = SpanBasis(squares_span(g, od))
+        for a, u in enumerate(ev):
+            for v in ev[a + 1 :] + od:
                 nxt.add(bracket(g, u, v))
-        for u in od:
-            nxt.add(square_element(g, u))
         current = nxt.vectors()
     return current
 
 
+def centralizer(
+    g: SuperAlgebra, domain: Iterable[int], idxs: Sequence[int] | None = None
+) -> list[int]:
+    """Basis of {t in span(e_i : i in idxs) : [t, e_j] = 0 for j in domain},
+    idxs the whole basis when None: the kernel of ad_system, read back
+    into g."""
+    idxs = range(g.dim) if idxs is None else idxs
+    kernel = GF2Matrix(ad_system(g, idxs, domain), len(idxs)).kernel_basis()
+    units = [1 << i for i in idxs]
+    return [combine(units, c) for c in kernel]
+
+
 def center(g: SuperAlgebra) -> list[int]:
     """Basis of {t : [t, e_j] = 0 for every j}."""
-    n = g.dim
-    return GF2Matrix(ad_system(g, range(n), range(n)), n).kernel_basis()
+    return centralizer(g, range(g.dim))
+
+
+def _check_gram(g: SuperAlgebra, gram: GF2Matrix) -> None:
+    """A Gram matrix must be dim x dim, as check_nis requires of a form."""
+    if gram.nrows != g.dim or gram.ncols != g.dim:
+        raise DimensionMismatch("Gram matrix and algebra dimensions differ")
 
 
 def special_center(g: SuperAlgebra, gram: GF2Matrix) -> tuple[list[int], list[int], list[int]]:
-    """z_s(g) = z(g) cut by orthogonality to all squares; plus parity parts."""
-    n = g.dim
-    rows = ad_system(g, range(n), range(n)) + [
-        gram.mat_vec(w) for w in squares_span(g)
-    ]
-    basis = GF2Matrix(rows, n).kernel_basis()
+    """z_s(g), the center cut by B(x, s(f)) = 0 for every odd f; plus its
+    even and odd parts."""
+    _check_gram(g, gram)
+    z = center(g)
+    squares = GF2Matrix([gram.mat_vec(w) for w in squares_span(g)], g.dim)
+    basis = [combine(z, c) for c in dependencies(list(map(squares.mat_vec, z)))]
     ev, od = parity_split(g, basis)
     return span_basis(basis), ev, od
 
 
 def cone_contains(g: SuperAlgebra, gram: GF2Matrix, x: int) -> bool:
     """Membership in {x odd : B(s(x), s(t)) = 0 for all odd t}."""
+    _check_gram(g, gram)
     if x & g.even_mask:
         raise NotOdd("cone membership is defined for odd elements")
     sx = square_element(g, x)
@@ -769,51 +791,32 @@ def sharp_complement(
     The odd-part condition is quadratic in general; it cuts a subspace
     exactly when B([x,y],V)=0 on the orthogonal kernel, which holds for
     ideals, which is the intended use.  A non-additive instance raises
-    ValueError.
+    ValueError.  Both conditions are dependencies of the values B(., V):
+    on the basis of g, then on the squares of the odd part of the kernel.
     """
+    _check_gram(g, gram)
     v_ev, v_od = parity_split(g, subspace)
-    targets = [gram.mat_vec(v) for v in v_ev + v_od]
-    perp = GF2Matrix(targets, g.dim).kernel_basis()
+    targets = GF2Matrix([gram.mat_vec(v) for v in v_ev + v_od], g.dim)
+    perp = dependencies([targets.mat_vec(1 << i) for i in range(g.dim)])
     k_ev, k_od = parity_split(g, perp)
-    if not targets:
-        return span_basis(k_ev + k_od)
     for a, u in enumerate(k_od):
         for w in k_od[a + 1 :]:
-            cross = bracket(g, u, w)
-            if any(dot(t, cross) for t in targets):
-                raise ValueError(
-                    "sharp complement is not a subspace for this V"
-                )
-    squares = GF2Matrix([square_element(g, u) for u in k_od], g.dim)
-    rows = [squares.mat_vec(t) for t in targets]
-    coords = GF2Matrix(rows, len(k_od)).kernel_basis()
+            if targets.mat_vec(bracket(g, u, w)):
+                raise ValueError("sharp complement is not a subspace for this V")
+    coords = dependencies([targets.mat_vec(square_element(g, u)) for u in k_od])
     return span_basis(k_ev + [combine(k_od, c) for c in coords])
 
 
 def is_two_step_nilpotent(g: SuperAlgebra) -> bool:
     """[g,[g,g]] = 0, [g, s(g_odd)] = 0, and s([g_even, g_odd]) = 0."""
-    derived = SpanBasis()
-    n = g.dim
-    for i in range(n):
-        for j in range(i + 1, n):
-            derived.add(g.bracket_table[i][j])
-    for w in derived.vectors():
-        for j in range(n):
-            if bracket(g, w, 1 << j):
-                return False
-    for w in squares_span(g):
-        for j in range(n):
-            if bracket(g, w, 1 << j):
-                return False
-    mixed = SpanBasis()
-    for i in g.even_indices():
-        for j in g.odd_indices():
-            mixed.add(g.bracket_table[i][j])
-    # [V,V] = 0 at this point, so s is additive on V = [g_ev, g_od].
-    for w in mixed.vectors():
-        if square_element(g, w):
-            return False
-    return True
+    table = g.bracket_table
+    z = SpanBasis(center(g))
+    derived = [table[i][j] for i in range(g.dim) for j in range(i + 1, g.dim)]
+    if not all(map(z.contains, derived + squares_span(g))):
+        return False
+    mixed = span_basis(table[i][j] for i in g.even_indices() for j in g.odd_indices())
+    # [V, V] = 0 at this point, so s is additive on V = [g_ev, g_od]
+    return not squares_span(g, mixed)
 
 
 def _generating_sequence(g: SuperAlgebra) -> list[int]:

@@ -97,6 +97,33 @@ def test_only_gf2_touches_the_echelon_rows():
     assert touching == []
 
 
+def test_only_the_subspace_toolkit_calls_kernel_basis():
+    """Outside gf2, kernel_basis() is called only by
+    superalgebra.centralizer and forms.BilinearForm.orthogonal_complement:
+    every other subspace composes them with gf2.dependencies and
+    squares_span instead of a hand-written elimination."""
+    calling = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Attribute)
+                and child.func.attr == "kernel_basis"
+            ):
+                calling.append(owner)
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, f"{owner}.{child.name}" if named else owner)
+
+    for path in sorted((ROOT / "src" / "nislie").glob("*.py")):
+        if path.name != "gf2.py":
+            visit(ast.parse(path.read_text()), path.stem)
+    assert sorted(calling) == [
+        "forms.BilinearForm.orthogonal_complement",
+        "superalgebra.centralizer",
+    ]
+
+
 def test_the_cli_reads_the_paper_data_from_the_catalog():
     """The CLI names no cocycle tables of its own: of nislie.catalog it
     imports only the entry lookups."""

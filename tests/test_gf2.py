@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nislie.gf2 import (
@@ -9,6 +9,7 @@ from nislie.gf2 import (
     GF2Matrix,
     SpanBasis,
     combine,
+    dependencies,
     quotient_basis,
     solve_affine,
     span_basis,
@@ -299,3 +300,22 @@ def test_spanbasis_contains_and_dim():
     assert b.dim == 2
     assert b.contains(0b101)
     assert not b.contains(0b001)
+
+
+@given(
+    st.lists(
+        st.one_of(st.integers(min_value=0, max_value=4095), st.sampled_from([0, 1, 6])),
+        max_size=10,
+    )
+)
+@example([])
+@example([0, 0, 0])
+@example([5, 5, 3, 6, 5])
+@settings(max_examples=150, deadline=None)
+def test_dependencies_are_a_basis_of_the_enumerated_relations(values):
+    """dependencies(values) spans exactly the c found by enumerating all
+    2^k coefficient vectors, and is independent."""
+    relations = {c for c in range(1 << len(values)) if combine(values, c) == 0}
+    got = dependencies(values)
+    assert {combine(got, m) for m in range(1 << len(got))} == relations
+    assert 1 << len(got) == len(relations)

@@ -29,6 +29,7 @@ from nislie.derivations import (
     derivation_space,
     outer_derivations,
     self_adjoint_coefficients,
+    self_adjoint_values,
 )
 from nislie.errors import ConditionViolated
 from nislie.extension import ExtensionRecipe, check_conditions, extend, reduce as ext_reduce
@@ -40,7 +41,7 @@ from nislie.forms import (
     evaluate_on_algebra,
     transport_quadratic,
 )
-from nislie.gf2 import AffineSolution, GF2Matrix, SpanBasis, combine, restrict
+from nislie.gf2 import AffineSolution, GF2Matrix, SpanBasis, combine, dependencies, restrict
 from nislie.isometry import (
     Isometry,
     _shifted,
@@ -204,9 +205,9 @@ def test_check_conditions_matches_the_pairwise_loops():
     assert {"D1", "2D1", "3D1", "4D1", "D3", "3D-polar", None} <= seen
 
 
-def test_compatibility_cuts_keep_the_rows_of_the_pairwise_functionals():
-    # on a non-symmetric Gram the functionals (i, j >= i) and (j, i) differ,
-    # so the cut depends on keeping exactly the pairs j >= i
+def compatibility_cut_inputs():
+    """(g, form, derivation spaces by parity): four small entries, each with
+    its own form and three seeded random Gram matrices of its parity."""
     rng = random.Random(19)
     for name in ("hei-double", "ba-double", "gl-1-1", "h1-0-4"):
         obj = named(name)
@@ -220,23 +221,46 @@ def test_compatibility_cuts_keep_the_rows_of_the_pairwise_functionals():
             for _ in range(3)
         ]
         for form in forms:
-            mixed = spaces[0] + spaces[1][:4]
-            assert self_adjoint_coefficients(g, form, mixed) == reference_coefficient_cut(
-                form, mixed
-            )
-            for case in CASES:
-                form_parity, der_parity = case_parities(case)
-                if form_parity != form.parity:
-                    continue
-                cands = spaces[der_parity]
-                cut = reference_coefficient_cut(form, cands, form_parity == der_parity)
-                span, want = SpanBasis(), []
-                for c in cut:
-                    images = tuple(combine(col, c) for col in zip(*(d.images for d in cands)))
-                    if span.add(sum(im << (j * g.dim) for j, im in enumerate(images))):
-                        want.append(images)
-                got = compatible_subspace(g, form, case, cands).basis
-                assert [d.images for d in got] == want
+            yield g, form, spaces
+
+
+def test_compatibility_cuts_keep_the_rows_of_the_pairwise_functionals():
+    # on a non-symmetric Gram the functionals (i, j >= i) and (j, i) differ,
+    # so the cut depends on keeping exactly the pairs j >= i
+    for g, form, spaces in compatibility_cut_inputs():
+        mixed = spaces[0] + spaces[1][:4]
+        assert self_adjoint_coefficients(g, form, mixed) == reference_coefficient_cut(
+            form, mixed
+        )
+        for case in CASES:
+            form_parity, der_parity = case_parities(case)
+            if form_parity != form.parity:
+                continue
+            cands = spaces[der_parity]
+            cut = reference_coefficient_cut(form, cands, form_parity == der_parity)
+            span, want = SpanBasis(), []
+            for c in cut:
+                images = tuple(combine(col, c) for col in zip(*(d.images for d in cands)))
+                if span.add(sum(im << (j * g.dim) for j, im in enumerate(images))):
+                    want.append(images)
+            got = compatible_subspace(g, form, case, cands).basis
+            assert [d.images for d in got] == want
+
+
+def test_dependencies_give_the_reference_coefficient_cut():
+    """gf2.dependencies on the values of the self-adjointness functionals,
+    with the diagonal functionals B(D e_i, e_i) or without, is the kernel
+    that reference_coefficient_cut builds one functional at a time."""
+    for g, form, spaces in compatibility_cut_inputs():
+        n = g.dim
+        for cands in (spaces[0], spaces[1], spaces[0] + spaces[1][:4]):
+            values = [self_adjoint_values(form, d) for d in cands]
+            assert dependencies(values) == reference_coefficient_cut(form, cands)
+            diagonal = [
+                v | sum(form.pair(d.images[i], 1 << i) << i for i in range(n)) << (n * n)
+                for v, d in zip(values, cands)
+            ]
+            assert dependencies(diagonal) == reference_coefficient_cut(form, cands, True)
 
 
 def test_ca_witness_matches_the_pairwise_loop(hei_double, h105):
