@@ -35,7 +35,8 @@ from .superalgebra import (
 )
 
 
-def _algebra(names, parity, brackets, squaring=None, degrees=None):
+def _algebra(names, parity, brackets):
+    """A superalgebra with zero squaring from its named nonzero brackets."""
     n = len(names)
     idx = {nm: i for i, nm in enumerate(names)}
     table = [[0] * n for _ in range(n)]
@@ -46,18 +47,11 @@ def _algebra(names, parity, brackets, squaring=None, degrees=None):
             val ^= 1 << idx[w]
         table[i][j] ^= val
         table[j][i] ^= val
-    sq = [0] * n
-    for u, words in (squaring or {}).items():
-        val = 0
-        for w in words.split():
-            val ^= 1 << idx[w]
-        sq[idx[u]] = val
     return SuperAlgebra(
         names=tuple(names),
         parity=tuple(parity),
         bracket_table=tuple(tuple(r) for r in table),
-        squaring=tuple(sq),
-        degrees=None if degrees is None else tuple(degrees),
+        squaring=(0,) * n,
     )
 
 

@@ -24,7 +24,7 @@ from .catalog import (
 from .derivations import (
     CASES,
     Derivation,
-    case_parities,
+    case_of,
     class_coordinates,
     map_degree,
     outer_derivations,
@@ -39,7 +39,7 @@ from .document import (
     recipe_to_meta,
 )
 from .errors import ConditionViolated, InnerNotDerivation, NisLieError, UnknownName
-from .extension import ExtensionRecipe, extend, reduce as ext_reduce
+from .extension import ExtensionRecipe, extend, recipe_fields, reduce as ext_reduce
 from .forms import QuadraticForm, check_nis
 from .gf2 import bits
 from .isometry import (
@@ -280,6 +280,10 @@ def cmd_outer(args) -> int:
 
 
 def cmd_extend(args) -> int:
+    for field in ("alpha", "a0", "m", "beta_star"):
+        if getattr(args, field) is not None and field not in recipe_fields(args.case):
+            flag = "--" + field.replace("_", "-")
+            raise CliError(2, f"{flag} does not apply to case {args.case}")
     doc, obj = _load_target(args.target)
     if doc.form is None:
         raise CliError(2, "extension needs an input with a bilinear form")
@@ -311,23 +315,16 @@ def cmd_extend(args) -> int:
     return 0
 
 
-# (parity of B, parity of x) -> case: D has the parity of B plus that of x
-_CASE_BY_PARITY = {(b, b ^ d): c for c in CASES for b, d in [case_parities(c)]}
-
-
 def cmd_reduce(args) -> int:
     doc, _ = _load_target(args.target)
     if doc.form is None:
         raise CliError(2, "reduction needs an input with a bilinear form")
     x = _parse_element(doc, args.center_element)
-    case = args.case
-    if case is None:
-        p = doc.algebra.parity_of(x)
-        if p is None:
-            raise CliError(2, "center element must be parity-homogeneous")
-        case = _CASE_BY_PARITY[(doc.form.parity, p)]
+    p = doc.algebra.parity_of(x)
+    if p is None:
+        raise CliError(2, "center element must be parity-homogeneous")
     try:
-        red = ext_reduce(doc.algebra, doc.form, x, case)
+        red = ext_reduce(doc.algebra, doc.form, x, case_of(doc.form.parity, p))
     except NisLieError as exc:
         print(f"reduction failed: {exc}", file=sys.stderr)
         return 1
@@ -446,21 +443,27 @@ def cmd_report(args) -> int:
     lines = []
     if args.table == "h04":
         target_names = {"D2": "tilde-po(0|4)", "D6": "gl(2|2)", "D7": "po(0|4)"}
+        dims = set()
         for label, target in target_names.items():
             name = f"h104-{label}ext"
             want = registry()[name].out_dim
             obj = named(name)
             oe, oo = outer_derivations(obj.algebra)
             got = oe.dim + oo.dim
+            dims.add(got)
             row_ok = got == want
             ok = ok and row_ok
             lines.append(
                 f"{label} -> {target}: out = {got}"
                 f" (expected {want}) {'ok' if row_ok else 'MISMATCH'}"
             )
-        lines.append(
-            "pairwise distinct out-dimensions, hence pairwise non-isomorphic"
-        )
+        if len(dims) == len(target_names):
+            lines.append(
+                "pairwise distinct out-dimensions, hence pairwise non-isomorphic"
+            )
+        else:
+            ok = False
+            lines.append("out-dimensions coincide, so they do not separate the three")
     elif args.table == "h05p":
         try:
             ext = named("tilde-po-0-5")
@@ -571,7 +574,6 @@ def build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("reduce", help="split off a double extension")
     r.add_argument("target")
     r.add_argument("--center-element", required=True)
-    r.add_argument("--case", choices=CASES)
     r.add_argument("--out", required=True)
     r.add_argument("--recipe-out")
     r.set_defaults(fn=cmd_reduce)

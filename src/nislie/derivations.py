@@ -89,6 +89,11 @@ def case_parities(case: str) -> tuple[int, int]:
     return (0 if b == "evenB" else 1, 0 if d == "evenD" else 1)
 
 
+def case_of(form_parity: int, x_parity: int) -> str:
+    """The case of a central element x: D has the parity of B plus that of x."""
+    return next(c for c in CASES if case_parities(c) == (form_parity, form_parity ^ x_parity))
+
+
 @dataclass(frozen=True)
 class Derivation:
     """Parity-homogeneous linear map given by its basis images."""

@@ -5,11 +5,12 @@ Each case adjoins a central element x and a derivation carrier
 The reducer splits a 2-dimensional slice back off a given central element
 and recovers the full recipe, bit-exactly on constructor output.
 
-Case tags (form parity - derivation parity):
-  evenB-evenD   x even, x* even; needs a quadratic form and beta*
-  evenB-oddD    x odd, x* odd; needs a0
-  oddB-oddD     x even, e odd; needs a quadratic form, a0 and the scalar m
-  oddB-evenD    x odd, e even
+Case tags (form parity - derivation parity).  This module owns what a case
+means; its recipe fields follow from the two parities (recipe_fields):
+  evenB-evenD   x even, x* even; a quadratic form alpha and beta*
+  evenB-oddD    x odd, x* odd; a0
+  oddB-oddD     x even, e odd; alpha, a0 and the scalar m
+  oddB-evenD    x odd, e even; nothing beyond D
 """
 
 from __future__ import annotations
@@ -35,6 +36,31 @@ from .superalgebra import (
 )
 
 
+def recipe_fields(case: str) -> tuple[str, ...]:
+    """The recipe fields of a case: alpha when B and D have equal parity
+    (x is even), a0 when D is odd, m when both are odd, beta* when both are
+    even."""
+    b, d = case_parities(case)
+    has = {"alpha": b == d, "a0": d == 1, "m": b == d == 1, "beta_star": b == d == 0}
+    return tuple(f for f, yes in has.items() if yes)
+
+
+# The paper's label of each condition per case, "-" where the case has no
+# such condition: self-adjointness, B(D a, a) = 0 on the even part, the polar
+# of alpha, D^2 = ad_a0 and D(a0) = 0 (the extension hypotheses), then the
+# derivation, alpha and a0 transport (the adapted conditions).
+_CONDITIONS = "self_adjoint diagonal polar square a0 transport alpha_transport a0_transport"
+LABELS = {
+    case: dict(zip(_CONDITIONS.split(), row.split()))
+    for case, row in {
+        "evenB-evenD": "D1  D1   D3       -   -   Cd  Ca  -",
+        "evenB-oddD": "2D1 -    -        2D2 2D3 Cd  -   a0-transport",
+        "oddB-oddD": "3D1 3D1p 3D-polar 3D2 3D3 3Cd 3Ca 3Ce",
+        "oddB-evenD": "4D1 -    -        -   -   4Cd -   -",
+    }.items()
+}
+
+
 @dataclass(frozen=True)
 class ExtensionRecipe:
     case: str
@@ -45,23 +71,11 @@ class ExtensionRecipe:
     beta_star: int | None = None
 
     def normalized(self) -> "ExtensionRecipe":
-        """Fill in the case's defaults and drop inapplicable fields."""
-        case = self.case
-        kw = dict(alpha=None, a0=None, m=None, beta_star=None)
-        if case == "evenB-evenD":
-            kw["alpha"] = self.alpha
-            kw["beta_star"] = self.beta_star or 0
-        elif case == "evenB-oddD":
-            kw["a0"] = self.a0 or 0
-        elif case == "oddB-oddD":
-            kw["alpha"] = self.alpha
-            kw["a0"] = self.a0 or 0
-            kw["m"] = self.m or 0
-        elif case == "oddB-evenD":
-            pass
-        else:
-            raise CaseParityMismatch(f"unknown case {case!r}")
-        return replace(self, **kw)
+        """Fill in the case's defaults (0 but for alpha) and drop the fields
+        it does not have."""
+        has = recipe_fields(self.case)
+        kw = {f: (getattr(self, f) or 0) if f in has else None for f in ("a0", "m", "beta_star")}
+        return replace(self, alpha=self.alpha if "alpha" in has else None, **kw)
 
 
 @dataclass(frozen=True)
@@ -95,31 +109,25 @@ def check_conditions(
         raise ConditionViolated("Der", witness, "D is not a derivation")
 
     n = a.dim
-    self_adjoint_label = {
-        "evenB-evenD": "D1",
-        "evenB-oddD": "2D1",
-        "oddB-oddD": "3D1",
-        "oddB-evenD": "4D1",
-    }[case]
+    labels = LABELS[case]
     for i, row in enumerate(adjointness_defect(form, d.images, range(n)).rows):
         if row >> i:  # the first pair (i, j >= i) in row order
             j = next(bits(row >> i << i))
             raise ConditionViolated(
-                self_adjoint_label,
+                labels["self_adjoint"],
                 (i, j),
                 f"B(D {a.names[i]}, {a.names[j]}) != "
                 f"B({a.names[i]}, D {a.names[j]})",
             )
 
     if form_parity == der_parity:
-        diag_label = "D1" if case == "evenB-evenD" else "3D1p"
         for i in a.even_indices():
             if form.pair(d.images[i], 1 << i):
                 raise ConditionViolated(
-                    diag_label, (i, i), f"B(D {a.names[i]}, {a.names[i]}) = 1"
+                    labels["diagonal"], (i, i), f"B(D {a.names[i]}, {a.names[i]}) = 1"
                 )
         alpha = recipe.alpha
-        polar_label = "D3" if case == "evenB-evenD" else "3D-polar"
+        polar_label = labels["polar"]
         if alpha is None or alpha.n != len(a.odd_indices()):
             raise ConditionViolated(
                 polar_label, None, "quadratic form missing or of wrong size"
@@ -140,15 +148,14 @@ def check_conditions(
         a0 = recipe.a0 or 0
         if a0 & a.odd_mask:
             raise ConditionViolated("a0-parity", None, "a0 must be even")
-        lab2, lab3 = ("2D2", "2D3") if case == "evenB-oddD" else ("3D2", "3D3")
         dd = d.compose(d)
         for j in range(n):
             if dd.images[j] != bracket(a, a0, 1 << j):
                 raise ConditionViolated(
-                    lab2, (j,), f"D^2 != ad_a0 at {a.names[j]}"
+                    labels["square"], (j,), f"D^2 != ad_a0 at {a.names[j]}"
                 )
         if d.apply(a0) != 0:
-            raise ConditionViolated(lab3, None, "D(a0) != 0")
+            raise ConditionViolated(labels["a0"], None, "D(a0) != 0")
 
 
 def _unique_names(base: tuple[str, ...], wanted: list[str]) -> list[str]:
@@ -178,13 +185,12 @@ def extend(
     recipe = recipe.normalized()
     if not unchecked:
         check_conditions(a, form, recipe)
-    case = recipe.case
-    form_parity, der_parity = case_parities(case)
+    form_parity, der_parity = case_parities(recipe.case)
     d = recipe.derivation
     n = a.dim
     xi, si = n, n + 1
 
-    star_name = "xstar" if case.startswith("evenB") else "e"
+    star_name = "e" if form_parity else "xstar"
     names = tuple(a.names) + tuple(_unique_names(a.names, ["x", star_name]))
     parity = tuple(a.parity) + (form_parity ^ der_parity, der_parity)
 
@@ -212,16 +218,14 @@ def extend(
     for j in range(n):
         table[si][j] = d.images[j]
         table[j][si] = d.images[j]
-    if case == "evenB-oddD":
-        squaring[si] = recipe.a0
-    elif case == "oddB-oddD":
-        squaring[si] = recipe.a0 | ((recipe.m & 1) << xi)
-    # oddB-evenD: x odd with s(x) = 0; star is even
+    if der_parity:
+        squaring[si] = recipe.a0 | ((recipe.m or 0) & 1) << xi
+    # an even D: s(x) = 0 when x is odd, and the carrier is even
 
     gram_rows = [r for r in form.gram.rows]
     x_row = 1 << si
     star_row = 1 << xi
-    if case == "evenB-evenD" and recipe.beta_star:
+    if recipe.beta_star:
         star_row |= 1 << si
     gram_rows.append(x_row)
     gram_rows.append(star_row)
@@ -373,10 +377,8 @@ def reduce(
     sub_form = BilinearForm(form.matrix_on(a_basis, a_basis), form.parity)
     derivation = Derivation(tuple(d_images), der_parity)
 
-    alpha = None
-    a0 = None
-    m_val = None
-    beta_star = None
+    # every field the parities allow; normalized() drops the others
+    alpha = a0 = m_val = None
     if form_parity == der_parity:
         k = len(sub_odd)
         alpha = QuadraticForm(
@@ -387,10 +389,7 @@ def reduce(
     if der_parity == 1:
         c = project(square_element(g, xstar), "s(xstar)")
         a0 = c & amask
-        if case == "oddB-oddD":
-            m_val = 1 if c & x_bit else 0
-    if case == "evenB-evenD":
-        beta_star = form.pair(xstar, xstar)
+        m_val = c >> d & 1
 
     recipe = ExtensionRecipe(
         case,
@@ -398,7 +397,7 @@ def reduce(
         alpha=alpha,
         a0=a0,
         m=m_val,
-        beta_star=beta_star,
+        beta_star=form.pair(xstar, xstar),
     ).normalized()
     return ReductionResult(
         sub, sub_form, recipe, x, xstar, tuple(cols)

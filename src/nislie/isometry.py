@@ -39,7 +39,7 @@ from .errors import (
     SearchBudgetExceeded,
     UnderdeterminedMap,
 )
-from .extension import ExtensionRecipe, extend
+from .extension import LABELS, ExtensionRecipe, extend
 from .forms import (
     BilinearForm,
     QuadraticForm,
@@ -212,16 +212,12 @@ def build_adapted_isometry(
     pi_inv = pi.inverse()
 
     # derivation transport: pi0^{-1} D~ pi0 = D + ad_t
-    domain = _transport_domain(a, case)
-    label = {
-        "evenB-evenD": "Cd",
-        "evenB-oddD": "Cd",
-        "oddB-oddD": "3Cd",
-        "oddB-evenD": "4Cd",
-    }[case]
-    for j in domain:
+    labels = LABELS[case]
+    for j in _transport_domain(a, case):
         if pi_inv.apply(d_tgt.apply(pi.images[j])) != shifted.derivation.images[j]:
-            raise ConditionViolated(label, (j,), "derivation transport fails")
+            raise ConditionViolated(
+                labels["transport"], (j,), "derivation transport fails"
+            )
 
     if form_parity == t_parity:
         # alpha~ o pi0 against the shifted alpha: the first difference among
@@ -236,18 +232,14 @@ def build_adapted_isometry(
         ]
         if values or pairs:
             raise ConditionViolated(
-                "Ca" if case == "evenB-evenD" else "3Ca",
+                labels["alpha_transport"],
                 (a.odd_indices()[next(bits(values)) if values else pairs[0]],),
                 "quadratic-form transport fails",
             )
     if shifted.beta_star != recipe_tgt.beta_star:
         raise ConditionViolated("beta-star", None, "B(x*,x*) relation fails")
     if shifted.a0 is not None and pi.apply(shifted.a0) != recipe_tgt.a0:
-        raise ConditionViolated(
-            "a0-transport" if case == "evenB-oddD" else "3Ce",
-            None,
-            "a0 transport fails",
-        )
+        raise ConditionViolated(labels["a0_transport"], None, "a0 transport fails")
     if shifted.m != recipe_tgt.m:
         raise ConditionViolated("3Cf", None, "the scalar m transport fails")
 

@@ -26,6 +26,7 @@ from nislie.catalog import (
     hei_double_cocycles,
     hei_odd_recipe,
     named,
+    poisson,
     registry,
 )
 from nislie.derivations import (
@@ -418,20 +419,20 @@ def test_c09b_po05_adapted_negative(h105):
 
 def test_c09c_po05_phi_isomorphism():
     with criterion(
-        "9c", "po(0|5;0) extension matches the direct Poisson data under phi", 30
+        "9c", "po(0|5;m) extensions, m = 0, 1, match the Poisson data under phi", 30
     ):
-        m0 = named("po05-m0")
-        po = named("po-0-5")
-        images = [
-            1 << po.basis.index[m0.basis.monomials[i]]
-            for i in range(m0.algebra.dim - 2)
-        ]
-        images.append(1 << po.basis.find(""))
-        images.append(1 << po.basis.index[frozenset(range(5))])
-        ok, w = verify_isometry(
-            m0.algebra, m0.form, po.algebra, po.form, tuple(images)
-        )
-        assert ok, w
+        # m = 1 runs poisson's squaring of the top monomial
+        for m_param in (0, 1):
+            ext = named(f"po05-m{m_param}")
+            po, form, basis = poisson(5, m_param)
+            images = [
+                1 << basis.index[ext.basis.monomials[i]]
+                for i in range(ext.algebra.dim - 2)
+            ]
+            images.append(1 << basis.find(""))
+            images.append(1 << basis.index[frozenset(range(5))])
+            ok, w = verify_isometry(ext.algebra, ext.form, po, form, tuple(images))
+            assert ok, (m_param, w)
 
 
 ROUNDTRIP_ENTRIES = [

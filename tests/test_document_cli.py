@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nislie import catalog, superalgebra
+from nislie import catalog, cli, superalgebra
 from nislie.catalog import named
 from nislie.cli import build_parser, main
 from nislie.derivations import CASES
@@ -409,6 +409,42 @@ def test_cli_extend_rejects_incompatible(capsys):
     assert "4D1" in err
 
 
+# the flags of the recipe fields each case has (README, "The four extension
+# cases"), and a base and derivation that the case accepts
+CASE_FLAGS = {
+    "evenB-evenD": ({"--alpha", "--beta-star"}, "h1-0-4", "D7"),
+    "evenB-oddD": ({"--a0"}, "hei-double", "D6"),
+    "oddB-oddD": ({"--alpha", "--a0", "--m"}, "h1-0-5", "D6"),
+    "oddB-evenD": (set(), "h1-0-5", "D1"),
+}
+FLAG_VALUES = {"--alpha": "alpha7", "--a0": "0", "--m": "1", "--beta-star": "1"}
+
+
+@pytest.mark.parametrize(
+    "case,flag",
+    [(c, f) for c in CASES for f in FLAG_VALUES if f not in CASE_FLAGS[c][0]],
+)
+def test_cli_extend_refuses_a_flag_the_case_has_no_field_for(
+    case, flag, tmp_path, capsys
+):
+    _, base, d = CASE_FLAGS[case]
+    out = tmp_path / "ext.json"
+    argv = ["extend", base, "--case", case, "--derivation", d, "--out", str(out)]
+    assert main([*argv, flag, FLAG_VALUES[flag]]) == 2
+    assert capsys.readouterr().err == f"error: {flag} does not apply to case {case}\n"
+    assert not out.exists()
+    # without the flag the same call is no input error
+    assert main(argv) in (0, 1)
+
+
+def test_cli_reduce_has_no_case_option(tmp_path, capsys):
+    # the case of a reduction follows from the form and x; it is not chosen
+    with pytest.raises(SystemExit) as exc:
+        main(["reduce", "h104-D7ext", "--center-element", "x", "--case",
+              "evenB-evenD", "--out", str(tmp_path / "red.json")])
+    assert exc.value.code == 2
+
+
 def test_cli_isometry_modes(tmp_path, capsys):
     assert (
         main(
@@ -450,6 +486,23 @@ def test_cli_report_tables(capsys):
     assert main(["report", "--table", "h05"]) == 0
     out = capsys.readouterr().out
     assert "not-found-proved" in out
+
+
+def test_cli_report_h04_draws_no_conclusion_from_equal_dimensions(
+    monkeypatch, capsys
+):
+    # every row as expected, but all three out-dimensions equal
+    entries = {
+        name: dataclasses.replace(e, out_dim=1) for name, e in catalog.registry().items()
+    }
+    one = type("Outer", (), {"dim": 1})
+    zero = type("Outer", (), {"dim": 0})
+    monkeypatch.setattr(cli, "registry", lambda: entries)
+    monkeypatch.setattr(cli, "outer_derivations", lambda g: (one, zero))
+    assert main(["report", "--table", "h04"]) == 1
+    out = capsys.readouterr().out
+    assert "MISMATCH" not in out and "non-isomorphic" not in out
+    assert out.splitlines()[-1] == "out-dimensions coincide, so they do not separate the three"
 
 
 def test_cli_catalog_list(capsys):

@@ -13,11 +13,12 @@ from nislie.catalog import (
     purely_odd,
     purely_odd_recipe,
 )
-from nislie.derivations import Derivation
+from nislie.derivations import CASES, Derivation, case_of, case_parities
 from nislie.errors import ConditionViolated, HypothesisNotMet, SplitsOff
 from nislie.extension import (
     ExtensionRecipe,
     extend,
+    recipe_fields,
     reduce as ext_reduce,
     reduction_candidates,
 )
@@ -239,6 +240,34 @@ def test_extension_recipe_normalization():
     r = ExtensionRecipe("evenB-evenD", d, alpha=QuadraticForm.zero(0))
     n = r.normalized()
     assert n.beta_star == 0 and n.a0 is None and n.m is None
+
+
+# the fields of each case as README states them, with the parity of x
+CASE_RULE = {
+    "evenB-evenD": (0, {"alpha", "beta_star"}),
+    "evenB-oddD": (1, {"a0"}),
+    "oddB-oddD": (0, {"alpha", "a0", "m"}),
+    "oddB-evenD": (1, set()),
+}
+
+
+def test_the_case_rule_follows_the_parities_of_b_and_d():
+    assert set(CASE_RULE) == set(CASES)
+    alpha = QuadraticForm.zero(0)
+    for case, (x_parity, fields) in CASE_RULE.items():
+        form_parity, der_parity = case_parities(case)
+        assert form_parity ^ der_parity == x_parity
+        assert case_of(form_parity, x_parity) == case
+        assert set(recipe_fields(case)) == fields
+        full = ExtensionRecipe(
+            case, Derivation((), der_parity), alpha=alpha, a0=1, m=1, beta_star=1
+        ).normalized()
+        bare = ExtensionRecipe(case, Derivation((), der_parity)).normalized()
+        for f in ("alpha", "a0", "m", "beta_star"):
+            assert (getattr(full, f) is not None) == (f in fields), (case, f)
+            # the defaults: 0 for a0, m and beta*; alpha stays missing
+            want = 0 if f in fields and f != "alpha" else None
+            assert getattr(bare, f) == want, (case, f)
 
 
 def _odd_nis_abelian():

@@ -12,6 +12,7 @@ from nislie.catalog import (
     ba_double_cocycles,
     ba_odd_recipe,
     hei_double_cocycles,
+    hei_even_recipe,
     hei_odd_recipe,
     named,
 )
@@ -98,6 +99,8 @@ SWAPS = {
 
 
 def test_section54_orbit(h104):
+    # the form is even and B(x* + x, x* + x) = B(x*, x*), so each map found
+    # with nu = 0 verifies with nu = 1 too
     a, B, basis = h104.algebra, h104.form, h104.basis
     cc = h104_cocycles(a, basis)
     alphas = h104_alphas(a, basis)
@@ -106,11 +109,16 @@ def test_section54_orbit(h104):
         pi0 = substitution_map(a, basis, swaps)
         alpha_t = transport_quadratic(a, alphas["alpha2"], pi0)
         tgt = extend(a, B, ExtensionRecipe("evenB-evenD", cc[label], alpha=alpha_t))
-        pi = build_adapted_isometry(a, B, src.recipe, tgt.recipe, pi0, t=0, nu=0)
-        ok, w = verify_isometry(
-            src.algebra, src.form, tgt.algebra, tgt.form, pi.images
-        )
-        assert ok, (label, w)
+        maps = [
+            build_adapted_isometry(a, B, src.recipe, tgt.recipe, pi0, t=0, nu=nu)
+            for nu in (0, 1)
+        ]
+        assert maps[0].images[-1] ^ maps[1].images[-1] == 1 << a.dim
+        for pi in maps:
+            ok, w = verify_isometry(
+                src.algebra, src.form, tgt.algebra, tgt.form, pi.images
+            )
+            assert ok, (label, w)
 
 
 def test_h105_substitution_orbit(h105):
@@ -301,6 +309,20 @@ def test_adapted_conditions_fail_loudly(hei_double):
         build_adapted_isometry(
             g, b, rec_src, rec_tgt, tuple(1 << i for i in range(g.dim)), t=0
         )
+
+
+def test_recipes_of_different_cases_are_refused(hei_double):
+    # the even-D and odd-D recipes on hei-double extend along x of
+    # different parities, so no adapted map joins them
+    g, b = hei_double.algebra, hei_double.form
+    even, odd = hei_even_recipe(g), hei_odd_recipe(g)
+    ident = tuple(1 << i for i in range(g.dim))
+    for src, tgt in ((even, odd), (odd, even)):
+        with pytest.raises(ConditionViolated) as exc:
+            build_adapted_isometry(g, b, src, tgt, ident)
+        assert (exc.value.condition, exc.value.witness) == ("case", None)
+        dec = adapted_isometry_decision(g, b, src, tgt)
+        assert (dec.status, dec.reason) == ("not-found-proved", "extension cases differ")
 
 
 def test_semi_triviality(hei_double, ba_double):
