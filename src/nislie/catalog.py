@@ -167,47 +167,53 @@ def monomial_basis(m: int, include_constant: bool) -> MonomialBasis:
     )
 
 
-def _product(s1: frozenset, s2: frozenset) -> frozenset | None:
-    if s1 & s2:
-        return None
-    return s1 | s2
+def _mask(s: frozenset) -> int:
+    return sum(1 << v for v in s)
 
 
-def _mono_bracket(basis: MonomialBasis, s1: frozenset, s2: frozenset) -> dict:
-    """Poisson bracket of two monomials as {monomial: coefficient}."""
-    acc: dict = {}
-
-    def add(term: frozenset | None):
-        if term is None:
-            return
-        acc[term] = acc.get(term, 0) ^ 1
-
-    for a, b in basis.conj_pairs:
-        if a in s1 and b in s2:
-            add(_product(s1 - {a}, s2 - {b}))
-        if b in s1 and a in s2:
-            add(_product(s1 - {b}, s2 - {a}))
-    t = basis.theta
-    if t is not None and t in s1 and t in s2:
-        add(_product(s1 - {t}, s2 - {t}))
-    return {s: c for s, c in acc.items() if c}
+def _poisson_terms(basis: MonomialBasis, a_mask: int):
+    """(B, T) for each term T of the Poisson bracket {A, B}, monomials as
+    variable masks: per direction (a, b), a conjugate pair either way round
+    or (theta, theta), with a in A, B runs over B' | b for the submasks B' of
+    the variables outside (A - a) | {b}, and T = (A - a) | B'.  The
+    coefficient of T in {A, B} is the number of times (B, T) comes, mod 2."""
+    full = (1 << basis.m) - 1
+    directions = [d for a, b in basis.conj_pairs for d in ((a, b), (b, a))]
+    if basis.theta is not None:
+        directions.append((basis.theta, basis.theta))
+    for a, b in directions:
+        if not a_mask >> a & 1:
+            continue
+        rest = a_mask ^ 1 << a
+        free = full & ~(rest | 1 << b)
+        sub = free
+        while True:
+            yield sub | 1 << b, rest | sub
+            if not sub:
+                break
+            sub = (sub - 1) & free
 
 
 def _monomial_algebra(
-    basis: MonomialBasis, drop_constants: bool, squaring_top: int = 0
+    basis: MonomialBasis, squaring_top: int = 0
 ) -> SuperAlgebra:
+    """The Poisson bracket on the monomials of the basis, built from its
+    nonzero terms; a term outside the basis (the constant, when dropped)
+    is left out."""
     monos = basis.monomials
     n = len(monos)
+    # position and unit vector by variable mask; B holds b, so it is never
+    # the constant, and a dropped constant T has the zero vector
+    pos = [0] * (1 << basis.m)
+    unit = [0] * (1 << basis.m)
+    for i, s in enumerate(monos):
+        pos[_mask(s)], unit[_mask(s)] = i, 1 << i
     table = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            val = 0
-            for s, _ in _mono_bracket(basis, monos[i], monos[j]).items():
-                if drop_constants and not s:
-                    continue
-                val |= 1 << basis.index[s]
-            table[i][j] = val
-            table[j][i] = val
+    for i, s in enumerate(monos):
+        row = table[i]
+        for b_mask, t_mask in _poisson_terms(basis, _mask(s)):
+            row[pos[b_mask]] ^= unit[t_mask]
+        row[i] = 0  # the table is alternating; squares live in squaring
     squaring = [0] * n
     if squaring_top and frozenset(range(basis.m)) in basis.index:
         squaring[basis.index[frozenset(range(basis.m))]] = 1 << basis.index[
@@ -245,7 +251,7 @@ def hamiltonian(m: int, derived: bool = True):
     if not 2 <= m <= 8:
         raise OutOfRange("hamiltonian(m) supported for 2 <= m <= 8")
     basis = monomial_basis(m, include_constant=False)
-    g = _monomial_algebra(basis, drop_constants=True)
+    g = _monomial_algebra(basis)
     if derived:
         sub = derived_subalgebra(g, 1)
         if any(v.bit_count() != 1 for v in sub):
@@ -276,7 +282,7 @@ def poisson(m: int, m_param: int = 0):
     if m_param and m % 2 == 0:
         raise OutOfRange("the squaring parameter needs odd m")
     basis = monomial_basis(m, include_constant=True)
-    g = _monomial_algebra(basis, drop_constants=False, squaring_top=m_param)
+    g = _monomial_algebra(basis, squaring_top=m_param)
     return g, _complement_form(basis, g), basis
 
 
@@ -462,14 +468,11 @@ def h105_cocycles(g: SuperAlgebra, basis: MonomialBasis) -> dict[str, Derivation
         return Derivation(tuple(images), 0)
 
     def top_bracket() -> Derivation:
-        full = frozenset(range(basis.m))
+        index = {_mask(s): i for i, s in enumerate(basis.monomials)}
         images = [0] * g.dim
-        for i, s in enumerate(basis.monomials):
-            val = 0
-            for t, c in _mono_bracket(basis, full, s).items():
-                if c and t in basis.index:
-                    val ^= 1 << basis.index[t]
-            images[i] = val
+        for b_mask, t_mask in _poisson_terms(basis, (1 << basis.m) - 1):
+            if b_mask in index and t_mask in index:
+                images[index[b_mask]] ^= 1 << index[t_mask]
         return Derivation(tuple(images), 1)
 
     return {

@@ -38,8 +38,8 @@ from .document import (
     quadratic_from_data,
     recipe_to_meta,
 )
-from .errors import ConditionViolated, InnerNotDerivation, NisLieError, UnknownName
-from .extension import ExtensionRecipe, extend, recipe_fields, reduce as ext_reduce
+from .errors import ConditionViolated, FieldNotInCase, InnerNotDerivation, NisLieError, UnknownName
+from .extension import ExtensionRecipe, extend, reduce as ext_reduce, refuse_foreign_fields
 from .forms import QuadraticForm, check_nis
 from .gf2 import bits
 from .isometry import (
@@ -280,10 +280,13 @@ def cmd_outer(args) -> int:
 
 
 def cmd_extend(args) -> int:
-    for field in ("alpha", "a0", "m", "beta_star"):
-        if getattr(args, field) is not None and field not in recipe_fields(args.case):
-            flag = "--" + field.replace("_", "-")
-            raise CliError(2, f"{flag} does not apply to case {args.case}")
+    try:
+        refuse_foreign_fields(
+            args.case, alpha=args.alpha, a0=args.a0, m=args.m, beta_star=args.beta_star
+        )
+    except FieldNotInCase as exc:
+        flag = "--" + exc.field.replace("_", "-")
+        raise CliError(2, f"{flag} does not apply to case {exc.case}")
     doc, obj = _load_target(args.target)
     if doc.form is None:
         raise CliError(2, "extension needs an input with a bilinear form")

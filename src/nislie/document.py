@@ -43,38 +43,6 @@ def _sparse_matrix(m: GF2Matrix, symmetric: bool) -> list[list[int]]:
     return sorted(out)
 
 
-def to_dict(doc: AlgebraDocument) -> dict:
-    g = doc.algebra
-    n = g.dim
-    brackets = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in bits(g.bracket_table[i][j]):
-                brackets.append([i, j, k])
-    squaring = []
-    for i in range(n):
-        for k in bits(g.squaring[i]):
-            squaring.append([i, k])
-    data: dict[str, Any] = {
-        "format_version": FORMAT_VERSION,
-        "basis": [
-            {"name": g.names[i], "parity": g.parity[i]} for i in range(n)
-        ],
-        "bracket": sorted(brackets),
-        "squaring": sorted(squaring),
-    }
-    if g.degrees is not None:
-        data["degrees"] = list(g.degrees)
-    if doc.form is not None:
-        data["form"] = {
-            "parity": doc.form.parity,
-            "gram": _sparse_matrix(doc.form.gram, symmetric=True),
-        }
-    if doc.metadata:
-        data["metadata"] = doc.metadata
-    return data
-
-
 def _index(i, n: int, what: str = "basis index") -> int:
     """i when it is an integer in 0..n-1; JSON true, 1.0 and "1" are not."""
     if type(i) is not int or not 0 <= i < n:
@@ -150,8 +118,54 @@ def from_dict(data: dict) -> AlgebraDocument:
     return AlgebraDocument(g, form, meta)
 
 
+def _array(items: list[str], depth: int) -> str:
+    """A JSON array in the layout of json.dumps(indent=1) at indentation
+    depth, from its items already laid out one level deeper."""
+    if not items:
+        return "[]"
+    pad = " " * (depth + 1)
+    return f"[\n{pad}" + f",\n{pad}".join(items) + f"\n{' ' * depth}]"
+
+
+def _int_lists(lists, width: int, depth: int) -> str:
+    """_array of tuples of width integers, one integer a line."""
+    pad = " " * (depth + 2)
+    item = "[\n" + ",\n".join([pad + "%d"] * width) + f"\n{' ' * (depth + 1)}]"
+    return _array(list(map(item.__mod__, lists)), depth)
+
+
 def dumps(doc: AlgebraDocument) -> str:
-    return json.dumps(to_dict(doc), indent=1, sort_keys=True) + "\n"
+    """The canonical text, byte for byte json.dumps(value, indent=1,
+    sort_keys=True) + "\\n" of the document's JSON value, written straight
+    from the structure; json encodes only the names and the metadata."""
+    g = doc.algebra
+    brackets = [
+        (i, j, k)
+        for i, row in enumerate(g.bracket_table)
+        for j, v in enumerate(row[i + 1 :], i + 1)
+        if v
+        for k in bits(v)
+    ]
+    squaring = [(i, k) for i, v in enumerate(g.squaring) for k in bits(v)]
+    basis = [
+        f'{{\n   "name": {json.dumps(name)},\n   "parity": {p}\n  }}'
+        for name, p in zip(g.names, g.parity)
+    ]
+    fields = [("basis", _array(basis, 1)), ("bracket", _int_lists(brackets, 3, 1))]
+    if g.degrees is not None:
+        fields.append(("degrees", _array(list(map(str, g.degrees)), 1)))
+    if doc.form is not None:
+        rows = doc.form.gram.rows
+        gram = _int_lists([(i, j) for i, r in enumerate(rows) for j in bits(r >> i << i)], 2, 2)
+        fields.append(
+            ("form", f'{{\n  "gram": {gram},\n  "parity": {doc.form.parity}\n }}')
+        )
+    fields.append(("format_version", str(FORMAT_VERSION)))
+    if doc.metadata:
+        meta = json.dumps(doc.metadata, indent=1, sort_keys=True)
+        fields.append(("metadata", meta.replace("\n", "\n ")))
+    fields.append(("squaring", _int_lists(squaring, 2, 1)))
+    return "{\n" + ",\n".join(f' "{key}": {text}' for key, text in fields) + "\n}\n"
 
 
 def loads(text: str) -> AlgebraDocument:

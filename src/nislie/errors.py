@@ -27,6 +27,15 @@ class CaseParityMismatch(NisLieError):
     """Extension-case tag does not match the parities of B or D."""
 
 
+class FieldNotInCase(NisLieError):
+    """A recipe sets a field that its extension case does not have."""
+
+    def __init__(self, field: str, case: str):
+        self.field = field
+        self.case = case
+        super().__init__(f"recipe field {field} does not apply to case {case}")
+
+
 class ConditionViolated(NisLieError):
     """An extension hypothesis fails; carries the condition label."""
 

@@ -22,6 +22,7 @@ from .errors import (
     CaseParityMismatch,
     ConditionViolated,
     DimensionMismatch,
+    FieldNotInCase,
     HypothesisNotMet,
     SplitsOff,
 )
@@ -43,6 +44,15 @@ def recipe_fields(case: str) -> tuple[str, ...]:
     b, d = case_parities(case)
     has = {"alpha": b == d, "a0": d == 1, "m": b == d == 1, "beta_star": b == d == 0}
     return tuple(f for f, yes in has.items() if yes)
+
+
+def refuse_foreign_fields(case: str, **values) -> None:
+    """Raise FieldNotInCase for the first field given a value (not None)
+    that recipe_fields(case) does not list."""
+    has = recipe_fields(case)
+    for field, value in values.items():
+        if value is not None and field not in has:
+            raise FieldNotInCase(field, case)
 
 
 # The paper's label of each condition per case, "-" where the case has no
@@ -181,7 +191,15 @@ def extend(
 
     unchecked=True skips the hypothesis checks and materializes the literal
     structure; the result need not satisfy the superalgebra axioms then.
+    A recipe field the case does not have is refused either way.
     """
+    refuse_foreign_fields(
+        recipe.case,
+        alpha=recipe.alpha,
+        a0=recipe.a0,
+        m=recipe.m,
+        beta_star=recipe.beta_star,
+    )
     recipe = recipe.normalized()
     if not unchecked:
         check_conditions(a, form, recipe)

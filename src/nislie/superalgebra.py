@@ -61,7 +61,7 @@ from operator import add, and_, mul, or_, sub, xor
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, NotOdd
-from .gf2 import GF2Matrix, SpanBasis, bits, combine, dependencies, dot, restrict, span_basis
+from .gf2 import GF2Matrix, SpanBasis, bits, combine, dependencies, dot, span_basis
 
 
 @dataclass(frozen=True)
@@ -726,17 +726,30 @@ def squares_span(g: SuperAlgebra, odd: Sequence[int] | None = None) -> list[int]
 def derived_subalgebra(g: SuperAlgebra, step: int = 1) -> list[int]:
     """Basis of the step-th derived algebra g^(step): g^(k+1) is spanned by
     [g^(k), g^(k)] and the squares of the odd part of g^(k), which
-    squares_span gives with the brackets of its odd pairs."""
+    squares_span gives with the brackets of its odd pairs.
+
+    Each step collects its distinct products before one span_basis.  On
+    basis vectors they are read straight from the table: s(e_i) for odd
+    i, [e_i, e_j] for odd i < j, and [e_i, e_j] for even i with j an even
+    index above i or any odd index."""
     if step < 0:
         raise ValueError("step must be >= 0")
     current = [1 << i for i in range(g.dim)]
     for _ in range(step):
-        ev, od = parity_split(g, current)
-        nxt = SpanBasis(squares_span(g, od))
-        for a, u in enumerate(ev):
-            for v in ev[a + 1 :] + od:
-                nxt.add(bracket(g, u, v))
-        current = nxt.vectors()
+        if all(v & (v - 1) == 0 for v in current):
+            table = g.bracket_table
+            e, o = ([v.bit_length() - 1 for v in current if v & mask]
+                    for mask in (g.even_mask, g.odd_mask))
+            values = {g.squaring[i] for i in o}
+            for a, i in enumerate(o):
+                values.update(map(table[i].__getitem__, o[a + 1 :]))
+            for a, i in enumerate(e):
+                values.update(map(table[i].__getitem__, e[a + 1 :] + o))
+        else:
+            ev, od = parity_split(g, current)
+            values = set(squares_span(g, od))
+            values.update(bracket(g, u, v) for a, u in enumerate(ev) for v in ev[a + 1 :] + od)
+        current = span_basis(values)
     return current
 
 
@@ -873,25 +886,29 @@ def _generating_sequence(g: SuperAlgebra) -> list[int]:
 def restrict_to_coordinates(
     g: SuperAlgebra, indices: Sequence[int]
 ) -> SuperAlgebra:
-    """Substructure on a subset of basis vectors (must be closed)."""
+    """Substructure on a subset of basis vectors (must be closed), in the
+    order given; a repeated or out-of-range index is refused."""
+    n = g.dim
+    # restriction is linear: e_i goes to e_pos for indices[pos] = i
+    restricted = [0] * n
+    for pos, i in enumerate(indices):
+        if not 0 <= i < n:
+            raise ValueError(f"index {i!r} outside 0..{n - 1}")
+        if restricted[i]:
+            raise ValueError(f"index {i} given twice")
+        restricted[i] = 1 << pos
     inside = sum(1 << i for i in indices)
-    # restriction is linear: restrict the basis once, then combine
-    restricted = [restrict(1 << i, indices) for i in range(g.dim)]
-
-    def compress(v: int) -> int:
-        if v & ~inside:
-            raise ValueError("subset is not closed under the structure")
-        return combine(restricted, v)
-
-    table = tuple(
-        tuple(compress(g.bracket_table[i][j]) for j in indices)
-        for i in indices
-    )
+    rows = [list(map(g.bracket_table[i].__getitem__, indices)) for i in indices]
+    squaring = [g.squaring[i] for i in indices]
+    values = set(squaring).union(*rows)
+    if any(v & ~inside for v in values):
+        raise ValueError("subset is not closed under the structure")
+    image = {v: combine(restricted, v) for v in values}.__getitem__
     return SuperAlgebra(
         names=tuple(g.names[i] for i in indices),
         parity=tuple(g.parity[i] for i in indices),
-        bracket_table=table,
-        squaring=tuple(compress(g.squaring[i]) for i in indices),
+        bracket_table=tuple(tuple(map(image, row)) for row in rows),
+        squaring=tuple(map(image, squaring)),
         degrees=None
         if g.degrees is None
         else tuple(g.degrees[i] for i in indices),

@@ -15,7 +15,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from nislie.derivations import _inner_vectors, case_parities, is_derivation
+from nislie.catalog import MonomialBasis, _complement_form, monomial_basis
+from nislie.derivations import Derivation, _inner_vectors, case_parities, is_derivation
 from nislie.errors import CaseParityMismatch, ConditionViolated, SearchBudgetExceeded
 from nislie.forms import BilinearForm, NISReport, QuadraticForm
 from nislie.gf2 import GF2Matrix, SpanBasis, bits, combine, dot, restrict, solve_affine
@@ -33,7 +34,9 @@ from nislie.superalgebra import (
     SuperAlgebra,
     ValidationReport,
     bracket,
+    parity_split,
     square_element,
+    squares_span,
     structurally_sound,
 )
 
@@ -1141,3 +1144,186 @@ def reference_fine_grading(g: SuperAlgebra) -> tuple[tuple[int, ...], ...]:
     """SuperAlgebra.fine_degrees by elimination on the relation matrix
     (reference_fine_basis), in the canonical form of canonical_grading."""
     return canonical_grading(reference_fine_basis(g), g.dim)
+
+
+# ---------------------------------------------------------------------------
+# The Hamiltonian family pair by pair, and the document writer via json
+# ---------------------------------------------------------------------------
+
+
+def _product(s1: frozenset, s2: frozenset) -> frozenset | None:
+    if s1 & s2:
+        return None
+    return s1 | s2
+
+
+def reference_mono_bracket(basis: MonomialBasis, s1: frozenset, s2: frozenset) -> dict:
+    """Poisson bracket of two monomials as {monomial: coefficient}."""
+    acc: dict = {}
+
+    def add(term: frozenset | None):
+        if term is None:
+            return
+        acc[term] = acc.get(term, 0) ^ 1
+
+    for a, b in basis.conj_pairs:
+        if a in s1 and b in s2:
+            add(_product(s1 - {a}, s2 - {b}))
+        if b in s1 and a in s2:
+            add(_product(s1 - {b}, s2 - {a}))
+    t = basis.theta
+    if t is not None and t in s1 and t in s2:
+        add(_product(s1 - {t}, s2 - {t}))
+    return {s: c for s, c in acc.items() if c}
+
+
+def reference_monomial_algebra(
+    basis: MonomialBasis, drop_constants: bool, squaring_top: int = 0
+) -> SuperAlgebra:
+    """catalog._monomial_algebra, one frozenset bracket per pair i < j."""
+    monos = basis.monomials
+    n = len(monos)
+    table = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            val = 0
+            for s, _ in reference_mono_bracket(basis, monos[i], monos[j]).items():
+                if drop_constants and not s:
+                    continue
+                val |= 1 << basis.index[s]
+            table[i][j] = val
+            table[j][i] = val
+    squaring = [0] * n
+    if squaring_top and frozenset(range(basis.m)) in basis.index:
+        squaring[basis.index[frozenset(range(basis.m))]] = 1 << basis.index[
+            frozenset()
+        ]
+    return SuperAlgebra(
+        names=tuple(basis.name(s) for s in monos),
+        parity=tuple(len(s) & 1 for s in monos),
+        bracket_table=tuple(tuple(r) for r in table),
+        squaring=tuple(squaring),
+        degrees=tuple(len(s) for s in monos),
+    )
+
+
+def reference_derived_subalgebra(g: SuperAlgebra, step: int = 1) -> list[int]:
+    """derived_subalgebra with one bracket() call per pair, each value
+    inserted into the span as it comes."""
+    current = [1 << i for i in range(g.dim)]
+    for _ in range(step):
+        ev, od = parity_split(g, current)
+        nxt = SpanBasis(squares_span(g, od))
+        for a, u in enumerate(ev):
+            for v in ev[a + 1 :] + od:
+                nxt.add(bracket(g, u, v))
+        current = nxt.vectors()
+    return current
+
+
+def reference_restrict_to_coordinates(g: SuperAlgebra, indices) -> SuperAlgebra:
+    """restrict_to_coordinates by one combine per table entry."""
+    inside = sum(1 << i for i in indices)
+    restricted = [restrict(1 << i, indices) for i in range(g.dim)]
+
+    def compress(v: int) -> int:
+        if v & ~inside:
+            raise ValueError("subset is not closed under the structure")
+        return combine(restricted, v)
+
+    table = tuple(
+        tuple(compress(g.bracket_table[i][j]) for j in indices)
+        for i in indices
+    )
+    return SuperAlgebra(
+        names=tuple(g.names[i] for i in indices),
+        parity=tuple(g.parity[i] for i in indices),
+        bracket_table=table,
+        squaring=tuple(compress(g.squaring[i]) for i in indices),
+        degrees=None
+        if g.degrees is None
+        else tuple(g.degrees[i] for i in indices),
+    )
+
+
+def reference_hamiltonian(m: int, derived: bool = True):
+    """catalog.hamiltonian from the three references above."""
+    basis = monomial_basis(m, include_constant=False)
+    g = reference_monomial_algebra(basis, drop_constants=True)
+    if derived:
+        sub = reference_derived_subalgebra(g, 1)
+        assert all(v.bit_count() == 1 for v in sub)
+        indices = sorted(v.bit_length() - 1 for v in sub)
+        g = reference_restrict_to_coordinates(g, indices)
+        kept = [basis.monomials[i] for i in indices]
+        basis = MonomialBasis(
+            m=basis.m,
+            var_names=basis.var_names,
+            monomials=tuple(kept),
+            index={s: i for i, s in enumerate(kept)},
+            conj_pairs=basis.conj_pairs,
+            theta=basis.theta,
+        )
+    return g, _complement_form(basis, g), basis
+
+
+def reference_poisson(m: int, m_param: int = 0):
+    """catalog.poisson from reference_monomial_algebra."""
+    basis = monomial_basis(m, include_constant=True)
+    g = reference_monomial_algebra(basis, drop_constants=False, squaring_top=m_param)
+    return g, _complement_form(basis, g), basis
+
+
+def reference_top_bracket(g: SuperAlgebra, basis: MonomialBasis) -> Derivation:
+    """Bracketing with the top monomial, kept to the basis: h105 D6."""
+    full = frozenset(range(basis.m))
+    images = [0] * g.dim
+    for i, s in enumerate(basis.monomials):
+        for t, c in reference_mono_bracket(basis, full, s).items():
+            if c and t in basis.index:
+                images[i] ^= 1 << basis.index[t]
+    return Derivation(tuple(images), 1)
+
+
+def _sparse_matrix(m: GF2Matrix, symmetric: bool) -> list[list[int]]:
+    out = []
+    for i, row in enumerate(m.rows):
+        for j in bits(row):
+            if symmetric and j < i:
+                continue
+            out.append([i, j])
+    return sorted(out)
+
+
+def to_dict(doc) -> dict:
+    """The canonical document as a JSON value: document.dumps writes
+    json.dumps(to_dict(doc), indent=1, sort_keys=True) + "\\n"."""
+    g = doc.algebra
+    n = g.dim
+    brackets = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in bits(g.bracket_table[i][j]):
+                brackets.append([i, j, k])
+    squaring = []
+    for i in range(n):
+        for k in bits(g.squaring[i]):
+            squaring.append([i, k])
+    data = {
+        "format_version": 1,
+        "basis": [
+            {"name": g.names[i], "parity": g.parity[i]} for i in range(n)
+        ],
+        "bracket": sorted(brackets),
+        "squaring": sorted(squaring),
+    }
+    if g.degrees is not None:
+        data["degrees"] = list(g.degrees)
+    if doc.form is not None:
+        data["form"] = {
+            "parity": doc.form.parity,
+            "gram": _sparse_matrix(doc.form.gram, symmetric=True),
+        }
+    if doc.metadata:
+        data["metadata"] = doc.metadata
+    return data

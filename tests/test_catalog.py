@@ -2,6 +2,7 @@ import pytest
 
 from nislie.catalog import (
     ba_1,
+    cocycles_for,
     entry_names,
     gl,
     hamiltonian,
@@ -15,6 +16,28 @@ from nislie.derivations import outer_derivations
 from nislie.errors import OutOfRange, UnknownName
 from nislie.forms import check_nis
 from nislie.superalgebra import bracket, validate
+from oracles import reference_hamiltonian, reference_poisson, reference_top_bracket
+
+
+def _built(triple):
+    g, form, basis = triple
+    return g, form.gram.rows, form.parity, basis.monomials, basis.index
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_monomial_builders_match_the_pairwise_references(m):
+    """hamiltonian (derived or not) and poisson (every squaring parameter)
+    from the bracket terms give the pairwise builders' algebra, form and
+    basis bit for bit."""
+    for derived in (True, False):
+        assert _built(hamiltonian(m, derived)) == _built(reference_hamiltonian(m, derived))
+    for m_param in (0, 1) if m % 2 else (0,):
+        assert _built(poisson(m, m_param)) == _built(reference_poisson(m, m_param))
+
+
+def test_h105_top_bracket_matches_the_pairwise_reference():
+    obj, cocycles, _ = cocycles_for("h1-0-5")
+    assert cocycles["D6"] == reference_top_bracket(obj.algebra, obj.basis)
 
 
 def test_all_valid_entries_pass_axioms_and_nis():

@@ -29,7 +29,10 @@ from nislie.document import (
     save,
 )
 from nislie.extension import ExtensionRecipe
-from oracles import relabel
+from nislie.forms import BilinearForm
+from nislie.gf2 import GF2Matrix
+from nislie.superalgebra import SuperAlgebra
+from oracles import relabel, to_dict
 
 
 def test_document_roundtrip_bit_identical():
@@ -214,6 +217,50 @@ def mutated_documents(draw):
     return json.dumps(mutate(draw, data))
 
 
+NAMES = st.text(st.characters() | st.sampled_from('"\\/\n\u00e9\u2028\U0001d11e'), max_size=4)
+
+
+@st.composite
+def documents(draw):
+    """Small documents: names with quotes, backslashes and non-ASCII,
+    empty or full bracket and squaring lists, with and without degrees
+    or a form, and nested metadata."""
+    n = draw(st.integers(1, 5))
+    names = draw(st.lists(NAMES, min_size=n, max_size=n, unique=True))
+    values = st.integers(0, 2**n - 1) if draw(st.booleans()) else st.just(0)
+    table = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            table[i][j] = table[j][i] = draw(values)
+    g = SuperAlgebra(
+        names=tuple(names),
+        parity=tuple(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))),
+        bracket_table=tuple(map(tuple, table)),
+        squaring=tuple(draw(st.lists(values, min_size=n, max_size=n))),
+        degrees=draw(st.none() | st.tuples(*[st.integers(-3, 9)] * n)),
+    )
+    form = None
+    if draw(st.booleans()):
+        rows = draw(st.lists(st.integers(0, 2**n - 1), min_size=n, max_size=n))
+        form = BilinearForm(GF2Matrix(rows, n), draw(st.integers(0, 1)))
+    metadata = draw(st.dictionaries(st.text(max_size=3), JSON_VALUES, max_size=3))
+    return AlgebraDocument(g, form, metadata)
+
+
+@given(documents())
+@settings(max_examples=100, deadline=None)
+def test_dumps_writes_the_json_layout_byte_for_byte(doc):
+    assert dumps(doc) == json.dumps(to_dict(doc), indent=1, sort_keys=True) + "\n"
+
+
+def test_dumps_writes_every_catalog_document_as_json_does():
+    for name in catalog.entry_names():
+        obj = named(name)
+        for form in (obj.form, None):
+            doc = AlgebraDocument(obj.algebra, form, {"catalog": {"name": name}})
+            assert dumps(doc) == json.dumps(to_dict(doc), indent=1, sort_keys=True) + "\n"
+
+
 def exit_code_and_stderr(argv):
     """The exit code of `nislie argv` and what it wrote to stderr."""
     err = io.StringIO()
@@ -250,7 +297,7 @@ def test_cli_validate_exit_codes(tmp_path):
 
 def test_cli_validate_corrupted_document(tmp_path, capsys):
     obj = named("hei-double")
-    from nislie.document import save, to_dict
+    from nislie.document import save
 
     doc = AlgebraDocument(obj.algebra, obj.form, {})
     data = to_dict(doc)

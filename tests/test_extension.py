@@ -1,7 +1,10 @@
+import dataclasses
+
 import pytest
 
 from nislie.catalog import (
     ba_even_recipe,
+    cocycles_for,
     ba_odd_recipe,
     h104_alphas,
     h104_cocycles,
@@ -14,7 +17,7 @@ from nislie.catalog import (
     purely_odd_recipe,
 )
 from nislie.derivations import CASES, Derivation, case_of, case_parities
-from nislie.errors import ConditionViolated, HypothesisNotMet, SplitsOff
+from nislie.errors import ConditionViolated, FieldNotInCase, HypothesisNotMet, SplitsOff
 from nislie.extension import (
     ExtensionRecipe,
     extend,
@@ -25,6 +28,39 @@ from nislie.extension import (
 from nislie.forms import BilinearForm, QuadraticForm, check_nis
 from nislie.gf2 import GF2Matrix, span_basis
 from nislie.superalgebra import SuperAlgebra, bracket, square_element, validate
+
+
+def case_recipes():
+    """A catalog base with a recipe of each case."""
+    hei, hei_cocycles, _ = cocycles_for("hei-double")
+    h105, h105_cocycles, h105_alphas = cocycles_for("h1-0-5")
+    return {
+        "evenB-evenD": (hei, hei_even_recipe(hei.algebra)),
+        "evenB-oddD": (hei, hei_odd_recipe(hei.algebra)),
+        "oddB-oddD": (
+            h105,
+            ExtensionRecipe(
+                "oddB-oddD", h105_cocycles["D6"], alpha=h105_alphas["alpha6"], a0=0, m=1
+            ),
+        ),
+        "oddB-evenD": (h105, ExtensionRecipe("oddB-evenD", h105_cocycles["D1"])),
+    }
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_extend_refuses_a_field_the_case_does_not_have(case):
+    obj, recipe = case_recipes()[case]
+    assert recipe.case == case
+    values = {"alpha": QuadraticForm.zero(0), "a0": 0, "m": 1, "beta_star": 0}
+    foreign = [f for f in values if f not in recipe_fields(case)]
+    assert foreign
+    for field in foreign:
+        bad = dataclasses.replace(recipe, **{field: values[field]})
+        with pytest.raises(FieldNotInCase, match=f"{field} does not apply to case {case}") as exc:
+            extend(obj.algebra, obj.form, bad, unchecked=True)
+        assert (exc.value.field, exc.value.case) == (field, case)
+    # the recipe itself builds; oddB-oddD on h'(0|5) is the literal po(0|5;m) data
+    extend(obj.algebra, obj.form, recipe, unchecked=case == "oddB-oddD")
 
 EXED_ENTRIES = [
     "purely-odd-ext",
