@@ -28,11 +28,7 @@ from .errors import OutOfRange, UnknownName
 from .extension import ExtensionRecipe, ExtensionResult, extend
 from .forms import BilinearForm, QuadraticForm
 from .gf2 import GF2Matrix, restrict
-from .superalgebra import (
-    SuperAlgebra,
-    derived_subalgebra,
-    restrict_to_coordinates,
-)
+from .superalgebra import SuperAlgebra
 
 
 def _algebra(names, parity, brackets):
@@ -139,7 +135,9 @@ class MonomialBasis:
         return self.index[s]
 
 
-def monomial_basis(m: int, include_constant: bool) -> MonomialBasis:
+def monomial_basis(
+    m: int, include_constant: bool, include_top: bool = True
+) -> MonomialBasis:
     if not 1 <= m <= 12:
         raise OutOfRange("monomial algebras supported for 1 <= m <= 12")
     k = m // 2
@@ -153,7 +151,7 @@ def monomial_basis(m: int, include_constant: bool) -> MonomialBasis:
 
     monos = []
     lo = 0 if include_constant else 1
-    for d in range(lo, m + 1):
+    for d in range(lo, m + 1 if include_top else m):
         for combo in combinations(range(m), d):
             monos.append(frozenset(combo))
     index = {s: i for i, s in enumerate(monos)}
@@ -198,22 +196,23 @@ def _monomial_algebra(
     basis: MonomialBasis, squaring_top: int = 0
 ) -> SuperAlgebra:
     """The Poisson bracket on the monomials of the basis, built from its
-    nonzero terms; a term outside the basis (the constant, when dropped)
-    is left out."""
+    nonzero terms; a term T or a B outside the basis (the constant or the
+    top monomial, when dropped) is left out."""
     monos = basis.monomials
     n = len(monos)
-    # position and unit vector by variable mask; B holds b, so it is never
-    # the constant, and a dropped constant T has the zero vector
-    pos = [0] * (1 << basis.m)
+    # position and unit vector by variable mask: a dropped B goes to the
+    # spare column n, cut off below, and a dropped T is the zero vector
+    pos = [n] * (1 << basis.m)
     unit = [0] * (1 << basis.m)
     for i, s in enumerate(monos):
         pos[_mask(s)], unit[_mask(s)] = i, 1 << i
-    table = [[0] * n for _ in range(n)]
+    table = [[0] * (n + 1) for _ in range(n)]
     for i, s in enumerate(monos):
         row = table[i]
         for b_mask, t_mask in _poisson_terms(basis, _mask(s)):
             row[pos[b_mask]] ^= unit[t_mask]
         row[i] = 0  # the table is alternating; squares live in squaring
+        row.pop()
     squaring = [0] * n
     if squaring_top and frozenset(range(basis.m)) in basis.index:
         squaring[basis.index[frozenset(range(basis.m))]] = 1 << basis.index[
@@ -241,32 +240,21 @@ def _complement_form(basis: MonomialBasis, g: SuperAlgebra) -> BilinearForm:
 
 
 def hamiltonian(m: int, derived: bool = True):
-    """h(0|m) on the nonconstant monomials, or its derived algebra.
+    """h(0|m) on the nonconstant monomials, or its derived algebra h'(0|m),
+    the span of the monomials of degrees 1..m-1.
 
     Returns (algebra, form, basis).  The pairing form reads off the
     coefficient of the top monomial in a product; it is non-degenerate
     exactly on the derived algebra (the top monomial pairs with nothing
-    once constants are gone).
+    once constants are gone).  The top monomial is no term of a bracket
+    of h(0|m): its terms cancel in pairs.  So the brackets of h'(0|m) are
+    those of h(0|m) on its monomials, and the walk drops every B or T
+    outside them.
     """
     if not 2 <= m <= 8:
         raise OutOfRange("hamiltonian(m) supported for 2 <= m <= 8")
-    basis = monomial_basis(m, include_constant=False)
+    basis = monomial_basis(m, include_constant=False, include_top=not derived)
     g = _monomial_algebra(basis)
-    if derived:
-        sub = derived_subalgebra(g, 1)
-        if any(v.bit_count() != 1 for v in sub):
-            raise AssertionError("derived algebra is not coordinate-aligned")
-        indices = sorted(v.bit_length() - 1 for v in sub)
-        g = restrict_to_coordinates(g, indices)
-        kept = [basis.monomials[i] for i in indices]
-        basis = MonomialBasis(
-            m=basis.m,
-            var_names=basis.var_names,
-            monomials=tuple(kept),
-            index={s: i for i, s in enumerate(kept)},
-            conj_pairs=basis.conj_pairs,
-            theta=basis.theta,
-        )
     return g, _complement_form(basis, g), basis
 
 

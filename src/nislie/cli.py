@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Exit-code contract: 0 = pass, 1 = mathematical negative (axiom failure,
-condition violated, not found), 2 = input error, 3 = search budget
-exhausted.  Inputs are JSON documents or catalog references
-("catalog:NAME" or a bare catalog name).  main builds the argument parser
-once per process, so repeated in-process calls do not pay for it again.
+condition violated, not found), 2 = input error, 3 = budget exhausted (a
+search ended without a proof).  Inputs are JSON documents or catalog
+references ("catalog:NAME" or a bare catalog name).  main builds the
+argument parser once per process, so repeated in-process calls do not
+pay for it again.
 """
 
 from __future__ import annotations
@@ -343,6 +344,20 @@ def cmd_reduce(args) -> int:
     return 0
 
 
+# the exit code and the human line of each status of an isometry Verdict
+_EXIT_CODES = {"found": 0, "not-found": 1, "budget-exhausted": 3}
+_ADAPTED_LINES = {
+    "found": "found: adapted isometry exists",
+    "not-found": "not found (proved): {0.reason}",
+    "budget-exhausted": "budget exhausted: {0.reason}",
+}
+_GENERAL_LINES = {
+    "found": "found ({0.nodes} nodes); verified: {verified}",
+    "not-found": "not found [proved] after {0.nodes} nodes",
+    "budget-exhausted": "budget exhausted after {0.nodes} nodes",
+}
+
+
 def cmd_isometry(args) -> int:
     if args.budget < 0:
         raise CliError(2, f"--budget must be at least 0, not {args.budget}")
@@ -379,17 +394,11 @@ def cmd_isometry(args) -> int:
             raise CliError(
                 2, "adapted mode compares extensions of the same base"
             )
-        dec = adapted_isometry_decision(
+        verdict = adapted_isometry_decision(
             red1.algebra, red1.form, red1.recipe, red2.recipe, budget=args.budget
         )
-        if dec.status == "found":
-            human, code = "found: adapted isometry exists", 0
-        elif dec.status == "not-found-proved":
-            human, code = f"not found (proved): {dec.reason}", 1
-        else:
-            human, code = f"budget exhausted: {dec.reason}", 3
-        _emit(args, {"status": dec.status, "reason": dec.reason}, [human])
-        return code
+        _emit(args, verdict.to_data(), [_ADAPTED_LINES[verdict.status].format(verdict)])
+        return _EXIT_CODES[verdict.status]
     seeds, ignored = [], []
     if args.seed:
         gens = [1 << i for i in doc1.algebra.generating_sequence]
@@ -412,7 +421,7 @@ def cmd_isometry(args) -> int:
                 f" generators {names} steer the search",
                 file=sys.stderr,
             )
-    res = search_isometry(
+    verdict = search_isometry(
         doc1.algebra,
         doc1.form,
         doc2.algebra,
@@ -420,25 +429,17 @@ def cmd_isometry(args) -> int:
         budget=args.budget,
         seed_pairs=seeds,
     )
-    payload = {
-        "status": res.status,
-        "proved": res.proved,
-        "nodes": res.nodes,
-        "reason": res.reason,
-    }
-    if res.status == "found":
-        ok, _ = verify_isometry(
-            doc1.algebra, doc1.form, doc2.algebra, doc2.form, res.isometry.images
+    payload = verdict.to_data()
+    if verdict.witness is not None:
+        payload["verified"], _ = verify_isometry(
+            doc1.algebra, doc1.form, doc2.algebra, doc2.form, verdict.witness.images
         )
-        payload["verified"] = ok
-        human, code = f"found ({res.nodes} nodes); verified: {ok}", 0
-    elif res.status == "not-found":
-        proved = "proved" if res.proved else f"search-complete ({res.reason})"
-        human, code = f"not found [{proved}] after {res.nodes} nodes", 1
-    else:
-        human, code = f"budget exhausted after {res.nodes} nodes", 3
+    human = _GENERAL_LINES[verdict.status].format(verdict, **payload)
+    if verdict.status == "budget-exhausted" and verdict.nodes <= args.budget:
+        # a cut candidate list or an unsound table, not the node budget
+        human += f": {verdict.reason}"
     _emit(args, payload, [human])
-    return code
+    return _EXIT_CODES[verdict.status]
 
 
 def cmd_report(args) -> int:
@@ -512,7 +513,7 @@ def cmd_report(args) -> int:
             built[1].extension.recipe,
             built[0].extension.recipe,
         )
-        row_ok = dec.status == "not-found-proved"
+        row_ok = dec.status == "not-found"
         ok = ok and row_ok
         lines.append(
             f"m=1 vs m=0 adapted isometry: {dec.status}"

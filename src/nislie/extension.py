@@ -87,6 +87,14 @@ class ExtensionRecipe:
         kw = {f: (getattr(self, f) or 0) if f in has else None for f in ("a0", "m", "beta_star")}
         return replace(self, alpha=self.alpha if "alpha" in has else None, **kw)
 
+    def strictly_normalized(self) -> "ExtensionRecipe":
+        """normalized(), after refusing (FieldNotInCase) a field given a
+        value that the case does not have."""
+        refuse_foreign_fields(
+            self.case, alpha=self.alpha, a0=self.a0, m=self.m, beta_star=self.beta_star
+        )
+        return self.normalized()
+
 
 @dataclass(frozen=True)
 class ExtensionResult:
@@ -193,14 +201,7 @@ def extend(
     structure; the result need not satisfy the superalgebra axioms then.
     A recipe field the case does not have is refused either way.
     """
-    refuse_foreign_fields(
-        recipe.case,
-        alpha=recipe.alpha,
-        a0=recipe.a0,
-        m=recipe.m,
-        beta_star=recipe.beta_star,
-    )
-    recipe = recipe.normalized()
+    recipe = recipe.strictly_normalized()
     if not unchecked:
         check_conditions(a, form, recipe)
     form_parity, der_parity = case_parities(recipe.case)

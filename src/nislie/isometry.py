@@ -16,9 +16,10 @@ raised the rank in the last round are bracketed with the span, and the odd
 ones squared.  A node pays only for what deciding it needs: the candidate
 images of a generator are enumerated lazily in solution order, and each
 is checked against the forms on the parent's closed span before the span
-is copied and closed.  An exhausted search is a proved negative unless a
-candidate list was cut or a bracket table is malformed (see
-search_isometry).
+is copied and closed.  Every decision is a Verdict: "found" with a
+witness, "not-found" (a proof), or "budget-exhausted" when the node
+budget ran out, a candidate list was cut or a bracket table is malformed
+(see search_isometry).
 
 Over GF(2) the scalar lambda of the adapted conditions is 1, which collapses
 semi-triviality to a single affine solve: conjugating by an isometry of the
@@ -190,15 +191,16 @@ def build_adapted_isometry(
 ) -> Isometry:
     """The block isometry between two extensions of (a, B) from (pi0, t, nu).
 
-    Raises ConditionViolated naming the first failing condition.  The output
+    Raises ConditionViolated naming the first failing condition, and
+    FieldNotInCase on a recipe field the case does not have.  The output
     always verifies (checked), mapping source basis [a..., x, x*/e] to the
     target's.
     """
     case = recipe_src.case
     if recipe_tgt.case != case:
         raise ConditionViolated("case", None, "recipes of different cases")
-    recipe_src = recipe_src.normalized()
-    recipe_tgt = recipe_tgt.normalized()
+    recipe_src = recipe_src.strictly_normalized()
+    recipe_tgt = recipe_tgt.strictly_normalized()
     ok, w = verify_isometry(a, form, a, form, pi0)
     if not ok:
         raise ConditionViolated("pi0", w, "pi0 is not an isometry of the base")
@@ -296,7 +298,7 @@ def is_semi_trivial(
     with ad-compatibility from the squaring axiom, and beta*/m follow the
     corollary formulas.
     """
-    recipe = recipe.normalized()
+    recipe = recipe.strictly_normalized()
     d = recipe.derivation
     t = cohomologous(a, d, Derivation((0,) * a.dim, d.parity))
     if t is None:
@@ -387,16 +389,24 @@ def complete_by_bracketing(
 
 
 @dataclass(frozen=True)
-class SearchResult:
-    status: str  # "found" | "not-found" | "budget-exhausted"
-    isometry: Isometry | None = None
-    proved: bool = False
+class Verdict:
+    """An isometry decision, of one of three kinds by status: "found" (the
+    witness is the Isometry), "not-found" (an exhaustive proof) or
+    "budget-exhausted" (the node budget, the candidate cap or a table that
+    is not structurally_sound ended the search; reason says which).  nodes
+    counts the candidates tried."""
+
+    status: str
+    witness: Isometry | None = None
     nodes: int = 0
     reason: str = ""
 
+    def to_data(self) -> dict:
+        return {"status": self.status, "nodes": self.nodes, "reason": self.reason}
 
-# solutions w kept per generator in search_isometry; a longer list makes an
-# exhausted search unproved
+
+# solutions w kept per generator in search_isometry; a longer list leaves an
+# exhausted search budget-exhausted
 _CANDIDATE_LIMIT = 4096
 
 
@@ -580,28 +590,24 @@ class _Isometries:
                 yield from self._backtrack(level + 1, child, pairs_now)
 
 
-def _first_isometry(search: _Isometries, span: _PairSpan, determined) -> SearchResult:
+def _first_isometry(search: _Isometries, span, determined, proof: str) -> Verdict:
     """The first leaf below the closed span of the pairs `determined`, or
-    why there is none: a proof unless a candidate list was cut or a table
-    is not symmetric, alternating and graded."""
+    why there is none: `proof` when the search is exhaustive, else the
+    cut candidate list or the table that is not symmetric, alternating
+    and graded."""
     try:
         images = next(search._backtrack(0, span, determined), None)
     except SearchBudgetExceeded as exc:
-        return SearchResult("budget-exhausted", nodes=search.nodes, reason=str(exc))
+        return Verdict("budget-exhausted", nodes=search.nodes, reason=str(exc))
     if images is not None:
-        return SearchResult("found", Isometry(images), nodes=search.nodes)
+        return Verdict("found", Isometry(images), nodes=search.nodes)
     if search.truncated:
         reason = f"some generator has more than {_CANDIDATE_LIMIT} candidates"
     elif not (structurally_sound(search.g1) and structurally_sound(search.g2)):
         reason = "a bracket table is not symmetric, alternating and graded"
     else:
-        return SearchResult(
-            "not-found",
-            nodes=search.nodes,
-            proved=True,
-            reason="generator-image search exhausted",
-        )
-    return SearchResult("not-found", nodes=search.nodes, reason=reason)
+        return Verdict("not-found", nodes=search.nodes, reason=proof)
+    return Verdict("budget-exhausted", nodes=search.nodes, reason=reason)
 
 
 def search_isometry(
@@ -611,7 +617,7 @@ def search_isometry(
     b2: BilinearForm,
     budget: int = 200_000,
     seed_pairs: Sequence[tuple[int, int]] | None = None,
-) -> SearchResult:
+) -> Verdict:
     """Backtracking over generator images with form/bracket propagation.
 
     A seed (v, w) makes w the first candidate for v when v is a basis
@@ -623,9 +629,10 @@ def search_isometry(
     a node before its form check against the parent's span, so `budget`
     bounds the candidates tried, as with whole lists.
 
-    An exhausted search is a proof (proved=True) when no candidate list was
-    cut at _CANDIDATE_LIMIT and both tables are structurally_sound, by
-    three facts:
+    The Verdict is "found" with the isometry as witness, "budget-exhausted"
+    when the node budget ran out, a candidate list was cut at
+    _CANDIDATE_LIMIT or a table is not structurally_sound (reason says
+    which), and else "not-found", a proof by three facts:
     - every isometry pi is fixed by the images of the generating sequence,
       whose subalgebra closure is all of g1, since pi preserves brackets
       and squares;
@@ -637,13 +644,13 @@ def search_isometry(
       reaches the whole graph, so the leaf of pi has full rank.
     """
     if g1.sdim != g2.sdim or b1.parity != b2.parity:
-        return SearchResult(
-            "not-found", proved=True, reason="superdimension or form parity differ"
-        )
+        return Verdict("not-found", reason="superdimension or form parity differ")
     search = _Isometries(
         g1, b1, g2, b2, budget, dict(seed_pairs or ()), limit=_CANDIDATE_LIMIT
     )
-    return _first_isometry(search, _PairSpan(g1.dim), [])
+    return _first_isometry(
+        search, _PairSpan(g1.dim), [], "generator-image search exhausted"
+    )
 
 
 def isometry_group(
@@ -662,20 +669,13 @@ def isometry_group(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AdaptedDecision:
-    status: str  # "found" | "not-found-proved" | "budget-exhausted"
-    isometry: Isometry | None = None
-    reason: str = ""
-
-
 def adapted_isometry_decision(
     a: SuperAlgebra,
     form: BilinearForm,
     recipe_src: ExtensionRecipe,
     recipe_tgt: ExtensionRecipe,
     budget: int = 200_000,
-) -> AdaptedDecision:
+) -> Verdict:
     """Decide existence of an adapted isometry between two extensions.
 
     The adapted isometries are exactly the isometries Pi of the extensions
@@ -692,7 +692,11 @@ def adapted_isometry_decision(
     first), decides the question: a leaf is an adapted isometry, and an
     exhausted search is a proof on the terms of search_isometry.  A recipe
     that breaks self-adjointness gives an extension table that is not
-    symmetric, on which an exhausted search proves nothing.
+    symmetric, on which an exhausted search proves nothing.  So the
+    Verdict is "found" with the adapted isometry as witness, "not-found"
+    (a proof, by a linear route or the search) or "budget-exhausted" (the
+    node budget, a cut candidate list or an unsound table; reason says
+    which).  A recipe field the case does not have raises FieldNotInCase.
 
     Two linear routes run first.  The rank of the self-adjointness defect
     (_adjointness_defect_rank) is the same on both sides of an adapted
@@ -701,20 +705,18 @@ def adapted_isometry_decision(
     condition forces [t, a_even] = 0 whatever pi0 is, and the pi0-free
     conditions can refute every such t.
     """
-    recipe_src = recipe_src.normalized()
-    recipe_tgt = recipe_tgt.normalized()
+    recipe_src = recipe_src.strictly_normalized()
+    recipe_tgt = recipe_tgt.strictly_normalized()
     if recipe_src.case != recipe_tgt.case:
-        return AdaptedDecision(
-            "not-found-proved", reason="extension cases differ"
-        )
+        return Verdict("not-found", reason="extension cases differ")
     domain = _transport_domain(a, recipe_src.case)
     rank_src, rank_tgt = (
         _adjointness_defect_rank(a, form, r.derivation, domain)
         for r in (recipe_src, recipe_tgt)
     )
     if rank_src != rank_tgt:
-        return AdaptedDecision(
-            "not-found-proved",
+        return Verdict(
+            "not-found",
             reason="B(D u, v) + B(u, D v) has different ranks on the two sides",
         )
     _, t_parity = case_parities(recipe_src.case)
@@ -732,8 +734,8 @@ def adapted_isometry_decision(
             _pi0_free_conditions_fail(a, form, recipe_src, recipe_tgt, t)
             for t in ts
         ):
-            return AdaptedDecision(
-                "not-found-proved",
+            return Verdict(
+                "not-found",
                 reason=(
                     "every t with [t, a_even] = 0 violates a pi0-free"
                     " condition (m / a0 / beta* transport)"
@@ -747,14 +749,9 @@ def adapted_isometry_decision(
     start = _close(g1, g2, b1, b2, _PairSpan(g1.dim), fixed)
     identity = {1 << i: 1 << i for i in range(g1.dim)}
     search = _Isometries(g1, b1, g2, b2, budget, identity, limit=_CANDIDATE_LIMIT)
-    res = _first_isometry(search, start, fixed)
-    if res.status == "found":
-        return AdaptedDecision("found", res.isometry)
-    if res.proved:
-        return AdaptedDecision(
-            "not-found-proved", reason="no isometry of the extensions fixes x"
-        )
-    return AdaptedDecision("budget-exhausted", reason=res.reason)
+    return _first_isometry(
+        search, start, fixed, "no isometry of the extensions fixes x"
+    )
 
 
 def _pi0_free_conditions_fail(a, form, recipe_src, recipe_tgt, t) -> bool:

@@ -28,18 +28,19 @@ J(e_i, ., e_k) = 0.  J(e_i, e_j, e_j) = 0 too, and J is symmetric, so of
 the columns k of a pair (i, j), j > i, only those with k > j are needed:
 J(e_i, e_j, e_k) with i < k < j is column j of the pair (i, k).
 
-The walk runs once per algebra: SuperAlgebra.axiom_proof caches its
+The walk runs once per algebra: SuperAlgebra.jacobi_walk caches its
 generators S and the basis vectors E that complete their closure to a
 spanning set, or None when the table is not structurally_sound
-(alternating, symmetric, graded, odd squares even) or Jacobi fails, next
-to the squaring verdict on the odd basis.  validate reads it, and the
+(alternating, symmetric, graded, odd squares even) or Jacobi fails, and
+SuperAlgebra.squaring_rule_holds caches the squaring verdict on the odd
+basis.  validate reads both, forms.check_nis only the walk, and the
 derivation system (derivations) builds Leibniz rows only on the pairs
-that touch S and E.  The proof reads the adjoint maps as columns
-straight off the table; with the walk, the squaring verdict proves every
-ad_x a derivation, which lets the derivation system close a block once
-only its inner maps are left.  Every bracket and squaring value lies
-inside the algebra: SuperAlgebra refuses any other table when it is
-built.
+that touch S and E.  Both read the adjoint maps as columns straight off
+the table, from one build that validate shares (_adjoint_entries); with
+the walk, the squaring verdict proves every ad_x a derivation, which lets
+the derivation system close a block once only its inner maps are left.
+Every bracket and squaring value lies inside the algebra: SuperAlgebra
+refuses any other table when it is built.
 
 The same walk decides the invariance of a form (forms.check_nis).
 L_B = {y : B([x, y], z) = B(x, [y, z]) for all x, z} is a subspace, and
@@ -52,6 +53,7 @@ S, so it is g once it holds S and E.
 from __future__ import annotations
 
 import re
+import weakref
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -112,42 +114,28 @@ class SuperAlgebra:
         return fine_grading(self)
 
     @cached_property
-    def axiom_proof(
-        self,
-    ) -> tuple[tuple[tuple[int, ...], tuple[int, ...]] | None, bool]:
-        """(walk, squaring_holds), decided once per algebra from one build
-        of the adjoint entries; (None, False) when the table is not
-        structurally_sound.
-
-        walk is (S, E): basis indices whose adjoint maps are checked
-        derivations, and the basis indices that complete their
-        ad_S-closure to a spanning set (at most 2), or None when the
-        Jacobi identity fails; see _jacobi_generators.  squaring_holds
-        says whether [s(e_i), x] = [e_i, [e_i, x]] for every odd e_i and
-        x.  With a walk it says that every ad_x is a derivation.
-        """
-        if not self._sound:
-            return None, False
-        entries = _adjoint_entries(self)
-        return _jacobi_generators(self, entries), not any(
-            _squaring_defects(self, entries, i) for i in self.odd_indices()
-        )
-
-    @cached_property
     def _sound(self) -> bool:
         """structurally_sound(self), decided once per algebra: validate and
-        axiom_proof both read it."""
+        the two axiom properties read it."""
         return structurally_sound(self)
 
-    @property
+    @cached_property
     def jacobi_walk(self) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-        """The walk of axiom_proof."""
-        return self.axiom_proof[0]
+        """(S, E): basis indices whose adjoint maps are checked derivations,
+        and the basis indices that complete their ad_S-closure to a
+        spanning set (at most 2); None when the table is not
+        structurally_sound or the Jacobi identity fails.  See
+        _jacobi_generators."""
+        return _jacobi_generators(self) if self._sound else None
 
-    @property
+    @cached_property
     def squaring_rule_holds(self) -> bool:
-        """The squaring verdict of axiom_proof."""
-        return self.axiom_proof[1]
+        """Whether the table is structurally_sound and [s(e_i), x] =
+        [e_i, [e_i, x]] for every odd e_i and x.  With a walk it says that
+        every ad_x is a derivation."""
+        return self._sound and not any(
+            _squaring_defects(self, i) for i in self.odd_indices()
+        )
 
     @cached_property
     def generating_sequence(self) -> tuple[int, ...]:
@@ -452,18 +440,33 @@ def structurally_sound(g: SuperAlgebra) -> bool:
     return True
 
 
+# (weak reference to an algebra, its _adjoint_entries): the last algebra
+# asked for.  validate reads the entries for the Jacobi walk, the squaring
+# verdict and the witness scans; kept on every algebra, they would hold
+# about 64 bytes per nonzero table bit for as long as the algebra lives.
+_last_entries: tuple = (None, None)
+
+
 def _adjoint_entries(g: SuperAlgebra) -> list[list[tuple[int, int]]]:
-    """The nonzero entries (k, l) of each ad_{e_b}: bit l of [e_b, e_k]."""
-    return [
-        [(k, l) for k, v in enumerate(row) for l in bits(v)]
-        for row in g.bracket_table
-    ]
+    """The nonzero entries (k, l) of each ad_{e_b}: bit l of [e_b, e_k];
+    built once for the last algebra asked for."""
+    global _last_entries
+    ref, entries = _last_entries
+    if ref is None or ref() is not g:
+        # let the old entries go before the new ones are built
+        _last_entries, entries = (None, None), None
+        entries = [
+            [(k, l) for k, v in enumerate(row) for l in bits(v)]
+            for row in g.bracket_table
+        ]
+        _last_entries = weakref.ref(g), entries
+    return entries
 
 
 def _nonzero_columns(table, entries, products, x: int, low: int = 0) -> int:
     """Mask of the nonzero columns k >= low of ad_x + the sum of ad_a ad_b.
 
-    products lists the index pairs (a, b); entries is _adjoint_entries.
+    products lists the index pairs (a, b); entries is _adjoint_entries(g).
     Column k of ad_x is the sum of table[m][k] over the bits m of x, and
     column k of ad_a ad_b, ad_a applied to [e_b, e_k], is the sum of
     table[a][l] over the entries (k, l) of ad_b.  The entries are sorted
@@ -487,10 +490,12 @@ def _nonzero_columns(table, entries, products, x: int, low: int = 0) -> int:
     return sum(1 << k for k, v in enumerate(acc) if v) >> low << low
 
 
-def _squaring_defects(g: SuperAlgebra, entries, i: int) -> int:
+def _squaring_defects(g: SuperAlgebra, i: int) -> int:
     """Mask of the j at which [s(e_i), e_j] != [e_i, [e_i, e_j]]: the
     nonzero columns of ad_{s(e_i)} + ad_i ad_i."""
-    return _nonzero_columns(g.bracket_table, entries, ((i, i),), g.squaring[i])
+    return _nonzero_columns(
+        g.bracket_table, _adjoint_entries(g), ((i, i),), g.squaring[i]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +543,7 @@ class ValidationReport:
 
 
 def _jacobi_generators(
-    g: SuperAlgebra, entries
+    g: SuperAlgebra,
 ) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """Prove Jacobi from a generating set: (S, E), or None at a failure.
 
@@ -556,7 +561,7 @@ def _jacobi_generators(
     complete it to g.
     """
     n = g.dim
-    table = g.bracket_table
+    table, entries = g.bracket_table, _adjoint_entries(g)
     closure = SpanBasis()
     spanning: list[int] = []  # the vectors that enlarged the closure
     gens: list[int] = []
@@ -596,7 +601,8 @@ def validate(g: SuperAlgebra, max_failures: int = 64) -> ValidationReport:
 
     The structural checks (alternating, symmetric, graded table and
     squaring) come first; any failure there ends the report.  Jacobi and
-    the squaring rule on the odd basis are then read off g.axiom_proof:
+    the squaring rule on the odd basis are then read off g.jacobi_walk
+    and g.squaring_rule_holds:
     Jacobi is proved from a generating set (_jacobi_generators), as on a
     symmetric, alternating table it holds on all of g once ad_s is a
     derivation for every s in a set S whose ad_S-closure has codimension
@@ -640,7 +646,7 @@ def validate(g: SuperAlgebra, max_failures: int = 64) -> ValidationReport:
             return report
 
     # The table is structurally_sound here.
-    walk, squaring_holds = g.axiom_proof
+    walk, squaring_holds = g.jacobi_walk, g.squaring_rule_holds
     if walk is not None:
         report.jacobi_generators = len(walk[0])
         if squaring_holds:
@@ -674,7 +680,7 @@ def validate(g: SuperAlgebra, max_failures: int = 64) -> ValidationReport:
     # squaring rule at (i, j) is column j of ad_{s(e_i)} + ad_i ad_i
     for i in g.odd_indices():
         si = g.squaring[i]
-        for j in bits(_squaring_defects(g, entries, i)):
+        for j in bits(_squaring_defects(g, i)):
             lhs = bracket(g, si, 1 << j)
             rhs = bracket(g, 1 << i, table[i][j])
             fail(
@@ -876,40 +882,3 @@ def _generating_sequence(g: SuperAlgebra) -> list[int]:
         chosen.append(best[0])
         span = best[1]
     return chosen
-
-
-# ---------------------------------------------------------------------------
-# Restriction to a coordinate subalgebra
-# ---------------------------------------------------------------------------
-
-
-def restrict_to_coordinates(
-    g: SuperAlgebra, indices: Sequence[int]
-) -> SuperAlgebra:
-    """Substructure on a subset of basis vectors (must be closed), in the
-    order given; a repeated or out-of-range index is refused."""
-    n = g.dim
-    # restriction is linear: e_i goes to e_pos for indices[pos] = i
-    restricted = [0] * n
-    for pos, i in enumerate(indices):
-        if not 0 <= i < n:
-            raise ValueError(f"index {i!r} outside 0..{n - 1}")
-        if restricted[i]:
-            raise ValueError(f"index {i} given twice")
-        restricted[i] = 1 << pos
-    inside = sum(1 << i for i in indices)
-    rows = [list(map(g.bracket_table[i].__getitem__, indices)) for i in indices]
-    squaring = [g.squaring[i] for i in indices]
-    values = set(squaring).union(*rows)
-    if any(v & ~inside for v in values):
-        raise ValueError("subset is not closed under the structure")
-    image = {v: combine(restricted, v) for v in values}.__getitem__
-    return SuperAlgebra(
-        names=tuple(g.names[i] for i in indices),
-        parity=tuple(g.parity[i] for i in indices),
-        bracket_table=tuple(tuple(map(image, row)) for row in rows),
-        squaring=tuple(map(image, squaring)),
-        degrees=None
-        if g.degrees is None
-        else tuple(g.degrees[i] for i in indices),
-    )

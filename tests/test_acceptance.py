@@ -413,7 +413,7 @@ def test_c09b_po05_adapted_negative(h105):
         dec = adapted_isometry_decision(
             h105.algebra, h105.form, m1.extension.recipe, m0.extension.recipe
         )
-        assert dec.status == "not-found-proved"
+        assert dec.status == "not-found"
         assert "pi0-free" in dec.reason
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import random
 
 import numpy as np
@@ -33,6 +34,7 @@ from nislie.derivations import (
     self_adjoint_coefficients,
 )
 from nislie.errors import InnerNotDerivation, NisLieError
+from nislie.forms import check_nis
 from nislie.gf2 import GF2Matrix, SpanBasis, bits, span_basis
 from nislie.superalgebra import (
     SuperAlgebra,
@@ -706,21 +708,41 @@ def test_validate_then_outer_derivations_walk_once(monkeypatch):
 
 
 def test_axiom_proof_has_one_owner(monkeypatch):
-    calls = []
-    for name in ("_adjoint_entries", "_jacobi_generators"):
-        fn = getattr(superalgebra, name)
+    # the Jacobi walk and the squaring verdict are each built at most once
+    # per algebra, over one build of the adjoint entries, and check_nis
+    # builds no squaring verdict
+    builds = {}
+    for name in ("jacobi_walk", "squaring_rule_holds"):
+        build = getattr(SuperAlgebra, name).func
 
-        def counted(*args, name=name, fn=fn):
-            calls.append(name)
-            return fn(*args)
+        def counted(g, name=name, build=build):
+            builds[name] = builds.get(name, 0) + 1
+            return build(g)
 
-        monkeypatch.setattr(superalgebra, name, counted)
-    g = hamiltonian(6)[0]  # built here, so nothing is cached yet
+        prop = functools.cached_property(counted)
+        prop.__set_name__(SuperAlgebra, name)
+        monkeypatch.setattr(SuperAlgebra, name, prop)
+    entries = {}  # id of an algebra -> the entry lists read for it
+    read = superalgebra._adjoint_entries
+
+    def recorded(g):
+        entries.setdefault(id(g), []).append(read(g))
+        return entries[id(g)][-1]
+
+    monkeypatch.setattr(superalgebra, "_adjoint_entries", recorded)
+
+    def built_once():
+        return all(got is lists[0] for lists in entries.values() for got in lists)
+
+    g, form, _ = hamiltonian(6)  # built here, so nothing is cached yet
+    assert check_nis(g, form).passed
+    assert builds == {"jacobi_walk": 1}
     first = validate(g)
     assert first.passed and validate(g) == first
     outer_derivations(g)
-    assert sorted(calls) == ["_adjoint_entries", "_jacobi_generators"]
-    # where an axiom fails, the witness scan rebuilds the entries and a
+    assert builds == {"jacobi_walk": 1, "squaring_rule_holds": 1}
+    assert list(entries) == [id(g)] and built_once()
+    # where an axiom fails, the witness scan reads the same entries, and a
     # repeat gives the same report as the first call and the reference
     for flips in (
         flips_that_break_jacobi(random.Random("one owner")),
@@ -728,11 +750,14 @@ def test_axiom_proof_has_one_owner(monkeypatch):
     ):
         for _, g in zip(range(4), flips):
             g = dataclasses.replace(g)
+            builds.clear()
+            entries.clear()
             for cap in (1, 64):
                 first = validate(g, cap)
                 assert not first.passed
                 assert validate(g, cap) == first == reference_validate(g, cap)
             assert (first.jacobi_generators is None) == (g.jacobi_walk is None)
+            assert set(builds.values()) == {1} and built_once()
 
 
 def fine_block_contents(g, parity):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nislie import catalog, cli, superalgebra
+from nislie import catalog, cli, isometry, superalgebra
 from nislie.catalog import named
 from nislie.cli import build_parser, main
 from nislie.derivations import CASES
@@ -532,7 +532,7 @@ def test_cli_report_tables(capsys):
     assert main(["report", "--table", "h05p"]) == 0
     assert main(["report", "--table", "h05"]) == 0
     out = capsys.readouterr().out
-    assert "not-found-proved" in out
+    assert "m=1 vs m=0 adapted isometry: not-found ok" in out
 
 
 def test_cli_report_h04_draws_no_conclusion_from_equal_dimensions(
@@ -625,18 +625,18 @@ def test_cli_isometry_json_general_mode(capsys):
     argv = ["isometry", "hei-double", "hei-double", "--json"]
     assert main(argv) == 0
     assert json.loads(capsys.readouterr().out) == {
-        "status": "found", "proved": False, "nodes": 8, "reason": "",
+        "status": "found", "nodes": 8, "reason": "",
         "verified": True,
     }
     assert main(["isometry", "gl-1-1", "purely-odd-ext", "--json"]) == 1
     assert json.loads(capsys.readouterr().out) == {
-        "status": "not-found", "proved": True, "nodes": 3,
+        "status": "not-found", "nodes": 3,
         "reason": "generator-image search exhausted",
     }
     argv = ["isometry", "hei-double", "ba-double", "--budget", "5", "--json"]
     assert main(argv) == 3
     assert json.loads(capsys.readouterr().out) == {
-        "status": "budget-exhausted", "proved": False, "nodes": 6,
+        "status": "budget-exhausted", "nodes": 6,
         "reason": "isometry enumeration exceeded 5 nodes",
     }
 
@@ -645,12 +645,30 @@ def test_cli_isometry_json_adapted_mode(capsys):
     argv = ["isometry", "po05-m1", "po05-m0", "--mode", "adapted", "--json"]
     assert main(argv) == 1
     report = json.loads(capsys.readouterr().out)
-    assert report["status"] == "not-found-proved" and report["reason"]
-    assert set(report) == {"status", "reason"}
+    assert report["status"] == "not-found" and report["reason"]
+    assert set(report) == {"status", "nodes", "reason"}
     argv = ["isometry", "hei-oddD-ext", "hei-oddD-ext", "--mode", "adapted",
             "--json"]
     assert main(argv) == 0
-    assert json.loads(capsys.readouterr().out) == {"status": "found", "reason": ""}
+    assert json.loads(capsys.readouterr().out) == {
+        "status": "found", "nodes": 3, "reason": "",
+    }
+
+
+def test_cli_cut_candidate_list_exits_3_naming_the_cap(monkeypatch, capsys):
+    # with two candidates kept per generator the identity of hei-double is
+    # missed, and the exhausted search is no proof
+    monkeypatch.setattr(isometry, "_CANDIDATE_LIMIT", 2)
+    assert main(["isometry", "hei-double", "hei-double"]) == 3
+    assert capsys.readouterr().out == (
+        "budget exhausted after 3 nodes: some generator has more than 2"
+        " candidates\n"
+    )
+    assert main(["isometry", "hei-double", "hei-double", "--json"]) == 3
+    assert json.loads(capsys.readouterr().out) == {
+        "status": "budget-exhausted", "nodes": 3,
+        "reason": "some generator has more than 2 candidates",
+    }
 
 
 def test_cli_outer_json(capsys):

@@ -24,7 +24,7 @@ from nislie.derivations import (
     derivation_space,
     find_a0,
 )
-from nislie.errors import ConditionViolated, NisLieError
+from nislie.errors import ConditionViolated, FieldNotInCase, NisLieError
 from nislie.extension import ExtensionRecipe, _odd_polar_matrix, extend
 from nislie.forms import BilinearForm, QuadraticForm, transport_quadratic
 from nislie.gf2 import GF2Matrix, SpanBasis
@@ -228,7 +228,7 @@ def test_hei_512_coefficient_corner_is_not_isometric(hei_double):
         "evenB-oddD", cc["D6"].add(cc["D7"]), a0=g.element("z")
     )
     dec = adapted_isometry_decision(g, b, rec_src, rec_tgt)
-    assert dec.status == "not-found-proved"
+    assert dec.status == "not-found"
 
 
 def test_a0_zstar_target_is_a_proved_negative(hei_double):
@@ -239,7 +239,7 @@ def test_a0_zstar_target_is_a_proved_negative(hei_double):
     rec_src = ExtensionRecipe("evenB-oddD", d6, a0=0)
     rec_tgt = ExtensionRecipe("evenB-oddD", d6, a0=g.element("zstar"))
     dec = adapted_isometry_decision(g, b, rec_src, rec_tgt)
-    assert dec.status == "not-found-proved"
+    assert dec.status == "not-found"
 
 
 def test_ba_522_isometry(ba_double):
@@ -322,7 +322,35 @@ def test_recipes_of_different_cases_are_refused(hei_double):
             build_adapted_isometry(g, b, src, tgt, ident)
         assert (exc.value.condition, exc.value.witness) == ("case", None)
         dec = adapted_isometry_decision(g, b, src, tgt)
-        assert (dec.status, dec.reason) == ("not-found-proved", "extension cases differ")
+        assert (dec.status, dec.reason) == ("not-found", "extension cases differ")
+
+
+@pytest.mark.parametrize(
+    "entry",
+    ["extend", "build_adapted_isometry", "adapted_isometry_decision", "is_semi_trivial"],
+)
+def test_entry_points_refuse_a_field_the_case_does_not_have(entry, hei_double):
+    # evenB-oddD has a0 only, so beta* and m are foreign to it
+    g, b = hei_double.algebra, hei_double.form
+    recipe = hei_odd_recipe(g)
+    foreign = dataclasses.replace(recipe, beta_star=1, m=1)
+    ident = tuple(1 << i for i in range(g.dim))
+    calls = {
+        "extend": lambda src, tgt: extend(g, b, src),
+        "build_adapted_isometry": lambda src, tgt: build_adapted_isometry(
+            g, b, src, tgt, ident
+        ),
+        "adapted_isometry_decision": lambda src, tgt: adapted_isometry_decision(
+            g, b, src, tgt
+        ),
+        "is_semi_trivial": lambda src, tgt: is_semi_trivial(g, b, src),
+    }
+    calls[entry](recipe, recipe)  # the recipe itself is accepted
+    for src, tgt in ((foreign, recipe), (recipe, foreign)):
+        if entry in ("extend", "is_semi_trivial") and src is recipe:
+            continue
+        with pytest.raises(FieldNotInCase):
+            calls[entry](src, tgt)
 
 
 def test_semi_triviality(hei_double, ba_double):
@@ -348,7 +376,7 @@ def test_search_isometry_self(hei_double):
     g, b = hei_double.algebra, hei_double.form
     res = search_isometry(g, b, g, b, budget=50_000)
     assert res.status == "found"
-    ok, _ = verify_isometry(g, b, g, b, res.isometry.images)
+    ok, _ = verify_isometry(g, b, g, b, res.witness.images)
     assert ok
 
 
@@ -356,7 +384,7 @@ def test_search_isometry_invariant_screen(hei_double, h104):
     res = search_isometry(
         hei_double.algebra, hei_double.form, h104.algebra, h104.form
     )
-    assert res.status == "not-found" and res.proved
+    assert res.status == "not-found"
 
 
 def test_search_isometry_seeded_d2_d3(h104):
@@ -378,7 +406,7 @@ def test_search_isometry_seeded_d2_d3(h104):
     )
     assert res.status == "found"
     ok, _ = verify_isometry(
-        src.algebra, src.form, tgt.algebra, tgt.form, res.isometry.images
+        src.algebra, src.form, tgt.algebra, tgt.form, res.witness.images
     )
     assert ok
 
@@ -405,7 +433,7 @@ def test_po05_adapted_negative(h105):
     dec = adapted_isometry_decision(
         h105.algebra, h105.form, m1.extension.recipe, m0.extension.recipe
     )
-    assert dec.status == "not-found-proved"
+    assert dec.status == "not-found"
     assert "pi0-free" in dec.reason
     dec_same = adapted_isometry_decision(
         h105.algebra, h105.form, m0.extension.recipe, m0.extension.recipe
@@ -470,7 +498,7 @@ def test_adapted_decision_positive_and_negative_on_hei_double(hei_double):
     assert dec.status == "found"
     rec3 = ExtensionRecipe("evenB-oddD", cc["D3"], a0=0)
     dec = adapted_isometry_decision(g, b, rec6, rec3)
-    assert dec.status == "not-found-proved"
+    assert dec.status == "not-found"
 
 
 def test_adapted_budget_exhausted_carries_a_reason(hei_double):
@@ -478,7 +506,7 @@ def test_adapted_budget_exhausted_carries_a_reason(hei_double):
     cc = hei_double_cocycles(g)
     rec6 = ExtensionRecipe("evenB-oddD", cc["D6"], a0=0)
     rec67 = ExtensionRecipe("evenB-oddD", cc["D6"].add(cc["D7"]), a0=g.element("z"))
-    assert adapted_isometry_decision(g, b, rec6, rec67).status == "not-found-proved"
+    assert adapted_isometry_decision(g, b, rec6, rec67).status == "not-found"
     dec = adapted_isometry_decision(g, b, rec6, rec67, budget=1)
     assert dec.status == "budget-exhausted"
     assert "exceeded 1 nodes" in dec.reason
@@ -509,7 +537,7 @@ def test_adapted_decision_finds_the_h104_d2_d3_swap(h104):
     )
     dec = adapted_isometry_decision(a, B, src, tgt)
     assert dec.status == "found"
-    assert dec.isometry.images[a.dim] == 1 << a.dim
+    assert dec.witness.images[a.dim] == 1 << a.dim
 
 
 # (status, nodes) of search_isometry(budget=500) from each valid catalog
@@ -551,13 +579,21 @@ def test_search_isometry_golden_nodes_on_relabellings():
             got.append((res.status, res.nodes))
             if res.status == "found":
                 assert verify_isometry(
-                    obj.algebra, obj.form, g2, b2, res.isometry.images
+                    obj.algebra, obj.form, g2, b2, res.witness.images
                 )[0]
         assert tuple(got) == SEARCH_GOLDEN[name], name
 
 
 def search_fingerprint(res):
-    return res.status, res.nodes, res.proved, res.isometry and res.isometry.images
+    return res.status, res.nodes, res.witness and res.witness.images
+
+
+def reference_fingerprint(status, nodes, proved, images):
+    """The fingerprint of a reference_search_isometry tuple: an exhausted
+    search without a proof is budget-exhausted."""
+    if status == "not-found" and not proved:
+        status = "budget-exhausted"
+    return status, nodes, images
 
 
 def test_search_tree_matches_the_eager_reference():
@@ -570,8 +606,8 @@ def test_search_tree_matches_the_eager_reference():
         for r in range(2):
             g2, b2 = relabel(obj.algebra, obj.form, random.Random(f"{name}:{r}"))
             res = search_isometry(obj.algebra, obj.form, g2, b2, budget=500)
-            assert search_fingerprint(res) == reference_search_isometry(
-                obj.algebra, obj.form, g2, b2, 500
+            assert search_fingerprint(res) == reference_fingerprint(
+                *reference_search_isometry(obj.algebra, obj.form, g2, b2, 500)
             ), (name, r)
 
 
@@ -593,8 +629,8 @@ def test_a_seed_goes_first_only_among_the_kept_candidates(first, status):
     seeds = [(1, seed)] + [(v, v) for v in gens[1:]]
     res = search_isometry(g, b, g, b, budget=500, seed_pairs=seeds)
     assert res.status == status
-    assert search_fingerprint(res) == reference_search_isometry(
-        g, b, g, b, 500, seeds
+    assert search_fingerprint(res) == reference_fingerprint(
+        *reference_search_isometry(g, b, g, b, 500, seeds)
     )
 
 
@@ -733,7 +769,7 @@ def test_closure_reaches_full_rank_on_long_filiform_chains(n):
     assert verify_isometry(g, form, g, form, [v for v, _ in ident])[0]
     res = search_isometry(g, form, g, form, budget=20_000, seed_pairs=ident)
     assert (res.status, res.nodes) == ("found", 2)
-    assert res.isometry.images == tuple(v for v, _ in ident)
+    assert res.witness.images == tuple(v for v, _ in ident)
 
 
 @pytest.mark.parametrize("n", [67, 80])
@@ -869,24 +905,26 @@ def test_exhausted_search_is_proved_exactly_without_an_isometry():
         res = search_isometry(g1, b1, g2, b2, budget=100_000)
         exists = brute_force_isometric(g1, b1, g2, b2)
         assert res.status == ("found" if exists else "not-found")
-        assert res.proved == (not exists)
         if exists:
-            assert verify_isometry(g1, b1, g2, b2, res.isometry.images)[0]
+            assert verify_isometry(g1, b1, g2, b2, res.witness.images)[0]
         outcomes.add(res.status)
     assert outcomes == {"found", "not-found"}
 
 
 def test_cut_candidate_lists_leave_the_negative_unproved(monkeypatch):
     # with two solutions kept per generator, isometries are missed: the
-    # search then ends not-found, but never with a proof
+    # search then ends budget-exhausted, naming the cap, never not-found
     monkeypatch.setattr(isometry, "_CANDIDATE_LIMIT", 2)
     missed = 0
     for g1, b1, g2, b2 in random_small_pairs(8, 300):
         res = search_isometry(g1, b1, g2, b2, budget=100_000)
         exists = brute_force_isometric(g1, b1, g2, b2)
-        if res.proved:
-            assert not exists
+        if res.status == "found":
+            assert verify_isometry(g1, b1, g2, b2, res.witness.images)[0]
         elif res.status == "not-found":
+            assert not exists
+        else:
+            assert res.status == "budget-exhausted"
             assert "more than 2 candidates" in res.reason
             missed += exists
     assert missed > 0
@@ -896,10 +934,14 @@ def test_malformed_tables_leave_the_negative_unproved(hei_double):
     g, b = hei_double.algebra, hei_double.form
     table = [list(row) for row in g.bracket_table]
     table[0][1] ^= 1  # [p, q] no longer equals [q, p]
-    g2 = dataclasses.replace(g, bracket_table=tuple(map(tuple, table)))
-    res = search_isometry(g, b, g2, b)
-    assert (res.status, res.proved) == ("not-found", False)
-    assert "not symmetric" in res.reason
+    bad = dataclasses.replace(g, bracket_table=tuple(map(tuple, table)))
+    for g1, g2 in ((g, bad), (bad, g), (bad, bad)):
+        res = search_isometry(g1, b, g2, b)
+        if res.status == "found":
+            assert verify_isometry(g1, b, g2, b, res.witness.images)[0]
+        else:
+            assert res.status == "budget-exhausted", (g1 is bad, g2 is bad)
+            assert "not symmetric" in res.reason
 
 
 def random_recipe(rng, g, form, case, basis):
@@ -980,13 +1022,15 @@ def test_adapted_decision_matches_the_base_group_route():
     statuses = set()
     for a, form, group, src, tgt in seeded_extension_pairs(3):
         dec = adapted_isometry_decision(a, form, src, tgt)
-        want, _ = reference_adapted_decision(a, form, src, tgt, group)
+        # the reference enumerates, so it answers found or a proof
+        status, _ = reference_adapted_decision(a, form, src, tgt, group)
+        want = "found" if status == "found" else "not-found"
         assert dec.status == want, (src, tgt, dec.reason)
         statuses.add((src.case, dec.status))
         if dec.status != "found":
             continue
         n = a.dim
-        images = dec.isometry.images
+        images = dec.witness.images
         assert images[n] == 1 << n  # x is fixed
         low = (1 << n) - 1
         pi0 = Isometry(tuple(w & low for w in images[:n]))

@@ -23,7 +23,6 @@ from nislie.superalgebra import (
     cone_contains,
     derived_subalgebra,
     is_two_step_nilpotent,
-    restrict_to_coordinates,
     sharp_complement,
     special_center,
     square_element,
@@ -37,7 +36,6 @@ from oracles import (
     jacobi_defect,
     reference_derived_subalgebra,
     reference_fine_grading,
-    reference_restrict_to_coordinates,
     relabel,
     structure_tensor,
     unvec,
@@ -246,32 +244,6 @@ def test_derived_subalgebra_matches_the_pair_loop():
         general += any(v & (v - 1) for v in first) and isinstance(second, list)
     # step 2 also ran on spans that are not coordinate-aligned
     assert general
-
-
-def test_restrict_to_coordinates_matches_the_combine_loop():
-    rng = random.Random(26)
-    for name in entry_names():
-        g = named(name).algebra
-        order = list(range(g.dim))
-        rng.shuffle(order)
-        got = restrict_to_coordinates(g, order)
-        assert got == reference_restrict_to_coordinates(g, order), name
-    for m in range(2, 9):
-        g = hamiltonian(m, derived=False)[0]
-        kept = sorted(v.bit_length() - 1 for v in derived_subalgebra(g, 1))
-        assert restrict_to_coordinates(g, kept) == reference_restrict_to_coordinates(g, kept)
-
-
-def test_restrict_to_coordinates_refuses_bad_indices(h104):
-    g = h104.algebra
-    assert restrict_to_coordinates(g, [0, 1]).names == g.names[:2]
-    for indices, index in (([0, 0, 1], "index 0"), ([0, 20], "index 20"), ([-1, 0], "index -1")):
-        with pytest.raises(ValueError, match=index):
-            restrict_to_coordinates(g, indices)
-    # [p, q] = z leaves the span of p and q
-    for restricted in (restrict_to_coordinates, reference_restrict_to_coordinates):
-        with pytest.raises(ValueError, match="not closed"):
-            restricted(heisenberg_0_2(), [0, 1])
 
 
 def test_center_examples(hei_double, h104):
