@@ -509,19 +509,28 @@ class CompatibleDerivationSet:
         return len(self.basis)
 
 
+def compatibility_values(form: BilinearForm, case: str, d: Derivation) -> int:
+    """The case's linear hypotheses on D, met where the value is 0:
+    self-adjointness at bit i * n + j, j >= i (self_adjoint_values), and,
+    when B and D have equal parity, B(D e_i, e_i) at bit n * n + i on every
+    e_i (on the odd part, as B(D ., .) is the polar of alpha there)."""
+    n = d.dim
+    v = self_adjoint_values(form, d)
+    form_parity, der_parity = case_parities(case)
+    if form_parity == der_parity:
+        v |= sum(form.pair(d.images[i], 1 << i) << i for i in range(n)) << (n * n)
+    return v
+
+
 def compatible_subspace(
     g: SuperAlgebra,
     form: BilinearForm,
     case: str,
     candidates: Sequence[Derivation],
 ) -> CompatibleDerivationSet:
-    """Linear part of the extension-case conditions on span(candidates).
-
-    All cases share self-adjointness.  The quadratic-lift cases add zero
-    diagonals: B(D a, a) = 0 on even basis vectors (even-B even-D, odd-B
-    odd-D) and on odd basis vectors (so that B(., D .) restricted to the
-    odd part is alternating, hence is some polar form).
-    """
+    """The subspace of span(candidates) that meets the case's linear
+    hypotheses (compatibility_values), with find_a0 of each basis vector
+    when D is odd."""
     form_parity, der_parity = case_parities(case)
     if form.parity != form_parity:
         raise CaseParityMismatch(
@@ -531,20 +540,9 @@ def compatible_subspace(
         raise CaseParityMismatch(
             f"case {case} needs derivations of parity {der_parity}"
         )
-    n = g.dim
-
-    def values(d: Derivation) -> int:
-        v = self_adjoint_values(form, d)
-        if form_parity == der_parity:  # B(D a, a) = 0 on the basis
-            v |= sum(form.pair(d.images[i], 1 << i) << i for i in range(n)) << (n * n)
-        return v
-
-    basis = _linear_cut(candidates, values)
-    a0_sols: list[AffineSolution | None] = []
-    if der_parity == 1:
-        for d in basis:
-            a0_sols.append(find_a0(g, d))
-    return CompatibleDerivationSet(case, tuple(basis), tuple(a0_sols))
+    basis = _linear_cut(candidates, lambda d: compatibility_values(form, case, d))
+    a0_sols = tuple(find_a0(g, d) for d in basis) if der_parity else ()
+    return CompatibleDerivationSet(case, tuple(basis), a0_sols)
 
 
 # ---------------------------------------------------------------------------
@@ -552,18 +550,23 @@ def compatible_subspace(
 # ---------------------------------------------------------------------------
 
 
-def find_a0(g: SuperAlgebra, d: Derivation) -> AffineSolution | None:
-    """Even elements a0 with ad_{a0} = D^2 and D(a0) = 0; None if D^2 not inner."""
-    if d.parity != 1:
-        raise CaseParityMismatch("a0 is defined for odd derivations")
+def a0_system(g: SuperAlgebra, d: Derivation) -> tuple[GF2Matrix, int]:
+    """(A, b): A a0 = b, a0 over the even basis vectors, says [a0, e_j] =
+    D^2(e_j) in rows j * n .. j * n + n - 1, then D(a0) = 0 in the last n."""
     n = g.dim
     even = g.even_indices()
-    # ad_{a0} = D^2 on every basis vector, then D(a0) = 0 with rhs 0
     rows = ad_system(g, even, range(n))
     rows += GF2Matrix([d.images[i] for i in even], n).transpose().rows
-    rhs = _vec_full(d.compose(d))
-    sol = solve_affine(GF2Matrix(rows, len(even)), rhs)
-    return None if sol is None else sol.lift(even)
+    return GF2Matrix(rows, len(even)), _vec_full(d.compose(d))
+
+
+def find_a0(g: SuperAlgebra, d: Derivation) -> AffineSolution | None:
+    """Even elements a0 with ad_{a0} = D^2 and D(a0) = 0 (a0_system); None
+    if there is none."""
+    if d.parity != 1:
+        raise CaseParityMismatch("a0 is defined for odd derivations")
+    sol = solve_affine(*a0_system(g, d))
+    return None if sol is None else sol.lift(g.even_indices())
 
 
 def cohomologous(

@@ -196,7 +196,9 @@ def load(path) -> AlgebraDocument:
 
 
 def recipe_to_meta(recipe: ExtensionRecipe) -> dict:
-    recipe = recipe.normalized()
+    """The JSON metadata of a recipe; a field the case does not have raises
+    FieldNotInCase, as in extend."""
+    recipe = recipe.strictly_normalized()
     meta: dict[str, Any] = {
         "case": recipe.case,
         "derivation": derivation_to_data(recipe.derivation),

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .derivations import Derivation, case_parities, is_derivation
+from .derivations import Derivation, a0_system, case_parities, compatibility_values, is_derivation
 from .errors import (
     CaseParityMismatch,
     ConditionViolated,
@@ -26,7 +26,7 @@ from .errors import (
     HypothesisNotMet,
     SplitsOff,
 )
-from .forms import BilinearForm, QuadraticForm, adjointness_defect
+from .forms import BilinearForm, QuadraticForm
 from .gf2 import GF2Matrix, bits, combine, dependencies, restrict, solve_affine, span_basis
 from .superalgebra import (
     SuperAlgebra,
@@ -57,8 +57,8 @@ def refuse_foreign_fields(case: str, **values) -> None:
 
 # The paper's label of each condition per case, "-" where the case has no
 # such condition: self-adjointness, B(D a, a) = 0 on the even part, the polar
-# of alpha, D^2 = ad_a0 and D(a0) = 0 (the extension hypotheses), then the
-# derivation, alpha and a0 transport (the adapted conditions).
+# of alpha (and B(D a, a) = 0 on the odd part), D^2 = ad_a0 and D(a0) = 0 (the
+# hypotheses), then the derivation, alpha and a0 transport (adapted maps).
 _CONDITIONS = "self_adjoint diagonal polar square a0 transport alpha_transport a0_transport"
 LABELS = {
     case: dict(zip(_CONDITIONS.split(), row.split()))
@@ -114,7 +114,18 @@ def _odd_polar_matrix(g: SuperAlgebra, form: BilinearForm, d: Derivation) -> GF2
 def check_conditions(
     a: SuperAlgebra, form: BilinearForm, recipe: ExtensionRecipe
 ) -> None:
-    """Raise ConditionViolated at the first failing case hypothesis."""
+    """Raise ConditionViolated at the first failing case hypothesis.
+
+    The hypotheses on D are evaluated as derivations defines them:
+    compatibility_values (what compatible_subspace cuts by), then a0_system
+    (what find_a0 solves).  In order, with the case's LABELS: D is a
+    derivation (Der); self-adjointness, first pair (i, j >= i) in row
+    order; B(D e_i, e_i) = 0 on even e_i (diagonal), then on odd e_i
+    (polar, as polar forms are alternating); alpha given, of the odd
+    part's size (polar); its polar entries (polar); for odd D, a0 even
+    (a0-parity), D^2 = ad_a0 at the first failing e_j (square), D(a0) = 0
+    (a0).
+    """
     case = recipe.case
     form_parity, der_parity = case_parities(case)
     d = recipe.derivation
@@ -128,30 +139,30 @@ def check_conditions(
 
     n = a.dim
     labels = LABELS[case]
-    for i, row in enumerate(adjointness_defect(form, d.images, range(n)).rows):
-        if row >> i:  # the first pair (i, j >= i) in row order
-            j = next(bits(row >> i << i))
+    names = a.names
+    failing = compatibility_values(form, case, d)
+    if failing & ((1 << n * n) - 1):
+        i, j = divmod(next(bits(failing)), n)
+        raise ConditionViolated(
+            labels["self_adjoint"],
+            (i, j),
+            f"B(D {names[i]}, {names[j]}) != B({names[i]}, D {names[j]})",
+        )
+    diagonal = failing >> (n * n)
+    for condition, mask in (("diagonal", a.even_mask), ("polar", a.odd_mask)):
+        if diagonal & mask:
+            i = next(bits(diagonal & mask))
             raise ConditionViolated(
-                labels["self_adjoint"],
-                (i, j),
-                f"B(D {a.names[i]}, {a.names[j]}) != "
-                f"B({a.names[i]}, D {a.names[j]})",
+                labels[condition], (i, i), f"B(D {names[i]}, {names[i]}) = 1"
             )
 
     if form_parity == der_parity:
-        for i in a.even_indices():
-            if form.pair(d.images[i], 1 << i):
-                raise ConditionViolated(
-                    labels["diagonal"], (i, i), f"B(D {a.names[i]}, {a.names[i]}) = 1"
-                )
         alpha = recipe.alpha
         polar_label = labels["polar"]
         if alpha is None or alpha.n != len(a.odd_indices()):
             raise ConditionViolated(
                 polar_label, None, "quadratic form missing or of wrong size"
             )
-        # polar forms are alternating, so this also enforces
-        # B(D a, a) = 0 on the odd part
         want = _odd_polar_matrix(a, form, d)
         odd = a.odd_indices()
         for i, (got, row) in enumerate(zip(alpha.polar.rows, want.rows)):
@@ -164,15 +175,16 @@ def check_conditions(
 
     if der_parity == 1:
         a0 = recipe.a0 or 0
+        if a0 >> n:
+            raise DimensionMismatch("a0 outside the algebra")
         if a0 & a.odd_mask:
             raise ConditionViolated("a0-parity", None, "a0 must be even")
-        dd = d.compose(d)
-        for j in range(n):
-            if dd.images[j] != bracket(a, a0, 1 << j):
-                raise ConditionViolated(
-                    labels["square"], (j,), f"D^2 != ad_a0 at {a.names[j]}"
-                )
-        if d.apply(a0) != 0:
+        system, rhs = a0_system(a, d)
+        failing = system.mat_vec(restrict(a0, a.even_indices())) ^ rhs
+        if failing & ((1 << n * n) - 1):
+            j = next(bits(failing)) // n
+            raise ConditionViolated(labels["square"], (j,), f"D^2 != ad_a0 at {names[j]}")
+        if failing:
             raise ConditionViolated(labels["a0"], None, "D(a0) != 0")
 
 

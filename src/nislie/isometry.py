@@ -391,10 +391,10 @@ def complete_by_bracketing(
 @dataclass(frozen=True)
 class Verdict:
     """An isometry decision, of one of three kinds by status: "found" (the
-    witness is the Isometry), "not-found" (an exhaustive proof) or
-    "budget-exhausted" (the node budget, the candidate cap or a table that
-    is not structurally_sound ended the search; reason says which).  nodes
-    counts the candidates tried."""
+    witness is the Isometry, which has passed verify_isometry), "not-found"
+    (an exhaustive proof) or "budget-exhausted" (the node budget, the
+    candidate cap or a table that is not structurally_sound ended the
+    search; reason says which).  nodes counts the candidates tried."""
 
     status: str
     witness: Isometry | None = None

@@ -734,27 +734,14 @@ def derived_subalgebra(g: SuperAlgebra, step: int = 1) -> list[int]:
     [g^(k), g^(k)] and the squares of the odd part of g^(k), which
     squares_span gives with the brackets of its odd pairs.
 
-    Each step collects its distinct products before one span_basis.  On
-    basis vectors they are read straight from the table: s(e_i) for odd
-    i, [e_i, e_j] for odd i < j, and [e_i, e_j] for even i with j an even
-    index above i or any odd index."""
+    Each step collects its distinct products before one span_basis."""
     if step < 0:
         raise ValueError("step must be >= 0")
     current = [1 << i for i in range(g.dim)]
     for _ in range(step):
-        if all(v & (v - 1) == 0 for v in current):
-            table = g.bracket_table
-            e, o = ([v.bit_length() - 1 for v in current if v & mask]
-                    for mask in (g.even_mask, g.odd_mask))
-            values = {g.squaring[i] for i in o}
-            for a, i in enumerate(o):
-                values.update(map(table[i].__getitem__, o[a + 1 :]))
-            for a, i in enumerate(e):
-                values.update(map(table[i].__getitem__, e[a + 1 :] + o))
-        else:
-            ev, od = parity_split(g, current)
-            values = set(squares_span(g, od))
-            values.update(bracket(g, u, v) for a, u in enumerate(ev) for v in ev[a + 1 :] + od)
+        ev, od = parity_split(g, current)
+        values = set(squares_span(g, od))
+        values.update(bracket(g, u, v) for a, u in enumerate(ev) for v in ev[a + 1 :] + od)
         current = span_basis(values)
     return current
 

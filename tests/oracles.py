@@ -905,8 +905,11 @@ def reference_check_conditions(a, form, recipe):
                 raise ConditionViolated(
                     "D1" if case == "evenB-evenD" else "3D1p", (i, i)
                 )
-        alpha = recipe.alpha
         polar_label = "D3" if case == "evenB-evenD" else "3D-polar"
+        for i in a.odd_indices():
+            if form.pair(d.images[i], 1 << i):
+                raise ConditionViolated(polar_label, (i, i))
+        alpha = recipe.alpha
         odd = a.odd_indices()
         if alpha is None or alpha.n != len(odd):
             raise ConditionViolated(polar_label, None)

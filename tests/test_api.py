@@ -124,6 +124,31 @@ def test_only_the_subspace_toolkit_calls_kernel_basis():
     ]
 
 
+def test_only_derivations_and_isometry_call_adjointness_defect():
+    """forms.adjointness_defect is called only by
+    derivations.self_adjoint_values, which defines self-adjointness for
+    compatible_subspace and check_conditions alike, and by
+    isometry._adjointness_defect_rank."""
+    calling = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and "adjointness_defect" in (
+                getattr(child.func, "id", None),
+                getattr(child.func, "attr", None),
+            ):
+                calling.append(owner)
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, f"{owner}.{child.name}" if named else owner)
+
+    for path in sorted((ROOT / "src" / "nislie").glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    assert sorted(calling) == [
+        "derivations.self_adjoint_values",
+        "isometry._adjointness_defect_rank",
+    ]
+
+
 def test_the_cli_reads_the_paper_data_from_the_catalog():
     """The CLI names no cocycle tables of its own: of nislie.catalog it
     imports only the entry lookups."""

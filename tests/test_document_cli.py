@@ -621,6 +621,22 @@ def test_cli_seed_builds_the_generating_sequence_once(monkeypatch, capsys):
     assert len(calls) == 1
 
 
+def test_cli_verifies_a_found_witness_once(monkeypatch, capsys):
+    # the search verifies its leaf; the CLI reports that check, not a second
+    calls = []
+    verify = isometry.verify_isometry
+
+    def counted(*args):
+        calls.append(args)
+        return verify(*args)
+
+    monkeypatch.setattr(isometry, "verify_isometry", counted)
+    monkeypatch.setattr(cli, "verify_isometry", counted, raising=False)
+    assert main(["isometry", "hei-double", "hei-double"]) == 0
+    assert capsys.readouterr().out == "found (8 nodes); verified: True\n"
+    assert len(calls) == 1
+
+
 def test_cli_isometry_json_general_mode(capsys):
     argv = ["isometry", "hei-double", "hei-double", "--json"]
     assert main(argv) == 0

@@ -16,10 +16,17 @@ from nislie.catalog import (
     purely_odd,
     purely_odd_recipe,
 )
-from nislie.derivations import CASES, Derivation, case_of, case_parities
-from nislie.errors import ConditionViolated, FieldNotInCase, HypothesisNotMet, SplitsOff
+from nislie.derivations import CASES, Derivation, case_of, case_parities, compatible_subspace
+from nislie.errors import (
+    ConditionViolated,
+    DimensionMismatch,
+    FieldNotInCase,
+    HypothesisNotMet,
+    SplitsOff,
+)
 from nislie.extension import (
     ExtensionRecipe,
+    _odd_polar_matrix,
     extend,
     recipe_fields,
     reduce as ext_reduce,
@@ -157,6 +164,40 @@ def test_oddB_oddD_rejects_theta_defect(h105):
     assert err.value.condition == "3D-polar"
     th = h105.basis.find("theta")
     assert err.value.witness == (th, th)
+
+
+@pytest.mark.parametrize(
+    "name, label, case, fields, condition, at",
+    [
+        ("hei-double", "D2", "evenB-evenD", {"beta_star": 0}, "D3", "q"),
+        ("h1-0-5", "D6", "oddB-oddD", {"a0": 0, "m": 0}, "3D-polar", "theta"),
+    ],
+)
+def test_an_odd_diagonal_is_refused_whatever_alpha_says(
+    name, label, case, fields, condition, at
+):
+    # alpha's polar copies B(D ., .) on the odd part, diagonal included, so
+    # it is no polar form; unchecked, the first build fails invariance and
+    # the second Jacobi, and compatible_subspace rejects both derivations
+    obj, cocycles, _ = cocycles_for(name)
+    g, form, d = obj.algebra, obj.form, cocycles[label]
+    polar = _odd_polar_matrix(g, form, d)
+    recipe = ExtensionRecipe(case, d, alpha=QuadraticForm(polar.nrows, 0, polar), **fields)
+    with pytest.raises(ConditionViolated) as err:
+        extend(g, form, recipe)
+    i = g.names.index(at)
+    assert (err.value.condition, err.value.witness) == (condition, (i, i))
+    assert compatible_subspace(g, form, case, [d]).dim == 0
+    res = extend(g, form, recipe, unchecked=True)
+    assert not (validate(res.algebra).passed and check_nis(res.algebra, res.form).passed)
+
+
+def test_an_a0_outside_the_algebra_is_refused(hei_double):
+    # restricted to the even basis it would pass; in the extension its top
+    # bit would land on x
+    g, form = hei_double.algebra, hei_double.form
+    with pytest.raises(DimensionMismatch):
+        extend(g, form, dataclasses.replace(hei_odd_recipe(g), a0=1 << g.dim))
 
 
 def test_unchecked_build_reproduces_literal_structure(h105):

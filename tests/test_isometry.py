@@ -24,6 +24,7 @@ from nislie.derivations import (
     derivation_space,
     find_a0,
 )
+from nislie.document import recipe_to_meta
 from nislie.errors import ConditionViolated, FieldNotInCase, NisLieError
 from nislie.extension import ExtensionRecipe, _odd_polar_matrix, extend
 from nislie.forms import BilinearForm, QuadraticForm, transport_quadratic
@@ -327,7 +328,8 @@ def test_recipes_of_different_cases_are_refused(hei_double):
 
 @pytest.mark.parametrize(
     "entry",
-    ["extend", "build_adapted_isometry", "adapted_isometry_decision", "is_semi_trivial"],
+    ["extend", "build_adapted_isometry", "adapted_isometry_decision", "is_semi_trivial",
+     "recipe_to_meta"],
 )
 def test_entry_points_refuse_a_field_the_case_does_not_have(entry, hei_double):
     # evenB-oddD has a0 only, so beta* and m are foreign to it
@@ -344,10 +346,11 @@ def test_entry_points_refuse_a_field_the_case_does_not_have(entry, hei_double):
             g, b, src, tgt
         ),
         "is_semi_trivial": lambda src, tgt: is_semi_trivial(g, b, src),
+        "recipe_to_meta": lambda src, tgt: recipe_to_meta(src),
     }
     calls[entry](recipe, recipe)  # the recipe itself is accepted
     for src, tgt in ((foreign, recipe), (recipe, foreign)):
-        if entry in ("extend", "is_semi_trivial") and src is recipe:
+        if entry in ("extend", "is_semi_trivial", "recipe_to_meta") and src is recipe:
             continue
         with pytest.raises(FieldNotInCase):
             calls[entry](src, tgt)

@@ -5,7 +5,8 @@ and forms.transport_quadratic are checked against the loops kept in
 tests/oracles.py; check_conditions and the Ca/3Ca condition of
 build_adapted_isometry must raise the same label with the same witness as
 those loops, on catalog data, on seeded recipes whose D is not
-self-adjoint and on seeded non-symmetric Gram matrices.  A Hypothesis
+self-adjoint and on seeded non-symmetric Gram matrices, and must refuse
+D exactly where compatible_subspace and find_a0 do.  A Hypothesis
 property changes the basis of small catalog entries by random
 parity-preserving invertible maps.
 """
@@ -27,12 +28,20 @@ from nislie.derivations import (
     case_parities,
     compatible_subspace,
     derivation_space,
+    find_a0,
     outer_derivations,
     self_adjoint_coefficients,
     self_adjoint_values,
 )
 from nislie.errors import ConditionViolated
-from nislie.extension import ExtensionRecipe, check_conditions, extend, reduce as ext_reduce
+from nislie.extension import (
+    LABELS,
+    ExtensionRecipe,
+    _odd_polar_matrix,
+    check_conditions,
+    extend,
+    reduce as ext_reduce,
+)
 from nislie.forms import (
     BilinearForm,
     QuadraticForm,
@@ -245,6 +254,50 @@ def test_compatibility_cuts_keep_the_rows_of_the_pairwise_functionals():
                     want.append(images)
             got = compatible_subspace(g, form, case, cands).basis
             assert [d.images for d in got] == want
+
+
+def test_check_conditions_refuses_by_what_the_cut_and_find_a0_decide():
+    """A nonzero derivation passes the self-adjoint, diagonal and (i, i)
+    polar checks of check_conditions exactly when compatible_subspace keeps
+    it; for an odd one that passes them, an even a0 passes the a0 checks
+    exactly when it is a point of find_a0.  Derivations are seeded
+    combinations of the derivation space and of its compatible subspace."""
+    rng = random.Random(29)
+    for g, form, spaces in compatibility_cut_inputs():
+        k = len(g.odd_indices())
+        for case in CASES:
+            form_parity, der_parity = case_parities(case)
+            if form_parity != form.parity or not spaces[der_parity]:
+                continue
+            labels = LABELS[case]
+            kept = compatible_subspace(g, form, case, spaces[der_parity]).basis
+            for pool in (spaces[der_parity], kept):
+                for _ in range(10 if pool else 0):
+                    images = [0] * g.dim
+                    for d in pool:
+                        if rng.getrandbits(1):
+                            images = [a ^ b for a, b in zip(images, d.images)]
+                    if not any(images):
+                        continue
+                    d = Derivation(tuple(images), der_parity)
+                    got = outcome(check_conditions, g, form, ExtensionRecipe(case, d).normalized())
+                    passes = got is None or not (
+                        got[0] in (labels["self_adjoint"], labels["diagonal"])
+                        or got[0] == labels["polar"] and got[1] and got[1][0] == got[1][1]
+                    )
+                    assert passes == (compatible_subspace(g, form, case, [d]).dim == 1)
+                    if not (passes and der_parity):
+                        continue
+                    polar = _odd_polar_matrix(g, form, d)
+                    alpha = QuadraticForm(k, 0, polar) if form_parity else None
+                    sol = find_a0(g, d)
+                    a0s = [rng.getrandbits(g.dim) & g.even_mask for _ in range(4)]
+                    a0s += [] if sol is None else list(sol.points(4))
+                    for a0 in a0s:
+                        recipe = ExtensionRecipe(case, d, alpha=alpha, a0=a0).normalized()
+                        got = outcome(check_conditions, g, form, recipe)
+                        assert got is None or got[0] in (labels["square"], labels["a0"])
+                        assert (got is None) == (sol is not None and sol.index(a0) is not None)
 
 
 def test_dependencies_give_the_reference_coefficient_cut():

@@ -5,9 +5,10 @@ Gauss-Jordan of tests/oracles.py reads off the dense structure tensor.
 Every reduction candidate must meet its case's hypotheses, checked with
 dense brackets, squares and Gram products, and the candidates must span
 a space of the size found by counting the parity part of the dense
-center.  The dimensions of the center, the special center, g', the sharp
-complement of g' and the candidate spaces must not change when the basis
-is relabelled.  The objects are every catalog entry with a form and
+center; reduce must succeed (or split off a line) on exactly the
+central elements in their span.  The dimensions of the center, the
+special center, g', the sharp complement of g' and the candidate spaces
+must not change when the basis is relabelled.  The objects are every catalog entry with a form and
 h'(0|4), h'(0|5), h'(0|6), each with two seeded relabellings.
 """
 
@@ -20,9 +21,9 @@ import pytest
 
 from nislie.catalog import entry_names, hamiltonian, named
 from nislie.derivations import CASES, case_parities
-from nislie.errors import DimensionMismatch
-from nislie.extension import reduction_candidates
-from nislie.forms import BilinearForm
+from nislie.errors import DimensionMismatch, HypothesisNotMet, SplitsOff
+from nislie.extension import reduce as ext_reduce, reduction_candidates
+from nislie.forms import BilinearForm, check_nis
 from nislie.gf2 import GF2Matrix, combine, span_basis
 from nislie.superalgebra import (
     SuperAlgebra,
@@ -174,6 +175,55 @@ def test_the_squaring_cut_keeps_the_odd_central_elements_that_square_to_zero():
         if form.parity == 0:
             # evenB-oddD: x odd, cut by s(x) = 0 alone
             assert reduction_candidates(g, form, "evenB-oddD") == [0b110]
+
+
+def reduction_agrees_with_the_candidates(g, form):
+    """A nonzero element x of the center's part of a case's x parity
+    reduces exactly when it lies in the span of the case's reduction
+    candidates: inside, reduce refuses only with SplitsOff, when
+    B(x, x) = 1; outside, with HypothesisNotMet.  Returns the number of
+    elements inside and outside."""
+    inside = outside = 0
+    for case in CASES:
+        form_parity, der_parity = case_parities(case)
+        if form.parity != form_parity:
+            continue
+        x_parity = form_parity ^ der_parity
+        part = centralizer(g, range(g.dim), g.odd_indices() if x_parity else g.even_indices())
+        assert len(part) <= 12, "too large to scan"
+        kept = span_of(reduction_candidates(g, form, case))
+        for x in span_of(part) - {0}:
+            if x not in kept:
+                outside += 1
+                with pytest.raises(HypothesisNotMet):
+                    ext_reduce(g, form, x, case)
+            elif form.pair(x, x):
+                inside += 1
+                with pytest.raises(SplitsOff):
+                    ext_reduce(g, form, x, case)
+            else:
+                inside += 1
+                assert ext_reduce(g, form, x, case).recipe.case == case
+    return inside, outside
+
+
+@pytest.mark.parametrize(
+    "label",
+    [name for name in entry_names(include_defective=False) if named(name).form is not None],
+)
+def test_reduce_agrees_with_the_reduction_candidates(label):
+    for g, form in family(label):
+        reduction_agrees_with_the_candidates(g, form)
+
+
+def test_reduce_refuses_the_central_elements_that_the_squaring_cut_drops():
+    # the squaring-cut algebra with B(z, z) = 1 and the odd part hyperbolic:
+    # z pairs with its square and neither u nor v squares to zero, so they
+    # lie outside the candidates, while u + v reduces
+    g = SuperAlgebra(("z", "u", "v"), (0, 1, 1), ((0, 0, 0),) * 3, (0, 1, 1))
+    form = BilinearForm(GF2Matrix([0b001, 0b100, 0b010], 3), 0)
+    assert check_nis(g, form).non_degenerate
+    assert reduction_agrees_with_the_candidates(g, form) == (1, 3)
 
 
 @pytest.mark.parametrize("label", LABELS)
