@@ -251,8 +251,8 @@ def hamiltonian(m: int, derived: bool = True):
     those of h(0|m) on its monomials, and the walk drops every B or T
     outside them.
     """
-    if not 2 <= m <= 8:
-        raise OutOfRange("hamiltonian(m) supported for 2 <= m <= 8")
+    if not 2 <= m <= 10:
+        raise OutOfRange("hamiltonian(m) supported for 2 <= m <= 10")
     basis = monomial_basis(m, include_constant=False, include_top=not derived)
     g = _monomial_algebra(basis)
     return g, _complement_form(basis, g), basis

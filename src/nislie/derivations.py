@@ -27,32 +27,53 @@ rows have the kernel of the rows on every pair.  When the walk is None (a
 table that is not structurally_sound, or a failing Jacobi identity), every
 pair gives its rows.
 
+The unknowns are only the coefficients of D e_s for s in S and E (the
+kept unknowns); every other D e_k is propagated along the ad_S-closure.
+Replayed from S, each closure vector v = [e_s, u] gets
+D v = [D e_s, u] + [e_s, D u], and each e_k is a sum of closure vectors
+and E, so D e_k is a linear function of the kept unknowns.  Three facts
+make the kernels those of the system on all n^2 coefficients:
+- Leibniz at (e_s, u) is a sum of the rows at the pairs (s, j), which
+  are in the system; so it holds for every derivation, with or without
+  Jacobi, and for every solution, and the propagation loses none;
+- restriction to S and E is injective on derivations and on solutions:
+  a D that vanishes there vanishes on C and on E, hence on g.  So the
+  inner maps have the same rank over the kept unknowns, and the
+  early close below reads the inner rank;
+- the kernel is mapped back to the coordinates (i, m) of every unknown
+  and put in the canonical form that SpanBasis.kernel returns (the fully
+  reduced basis with highest-bit pivots), so it is bit-identical.
+When the walk is None, S and E are every basis vector, nothing is
+propagated, and the system is the one on every coefficient.
+
 The system is block-diagonal over the shift of the unknown map under the
 finest free grading that the structure constants allow
 (SuperAlgebra.fine_degrees), for every algebra, declared degrees or not.
-It is built in one pass over the rules: each basis vector lists the
-unknowns that have it as source, with their block, so a rule row touches
-only unknowns that exist and goes to the block of its shift.  Each block
-keeps its own fully reduced SpanBasis, its kernel is read off the echelon
-rows with no second elimination, and a block whose kernel is known drops
-out of the index.  Inner maps ad_{e_i} lie in the block of e_i's degree,
-so the outer quotient is taken block by block; declared degrees, which
-must coarsen the fine grading, only label the blocks.  The blocks go in
-order of their shift in the canonical degrees of fine_degrees, so the
-block order, and with it the order of OuterBasis.representatives,
-depends only on the algebra and the order of its basis.
+The closure vectors are homogeneous, so the propagation keeps each
+coefficient in the block of its own shift.  The system is built in one
+pass over the rules: each basis vector lists the coefficients of its
+image, each a combination of kept unknowns of one block, so a rule row
+touches only unknowns that exist and goes to the block of its shift.
+Each block keeps its own fully reduced SpanBasis, its kernel is read off
+the echelon rows with no second elimination, and a block whose kernel
+is known drops out of the index.  Inner maps ad_{e_i} lie in the block
+of e_i's degree, so the outer quotient is taken block by block; declared
+degrees, which must coarsen the fine grading, only label the blocks.
+The blocks go in order of their shift in the canonical degrees of
+fine_degrees, so the block order, and with it the order of
+OuterBasis.representatives, depends only on the algebra and the order
+of its basis.
 
 A block's kernel is known at full rank, and earlier once the inner maps
 are proved derivations: g.jacobi_walk is a tuple (Jacobi holds) and
 g.squaring_rule_holds (ad_{s(e_i)} = ad_i ad_i on odd e_i).  Then a block
-closes at rank size - r_b, where r_b is the rank of its inner maps:
+closes at rank size - r_b, where size counts its kept unknowns and r_b is
+the rank of its inner maps:
 - K_true is the kernel of every row, K_partial the kernel of the rows
   inserted so far, so K_partial contains K_true;
 - K_true contains the block's inner span, which has dimension r_b;
 - at rank size - r_b, dim K_partial = r_b, so K_partial = K_true = the
-  inner span;
-- equal kernels mean equal row spaces, and the reduced echelon form is
-  canonical, so SpanBasis.kernel returns bit-identical kernels.
+  inner span, whose canonical basis is the kernel.
 Without either proof a block closes only at full rank, so a table that
 fails the axioms keeps its kernels and its InnerNotDerivation errors.
 """
@@ -60,6 +81,7 @@ fails the axioms keeps its kernels and its InnerNotDerivation errors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import sub
 from typing import Callable, Sequence
 
@@ -175,44 +197,69 @@ def _fine_blocks(g: SuperAlgebra, parity: int):
     Leibniz rows come from the pairs that touch g.jacobi_walk, or from
     every pair when it is None (see the module docstring).  Unknown (i, m)
     means e_m |-> ... + e_i; it lies in the block of its shift f_i - f_m
-    under g.fine_degrees.  Every rule row is homogeneous: the row of
-    output l of the rule at (j, k) only touches unknowns of shift
-    f_l - f_j - f_k.  A block closes at full rank, or, once every ad_x is
-    a proved derivation, at its size minus the rank of its inner maps.
+    under g.fine_degrees.  Only the unknowns (i, s) with s in S or E are
+    kept; _propagate writes every other D e_m as a combination of them.
+    The kernels stay those of the system on all n^2 unknowns:
+    - Leibniz at (e_s, u) holds for every derivation, with or without
+      Jacobi, and for every solution, so the propagation loses none;
+    - restriction to S and E is injective on derivations, so a block's
+      early-close rank is its inner rank;
+    - the mapped-back kernel is in the canonical form SpanBasis.kernel
+      gives (_canonical_kernel).
+    Every rule row is homogeneous: the row of output l of the rule at
+    (j, k) only touches unknowns of shift f_l - f_j - f_k.  A block closes
+    at full rank, or, once every ad_x is a proved derivation, at its kept
+    size minus the rank of its inner maps.
     Returns (unknowns, kernels, inner, rows): one entry of unknowns,
     kernels and inner per block in order of shift, with kernel vectors
     over the block's own unknowns; inner is _inner_vectors; rows counts
     the rule rows inserted into the blocks' spans.
     """
     n = g.dim
-    fine = g.fine_degrees
-    layout: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-    for m in range(n):
-        want = (g.parity[m] + parity) & 1
-        fm = fine[m]
-        for i in range(n):
-            if g.parity[i] == want:
-                shift = tuple(map(sub, fine[i], fm))
-                layout.setdefault(shift, []).append((i, m))
-    unknowns = [layout[s] for s in sorted(layout)]
-    inner = _inner_vectors(g, parity, unknowns)
     walk = g.jacobi_walk
+    sources = range(n) if walk is None else frozenset(walk[0] + walk[1])
+    codes = _degree_codes(g.fine_degrees)
+    of_parity = (g.even_indices(), g.odd_indices())
+    # layout[shift]: the unknowns of the shift in order, kept_of[shift]: how
+    # many have a source m; images[m]: i -> the coefficient of e_i in D e_m,
+    # a mask over the kept unknowns of the block of (i, m)
+    layout: dict[int, list[tuple[int, int]]] = {}
+    kept_of: dict[int, int] = {}
+    images: list[dict[int, int]] = [{} for _ in range(n)]
+    for m in range(n):
+        cm = codes[m]
+        image = images[m] if m in sources else None
+        for i in of_parity[(g.parity[m] + parity) & 1]:
+            shift = codes[i] - cm
+            layout.setdefault(shift, []).append((i, m))
+            if image is not None:
+                k = kept_of.get(shift, 0)
+                image[i] = 1 << k
+                kept_of[shift] = k + 1
+    shifts = sorted(layout)
+    unknowns = [layout[s] for s in shifts]
+    kept = [kept_of.get(s, 0) for s in shifts]
+    inner = _inner_vectors(g, parity, unknowns)
+    if len(sources) < n:
+        _propagate(g, walk, images)
     # rank at which a block's kernel is known: its inner span, once the
     # inner maps are proved derivations (see the module docstring).  A
     # tuple walk means a structurally_sound table, whose ad_{e_i} have
     # graded images, so inner is not None then.
-    target = [len(block) for block in unknowns]
+    target = kept[:]
     if walk is not None and g.squaring_rule_holds:
         for b, ads in enumerate(inner):
             target[b] -= SpanBasis(ads).dim
-    # by_source[m]: (i, b * n) -> bit for each unknown (i, m) of a block b
+    # by_source[m]: (i, b * n) -> the mask of unknown (i, m) of a block b
     # whose kernel is still open; a row of block b and output l has key
     # b * n + l
     by_source: list[dict[tuple[int, int], int]] = [{} for _ in range(n)]
     for b, block in enumerate(unknowns):
         if target[b]:
-            for pos, (i, m) in enumerate(block):
-                by_source[m][i, b * n] = 1 << pos
+            for i, m in block:
+                mask = images[m].get(i)
+                if mask:
+                    by_source[m][i, b * n] = mask
     spans = [SpanBasis() for _ in unknowns]
     table = g.bracket_table
     inserted = 0
@@ -253,43 +300,175 @@ def _fine_blocks(g: SuperAlgebra, parity: int):
                 # the block's kernel is known, so its unknowns drop out
                 off = b * n
                 for i, m in unknowns[b]:
-                    del by_source[m][i, off]
+                    by_source[m].pop((i, off), None)
 
-    sources = range(n) if walk is None else frozenset(walk[0] + walk[1])
     for j in range(n):
         for k in range(j + 1, n):
             if j in sources or k in sources:
                 add_rule(table[j][k], j, k, True)
     for j in g.odd_indices():
         add_rule(g.squaring[j], j, j, False)
-    kernels = [span.kernel(len(block)) for span, block in zip(spans, unknowns)]
+    kernels = []
+    for b, (span, block) in enumerate(zip(spans, unknowns)):
+        width = kept[b]
+        if span.dim == width or width == len(block):
+            # the kernel is 0, or no unknown of the block was propagated
+            kernel = span.kernel(width)
+        elif span.dim == target[b]:  # closed at its inner span
+            kernel = _canonical_kernel(inner[b], len(block))
+        else:  # back from the kept unknowns to every (i, m)
+            kernel = _canonical_kernel(
+                [
+                    sum(
+                        (images[m].get(i, 0) & x).bit_count() % 2 << pos
+                        for pos, (i, m) in enumerate(block)
+                    )
+                    for x in span.kernel(width)
+                ],
+                len(block),
+            )
+        kernels.append(kernel)
     return unknowns, kernels, inner, inserted
+
+
+def _degree_codes(fine: Sequence[tuple[int, ...]]) -> list[int]:
+    """Each fine degree as one int, its coordinates the digits of a
+    balanced radix wide enough for every difference: code(f_i) - code(f_m)
+    codes f_i - f_m, and codes of shifts sort as the shift tuples do."""
+    radix = 4 * max(map(abs, chain.from_iterable(fine)), default=0) + 1
+    codes = []
+    for f in fine:
+        c = 0
+        for x in f:
+            c = c * radix + x
+        codes.append(c)
+    return codes
+
+
+def _propagate(g: SuperAlgebra, walk, images: list[dict[int, int]]) -> None:
+    """Fill images[m] for every m outside S and E of the walk (S, E).
+
+    The ad_S-closure of S is replayed from S: each new vector
+    v = [e_s, u] gets D v = [D e_s, u] + [e_s, D u], the Leibniz rule at
+    (e_s, u).  Its vectors are tagged with their index above bit n, so
+    the fully reduced row of pivot p writes e_p as a sum of tagged
+    vectors and of free columns, which are E: D e_p is the same sum of
+    their images.  Every closure vector is homogeneous in the fine
+    grading, and so is each e_p, which is a sum of vectors of its own
+    degree only; so each entry stays in the block of its (i, m).
+    """
+    n = g.dim
+    gens, extra = walk
+    table = g.bracket_table  # symmetric: the walk needs a sound table
+    low_mask = (1 << n) - 1
+    closure = SpanBasis(1 << s | 1 << (n + t) for t, s in enumerate(gens))
+    vectors = [1 << s for s in gens]
+    derived = [images[s] for s in gens]  # D of each closure vector
+    size = n - len(extra)
+    t = 0
+    while closure.dim < size:
+        u, du = vectors[t], derived[t]
+        t += 1
+        for s in gens:
+            v = combine(table[s], u)
+            if not v:
+                continue
+            r = closure.reduce(v | 1 << (n + len(vectors)))
+            if not r & low_mask:
+                continue
+            closure.add(r)
+            dv: dict[int, int] = {}
+            get = dv.get
+            # [D e_s, u]: sum over (i, s) of x_(i, s) [e_k, e_i], k in u
+            for k in bits(u):
+                row = table[k]
+                for i, q in images[s].items():
+                    w = row[i]
+                    while w:
+                        low = w & -w
+                        w ^= low
+                        key = low.bit_length() - 1
+                        dv[key] = get(key, 0) ^ q
+            # [e_s, D u]
+            row = table[s]
+            for l, c in du.items():
+                w = row[l]
+                while w:
+                    low = w & -w
+                    w ^= low
+                    key = low.bit_length() - 1
+                    dv[key] = get(key, 0) ^ c
+            vectors.append(v)
+            derived.append(dv)
+            if closure.dim == size:
+                break
+    skip = frozenset(gens)
+    for row in closure.rows():
+        p = (row & -row).bit_length() - 1
+        if p in skip:
+            continue
+        parts = [derived[t] for t in bits(row >> n)]
+        parts += [images[f] for f in bits(row & low_mask ^ 1 << p)]
+        if len(parts) == 1:
+            images[p] = parts[0]
+            continue
+        dp = images[p]
+        for part in parts:
+            for l, c in part.items():
+                dp[l] = dp.get(l, 0) ^ c
+
+
+def _canonical_kernel(vectors: list[int], width: int) -> list[int]:
+    """The basis SpanBasis.kernel(width) gives of span(vectors) when
+    span(vectors) is the kernel of some rows.
+
+    That basis has one vector per free column f, ascending: e_f plus
+    pivots p < f.  So it is the fully reduced echelon basis with
+    highest-bit pivots, which SpanBasis gives on the bit-reversed vectors;
+    a single nonzero vector is its own.
+    """
+    if len(vectors) < 2:
+        return list(vectors)
+
+    def flip(v: int) -> int:
+        return int(bin(v)[:1:-1].ljust(width, "0"), 2)
+
+    return [flip(v) for v in reversed(SpanBasis(map(flip, vectors)).vectors())]
 
 
 def _inner_vectors(g: SuperAlgebra, parity: int, unknowns):
     """The nonzero ad_{e_i}, e_i of the parity, in block coordinates.
 
-    ad_{e_i} lies in the block of shift f_i; the result lists each block's
-    inner vectors, or is None when an image has the wrong parity (then
-    ad_{e_i} is no map of the parity).
+    ad_{e_i} lies in the block of shift f_i, as each term e_k of
+    [e_i, e_m] has f_k = f_i + f_m; the result lists each block's inner
+    vectors, or is None when an image has the wrong parity (then ad_{e_i}
+    is no map of the parity).
     """
-    where = {
-        u: (b, 1 << pos)
-        for b, block in enumerate(unknowns)
-        for pos, u in enumerate(block)
+    fine = g.fine_degrees
+    block_of = {
+        tuple(map(sub, fine[i], fine[m])): b
+        for b, ((i, m), *_) in enumerate(unknowns)
     }
+    where: dict[int, dict[tuple[int, int], int]] = {}  # per block, on demand
     inner: list[list[int]] = [[] for _ in unknowns]
     for i in g.odd_indices() if parity else g.even_indices():
+        row = g.bracket_table[i]
+        if not any(row):
+            continue
+        b = block_of.get(fine[i])
+        if b is None:
+            return None
+        if b not in where:
+            where[b] = {u: 1 << pos for pos, u in enumerate(unknowns[b])}
+        bit_of = where[b]
         v = 0
         try:
-            for m, image in enumerate(g.bracket_table[i]):
+            for m, image in enumerate(row):
                 for k in bits(image):
-                    b, bit = where[(k, m)]
-                    v |= bit
+                    v |= bit_of[k, m]
         except KeyError:
             return None
-        if v:
-            inner[b].append(v)
+        inner[b].append(v)
     return inner
 
 
@@ -329,7 +508,8 @@ class OuterBasis:
     representatives: tuple[Derivation, ...]
     derivation_dim: int
     inner_dim: int
-    # basis vectors whose Leibniz rows built the system; None: every pair
+    # the walk's vectors: their Leibniz rows built the system and their
+    # images are its unknowns; None: every pair and every image
     leibniz_sources: int | None = field(default=None, compare=False)
     # rule rows inserted into the block spans; None: not counted
     rows: int | None = field(default=None, compare=False)

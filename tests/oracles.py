@@ -930,6 +930,15 @@ def reference_check_conditions(a, form, recipe):
             raise ConditionViolated(lab3, None)
 
 
+def random_invertible_parity_map(rng, g):
+    """Images of the basis: an invertible map keeping each parity."""
+    masks = (g.even_mask, g.odd_mask)
+    while True:
+        images = [rng.getrandbits(g.dim) & masks[p] for p in g.parity]
+        if GF2Matrix(images, g.dim).rank() == g.dim:
+            return images
+
+
 def change_basis(g, form, images):
     """(g, form) in the basis f_i = images[i] (an invertible map that keeps
     parities): structure constants and Gram entries, one basis pair at a

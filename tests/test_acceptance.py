@@ -553,29 +553,20 @@ def test_c12_arf():
 def test_c13_conjecture_support():
     with criterion(
         13,
-        "h1(0|6), h1(0|7) and h1(0|8) cohomology computed; analog classes"
-        " reported",
+        "h1(0|m) cohomology for 4 <= m <= 8 follows one rule by the parity"
+        " of m; analog classes reported",
         600,
     ):
-        g6, _, _ = hamiltonian(6, derived=True)
-        even6 = outer_dimension_by_degree(g6, 0)
-        odd6 = outer_dimension_by_degree(g6, 1)
-        print(f"  m=6: even out by degree {even6}, odd {odd6}")
-        print(
-            "  m=6: degree-0 even classes (tilde-po analog candidates):"
-            f" {'present' if even6.get(0) else 'absent'}"
-        )
-        g7, _, _ = hamiltonian(7, derived=True)
-        even7 = outer_dimension_by_degree(g7, 0)
-        odd7 = outer_dimension_by_degree(g7, 1)
-        print(f"  m=7: even out by degree {even7}, odd {odd7}")
-        print(
-            "  m=7: odd degree-5 class (po(0|7;m) analog candidate):"
-            f" {'present' if odd7.get(5) else 'absent'}"
-        )
-        g8, _, _ = hamiltonian(8, derived=True)
-        even8 = outer_dimension_by_degree(g8, 0)
-        odd8 = outer_dimension_by_degree(g8, 1)
-        print(f"  m=8: even out by degree {even8}, odd {odd8}")
-        assert even8 == {-2: 1, 0: 9, 6: 1}
-        assert odd8 == {}
+        for m in range(4, 9):
+            g, _, _ = hamiltonian(m, derived=True)
+            even = outer_dimension_by_degree(g, 0)
+            odd = outer_dimension_by_degree(g, 1)
+            print(f"  m={m}: even out by degree {even}, odd {odd}")
+            if m % 2 == 0:
+                # degree-0 even classes: tilde-po analog candidates
+                assert even == {-2: 1, 0: m + 1, m - 2: 1}
+                assert odd == {}
+            else:
+                # the odd degree m - 2 class: po(0|m;m) analog candidate
+                assert even == {0: m}
+                assert odd == {m - 2: 1}

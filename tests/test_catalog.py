@@ -102,7 +102,7 @@ def test_hamiltonian_bounds_and_small_case():
     with pytest.raises(OutOfRange):
         hamiltonian(1)
     with pytest.raises(OutOfRange):
-        hamiltonian(9)
+        hamiltonian(11)
     g, b, basis = hamiltonian(2, derived=True)
     assert g.dim == 2
     assert validate(g).passed

@@ -52,6 +52,7 @@ from nislie.superalgebra import (
 from oracles import (
     brute_force_isometric,
     h104_deg_swap,
+    random_invertible_parity_map,
     reference_adapted_decision,
     reference_generating_sequence,
     reference_quadratic_from_eval,
@@ -830,15 +831,6 @@ def random_homogeneous_form(rng, g, form_parity):
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
     return BilinearForm(GF2Matrix(rows, g.dim), form_parity)
-
-
-def random_invertible_parity_map(rng, g):
-    """Images of the basis: an invertible map keeping each parity."""
-    masks = (g.even_mask, g.odd_mask)
-    while True:
-        images = [rng.getrandbits(g.dim) & masks[p] for p in g.parity]
-        if GF2Matrix(images, g.dim).rank() == g.dim:
-            return images
 
 
 def transport(g, form, images):
