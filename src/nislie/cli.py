@@ -320,6 +320,8 @@ def cmd_reduce(args) -> int:
     if doc.form is None:
         raise CliError(2, "reduction needs an input with a bilinear form")
     x = _parse_element(doc, args.center_element)
+    if not x:
+        raise CliError(2, "center element must be nonzero")
     p = doc.algebra.parity_of(x)
     if p is None:
         raise CliError(2, "center element must be parity-homogeneous")
@@ -430,7 +432,7 @@ def cmd_isometry(args) -> int:
         payload["verified"] = True  # a found witness has passed verify_isometry
     human = _GENERAL_LINES[verdict.status].format(verdict, **payload)
     if verdict.status == "budget-exhausted" and verdict.nodes <= args.budget:
-        # a cut candidate list or an unsound table, not the node budget
+        # an unsound table, not the node budget
         human += f": {verdict.reason}"
     _emit(args, payload, [human])
     return _EXIT_CODES[verdict.status]

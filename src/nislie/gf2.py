@@ -143,9 +143,8 @@ class AffineSolution:
         """Enumerate all solutions (use only for small kernels)."""
         return self.points()
 
-    def points(self, limit: int | None = None) -> Iterator[int]:
-        """The first `limit` (at least 1; None: all) solutions, lazily and
-        in order.
+    def points(self) -> Iterator[int]:
+        """All solutions, lazily and in order.
 
         Solution number mask is particular plus kernel_basis[i] for each
         bit i of mask.  Going from mask - 1 to mask flips bits 0..t, t the
@@ -154,16 +153,13 @@ class AffineSolution:
         pays only for the solutions it took.
         """
         kernel = self.kernel_basis
-        count = 1 << len(kernel)
-        if limit is not None:
-            count = min(count, limit)
         prefix, acc = [], 0
         for k in kernel:
             acc ^= k
             prefix.append(acc)
         x = self.particular
         yield x
-        for mask in range(1, count):
+        for mask in range(1, 1 << len(kernel)):
             x ^= prefix[(mask & -mask).bit_length() - 1]
             yield x
 

@@ -16,10 +16,11 @@ raised the rank in the last round are bracketed with the span, and the odd
 ones squared.  A node pays only for what deciding it needs: the candidate
 images of a generator are enumerated lazily in solution order, and each
 is checked against the forms on the parent's closed span before the span
-is copied and closed.  Every decision is a Verdict: "found" with a
-witness, "not-found" (a proof), or "budget-exhausted" when the node
-budget ran out, a candidate list was cut or a bracket table is malformed
-(see search_isometry).
+is copied and closed.  The node budget is the one bound on the work:
+every candidate of a generator may be tried.  Every decision is a
+Verdict: "found" with a witness, "not-found" (a proof), or
+"budget-exhausted" when the node budget ran out or a bracket table is
+malformed (see search_isometry).
 
 Over GF(2) the scalar lambda of the adapted conditions is 1, which collapses
 semi-triviality to a single affine solve: conjugating by an isometry of the
@@ -392,9 +393,9 @@ def complete_by_bracketing(
 class Verdict:
     """An isometry decision, of one of three kinds by status: "found" (the
     witness is the Isometry, which has passed verify_isometry), "not-found"
-    (an exhaustive proof) or "budget-exhausted" (the node budget, the
-    candidate cap or a table that is not structurally_sound ended the
-    search; reason says which).  nodes counts the candidates tried."""
+    (an exhaustive proof) or "budget-exhausted" (the node budget ran out,
+    or the search ended on a table that is not structurally_sound; reason
+    says which).  nodes counts the candidates tried."""
 
     status: str
     witness: Isometry | None = None
@@ -405,11 +406,6 @@ class Verdict:
         return {"status": self.status, "nodes": self.nodes, "reason": self.reason}
 
 
-# solutions w kept per generator in search_isometry; a longer list leaves an
-# exhausted search budget-exhausted
-_CANDIDATE_LIMIT = 4096
-
-
 def _candidate_images(
     g2: SuperAlgebra,
     b1: BilinearForm,
@@ -417,30 +413,23 @@ def _candidate_images(
     v: int,
     parity: int,
     determined: list[tuple[int, int]],
-    limit: int | None,
     seed: int | None = None,
-) -> tuple[Iterator[int], bool]:
+) -> Iterator[int]:
     """Homogeneous candidates w with B2(w, w_k) = B1(v, v_k) for known pairs.
 
-    The nonzero ones among the first `limit` solutions (None: all), lazily
-    and in points() order, with `seed` moved to the front when it is one of
-    them; and whether there are more solutions.
+    Every nonzero solution, lazily and in points() order, with `seed` moved
+    to the front when it is one.
     """
     idxs = g2.even_indices() if parity == 0 else g2.odd_indices()
     rows = [restrict(b2.pair_row(wk), idxs) for _, wk in determined]
     rhs = sum(b1.pair(v, vk) << r for r, (vk, _) in enumerate(determined))
     sol = solve_affine(GF2Matrix(rows, len(idxs)), rhs)
     if sol is None:
-        return iter(()), False
+        return iter(())
     sol = sol.lift(idxs)
-    cut = limit is not None and 1 << len(sol.kernel_basis) > limit
-    ahead = ()
-    if seed:
-        mask = sol.index(seed)
-        if mask is not None and (limit is None or mask < limit):
-            ahead = (seed,)
-    rest = (w for w in sol.points(limit) if w and w not in ahead)
-    return itertools.chain(ahead, rest), cut
+    ahead = (seed,) if seed and sol.index(seed) is not None else ()
+    rest = (w for w in sol.points() if w and w not in ahead)
+    return itertools.chain(ahead, rest)
 
 
 def _form_consistent(span: _PairSpan, b1, b2, pairs) -> bool:
@@ -536,17 +525,16 @@ class _Isometries:
 
     Iterating yields the image tuples in search order; each candidate image
     of a generator is a node, counted before its form check, and passing
-    `budget` nodes raises SearchBudgetExceeded.  `seeds` maps a generator
-    to its image to try first; `limit` caps the candidates per generator
-    (None: all), and `truncated` records whether the cap ever dropped one.
+    `budget` nodes raises SearchBudgetExceeded; the budget is the only
+    bound, as every candidate of a generator is tried.  `seeds` maps a
+    generator to its image to try first when that image is a candidate.
     """
 
-    def __init__(self, g1, b1, g2, b2, budget, seeds=None, limit=None):
+    def __init__(self, g1, b1, g2, b2, budget, seeds=None):
         self.g1, self.b1, self.g2, self.b2 = g1, b1, g2, b2
-        self.budget, self.seeds, self.limit = budget, seeds or {}, limit
+        self.budget, self.seeds = budget, seeds or {}
         self.gens = g1.generating_sequence
         self.nodes = 0
-        self.truncated = False
 
     def __iter__(self):
         return self._backtrack(0, _PairSpan(self.g1.dim), [])
@@ -564,17 +552,9 @@ class _Isometries:
         if span.image_of(v) is not None:
             yield from self._backtrack(level + 1, span, determined)
             return
-        cands, cut = _candidate_images(
-            g2,
-            self.b1,
-            self.b2,
-            v,
-            g1.parity[gi],
-            determined,
-            self.limit,
-            self.seeds.get(v),
+        cands = _candidate_images(
+            g2, self.b1, self.b2, v, g1.parity[gi], determined, self.seeds.get(v)
         )
-        self.truncated |= cut
         fits = _form_test(self.b1, self.b2, span, v)
         for w in cands:
             self.nodes += 1
@@ -592,22 +572,22 @@ class _Isometries:
 
 def _first_isometry(search: _Isometries, span, determined, proof: str) -> Verdict:
     """The first leaf below the closed span of the pairs `determined`, or
-    why there is none: `proof` when the search is exhaustive, else the
-    cut candidate list or the table that is not symmetric, alternating
-    and graded."""
+    why there is none: `proof` when the search is exhaustive on two
+    structurally sound tables, else the table that is not symmetric,
+    alternating and graded."""
     try:
         images = next(search._backtrack(0, span, determined), None)
     except SearchBudgetExceeded as exc:
         return Verdict("budget-exhausted", nodes=search.nodes, reason=str(exc))
     if images is not None:
         return Verdict("found", Isometry(images), nodes=search.nodes)
-    if search.truncated:
-        reason = f"some generator has more than {_CANDIDATE_LIMIT} candidates"
-    elif not (structurally_sound(search.g1) and structurally_sound(search.g2)):
-        reason = "a bracket table is not symmetric, alternating and graded"
-    else:
+    if structurally_sound(search.g1) and structurally_sound(search.g2):
         return Verdict("not-found", nodes=search.nodes, reason=proof)
-    return Verdict("budget-exhausted", nodes=search.nodes, reason=reason)
+    return Verdict(
+        "budget-exhausted",
+        nodes=search.nodes,
+        reason="a bracket table is not symmetric, alternating and graded",
+    )
 
 
 def search_isometry(
@@ -621,18 +601,19 @@ def search_isometry(
     """Backtracking over generator images with form/bracket propagation.
 
     A seed (v, w) makes w the first candidate for v when v is a basis
-    vector of g1.generating_sequence and w is among its candidates;
-    seeds on other vectors are ignored, and no seed constrains the search.
+    vector of g1.generating_sequence and w is among its candidates,
+    whatever its place among them; seeds on other vectors are ignored, and
+    no seed constrains the search.
 
-    The candidates of a generator are enumerated lazily, in the order of
-    AffineSolution.points, so only those tried are built.  Each counts as
-    a node before its form check against the parent's span, so `budget`
-    bounds the candidates tried, as with whole lists.
+    The candidates of a generator are all the solutions of its equations,
+    enumerated lazily in the order of AffineSolution.points, so only those
+    tried are built.  Each counts as a node before its form check against
+    the parent's span, so `budget` is the one bound on the work.
 
     The Verdict is "found" with the isometry as witness, "budget-exhausted"
-    when the node budget ran out, a candidate list was cut at
-    _CANDIDATE_LIMIT or a table is not structurally_sound (reason says
-    which), and else "not-found", a proof by three facts:
+    when the node budget ran out or the search ended on a table that is
+    not structurally_sound (reason says which), and else "not-found", a
+    proof by three facts:
     - every isometry pi is fixed by the images of the generating sequence,
       whose subalgebra closure is all of g1, since pi preserves brackets
       and squares;
@@ -645,9 +626,7 @@ def search_isometry(
     """
     if g1.sdim != g2.sdim or b1.parity != b2.parity:
         return Verdict("not-found", reason="superdimension or form parity differ")
-    search = _Isometries(
-        g1, b1, g2, b2, budget, dict(seed_pairs or ()), limit=_CANDIDATE_LIMIT
-    )
+    search = _Isometries(g1, b1, g2, b2, budget, dict(seed_pairs or ()))
     return _first_isometry(
         search, _PairSpan(g1.dim), [], "generator-image search exhausted"
     )
@@ -695,8 +674,9 @@ def adapted_isometry_decision(
     symmetric, on which an exhausted search proves nothing.  So the
     Verdict is "found" with the adapted isometry as witness, "not-found"
     (a proof, by a linear route or the search) or "budget-exhausted" (the
-    node budget, a cut candidate list or an unsound table; reason says
-    which).  A recipe field the case does not have raises FieldNotInCase.
+    node budget ran out, or the search ended on an unsound table; reason
+    says which).  A recipe field the case does not have raises
+    FieldNotInCase.
 
     Two linear routes run first.  The rank of the self-adjointness defect
     (_adjointness_defect_rank) is the same on both sides of an adapted
@@ -748,7 +728,7 @@ def adapted_isometry_decision(
     fixed = [(1 << src.x_index, 1 << tgt.x_index)]
     start = _close(g1, g2, b1, b2, _PairSpan(g1.dim), fixed)
     identity = {1 << i: 1 << i for i in range(g1.dim)}
-    search = _Isometries(g1, b1, g2, b2, budget, identity, limit=_CANDIDATE_LIMIT)
+    search = _Isometries(g1, b1, g2, b2, budget, identity)
     return _first_isometry(
         search, start, fixed, "no isometry of the extensions fixes x"
     )

@@ -20,7 +20,6 @@ from nislie.derivations import Derivation, _inner_vectors, case_parities, is_der
 from nislie.errors import CaseParityMismatch, ConditionViolated, SearchBudgetExceeded
 from nislie.forms import BilinearForm, NISReport, QuadraticForm
 from nislie.gf2 import GF2Matrix, SpanBasis, bits, combine, dot, restrict, solve_affine
-from nislie import isometry
 from nislie.isometry import (
     _PairSpan,
     _closure,
@@ -678,23 +677,19 @@ def reference_search_isometry(g1, b1, g2, b2, budget, seed_pairs=()):
         return "not-found", 0, True, None
     gens = [1 << i for i in reference_generating_sequence(g1)]
     seeds = dict(seed_pairs)
-    limit = isometry._CANDIDATE_LIMIT
-    nodes, truncated = 0, False
+    nodes = 0
 
     def candidates(v, determined):
-        nonlocal truncated
         idxs = g2.odd_indices() if g1.parity_of(v) else g2.even_indices()
         rows = [restrict(b2.pair_row(y), idxs) for _, y in determined]
         rhs = sum(b1.pair(v, x) << r for r, (x, _) in enumerate(determined))
         sol = solve_affine(GF2Matrix(rows, len(idxs)), rhs)
         if sol is None:
             return []
-        size = 1 << len(sol.kernel_basis)
-        truncated |= size > limit
         units = [1 << i for i in idxs]
         cands = [
             combine(units, sol.particular ^ combine(sol.kernel_basis, mask))
-            for mask in range(min(size, limit))
+            for mask in range(1 << len(sol.kernel_basis))
         ]
         cands = [w for w in cands if w]
         seed = seeds.get(v)
@@ -737,7 +732,7 @@ def reference_search_isometry(g1, b1, g2, b2, budget, seed_pairs=()):
     if images is not None:
         return "found", nodes, False, images
     sound = structurally_sound(g1) and structurally_sound(g2)
-    return "not-found", nodes, sound and not truncated, None
+    return "not-found", nodes, sound, None
 
 
 def brute_force_isometric(g1, b1, g2, b2) -> bool:

@@ -671,19 +671,23 @@ def test_cli_isometry_json_adapted_mode(capsys):
     }
 
 
-def test_cli_cut_candidate_list_exits_3_naming_the_cap(monkeypatch, capsys):
-    # with two candidates kept per generator the identity of hei-double is
-    # missed, and the exhausted search is no proof
-    monkeypatch.setattr(isometry, "_CANDIDATE_LIMIT", 2)
-    assert main(["isometry", "hei-double", "hei-double"]) == 3
+def test_cli_unsound_table_exits_3_naming_it(tmp_path, capsys):
+    # the triple [0, 1, 0] makes [p, q] = z + p, which is not graded: the
+    # search ends within its budget, and the exhausted search is no proof
+    bad = tmp_path / "bad.json"
+    assert main(["catalog", "export", "hei-double", "--out", str(bad)]) == 0
+    data = json.loads(bad.read_text())
+    data["bracket"].append([0, 1, 0])
+    bad.write_text(json.dumps(data))
+    capsys.readouterr()
+    reason = "a bracket table is not symmetric, alternating and graded"
+    assert main(["isometry", str(bad), "hei-double"]) == 3
     assert capsys.readouterr().out == (
-        "budget exhausted after 3 nodes: some generator has more than 2"
-        " candidates\n"
+        f"budget exhausted after 215 nodes: {reason}\n"
     )
-    assert main(["isometry", "hei-double", "hei-double", "--json"]) == 3
+    assert main(["isometry", str(bad), "hei-double", "--json"]) == 3
     assert json.loads(capsys.readouterr().out) == {
-        "status": "budget-exhausted", "nodes": 3,
-        "reason": "some generator has more than 2 candidates",
+        "status": "budget-exhausted", "nodes": 215, "reason": reason,
     }
 
 
@@ -816,6 +820,12 @@ MALFORMED = {
         "--budget", "-1"],
     "output directory missing": lambda tmp: [
         "catalog", "export", "hei-double", "--out", str(tmp / "no" / "x.json")],
+    "center element zero": lambda tmp: [
+        "reduce", "h104-D7ext", "--center-element", "0",
+        "--out", str(tmp / "r.json")],
+    "center element of mixed parity": lambda tmp: [
+        "reduce", "h104-D7ext", "--center-element", "x+xi1",
+        "--out", str(tmp / "r.json")],
 }
 
 
@@ -829,6 +839,10 @@ def test_cli_malformed_input_exits_2(case, tmp_path, capsys):
         assert "extension metadata does not reduce the input" in captured.err
     if case.startswith("named cocycles on a relabelled entry"):
         assert "pass @file" in captured.err
+    if case == "center element zero":
+        assert captured.err == "error: center element must be nonzero\n"
+    if case == "center element of mixed parity":
+        assert captured.err == "error: center element must be parity-homogeneous\n"
 
 
 @functools.cache

@@ -23,6 +23,7 @@ from nislie.derivations import (
     compatible_subspace,
     derivation_space,
     find_a0,
+    outer_derivations,
 )
 from nislie.document import recipe_to_meta
 from nislie.errors import ConditionViolated, FieldNotInCase, NisLieError
@@ -615,24 +616,21 @@ def test_search_tree_matches_the_eager_reference():
             ), (name, r)
 
 
-@pytest.mark.parametrize("first, status", [(5, "budget-exhausted"), (-1, "found")])
-def test_a_seed_goes_first_only_among_the_kept_candidates(first, status):
+@pytest.mark.parametrize("first", [5, -1])
+def test_a_seed_that_is_a_solution_goes_first_whatever_its_index(first):
     # h(1|0;5) to itself, generators seeded to themselves but the first
-    # one, e_0: its 2^15 odd candidates are cut at 4096.  Odd vector 5 is
-    # solution 2^5 and goes first; the last odd vector is solution 2^14,
-    # beyond the cut, so the search starts as an unseeded one would
+    # one, e_0, which has 2^15 odd candidates.  Odd vector 5 is solution
+    # 2^5 and the last odd vector solution 2^14; either goes first
     obj = named("h1-0-5")
     g, b = obj.algebra, obj.form
     gens = [1 << i for i in _generating_sequence(g)]
     seed = 1 << g.odd_indices()[first]
     assert gens[0] == 1
-    cands, cut = isometry._candidate_images(
-        g, b, b, 1, 1, [], isometry._CANDIDATE_LIMIT, seed
-    )
-    assert cut and (next(cands) == seed) == (first == 5)
+    cands = isometry._candidate_images(g, b, b, 1, 1, [], seed)
+    assert next(cands) == seed
     seeds = [(1, seed)] + [(v, v) for v in gens[1:]]
     res = search_isometry(g, b, g, b, budget=500, seed_pairs=seeds)
-    assert res.status == status
+    assert (res.status, res.nodes) == ("budget-exhausted", 501)
     assert search_fingerprint(res) == reference_fingerprint(
         *reference_search_isometry(g, b, g, b, 500, seeds)
     )
@@ -906,25 +904,6 @@ def test_exhausted_search_is_proved_exactly_without_an_isometry():
     assert outcomes == {"found", "not-found"}
 
 
-def test_cut_candidate_lists_leave_the_negative_unproved(monkeypatch):
-    # with two solutions kept per generator, isometries are missed: the
-    # search then ends budget-exhausted, naming the cap, never not-found
-    monkeypatch.setattr(isometry, "_CANDIDATE_LIMIT", 2)
-    missed = 0
-    for g1, b1, g2, b2 in random_small_pairs(8, 300):
-        res = search_isometry(g1, b1, g2, b2, budget=100_000)
-        exists = brute_force_isometric(g1, b1, g2, b2)
-        if res.status == "found":
-            assert verify_isometry(g1, b1, g2, b2, res.witness.images)[0]
-        elif res.status == "not-found":
-            assert not exists
-        else:
-            assert res.status == "budget-exhausted"
-            assert "more than 2 candidates" in res.reason
-            missed += exists
-    assert missed > 0
-
-
 def test_malformed_tables_leave_the_negative_unproved(hei_double):
     g, b = hei_double.algebra, hei_double.form
     table = [list(row) for row in g.bracket_table]
@@ -937,6 +916,34 @@ def test_malformed_tables_leave_the_negative_unproved(hei_double):
         else:
             assert res.status == "budget-exhausted", (g1 is bad, g2 is bad)
             assert "not symmetric" in res.reason
+
+
+def test_census_scale_self_decisions_follow_the_identity_seed():
+    # the oddB-evenD recipes r_c of h'(0|7), extensions of dim 128: the
+    # first generator has far more than 4096 candidates, and its identity
+    # seed still goes first
+    g, form, _ = hamiltonian(7)
+    reps = outer_derivations(g, 0).representatives
+    basis = compatible_subspace(g, form, "oddB-evenD", reps).basis
+    assert len(basis) == 6
+
+    def recipe(c):
+        d = Derivation((0,) * g.dim, 0)
+        for i, b in enumerate(basis):
+            if c >> i & 1:
+                d = d.add(b)
+        return ExtensionRecipe("oddB-evenD", d)
+
+    x = 1 << g.dim  # x follows the base in the extension's basis
+    sample = random.Random(1).sample(range(1, 64), 6)
+    assert sample == [9, 37, 55, 52, 49, 5]
+    for c in sample:
+        res = adapted_isometry_decision(g, form, recipe(c), recipe(c), budget=500)
+        assert res.status == "found" and res.nodes <= 8, (c, res.nodes)
+        assert res.witness.apply(x) == x
+    res = adapted_isometry_decision(g, form, recipe(1), recipe(3), budget=20_000)
+    assert (res.status, res.nodes) == ("found", 2053)
+    assert res.witness.apply(x) == x
 
 
 def random_recipe(rng, g, form, case, basis):
