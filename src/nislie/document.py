@@ -72,8 +72,12 @@ def from_dict(data: dict) -> AlgebraDocument:
     for triple in data.get("bracket", []):
         if not isinstance(triple, list) or len(triple) != 3:
             raise DocumentError(f"bad bracket triple {triple!r}")
-        i, j, k = (_index(t, n) for t in triple)
-        if i >= j:
+        i, j, k = triple
+        if not (
+            type(i) is type(j) is type(k) is int and 0 <= i < j < n and 0 <= k < n
+        ):
+            for t in triple:
+                _index(t, n)  # raises on the first bad index
             raise DocumentError("bracket triples must have i < j")
         table[i][j] ^= 1 << k
         table[j][i] ^= 1 << k

@@ -49,7 +49,7 @@ class SpanBasis:
     representation of the spanned subspace is canonical.  This is the one
     elimination of the package: rank, kernels, inversion and affine
     solving all read their results off it.  The rows are private: they
-    leave only through copy, rows, vectors and kernel.
+    leave only through copy, rows, vectors, units and kernel.
     """
 
     __slots__ = ("_rows",)
@@ -90,6 +90,12 @@ class SpanBasis:
 
     def contains(self, v: int) -> bool:
         return self.reduce(v) == 0
+
+    def units(self) -> int:
+        """Mask of the basis vectors e_j in the span.  Rows are fully
+        reduced with lowest-bit pivots, so e_j is in the span exactly when
+        the row of pivot j is e_j."""
+        return sum(row for row in self._rows.values() if not row & (row - 1))
 
     @property
     def dim(self) -> int:
@@ -174,10 +180,14 @@ class AffineSolution:
     def lift(self, idxs: Sequence[int]) -> "AffineSolution":
         """The same set with coordinate pos moved to coordinate idxs[pos]
         (the inverse of restrict to idxs)."""
-        units = [1 << i for i in idxs]
+        return self.map([1 << i for i in idxs])
+
+    def map(self, images: Sequence[int]) -> "AffineSolution":
+        """The image of the set under the linear map e_pos -> images[pos];
+        when the map is injective, points() keeps its order."""
         return AffineSolution(
-            combine(units, self.particular),
-            tuple(combine(units, k) for k in self.kernel_basis),
+            combine(images, self.particular),
+            tuple(combine(images, k) for k in self.kernel_basis),
         )
 
 

@@ -16,7 +16,9 @@ raised the rank in the last round are bracketed with the span, and the odd
 ones squared.  A node pays only for what deciding it needs: the candidate
 images of a generator are enumerated lazily in solution order, and each
 is checked against the forms on the parent's closed span before the span
-is copied and closed.  The node budget is the one bound on the work:
+is copied and closed; the linear half of that check moves along the
+solution order with the candidates, at one XOR a node.  The node budget
+is the one bound on the work:
 every candidate of a generator may be tried.  Every decision is a
 Verdict: "found" with a witness, "not-found" (a proof), or
 "budget-exhausted" when the node budget ran out or a bracket table is
@@ -30,7 +32,6 @@ inner-derivation extension exactly when its own derivation is inner.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
@@ -406,30 +407,68 @@ class Verdict:
         return {"status": self.status, "nodes": self.nodes, "reason": self.reason}
 
 
+class _FormTest:
+    """The form check of the pairs (v, w) against the closed span, as a
+    test of w: B1(v, x) = B2(w, y) for each row (x, y) of span, and
+    B1(v, v) = B2(w, w).
+
+    span is form-consistent, so by bilinearity this is the form check on
+    span plus (v, w), decided before anything is copied.  The part fixed by
+    v and span is computed once: left is B1(v, .), and bit r of
+    image(w) = combine(cols, w) is B2(w, y_r) and bit r of rhs is
+    B1(v, x_r), for the r-th row (x_r, y_r).  image is linear, so the
+    candidate enumeration carries it along (_candidate_images), and the
+    quadratic half runs only where the linear half holds.
+    """
+
+    def __init__(self, b1, b2, span: _PairSpan, v: int):
+        rows = span.pairs()
+        self.left = left = b1.gram.vec_mat(v)
+        self.rhs = sum(dot(left, x) << r for r, (x, _) in enumerate(rows))
+        self.cols = GF2Matrix([b2.pair_row(y) for _, y in rows], b2.dim).transpose().rows
+        self.vv, self.gram2 = dot(left, v), b2.gram
+
+    def image(self, w: int) -> int:
+        return combine(self.cols, w)
+
+    def passes(self, w: int, image: int) -> bool:
+        """The test of w, whose image(w) is image."""
+        return image == self.rhs and dot(self.gram2.vec_mat(w), w) == self.vv
+
+
 def _candidate_images(
     g2: SuperAlgebra,
-    b1: BilinearForm,
     b2: BilinearForm,
-    v: int,
+    fits: _FormTest,
     parity: int,
     determined: list[tuple[int, int]],
     seed: int | None = None,
-) -> Iterator[int]:
-    """Homogeneous candidates w with B2(w, w_k) = B1(v, v_k) for known pairs.
+) -> Iterator[tuple[int, int]]:
+    """Homogeneous candidates w for the generator v of fits, with
+    B2(w, w_k) = B1(v, v_k) for the known pairs, each with fits.image(w).
 
     Every nonzero solution, lazily and in points() order, with `seed` moved
-    to the front when it is one.
+    to the front when it is one.  The images form the affine set
+    image(particular) + span image(kernel), so the solutions are lifted
+    tagged, e_i to e_i | image(e_i) << dim, and each step of points()
+    moves a solution and its image at once.
     """
     idxs = g2.even_indices() if parity == 0 else g2.odd_indices()
     rows = [restrict(b2.pair_row(wk), idxs) for _, wk in determined]
-    rhs = sum(b1.pair(v, vk) << r for r, (vk, _) in enumerate(determined))
+    rhs = sum(dot(fits.left, vk) << r for r, (vk, _) in enumerate(determined))
     sol = solve_affine(GF2Matrix(rows, len(idxs)), rhs)
     if sol is None:
-        return iter(())
-    sol = sol.lift(idxs)
-    ahead = (seed,) if seed and sol.index(seed) is not None else ()
-    rest = (w for w in sol.points() if w and w not in ahead)
-    return itertools.chain(ahead, rest)
+        return
+    n, mask = g2.dim, (1 << g2.dim) - 1
+    tagged = sol.map([1 << i | fits.cols[i] << n for i in idxs])
+    if seed and not seed >> n:
+        image = fits.image(seed)
+        if tagged.index(seed | image << n) is not None:
+            yield seed, image
+    for x in tagged.points():
+        w = x & mask
+        if w and w != seed:
+            yield w, x >> n
 
 
 def _form_consistent(span: _PairSpan, b1, b2, pairs) -> bool:
@@ -480,27 +519,9 @@ def _closure(g1, g2, span: _PairSpan, frontier, b1=None, b2=None) -> bool:
     return True
 
 
-def _form_test(b1, b2, span: _PairSpan, v: int):
-    """The form check of the pairs (v, w) against the closed span, as a
-    test of w: B1(v, x) = B2(w, y) for each row (x, y) of span, and
-    B1(v, v) = B2(w, w).
-
-    span is form-consistent, so by bilinearity this is the form check on
-    span plus (v, w), decided before anything is copied.  The part fixed by
-    v and span is computed once: bit r of combine(cols, w) is B2(w, y_r)
-    and bit r of rhs is B1(v, x_r), for the r-th row (x_r, y_r).
-    """
-    rows = span.pairs()
-    left = b1.gram.vec_mat(v)
-    rhs = sum(dot(left, x) << r for r, (x, _) in enumerate(rows))
-    cols = GF2Matrix([b2.pair_row(y) for _, y in rows], b2.dim).transpose().rows
-    vv, gram2 = dot(left, v), b2.gram
-    return lambda w: combine(cols, w) == rhs and dot(gram2.vec_mat(w), w) == vv
-
-
 def _grow(g1, g2, b1, b2, span: _PairSpan, pair) -> _PairSpan | None:
     """A copy of span plus pair, closed under brackets and squares; pair
-    has passed the _form_test of span.  None when the closure maps 0 to a
+    has passed the _FormTest of span.  None when the closure maps 0 to a
     nonzero vector or breaks the forms."""
     span = span.clone()
     if not span.add(*pair):
@@ -515,7 +536,8 @@ def _close(g1, g2, b1, b2, span: _PairSpan, pairs) -> _PairSpan | None:
     when the closure maps 0 to a nonzero vector or breaks the forms.
     """
     v, w = pairs[-1]
-    if not _form_test(b1, b2, span, v)(w):
+    fits = _FormTest(b1, b2, span, v)
+    if not fits.passes(w, fits.image(w)):
         return None
     return _grow(g1, g2, b1, b2, span, (v, w))
 
@@ -552,17 +574,17 @@ class _Isometries:
         if span.image_of(v) is not None:
             yield from self._backtrack(level + 1, span, determined)
             return
+        fits = _FormTest(self.b1, self.b2, span, v)
         cands = _candidate_images(
-            g2, self.b1, self.b2, v, g1.parity[gi], determined, self.seeds.get(v)
+            g2, self.b2, fits, g1.parity[gi], determined, self.seeds.get(v)
         )
-        fits = _form_test(self.b1, self.b2, span, v)
-        for w in cands:
+        for w, image in cands:
             self.nodes += 1
             if self.nodes > self.budget:
                 raise SearchBudgetExceeded(
                     f"isometry enumeration exceeded {self.budget} nodes"
                 )
-            if not fits(w):
+            if not fits.passes(w, image):
                 continue
             child = _grow(g1, g2, self.b1, self.b2, span, (v, w))
             if child is not None:

@@ -400,9 +400,19 @@ def _primitive_echelon(rows: Iterable[Sequence[int]]) -> dict[int, list[int]]:
     return {c: echelon[c] for c in sorted(echelon)}
 
 
-def ad(g: SuperAlgebra, v: int) -> list[int]:
-    """Images of the adjoint map ad_v, one per basis vector."""
-    return [bracket(g, v, 1 << j) for j in range(g.dim)]
+def ad(g: SuperAlgebra, v: int) -> Sequence[int]:
+    """Images of the adjoint map ad_v, one per basis vector, read off the
+    table: row i when v = e_i, the XOR of the rows at the bits of v
+    otherwise, and zeros when v = 0.  So [v, y] = combine(ad(g, v), y)."""
+    table = g.bracket_table
+    if v >> len(table):
+        raise DimensionMismatch("element outside the algebra")
+    if v & (v - 1) == 0:
+        return table[v.bit_length() - 1] if v else (0,) * len(table)
+    row = [0] * len(table)
+    for i in bits(v):
+        row = list(map(xor, row, table[i]))
+    return row
 
 
 def ad_system(g: SuperAlgebra, idxs: Sequence[int], domain: Iterable[int]) -> list[int]:
@@ -456,7 +466,7 @@ def _adjoint_entries(g: SuperAlgebra) -> list[list[tuple[int, int]]]:
         # let the old entries go before the new ones are built
         _last_entries, entries = (None, None), None
         entries = [
-            [(k, l) for k, v in enumerate(row) for l in bits(v)]
+            [(k, l) for k, v in enumerate(row) if v for l in bits(v)]
             for row in g.bracket_table
         ]
         _last_entries = weakref.ref(g), entries
@@ -831,22 +841,23 @@ def _generating_sequence(g: SuperAlgebra) -> list[int]:
     Each step takes the first basis vector whose closure with the span so
     far is largest.  That span is closed, so a closure grows from the one
     new seed: each round brackets the vectors that raised the rank with a
-    basis of the span and squares the odd ones, as isometry._closure does
-    for pairs.
+    basis of the span, each through one adjoint row (ad), and squares the
+    odd ones, as isometry._closure does for pairs.
 
     A basis vector e_j inside the closure built for an earlier e_i of the
     same step is skipped: its closure lies inside that of e_i, so it cannot
     be strictly larger, and the earlier e_i (or a later winner) is chosen
     either way.  This holds when the frontier closure is the least closed
     subspace containing the span and the seed, which it is on tables that
-    are structurally_sound.
+    are structurally_sound.  The basis vectors a span holds are read off
+    its unit rows (SpanBasis.units).
     """
     chosen: list[int] = []
     span = SpanBasis()
     while span.dim < g.dim:
-        best, covered = None, 0
+        best, covered = None, span.units()
         for i in range(g.dim):
-            if covered >> i & 1 or span.contains(1 << i):
+            if covered >> i & 1:
                 continue
             s, frontier = span.copy(), [1 << i]
             s.add(1 << i)
@@ -854,18 +865,17 @@ def _generating_sequence(g: SuperAlgebra) -> list[int]:
                 items = list(s.rows())
                 new = []
                 for x in frontier:
-                    products = [bracket(g, x, y) for y in items]
+                    row = ad(g, x)
+                    products = [combine(row, y) for y in items]
                     if g.parity_of(x) == 1:
                         products.append(square_element(g, x))
-                    new += [p for p in products if s.add(p)]
+                    new += [p for p in products if p and s.add(p)]
                 frontier = new
             if best is None or s.dim > best[1].dim:
                 best = i, s
             if s.dim == g.dim:
                 break
-            for j in range(i + 1, g.dim):
-                if s.contains(1 << j):
-                    covered |= 1 << j
+            covered |= s.units()
         chosen.append(best[0])
         span = best[1]
     return chosen

@@ -114,6 +114,34 @@ def test_document_fields_of_the_wrong_type_are_document_errors(
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "triple, message",
+    [
+        ([0, 1.0, 2], "malformed document: basis index 1.0 outside 0..5"),
+        ([-1, 1, 2], "malformed document: basis index -1 outside 0..5"),
+        ([0, 1, 6], "malformed document: basis index 6 outside 0..5"),
+        ([0, "1", 2], "malformed document: basis index '1' outside 0..5"),
+        ([1, 1, 0], "bracket triples must have i < j"),
+        ([2, 1, 0], "bracket triples must have i < j"),
+    ],
+)
+def test_bad_bracket_triples_keep_their_document_errors(
+    triple, message, tmp_path, capsys
+):
+    # hei-double has dimension 6; the first bad index is named, before i < j
+    obj = named("hei-double")
+    data = json.loads(dumps(AlgebraDocument(obj.algebra, obj.form)))
+    data["bracket"].append(triple)
+    text = json.dumps(data)
+    with pytest.raises(DocumentError) as exc:
+        loads(text)
+    assert str(exc.value) == message
+    path = tmp_path / "triple.json"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: cannot read {path}: {message}\n"
+
+
 def recipe_from_meta(meta, dim):
     """The recipe written by recipe_to_meta (`nislie reduce --recipe-out`)."""
     alpha = quadratic_from_data(meta["alpha"]) if "alpha" in meta else None

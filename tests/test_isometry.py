@@ -30,7 +30,7 @@ from nislie.errors import ConditionViolated, FieldNotInCase, NisLieError
 from nislie.extension import ExtensionRecipe, _odd_polar_matrix, extend
 from nislie.forms import BilinearForm, QuadraticForm, transport_quadratic
 from nislie.gf2 import GF2Matrix, SpanBasis
-from nislie import isometry
+from nislie import isometry, superalgebra
 from nislie.isometry import (
     Isometry,
     _PairSpan,
@@ -46,12 +46,14 @@ from nislie.isometry import (
 from nislie.superalgebra import (
     SuperAlgebra,
     _generating_sequence,
+    ad,
     bracket,
     square_element,
     validate,
 )
 from oracles import (
     brute_force_isometric,
+    change_basis,
     h104_deg_swap,
     random_invertible_parity_map,
     reference_adapted_decision,
@@ -589,6 +591,37 @@ def test_search_isometry_golden_nodes_on_relabellings():
         assert tuple(got) == SEARCH_GOLDEN[name], name
 
 
+def test_search_totals_on_relabellings_and_changes_of_basis():
+    # ROADMAP item 2's yardstick: search_isometry(budget=500) from each
+    # valid catalog entry with a form to 8 relabellings (a fresh
+    # random.Random(1) per entry) and to 8 changes of basis (one
+    # random.Random(1) stream); re-record only when no status gets worse
+    objs = [
+        named(name) for name in entry_names(include_defective=False)
+        if named(name).form is not None
+    ]
+    totals = {}
+    for kind in ("relabel", "change-of-basis"):
+        statuses, nodes = {}, 0
+        basis_rng = random.Random(1)
+        for obj in objs:
+            rng = random.Random(1)
+            for _ in range(8):
+                if kind == "relabel":
+                    g2, b2 = relabel(obj.algebra, obj.form, rng)
+                else:
+                    images = random_invertible_parity_map(basis_rng, obj.algebra)
+                    g2, b2 = change_basis(obj.algebra, obj.form, images)
+                res = search_isometry(obj.algebra, obj.form, g2, b2, budget=500)
+                statuses[res.status] = statuses.get(res.status, 0) + 1
+                nodes += res.nodes
+        totals[kind] = statuses, nodes
+    assert totals == {
+        "relabel": ({"found": 91, "budget-exhausted": 45}, 30_873),
+        "change-of-basis": ({"found": 78, "budget-exhausted": 58}, 34_085),
+    }
+
+
 def search_fingerprint(res):
     return res.status, res.nodes, res.witness and res.witness.images
 
@@ -626,8 +659,12 @@ def test_a_seed_that_is_a_solution_goes_first_whatever_its_index(first):
     gens = [1 << i for i in _generating_sequence(g)]
     seed = 1 << g.odd_indices()[first]
     assert gens[0] == 1
-    cands = isometry._candidate_images(g, b, b, 1, 1, [], seed)
-    assert next(cands) == seed
+    fits = isometry._FormTest(b, b, _PairSpan(g.dim), 1)
+    cands = isometry._candidate_images(g, b, fits, 1, [], seed)
+    assert next(cands) == (seed, fits.image(seed))
+    # a seed outside g is no candidate and leaves the solution order
+    outside = isometry._candidate_images(g, b, fits, 1, [], 1 << g.dim)
+    assert next(outside) == next(isometry._candidate_images(g, b, fits, 1, []))
     seeds = [(1, seed)] + [(v, v) for v in gens[1:]]
     res = search_isometry(g, b, g, b, budget=500, seed_pairs=seeds)
     assert (res.status, res.nodes) == ("budget-exhausted", 501)
@@ -784,10 +821,12 @@ def test_complete_by_bracketing_runs_to_the_fixed_point(n):
     )
 
 
-def test_generating_sequence_matches_the_all_pairs_reference():
+def test_generating_sequence_matches_the_all_pairs_reference(monkeypatch):
     # the frontier closures grow the unique smallest closed subspace, so
-    # the greedy choices are the ones rebuilding every closure gives
-    algebras = []
+    # the greedy choices are the ones rebuilding every closure gives.  On
+    # a change of basis the frontier holds vectors of several bits, whose
+    # adjoint rows are XORs of table rows
+    algebras, valid = [], entry_names(include_defective=False)
     for name in entry_names():
         obj = named(name)
         if obj.form is None:
@@ -796,9 +835,19 @@ def test_generating_sequence_matches_the_all_pairs_reference():
         for r in range(2):
             rng = random.Random(f"{name}:{r}")
             algebras.append(relabel(obj.algebra, obj.form, rng)[0])
+        if name in valid:
+            for r in range(4):
+                rng = random.Random(f"{name}:basis:{r}")
+                images = random_invertible_parity_map(rng, obj.algebra)
+                algebras.append(change_basis(obj.algebra, obj.form, images)[0])
     algebras += [hamiltonian(6)[0], hamiltonian(7)[0]]
+    rows = []
+    monkeypatch.setattr(
+        superalgebra, "ad", lambda g, x: rows.append(x) or ad(g, x)
+    )
     for g in algebras:
         assert _generating_sequence(g) == reference_generating_sequence(g)
+    assert any(x & (x - 1) for x in rows)
 
 
 def random_superalgebra(rng, n_even, n_odd):

@@ -13,10 +13,11 @@ from nislie.catalog import (
     manin_double,
     named,
 )
-from nislie.errors import NotOdd
-from nislie.gf2 import bits, span_basis
+from nislie.errors import DimensionMismatch, NotOdd
+from nislie.gf2 import bits, combine, span_basis
 from nislie.superalgebra import (
     SuperAlgebra,
+    ad,
     ad_system,
     bracket,
     center,
@@ -277,6 +278,27 @@ def test_ad_system_matches_structure_tensor():
                     sum(int(bit) << a for a, bit in enumerate(r))
                     for r in want.reshape(len(dom) * n, len(idxs))
                 ]
+
+
+def test_adjoint_row_products_match_bracket():
+    # ad(g, x) is a table row for a basis vector, an XOR of rows for a
+    # vector of several bits and zeros for 0; the zero row and the table
+    # rows are checked directly too, as a product with y = 0 hides them
+    rng = random.Random(33)
+    for name in entry_names(include_defective=False):
+        g = named(name).algebra
+        masks = (g.even_mask, g.odd_mask)
+        for _ in range(40):
+            x, y = (
+                rng.choice([0, 1 << rng.randrange(g.dim), rng.getrandbits(g.dim)])
+                & masks[rng.randrange(2)]
+                for _ in range(2)
+            )
+            assert combine(ad(g, x), y) == bracket(g, x, y), (name, x, y)
+        assert list(ad(g, 0)) == [0] * g.dim
+        assert all(ad(g, 1 << i) == g.bracket_table[i] for i in range(g.dim))
+        with pytest.raises(DimensionMismatch):
+            ad(g, 1 << g.dim)
 
 
 def test_special_center(hei_double):
