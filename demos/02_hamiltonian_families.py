@@ -9,10 +9,24 @@ its complementary monomial on the diagonal, so no quadratic lift exists and
 the literal "Poisson with constants" structure constants fail the axioms.
 """
 
-from nislie.catalog import h105_cocycles, hamiltonian, named
-from nislie.derivations import outer_derivations, outer_dimension_by_degree
+from nislie.catalog import (
+    contraction,
+    h105_cocycles,
+    hamiltonian,
+    mult_op,
+    named,
+    top_bracket,
+    weight_op,
+)
+from nislie.derivations import (
+    class_coordinates,
+    map_degree,
+    outer_derivations,
+    outer_dimension_by_degree,
+)
 from nislie.extension import reduce as ext_reduce
 from nislie.forms import check_nis
+from nislie.gf2 import span_basis
 from nislie.isometry import adapted_isometry_decision, verify_isometry
 from nislie.superalgebra import validate
 
@@ -69,8 +83,28 @@ ok, _ = verify_isometry(
 )
 print("m=0 extension matches the direct Poisson data under x -> 1:", ok)
 
-print("\nconjecture support (report only):")
-g6, _, _ = hamiltonian(6, derived=True)
-print("  m=6 even out by degree:", outer_dimension_by_degree(g6, 0))
-g7, _, _ = hamiltonian(7, derived=True)
-print("  m=7 odd out by degree:", outer_dimension_by_degree(g7, 1))
+print("\nconjecture support: the named outer classes of h1(0|m)")
+for m in (6, 7):
+    g, _, basis = hamiltonian(m, derived=True)
+    pairs = [(f"xi{i}", f"eta{i}") for i in range(1, m // 2 + 1)]
+    ops = {
+        f"{v} d/d({dv})": mult_op(g, basis, v, dv)
+        for x, e in pairs
+        for v, dv in ((x, e), (e, x))
+    }
+    weights = basis.var_names if m % 2 else tuple(x for x, _ in pairs)
+    ops[f"weight({' '.join(weights)})"] = weight_op(g, basis, weights)
+    ops["top bracket"] = top_bracket(g, basis)
+    if m % 2 == 0:
+        ops["contraction"] = contraction(g, basis)
+    outer = outer_derivations(g)
+    coords = ([], [])
+    for d in ops.values():
+        coords[d.parity].append(class_coordinates(g, outer[d.parity], d))
+    independent = len(span_basis(coords[0])) + len(span_basis(coords[1]))
+    print(
+        f"  m={m}: out = {outer[0].dim} even + {outer[1].dim} odd;"
+        f" {len(ops)} named classes, {independent} independent"
+    )
+    for label, d in ops.items():
+        print(f"    {label}: degree {map_degree(g, d)}, parity {d.parity}")

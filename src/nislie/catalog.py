@@ -6,6 +6,11 @@ builds its object and carries its named cocycles and quadratic forms
 (`tables`) and the cocycle labels the paper underlines (`underlined`); an
 extension entry is its base entry plus a recipe on the base's tables.
 
+The derivation tables of the monomial algebras read four operators:
+`mult_op` (var d/d(dvar)), `weight_op` (a grading by variable weights),
+`top_bracket` (the bracket with the top monomial h'(0|m) drops) and
+`contraction` (the sum of d^2/(d xi_i d eta_i)).
+
 Basis conventions (fixed so that Gram matrices and cocycle matrices come out
 bit-exactly):
 
@@ -192,6 +197,57 @@ def _poisson_terms(basis: MonomialBasis, a_mask: int):
             sub = (sub - 1) & free
 
 
+def mult_op(g: SuperAlgebra, basis: MonomialBasis, var: str, dvar: str) -> Derivation:
+    """The multiplication operator var d/d(dvar): s |-> s - dvar + var when
+    dvar is in s and var is not, else 0."""
+    v, dv = basis.var_names.index(var), basis.var_names.index(dvar)
+    images = [0] * g.dim
+    for i, s in enumerate(basis.monomials):
+        if dv in s and v not in s:
+            images[i] = 1 << basis.index[s - {dv} | {v}]
+    return Derivation(tuple(images), 0)
+
+
+def weight_op(
+    g: SuperAlgebra, basis: MonomialBasis, names: tuple[str, ...]
+) -> Derivation:
+    """The grading derivation s |-> (w(s) + c) s, where w(s) counts the
+    variables of s in names and c is the weight of a conjugate pair.  A
+    term of {A, B} drops one pair, so w(T) + c = w(A) + w(B): it is a
+    derivation when every pair, and (theta, theta), weighs c mod 2."""
+    weighted = frozenset(map(basis.var_names.index, names))
+    a, b = basis.conj_pairs[0]
+    c = (a in weighted) + (b in weighted)
+    images = [
+        1 << i if (len(s & weighted) + c) & 1 else 0
+        for i, s in enumerate(basis.monomials)
+    ]
+    return Derivation(tuple(images), 0)
+
+
+def top_bracket(g: SuperAlgebra, basis: MonomialBasis) -> Derivation:
+    """Bracketing with the top monomial, which h'(0|m) drops: of degree
+    m - 2 and parity m mod 2, read off the terms of _poisson_terms."""
+    pos = {_mask(s): i for i, s in enumerate(basis.monomials)}
+    images = [0] * g.dim
+    for b_mask, t_mask in _poisson_terms(basis, (1 << basis.m) - 1):
+        if b_mask in pos and t_mask in pos:
+            images[pos[b_mask]] ^= 1 << pos[t_mask]
+    return Derivation(tuple(images), basis.m & 1)
+
+
+def contraction(g: SuperAlgebra, basis: MonomialBasis) -> Derivation:
+    """sum_i d^2/(d xi_i d eta_i), of degree -2: s |-> the sum of
+    s - {xi_i, eta_i} over the conjugate pairs inside s."""
+    images = [0] * g.dim
+    for i, s in enumerate(basis.monomials):
+        for a, b in basis.conj_pairs:
+            t = s - {a, b}
+            if len(t) == len(s) - 2 and t in basis.index:
+                images[i] ^= 1 << basis.index[t]
+    return Derivation(tuple(images), 0)
+
+
 def _monomial_algebra(
     basis: MonomialBasis, squaring_top: int = 0
 ) -> SuperAlgebra:
@@ -358,118 +414,29 @@ def ba_double_cocycles(g: SuperAlgebra) -> dict[str, Derivation]:
     }
 
 
-def _mono_derivation(
-    g: SuperAlgebra, basis: MonomialBasis, pairs: list[tuple[str, str]], parity: int
-) -> Derivation:
-    images = [0] * g.dim
-    for src, dst in pairs:
-        images[basis.find(src)] ^= 1 << basis.find(dst)
-    return Derivation(tuple(images), parity)
-
-
 def h104_cocycles(g: SuperAlgebra, basis: MonomialBasis) -> dict[str, Derivation]:
-    d = lambda pairs, p=0: _mono_derivation(g, basis, pairs, p)
+    """The seven outer-class representatives for h'(0|4)."""
     return {
-        "D1": d(
-            [
-                ("xi1 xi2 eta2", "xi1"),
-                ("xi1 xi2 eta1", "xi2"),
-                ("xi2 eta1 eta2", "eta1"),
-                ("xi1 eta1 eta2", "eta2"),
-            ]
-        ),
-        "D2": d(
-            [
-                ("eta1", "xi1"),
-                ("xi2 eta1", "xi1 xi2"),
-                ("eta1 eta2", "xi1 eta2"),
-                ("xi2 eta1 eta2", "xi1 xi2 eta2"),
-            ]
-        ),
-        "D3": d(
-            [
-                ("eta2", "xi2"),
-                ("xi1 eta2", "xi1 xi2"),
-                ("eta1 eta2", "xi2 eta1"),
-                ("xi1 eta1 eta2", "xi1 xi2 eta1"),
-            ]
-        ),
-        "D4": d(
-            [
-                ("xi1", "eta1"),
-                ("xi1 xi2", "xi2 eta1"),
-                ("xi1 eta2", "eta1 eta2"),
-                ("xi1 xi2 eta2", "xi2 eta1 eta2"),
-            ]
-        ),
-        "D5": d(
-            [
-                ("xi2", "eta2"),
-                ("xi1 xi2", "xi1 eta2"),
-                ("xi2 eta1", "eta1 eta2"),
-                ("xi1 xi2 eta1", "xi1 eta1 eta2"),
-            ]
-        ),
-        "D6": d(
-            [
-                ("xi2", "xi2"),
-                ("eta1", "eta1"),
-                ("xi1 eta2", "xi1 eta2"),
-                ("xi2 eta1", "xi2 eta1"),
-                ("xi1 xi2 eta2", "xi1 xi2 eta2"),
-                ("xi1 eta1 eta2", "xi1 eta1 eta2"),
-            ]
-        ),
-        "D7": d(
-            [
-                ("xi2", "xi1 xi2 eta1"),
-                ("xi1", "xi1 xi2 eta2"),
-                ("eta2", "xi1 eta1 eta2"),
-                ("eta1", "xi2 eta1 eta2"),
-            ]
-        ),
+        "D1": contraction(g, basis),
+        "D2": mult_op(g, basis, "xi1", "eta1"),
+        "D3": mult_op(g, basis, "xi2", "eta2"),
+        "D4": mult_op(g, basis, "eta1", "xi1"),
+        "D5": mult_op(g, basis, "eta2", "xi2"),
+        "D6": weight_op(g, basis, ("xi1", "eta2")),
+        "D7": top_bracket(g, basis),
     }
 
 
 def h105_cocycles(g: SuperAlgebra, basis: MonomialBasis) -> dict[str, Derivation]:
-    """The six outer-class representatives for the derived h(0|5).
-
-    D1..D4 are the multiplication operators xi_i d/d(eta_i) and
-    eta_i d/d(xi_i); D5 is the projection on the odd part; D6 is bracketing
-    with the (absent) top monomial.
-    """
-    rev = {nm: v for v, nm in enumerate(basis.var_names)}
-
-    def mult_op(var: str, dvar: str) -> Derivation:
-        v, dv = rev[var], rev[dvar]
-        images = [0] * g.dim
-        for i, s in enumerate(basis.monomials):
-            if dv in s and v not in s:
-                images[i] = 1 << basis.index[(s - {dv}) | {v}]
-        return Derivation(tuple(images), 0)
-
-    def parity_op() -> Derivation:
-        images = [0] * g.dim
-        for i, s in enumerate(basis.monomials):
-            if len(s) & 1:
-                images[i] = 1 << i
-        return Derivation(tuple(images), 0)
-
-    def top_bracket() -> Derivation:
-        index = {_mask(s): i for i, s in enumerate(basis.monomials)}
-        images = [0] * g.dim
-        for b_mask, t_mask in _poisson_terms(basis, (1 << basis.m) - 1):
-            if b_mask in index and t_mask in index:
-                images[index[b_mask]] ^= 1 << index[t_mask]
-        return Derivation(tuple(images), 1)
-
+    """The six outer-class representatives for h'(0|5); D5, the weight on
+    every variable, is the projection on the odd part."""
     return {
-        "D1": mult_op("xi1", "eta1"),
-        "D2": mult_op("xi2", "eta2"),
-        "D3": mult_op("eta1", "xi1"),
-        "D4": mult_op("eta2", "xi2"),
-        "D5": parity_op(),
-        "D6": top_bracket(),
+        "D1": mult_op(g, basis, "xi1", "eta1"),
+        "D2": mult_op(g, basis, "xi2", "eta2"),
+        "D3": mult_op(g, basis, "eta1", "xi1"),
+        "D4": mult_op(g, basis, "eta2", "xi2"),
+        "D5": weight_op(g, basis, basis.var_names),
+        "D6": top_bracket(g, basis),
     }
 
 
@@ -579,17 +546,19 @@ def h104_alphas(g: SuperAlgebra, basis: MonomialBasis) -> dict[str, QuadraticFor
                 (f("eta1"), f("xi1 xi2 eta2")),
             ],
         ),
-        "alpha7": quadratic_by_pairs(
-            g, [(f("xi1"), f("eta1")), (f("xi2"), f("eta2"))]
-        ),
+        "alpha7": _pairs_alpha(g, basis),
     }
 
 
-def h105_alpha6(g: SuperAlgebra, basis: MonomialBasis) -> QuadraticForm:
-    f = basis.find
+def _pairs_alpha(g: SuperAlgebra, basis: MonomialBasis) -> QuadraticForm:
+    """sum_i xi_i eta_i over the conjugate pairs."""
+    f = basis.index
     return quadratic_by_pairs(
-        g, [(f("xi1"), f("eta1")), (f("xi2"), f("eta2"))]
+        g, [(f[frozenset({a})], f[frozenset({b})]) for a, b in basis.conj_pairs]
     )
+
+
+h105_alpha6 = _pairs_alpha
 
 
 def _extension(base: str, recipe: Callable, unchecked: bool = False) -> Callable:

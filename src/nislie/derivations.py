@@ -82,7 +82,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
-from operator import sub
 from typing import Callable, Sequence
 
 from .errors import CaseParityMismatch, DimensionMismatch, InnerNotDerivation
@@ -440,22 +439,20 @@ def _inner_vectors(g: SuperAlgebra, parity: int, unknowns):
     """The nonzero ad_{e_i}, e_i of the parity, in block coordinates.
 
     ad_{e_i} lies in the block of shift f_i, as each term e_k of
-    [e_i, e_m] has f_k = f_i + f_m; the result lists each block's inner
-    vectors, or is None when an image has the wrong parity (then ad_{e_i}
-    is no map of the parity).
+    [e_i, e_m] has f_k = f_i + f_m, and the codes of _degree_codes are
+    linear, so that block has code codes[i]; the result lists each block's
+    inner vectors, or is None when an image has the wrong parity (then
+    ad_{e_i} is no map of the parity).
     """
-    fine = g.fine_degrees
-    block_of = {
-        tuple(map(sub, fine[i], fine[m])): b
-        for b, ((i, m), *_) in enumerate(unknowns)
-    }
+    codes = _degree_codes(g.fine_degrees)
+    block_of = {codes[i] - codes[m]: b for b, ((i, m), *_) in enumerate(unknowns)}
     where: dict[int, dict[tuple[int, int], int]] = {}  # per block, on demand
     inner: list[list[int]] = [[] for _ in unknowns]
     for i in g.odd_indices() if parity else g.even_indices():
         row = g.bracket_table[i]
         if not any(row):
             continue
-        b = block_of.get(fine[i])
+        b = block_of.get(codes[i])
         if b is None:
             return None
         if b not in where:

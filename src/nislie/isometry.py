@@ -119,8 +119,8 @@ def verify_isometry(
     if b1 is not None and b2 is not None:
         moved = b2.matrix_on(images, images).rows
         for i, (p, q) in enumerate(zip(b1.gram.rows, moved)):
-            if (p ^ q) >> i:  # the first pair (i, j >= i) in row order
-                return False, ("form", i, next(bits((p ^ q) >> i << i)))
+            if p != q:  # the first pair (i, j) in row order
+                return False, ("form", i, next(bits(p ^ q)))
     return True, None
 
 

@@ -1292,6 +1292,67 @@ def reference_top_bracket(g: SuperAlgebra, basis: MonomialBasis) -> Derivation:
     return Derivation(tuple(images), 1)
 
 
+# The paper's outer classes of h'(0|4), transcribed monomial by monomial:
+# (source, image) pairs, all even
+H104_TRANSCRIPTION = {
+    "D1": [
+        ("xi1 xi2 eta2", "xi1"),
+        ("xi1 xi2 eta1", "xi2"),
+        ("xi2 eta1 eta2", "eta1"),
+        ("xi1 eta1 eta2", "eta2"),
+    ],
+    "D2": [
+        ("eta1", "xi1"),
+        ("xi2 eta1", "xi1 xi2"),
+        ("eta1 eta2", "xi1 eta2"),
+        ("xi2 eta1 eta2", "xi1 xi2 eta2"),
+    ],
+    "D3": [
+        ("eta2", "xi2"),
+        ("xi1 eta2", "xi1 xi2"),
+        ("eta1 eta2", "xi2 eta1"),
+        ("xi1 eta1 eta2", "xi1 xi2 eta1"),
+    ],
+    "D4": [
+        ("xi1", "eta1"),
+        ("xi1 xi2", "xi2 eta1"),
+        ("xi1 eta2", "eta1 eta2"),
+        ("xi1 xi2 eta2", "xi2 eta1 eta2"),
+    ],
+    "D5": [
+        ("xi2", "eta2"),
+        ("xi1 xi2", "xi1 eta2"),
+        ("xi2 eta1", "eta1 eta2"),
+        ("xi1 xi2 eta1", "xi1 eta1 eta2"),
+    ],
+    "D6": [
+        ("xi2", "xi2"),
+        ("eta1", "eta1"),
+        ("xi1 eta2", "xi1 eta2"),
+        ("xi2 eta1", "xi2 eta1"),
+        ("xi1 xi2 eta2", "xi1 xi2 eta2"),
+        ("xi1 eta1 eta2", "xi1 eta1 eta2"),
+    ],
+    "D7": [
+        ("xi2", "xi1 xi2 eta1"),
+        ("xi1", "xi1 xi2 eta2"),
+        ("eta2", "xi1 eta1 eta2"),
+        ("eta1", "xi2 eta1 eta2"),
+    ],
+}
+
+
+def reference_h104_cocycles(g: SuperAlgebra, basis: MonomialBasis) -> dict:
+    """catalog.h104_cocycles read off H104_TRANSCRIPTION."""
+    out = {}
+    for label, pairs in H104_TRANSCRIPTION.items():
+        images = [0] * g.dim
+        for src, dst in pairs:
+            images[basis.find(src)] ^= 1 << basis.find(dst)
+        out[label] = Derivation(tuple(images), 0)
+    return out
+
+
 def _sparse_matrix(m: GF2Matrix, symmetric: bool) -> list[list[int]]:
     out = []
     for i, row in enumerate(m.rows):

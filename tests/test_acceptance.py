@@ -17,6 +17,7 @@ import pytest
 from nislie.catalog import (
     ba_double_cocycles,
     ba_odd_recipe,
+    contraction,
     entry_names,
     h104_alphas,
     h104_cocycles,
@@ -25,14 +26,19 @@ from nislie.catalog import (
     hamiltonian,
     hei_double_cocycles,
     hei_odd_recipe,
+    mult_op,
     named,
     poisson,
     registry,
+    top_bracket,
+    weight_op,
 )
 from nislie.derivations import (
     ad_derivation,
+    class_coordinates,
     compatible_subspace,
     find_a0,
+    is_derivation,
     map_degree,
     outer_derivations,
     outer_dimension_by_degree,
@@ -554,11 +560,11 @@ def test_c13_conjecture_support():
     with criterion(
         13,
         "h1(0|m) cohomology for 4 <= m <= 8 follows one rule by the parity"
-        " of m; analog classes reported",
+        " of m, and the named operators give a basis of its outer classes",
         600,
     ):
         for m in range(4, 9):
-            g, _, _ = hamiltonian(m, derived=True)
+            g, _, basis = hamiltonian(m, derived=True)
             even = outer_dimension_by_degree(g, 0)
             odd = outer_dimension_by_degree(g, 1)
             print(f"  m={m}: even out by degree {even}, odd {odd}")
@@ -570,3 +576,25 @@ def test_c13_conjecture_support():
                 # the odd degree m - 2 class: po(0|m;m) analog candidate
                 assert even == {0: m}
                 assert odd == {m - 2: 1}
+            # the named classes: xi_i d/d(eta_i) and eta_i d/d(xi_i), one
+            # weight, the top bracket (degree m - 2) and, for even m, the
+            # contraction (degree -2)
+            k = m // 2
+            xis = [f"xi{i}" for i in range(1, k + 1)]
+            etas = [f"eta{i}" for i in range(1, k + 1)]
+            ops = [mult_op(g, basis, x, e) for x, e in zip(xis, etas)]
+            ops += [mult_op(g, basis, e, x) for x, e in zip(xis, etas)]
+            ops.append(weight_op(g, basis, basis.var_names if m % 2 else xis))
+            ops.append(top_bracket(g, basis))
+            assert map_degree(g, ops[-1]) == m - 2
+            if m % 2 == 0:
+                ops.append(contraction(g, basis))
+                assert map_degree(g, ops[-1]) == -2
+            outer = outer_derivations(g)
+            coords = ([], [])
+            for d in ops:
+                assert is_derivation(g, d)[0]
+                coords[d.parity].append(class_coordinates(g, outer[d.parity], d))
+            sizes = [len(span_basis(c)) for c in coords]
+            assert sizes == [len(c) for c in coords] == [o.dim for o in outer]
+            assert sizes == ([m, 1] if m % 2 else [m + 3, 0])

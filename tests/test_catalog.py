@@ -16,7 +16,12 @@ from nislie.derivations import outer_derivations
 from nislie.errors import OutOfRange, UnknownName
 from nislie.forms import check_nis
 from nislie.superalgebra import bracket, validate
-from oracles import reference_hamiltonian, reference_poisson, reference_top_bracket
+from oracles import (
+    reference_h104_cocycles,
+    reference_hamiltonian,
+    reference_poisson,
+    reference_top_bracket,
+)
 
 
 def _built(triple):
@@ -38,6 +43,14 @@ def test_monomial_builders_match_the_pairwise_references(m):
 def test_h105_top_bracket_matches_the_pairwise_reference():
     obj, cocycles, _ = cocycles_for("h1-0-5")
     assert cocycles["D6"] == reference_top_bracket(obj.algebra, obj.basis)
+
+
+def test_h104_cocycles_match_the_paper_transcription():
+    obj, cocycles, _ = cocycles_for("h1-0-4")
+    want = reference_h104_cocycles(obj.algebra, obj.basis)
+    assert list(cocycles) == list(want)
+    for label, d in cocycles.items():
+        assert d == want[label], label
 
 
 def test_all_valid_entries_pass_axioms_and_nis():

@@ -369,21 +369,30 @@ def test_form_witness_of_verify_isometry_matches_the_pairwise_loop():
     # on an abelian algebra every parity-preserving invertible map keeps the
     # brackets and squares, so the form decides; Grams are seeded and need
     # not be symmetric
-    rng = random.Random(29)
-    for _ in range(40):
-        n = rng.randrange(2, 9)
-        parity = tuple(rng.getrandbits(1) for _ in range(n))
-        g = SuperAlgebra(
+    def abelian(parity):
+        n = len(parity)
+        return SuperAlgebra(
             tuple(f"v{i}" for i in range(n)), parity,
             tuple((0,) * n for _ in range(n)), (0,) * n,
         )
+
+    rng = random.Random(29)
+    cases = []
+    for _ in range(40):
+        n = rng.randrange(2, 9)
+        g = abelian(tuple(rng.getrandbits(1) for _ in range(n)))
         b1, b2 = (
             BilinearForm(GF2Matrix([rng.getrandbits(n) for _ in range(n)], n), 0)
             for _ in range(2)
         )
-        images = random_parity_preserving(g, rng)
+        cases.append((g, b1, b2, random_parity_preserving(g, rng)))
+    # B1 and B2 differ only at (b, a), below the diagonal
+    b1, b2 = (BilinearForm(GF2Matrix(rows, 2), 0) for rows in ([2, 0], [2, 1]))
+    cases.append((abelian((0, 0)), b1, b2, [1, 2]))
+    for g, b1, b2, images in cases:
+        n = g.dim
         want = next(
-            (("form", i, j) for i in range(n) for j in range(i, n)
+            (("form", i, j) for i in range(n) for j in range(n)
              if b1.pair(1 << i, 1 << j) != b2.pair(images[i], images[j])),
             None,
         )
