@@ -31,18 +31,14 @@ The unknowns are only the coefficients of D e_s for s in S and E (the
 kept unknowns); every other D e_k is propagated along the ad_S-closure.
 Replayed from S, each closure vector v = [e_s, u] gets
 D v = [D e_s, u] + [e_s, D u], and each e_k is a sum of closure vectors
-and E, so D e_k is a linear function of the kept unknowns.  Three facts
-make the kernels those of the system on all n^2 coefficients:
+and E, so D e_k is a linear function of the kept unknowns.  Two facts
+make the kernels over the kept unknowns those of the system on all n^2
+coefficients:
 - Leibniz at (e_s, u) is a sum of the rows at the pairs (s, j), which
   are in the system; so it holds for every derivation, with or without
   Jacobi, and for every solution, and the propagation loses none;
 - restriction to S and E is injective on derivations and on solutions:
-  a D that vanishes there vanishes on C and on E, hence on g.  So the
-  inner maps have the same rank over the kept unknowns, and the
-  early close below reads the inner rank;
-- the kernel is mapped back to the coordinates (i, m) of every unknown
-  and put in the canonical form that SpanBasis.kernel returns (the fully
-  reduced basis with highest-bit pivots), so it is bit-identical.
+  a D that vanishes there vanishes on C and on E, hence on g.
 When the walk is None, S and E are every basis vector, nothing is
 propagated, and the system is the one on every coefficient.
 
@@ -51,35 +47,49 @@ finest free grading that the structure constants allow
 (SuperAlgebra.fine_degrees), for every algebra, declared degrees or not.
 The closure vectors are homogeneous, so the propagation keeps each
 coefficient in the block of its own shift.  The system is built in one
-pass over the rules: each basis vector lists the coefficients of its
-image, each a combination of kept unknowns of one block, so a rule row
-touches only unknowns that exist and goes to the block of its shift.
-Each block keeps its own fully reduced SpanBasis, its kernel is read off
-the echelon rows with no second elimination, and a block whose kernel
-is known drops out of the index.  Inner maps ad_{e_i} lie in the block
-of e_i's degree, so the outer quotient is taken block by block; declared
-degrees, which must coarsen the fine grading, only label the blocks.
-The blocks go in order of their shift in the canonical degrees of
-fine_degrees, so the block order, and with it the order of
-OuterBasis.representatives, depends only on the algebra and the order
-of its basis.
+pass over the rules that touch S and E: each basis vector lists the
+coefficients of its image, each a combination of kept unknowns of one
+block, so a rule row goes to the block of its shift.  Only shifts with
+kept unknowns make blocks: by injectivity, no other shift holds a
+derivation.  Each block keeps its own fully reduced SpanBasis, its
+kernel is read off the echelon rows with no second elimination, and a
+block whose kernel is known drops out of the index.  Inner maps ad_{e_i}
+lie in the block of e_i's degree, so the outer quotient is taken block
+by block; declared degrees, which must coarsen the fine grading, only
+label the blocks.  The blocks go in order of their shift in the
+canonical degrees of fine_degrees, so the block order, and with it the
+order of OuterBasis.representatives, depends only on the algebra and
+the order of its basis.
 
-A block's kernel is known at full rank, and earlier once the inner maps
-are proved derivations: g.jacobi_walk is a tuple (Jacobi holds) and
-g.squaring_rule_holds (ad_{s(e_i)} = ad_i ad_i on odd e_i).  Then a block
-closes at rank size - r_b, where size counts its kept unknowns and r_b is
-the rank of its inner maps:
-- K_true is the kernel of every row, K_partial the kernel of the rows
-  inserted so far, so K_partial contains K_true;
-- K_true contains the block's inner span, which has dimension r_b;
-- at rank size - r_b, dim K_partial = r_b, so K_partial = K_true = the
-  inner span, whose canonical basis is the kernel.
-Without either proof a block closes only at full rank, so a table that
-fails the axioms keeps its kernels and its InnerNotDerivation errors.
+The inner maps are proved derivations when g.jacobi_walk is a tuple
+(Jacobi holds, and the table is structurally_sound, so their images are
+graded) and g.squaring_rule_holds (ad_{s(e_i)} = ad_i ad_i on odd e_i).
+Then their restriction to S and E is injective, so its rank r_b in block
+b is the inner rank, read off the kept unknowns alone, and:
+- a block's kernel is known at rank size - r_b, where size counts its
+  kept unknowns: K_true, the kernel of every row, lies in K_partial, the
+  kernel of the rows inserted so far, and contains the inner span of
+  dimension r_b; at that rank dim K_partial = r_b, so both are the inner
+  span, and the block closes;
+- a block's outer dimension is size - rank - r_b, exactly, so
+  outer_dimension_by_degree reads the dimensions off the ranks and
+  never leaves the kept unknowns.
+Full coordinates (i, m) are built per block (_full_block) only for a
+caller that reports vectors: derivation_space for every block,
+outer_derivations for the blocks with outer classes.  The kernel is
+mapped back from the kept unknowns and put in the canonical form that
+SpanBasis.kernel returns (the fully reduced basis with highest-bit
+pivots), and the representatives complete the full inner vectors, so
+both are bit-identical to a solve on every coefficient.  Without the
+proof every block is built in full and its inner maps are checked
+against its kernel, and a block closes only at full rank, so a table
+that fails the axioms keeps its kernels and its InnerNotDerivation
+errors.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Callable, Sequence
@@ -190,76 +200,103 @@ def is_derivation(g: SuperAlgebra, d: Derivation) -> tuple[bool, tuple | None]:
 # ---------------------------------------------------------------------------
 
 
-def _fine_blocks(g: SuperAlgebra, parity: int):
+@dataclass(frozen=True)
+class _Blocks:
+    """The derivation system of one parity over its kept unknowns.
+
+    Block b holds the kept unknowns of shift code shifts[b]: widths[b] of
+    them, first[b] the first, and spans[b] the rule rows inserted, fully
+    reduced.  images[m] maps i to the coefficient of e_i in D e_m, a mask
+    over the kept unknowns of the block of (i, m).  ranks[b] is the rank
+    of the block's inner maps, or ranks is None when they are not proved
+    derivations.  at[c, p] lists, ascending, the basis vectors of parity p
+    whose fine degree has code c.  rows counts the rule rows inserted.
+    """
+
+    g: SuperAlgebra
+    parity: int
+    codes: list[int]
+    at: dict[tuple[int, int], list[int]]
+    shifts: list[int]
+    widths: list[int]
+    first: list[tuple[int, int]]
+    spans: list[SpanBasis]
+    images: list[dict[int, int]]
+    ranks: list[int] | None
+    rows: int
+
+    def kernel_dims(self) -> list[int]:
+        return [w - span.dim for w, span in zip(self.widths, self.spans)]
+
+
+def _fine_blocks(g: SuperAlgebra, parity: int) -> _Blocks:
     """The derivation system of one parity, split by fine shift.
 
     Leibniz rows come from the pairs that touch g.jacobi_walk, or from
     every pair when it is None (see the module docstring).  Unknown (i, m)
     means e_m |-> ... + e_i; it lies in the block of its shift f_i - f_m
     under g.fine_degrees.  Only the unknowns (i, s) with s in S or E are
-    kept; _propagate writes every other D e_m as a combination of them.
-    The kernels stay those of the system on all n^2 unknowns:
-    - Leibniz at (e_s, u) holds for every derivation, with or without
-      Jacobi, and for every solution, so the propagation loses none;
-    - restriction to S and E is injective on derivations, so a block's
-      early-close rank is its inner rank;
-    - the mapped-back kernel is in the canonical form SpanBasis.kernel
-      gives (_canonical_kernel).
-    Every rule row is homogeneous: the row of output l of the rule at
-    (j, k) only touches unknowns of shift f_l - f_j - f_k.  A block closes
-    at full rank, or, once every ad_x is a proved derivation, at its kept
-    size minus the rank of its inner maps.
-    Returns (unknowns, kernels, inner, rows): one entry of unknowns,
-    kernels and inner per block in order of shift, with kernel vectors
-    over the block's own unknowns; inner is _inner_vectors; rows counts
-    the rule rows inserted into the blocks' spans.
+    laid out, indexed and solved for; _propagate writes every other D e_m
+    as a combination of them.  Every rule row is homogeneous: the row of
+    output l of the rule at (j, k) only touches unknowns of shift
+    f_l - f_j - f_k.  A block closes at full rank, or, once every ad_x is
+    a proved derivation, at its kept size minus the rank of its inner
+    maps (_kept_inner_ranks).  Nothing here is in the coordinates of every
+    (i, m); _full_block builds them for one block.
     """
     n = g.dim
     walk = g.jacobi_walk
-    sources = range(n) if walk is None else frozenset(walk[0] + walk[1])
+    sources = range(n) if walk is None else sorted(walk[0] + walk[1])
     codes = _degree_codes(g.fine_degrees)
+    at: dict[tuple[int, int], list[int]] = {}
+    for i, c in enumerate(codes):
+        at.setdefault((c, g.parity[i]), []).append(i)
     of_parity = (g.even_indices(), g.odd_indices())
-    # layout[shift]: the unknowns of the shift in order, kept_of[shift]: how
-    # many have a source m; images[m]: i -> the coefficient of e_i in D e_m,
-    # a mask over the kept unknowns of the block of (i, m)
-    layout: dict[int, list[tuple[int, int]]] = {}
+    # kept_of[shift]: the kept unknowns of the shift so far; images[m]: i ->
+    # the coefficient of e_i in D e_m
     kept_of: dict[int, int] = {}
+    first: dict[int, tuple[int, int]] = {}
     images: list[dict[int, int]] = [{} for _ in range(n)]
-    for m in range(n):
+    for m in sources:
         cm = codes[m]
-        image = images[m] if m in sources else None
+        image = images[m]
         for i in of_parity[(g.parity[m] + parity) & 1]:
             shift = codes[i] - cm
-            layout.setdefault(shift, []).append((i, m))
-            if image is not None:
-                k = kept_of.get(shift, 0)
-                image[i] = 1 << k
-                kept_of[shift] = k + 1
-    shifts = sorted(layout)
-    unknowns = [layout[s] for s in shifts]
-    kept = [kept_of.get(s, 0) for s in shifts]
-    inner = _inner_vectors(g, parity, unknowns)
+            k = kept_of.get(shift, 0)
+            if not k:
+                first[shift] = (i, m)
+            image[i] = 1 << k
+            kept_of[shift] = k + 1
+    shifts = sorted(kept_of)
+    widths = [kept_of[s] for s in shifts]
+    ranks = None
+    if walk is not None and g.squaring_rule_holds:
+        ranks = _kept_inner_ranks(g, parity, sources, images, codes, shifts)
     if len(sources) < n:
         _propagate(g, walk, images)
     # rank at which a block's kernel is known: its inner span, once the
-    # inner maps are proved derivations (see the module docstring).  A
-    # tuple walk means a structurally_sound table, whose ad_{e_i} have
-    # graded images, so inner is not None then.
-    target = kept[:]
-    if walk is not None and g.squaring_rule_holds:
-        for b, ads in enumerate(inner):
-            target[b] -= SpanBasis(ads).dim
+    # inner maps are proved derivations (see the module docstring)
+    target = widths if ranks is None else [w - r for w, r in zip(widths, ranks)]
     # by_source[m]: (i, b * n) -> the mask of unknown (i, m) of a block b
     # whose kernel is still open; a row of block b and output l has key
-    # b * n + l
+    # b * n + l.  held[b * n]: block b's entries.  A rule's rows are all
+    # formed before any is inserted, so neither its rows nor the spans
+    # after it depend on the order of the entries.
+    open_off = {s: b * n for b, s in enumerate(shifts) if target[b]}
     by_source: list[dict[tuple[int, int], int]] = [{} for _ in range(n)]
-    for b, block in enumerate(unknowns):
-        if target[b]:
-            for i, m in block:
-                mask = images[m].get(i)
-                if mask:
-                    by_source[m][i, b * n] = mask
-    spans = [SpanBasis() for _ in unknowns]
+    held: dict[int, list[tuple[dict, tuple[int, int]]]] = {
+        off: [] for off in open_off.values()
+    }
+    for m, image in enumerate(images):
+        cm = codes[m]
+        entries = by_source[m]
+        for i, mask in image.items():
+            off = open_off.get(codes[i] - cm)
+            if mask and off is not None:
+                key = i, off
+                entries[key] = mask
+                held[off].append((entries, key))
+    spans = [SpanBasis() for _ in shifts]
     table = g.bracket_table
     inserted = 0
 
@@ -297,37 +334,48 @@ def _fine_blocks(g: SuperAlgebra, parity: int):
             span = spans[b]
             if span.add(r) and span.dim == target[b]:
                 # the block's kernel is known, so its unknowns drop out
-                off = b * n
-                for i, m in unknowns[b]:
-                    by_source[m].pop((i, off), None)
+                for entries, unknown in held[b * n]:
+                    entries.pop(unknown, None)
 
+    # the pairs j < k that touch S or E, in order
+    kept = frozenset(sources)
     for j in range(n):
-        for k in range(j + 1, n):
-            if j in sources or k in sources:
-                add_rule(table[j][k], j, k, True)
+        for k in range(j + 1, n) if j in kept else sources[bisect_right(sources, j):]:
+            add_rule(table[j][k], j, k, True)
     for j in g.odd_indices():
         add_rule(g.squaring[j], j, j, False)
-    kernels = []
-    for b, (span, block) in enumerate(zip(spans, unknowns)):
-        width = kept[b]
-        if span.dim == width or width == len(block):
-            # the kernel is 0, or no unknown of the block was propagated
-            kernel = span.kernel(width)
-        elif span.dim == target[b]:  # closed at its inner span
-            kernel = _canonical_kernel(inner[b], len(block))
-        else:  # back from the kept unknowns to every (i, m)
-            kernel = _canonical_kernel(
-                [
-                    sum(
-                        (images[m].get(i, 0) & x).bit_count() % 2 << pos
-                        for pos, (i, m) in enumerate(block)
-                    )
-                    for x in span.kernel(width)
-                ],
-                len(block),
-            )
-        kernels.append(kernel)
-    return unknowns, kernels, inner, inserted
+    return _Blocks(
+        g, parity, codes, at, shifts, widths, [first[s] for s in shifts],
+        spans, images, ranks, inserted,
+    )
+
+
+def _kept_inner_ranks(
+    g: SuperAlgebra, parity: int, sources, images, codes, shifts
+) -> list[int]:
+    """The rank of each block's inner maps, read off their restriction to
+    the kept unknowns of the walk's S and E.
+
+    ad_{e_i} lies in the block of shift f_i, as each term e_k of
+    [e_i, e_m] has f_k = f_i + f_m, and the codes of _degree_codes are
+    linear.  The walk needs a structurally_sound table, so each term e_k
+    of [e_i, e_s] is a kept unknown (k, s) of the parity.  Restriction to
+    S and E is injective on derivations, so once the inner maps are
+    derivations these are their ranks on all of g.
+    """
+    block_of = {s: b for b, s in enumerate(shifts)}
+    spans = [SpanBasis() for _ in shifts]
+    table = g.bracket_table
+    for i in g.odd_indices() if parity else g.even_indices():
+        row = table[i]
+        v = 0
+        for s in sources:
+            image = images[s]
+            for k in bits(row[s]):
+                v |= image[k]
+        if v:
+            spans[block_of[codes[i]]].add(v)
+    return [span.dim for span in spans]
 
 
 def _degree_codes(fine: Sequence[tuple[int, ...]]) -> list[int]:
@@ -435,48 +483,81 @@ def _canonical_kernel(vectors: list[int], width: int) -> list[int]:
     return [flip(v) for v in reversed(SpanBasis(map(flip, vectors)).vectors())]
 
 
-def _inner_vectors(g: SuperAlgebra, parity: int, unknowns):
-    """The nonzero ad_{e_i}, e_i of the parity, in block coordinates.
+def _full_block(blocks: _Blocks, b: int) -> tuple[list[tuple[int, int]], list[int]]:
+    """(unknowns, kernel): block b in the coordinates of every unknown.
 
-    ad_{e_i} lies in the block of shift f_i, as each term e_k of
-    [e_i, e_m] has f_k = f_i + f_m, and the codes of _degree_codes are
-    linear, so that block has code codes[i]; the result lists each block's
-    inner vectors, or is None when an image has the wrong parity (then
-    ad_{e_i} is no map of the parity).
+    unknowns lists the (i, m) of the block's shift, by m and then i.  The
+    kernel is mapped back from the kept unknowns through images and put
+    in the canonical form of SpanBasis.kernel, so it is the one a solve on
+    every (i, m) gives; a block closed at its inner span has that span's.
     """
-    codes = _degree_codes(g.fine_degrees)
-    block_of = {codes[i] - codes[m]: b for b, ((i, m), *_) in enumerate(unknowns)}
-    where: dict[int, dict[tuple[int, int], int]] = {}  # per block, on demand
-    inner: list[list[int]] = [[] for _ in unknowns]
-    for i in g.odd_indices() if parity else g.even_indices():
-        row = g.bracket_table[i]
-        if not any(row):
-            continue
-        b = block_of.get(codes[i])
-        if b is None:
-            return None
-        if b not in where:
-            where[b] = {u: 1 << pos for pos, u in enumerate(unknowns[b])}
-        bit_of = where[b]
+    g, codes, shift, at = blocks.g, blocks.codes, blocks.shifts[b], blocks.at
+    unknowns = [
+        (i, m)
+        for m in range(g.dim)
+        for i in at.get((codes[m] + shift, (g.parity[m] + blocks.parity) & 1), ())
+    ]
+    span, width = blocks.spans[b], blocks.widths[b]
+    if span.dim == width or width == len(unknowns):
+        # the kernel is 0, or no unknown of the block was propagated
+        return unknowns, span.kernel(width)
+    if blocks.ranks is not None and span.dim == width - blocks.ranks[b]:
+        # closed at its inner span
+        inner = _inner_vectors(blocks, b, unknowns)
+        return unknowns, _canonical_kernel(inner, len(unknowns))
+    images = blocks.images
+    mapped = [
+        sum(
+            (images[m].get(i, 0) & x).bit_count() % 2 << pos
+            for pos, (i, m) in enumerate(unknowns)
+        )
+        for x in span.kernel(width)
+    ]
+    return unknowns, _canonical_kernel(mapped, len(unknowns))
+
+
+def _inner_vectors(blocks: _Blocks, b: int, unknowns) -> list[int] | None:
+    """The nonzero ad_{e_i} of block b over its full unknowns: e_i of the
+    parity with f_i the block's shift (see _kept_inner_ranks); None when
+    an image has the wrong parity, for then ad_{e_i} is no map of the
+    parity."""
+    bit_of = {u: 1 << pos for pos, u in enumerate(unknowns)}
+    inner = []
+    for i in blocks.at.get((blocks.shifts[b], blocks.parity), ()):
         v = 0
         try:
-            for m, image in enumerate(row):
+            for m, image in enumerate(blocks.g.bracket_table[i]):
                 for k in bits(image):
                     v |= bit_of[k, m]
         except KeyError:
             return None
-        inner[b].append(v)
+        if v:
+            inner.append(v)
     return inner
+
+
+def _checked_block(blocks: _Blocks, b: int):
+    """(unknowns, kernel, representatives) of block b in full coordinates:
+    the representatives complete its inner maps to a basis of its kernel.
+    Raises InnerNotDerivation when an inner map falls outside."""
+    unknowns, kernel = _full_block(blocks, b)
+    ads = _inner_vectors(blocks, b, unknowns)
+    if ads is not None:
+        try:
+            return unknowns, kernel, quotient_basis(kernel, ads)
+        except SubspaceNotContained:
+            pass
+    raise _inner_not_derivation(blocks.g, blocks.parity)
 
 
 def derivation_space(g: SuperAlgebra, parity: int) -> list[Derivation]:
     """Basis of the parity-homogeneous derivations of g."""
-    unknowns, kernels, *_ = _fine_blocks(g, parity)
-    return [
-        Derivation.from_vec(v, block, g.dim, parity)
-        for block, kernel in zip(unknowns, kernels)
-        for v in kernel
-    ]
+    blocks = _fine_blocks(g, parity)
+    out = []
+    for b in range(len(blocks.shifts)):
+        unknowns, kernel = _full_block(blocks, b)
+        out += (Derivation.from_vec(v, unknowns, g.dim, parity) for v in kernel)
+    return out
 
 
 def inner_derivations(g: SuperAlgebra, parity: int) -> list[Derivation]:
@@ -517,68 +598,71 @@ class OuterBasis:
 
 
 def _outer_blocks(g: SuperAlgebra, parity: int):
-    """(blocks, rows): (unknowns, kernel, outer representatives) per fine
-    block, and the rule rows inserted (None when the builder does not
-    count them).
+    """(blocks, outer, built): the system of _fine_blocks, the outer
+    dimension of each block, and the blocks that _checked_block already
+    built, by index.
 
-    ad_{e_i} lies in the block of shift f_i, and the representatives
-    complete its inner maps to a basis of the block's kernel.  Declared
-    degrees must coarsen the fine grading affinely
+    With the inner maps proved derivations, a block's outer dimension is
+    its kernel dimension minus its inner rank, and nothing is built in
+    full.  Without the proof every block is built and checked; an inner
+    map of a shift with no block is nonzero where no derivation is.
+    Declared degrees must coarsen the fine grading affinely
     (g.degrees_coarsen_fine), so that each block has one degree shift.
     """
     if not g.degrees_coarsen_fine:
         raise _inner_not_derivation(g, parity)
-    unknowns, kernels, inner, rows = _fine_blocks(g, parity)
-    if inner is None:
-        raise _inner_not_derivation(g, parity)
-    out = []
-    for block, kernel, ads in zip(unknowns, kernels, inner):
-        try:
-            out.append((block, kernel, quotient_basis(kernel, ads)))
-        except SubspaceNotContained:
-            raise _inner_not_derivation(g, parity) from None
-    return out, rows
+    blocks = _fine_blocks(g, parity)
+    if blocks.ranks is not None:
+        return blocks, [k - r for k, r in zip(blocks.kernel_dims(), blocks.ranks)], {}
+    table, shifts = g.bracket_table, set(blocks.shifts)
+    for i in g.odd_indices() if parity else g.even_indices():
+        if blocks.codes[i] not in shifts and any(table[i]):
+            raise _inner_not_derivation(g, parity)
+    built = {b: _checked_block(blocks, b) for b in range(len(blocks.shifts))}
+    return blocks, [len(reps) for _, _, reps in built.values()], built
 
 
 def outer_derivations(g: SuperAlgebra, parity: int | None = None):
     """Quotient of derivations by inner ones, per parity.
 
-    Returns an OuterBasis for a fixed parity, or a (even, odd) pair.
+    Returns an OuterBasis for a fixed parity, or a (even, odd) pair.  Only
+    the blocks with outer classes are built in full coordinates.
     """
     if parity is None:
         return outer_derivations(g, 0), outer_derivations(g, 1)
-    blocks, rows = _outer_blocks(g, parity)
-    reps = tuple(
-        Derivation.from_vec(v, block, g.dim, parity)
-        for block, _, vecs in blocks
-        for v in vecs
-    )
-    derivation_dim = sum(len(kernel) for _, kernel, _ in blocks)
+    blocks, outer, built = _outer_blocks(g, parity)
+    reps: list[Derivation] = []
+    for b, dim in enumerate(outer):
+        if dim:
+            unknowns, _, vecs = built.get(b) or _checked_block(blocks, b)
+            reps += (Derivation.from_vec(v, unknowns, g.dim, parity) for v in vecs)
+    derivation_dim = sum(blocks.kernel_dims())
     walk = g.jacobi_walk
     return OuterBasis(
         parity=parity,
-        representatives=reps,
+        representatives=tuple(reps),
         derivation_dim=derivation_dim,
         inner_dim=derivation_dim - len(reps),
         leibniz_sources=None if walk is None else len(walk[0]) + len(walk[1]),
-        rows=rows,
+        rows=blocks.rows,
     )
 
 
 def outer_dimension_by_degree(g: SuperAlgebra, parity: int) -> dict[int, int]:
     """Outer dimensions split by degree shift (graded algebras only).
 
-    The fine blocks are summed into the declared degree shifts; the result
-    is sorted by shift.
+    The fine blocks' outer dimensions (_outer_blocks: read off the ranks
+    once the inner maps are proved derivations) are summed into the
+    declared degree shifts; the result is sorted by shift.
     """
     if g.degrees is None:
         raise ValueError("algebra carries no grading")
+    blocks, outer, _ = _outer_blocks(g, parity)
     result: dict[int, int] = {}
-    for block, _, reps in _outer_blocks(g, parity)[0]:
-        if reps:
-            i, m = block[0]
+    for (i, m), dim in zip(blocks.first, outer):
+        if dim:
             s = g.degrees[i] - g.degrees[m]
-            result[s] = result.get(s, 0) + len(reps)
+            result[s] = result.get(s, 0) + dim
     return dict(sorted(result.items()))
 
 

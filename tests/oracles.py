@@ -16,10 +16,26 @@ from fractions import Fraction
 import numpy as np
 
 from nislie.catalog import MonomialBasis, _complement_form, monomial_basis
-from nislie.derivations import Derivation, _inner_vectors, case_parities, is_derivation
+from nislie.derivations import (
+    Derivation,
+    OuterBasis,
+    _inner_not_derivation,
+    case_parities,
+    is_derivation,
+)
 from nislie.errors import CaseParityMismatch, ConditionViolated, SearchBudgetExceeded
 from nislie.forms import BilinearForm, NISReport, QuadraticForm
-from nislie.gf2 import GF2Matrix, SpanBasis, bits, combine, dot, restrict, solve_affine
+from nislie.gf2 import (
+    GF2Matrix,
+    SpanBasis,
+    SubspaceNotContained,
+    bits,
+    combine,
+    dot,
+    quotient_basis,
+    restrict,
+    solve_affine,
+)
 from nislie.isometry import (
     _PairSpan,
     _closure,
@@ -981,13 +997,17 @@ def reference_coefficient_cut(form, candidates, diagonal=False):
 
 
 def reference_fine_blocks(g: SuperAlgebra, parity: int):
-    """derivations._fine_blocks with the Leibniz rows of every basis pair.
+    """The fine-block derivation system on every unknown (i, m), with the
+    Leibniz rows of every basis pair.
 
-    The same blocks in the same order, the same squaring rows, and a
-    Leibniz rule at every pair j < k instead of the pairs that touch the
-    Jacobi walk's vectors; the kernels must be bit-identical.  Returns
-    _fine_blocks's (unknowns, kernels, inner, rows), with rows None: the
-    rule rows are not counted.
+    The blocks of derivations._fine_blocks in the same order, with the
+    blocks that hold no kept unknown besides, the same squaring rows, and
+    a Leibniz rule at every pair j < k instead of the pairs that touch the
+    Jacobi walk's vectors; no unknown is propagated.  Returns (unknowns,
+    kernels, inner, rows): per block its (i, m) in order, its kernel
+    (SpanBasis.kernel, which the library's full coordinates must match bit
+    for bit) and its inner vectors (reference_inner_vectors); rows is
+    None: the rule rows are not counted.
     """
     n = g.dim
     fine = g.fine_degrees
@@ -1050,7 +1070,90 @@ def reference_fine_blocks(g: SuperAlgebra, parity: int):
     for j in g.odd_indices():
         add_rule(g.squaring[j], j, j, False)
     kernels = [span.kernel(len(block)) for span, block in zip(spans, unknowns)]
-    return unknowns, kernels, _inner_vectors(g, parity, unknowns), None
+    return unknowns, kernels, reference_inner_vectors(g, parity, unknowns), None
+
+
+def reference_inner_vectors(g: SuperAlgebra, parity: int, unknowns):
+    """The nonzero ad_{e_i}, e_i of the parity, listed per block of
+    unknowns in the block's coordinates; None when a term (k, m) of some
+    ad_{e_i} is no unknown (an image of the wrong parity) or its terms lie
+    in two blocks.  Each ad_{e_i} is located by its terms, not by degree."""
+    where = {
+        u: (b, 1 << pos)
+        for b, block in enumerate(unknowns)
+        for pos, u in enumerate(block)
+    }
+    inner: list[list[int]] = [[] for _ in unknowns]
+    for i in g.odd_indices() if parity else g.even_indices():
+        terms = [(k, m) for m, v in enumerate(g.bracket_table[i]) for k in bits(v)]
+        if not terms:
+            continue
+        if any(t not in where for t in terms):
+            return None
+        blocks = {where[t][0] for t in terms}
+        if len(blocks) > 1:
+            return None
+        inner[blocks.pop()].append(sum(where[t][1] for t in terms))
+    return inner
+
+
+def reference_outer_blocks(g: SuperAlgebra, parity: int, fine):
+    """(unknowns, kernel, representatives) per block of fine, the output
+    of reference_fine_blocks(g, parity): the representatives complete the
+    block's inner vectors to a basis of its kernel.  Where the inner maps
+    fall outside the kernels or the declared degrees do not coarsen the
+    fine grading, it raises the library's InnerNotDerivation, for its
+    message (the decision to raise is made here)."""
+    if not g.degrees_coarsen_fine:
+        raise _inner_not_derivation(g, parity)
+    unknowns, kernels, inner, _ = fine
+    if inner is None:
+        raise _inner_not_derivation(g, parity)
+    out = []
+    for block, kernel, ads in zip(unknowns, kernels, inner):
+        try:
+            out.append((block, kernel, quotient_basis(kernel, ads)))
+        except SubspaceNotContained:
+            raise _inner_not_derivation(g, parity) from None
+    return out
+
+
+def reference_derivation_space(g: SuperAlgebra, parity: int, fine):
+    """derivation_space read off fine = reference_fine_blocks(g, parity)."""
+    unknowns, kernels, _, _ = fine
+    return [
+        Derivation.from_vec(v, block, g.dim, parity)
+        for block, kernel in zip(unknowns, kernels)
+        for v in kernel
+    ]
+
+
+def reference_outer_derivations(g: SuperAlgebra, parity: int, fine):
+    """outer_derivations read off fine = reference_fine_blocks(g, parity),
+    without the uncompared leibniz_sources and rows."""
+    blocks = reference_outer_blocks(g, parity, fine)
+    reps = tuple(
+        Derivation.from_vec(v, block, g.dim, parity)
+        for block, _, vecs in blocks
+        for v in vecs
+    )
+    derivation_dim = sum(len(kernel) for _, kernel, _ in blocks)
+    return OuterBasis(parity, reps, derivation_dim, derivation_dim - len(reps))
+
+
+def reference_outer_dimension_by_degree(g: SuperAlgebra, parity: int, fine):
+    """outer_dimension_by_degree read off fine =
+    reference_fine_blocks(g, parity): the representatives of each block
+    counted under the declared degree shift of its first unknown."""
+    if g.degrees is None:
+        raise ValueError("algebra carries no grading")
+    result: dict[int, int] = {}
+    for block, _, reps in reference_outer_blocks(g, parity, fine):
+        if reps:
+            i, m = block[0]
+            s = g.degrees[i] - g.degrees[m]
+            result[s] = result.get(s, 0) + len(reps)
+    return dict(sorted(result.items()))
 
 
 def reference_fine_basis(g: SuperAlgebra) -> list[list[int]]:

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import itertools
 import random
 
 import numpy as np
@@ -51,8 +52,11 @@ from oracles import (
     flip,
     gf2_rank_dense,
     random_invertible_parity_map,
+    reference_derivation_space,
     reference_fine_basis,
     reference_fine_blocks,
+    reference_outer_derivations,
+    reference_outer_dimension_by_degree,
     reference_validate,
     relabel,
 )
@@ -563,15 +567,19 @@ def outcome(fn, g, parity):
 
 
 def assert_generator_rows_match_all_pairs(g):
-    """derivation_space and outer_derivations give what the all-pairs
-    builder gives, errors included, in both parities."""
-    calls = (derivation_space, outer_derivations)
+    """derivation_space, outer_derivations and outer_dimension_by_degree
+    give what is read off the all-pairs builder, errors included, in both
+    parities."""
+    calls = (
+        (derivation_space, reference_derivation_space),
+        (outer_derivations, reference_outer_derivations),
+        (outer_dimension_by_degree, reference_outer_dimension_by_degree),
+    )
     for parity in (0, 1):
-        got = [outcome(fn, g, parity) for fn in calls]
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(derivations, "_fine_blocks", reference_fine_blocks)
-            want = [outcome(fn, g, parity) for fn in calls]
-        assert got == want, (g.names, parity)
+        fine = reference_fine_blocks(g, parity)
+        for fn, reference in calls:
+            want = outcome(lambda g, parity: reference(g, parity, fine), g, parity)
+            assert outcome(fn, g, parity) == want, (g.names, parity, fn.__name__)
 
 
 def test_generator_rows_match_all_pairs_on_catalog():
@@ -586,6 +594,15 @@ def test_generator_rows_match_all_pairs_on_catalog():
             sources = len(walk[0]) + len(walk[1])
             assert outer_derivations(g, 0).leibniz_sources == sources
     assert outer_derivations(named("h1-0-5").algebra, 1).leibniz_sources == 10
+    # an even bracket with an odd value: the shift of ad(a) has no even block
+    assert_generator_rows_match_all_pairs(
+        SuperAlgebra(
+            names=("a", "b", "c"),
+            parity=(0, 0, 1),
+            bracket_table=((0, 4, 0), (4, 0, 0), (0, 0, 0)),
+            squaring=(0, 0, 0),
+        )
+    )
     # seeded changes of basis: most have closure vectors that are no basis
     # vectors, so an e_k outside the walk's vectors is a sum of several
     rng = random.Random("generator rows: change of basis")
@@ -599,7 +616,7 @@ def test_generator_rows_match_all_pairs_on_catalog():
     assert propagated
 
 
-@pytest.mark.parametrize("m", [4, 5, 6])
+@pytest.mark.parametrize("m", [4, 5, 6, 7, 8])
 def test_generator_rows_match_all_pairs_on_relabelled_hamiltonians(m):
     g, form, _ = hamiltonian(m)
     rng = random.Random(f"generator rows:{m}")
@@ -657,6 +674,63 @@ def test_generator_rows_match_all_pairs_on_flips_that_break_squaring():
     for _, g in zip(range(24), flips):
         assert not g.squaring_rule_holds
         assert_generator_rows_match_all_pairs(g)
+
+
+def test_dimension_path_matches_all_pairs_on_graded_inputs():
+    # outer_dimension_by_degree reads the dimensions off ranks over the
+    # kept unknowns; the reference reads them off all-pairs kernels and
+    # quotients.  po-0-5 fails Jacobi, and a flip of the squaring map
+    # keeps a walk while the inner maps lose their proof.
+    rng = random.Random("dimension path")
+    inputs = []
+    for name in ("h1-0-4", "h1-0-5", "po-0-4", "po-0-5"):
+        obj = named(name)
+        inputs.append(obj.algebra)
+        inputs += (relabel(obj.algebra, obj.form, rng)[0] for _ in range(3))
+    for flips in (flips_that_break_jacobi(rng), flips_that_break_squaring(rng)):
+        inputs += itertools.islice((g for g in flips if g.degrees is not None), 6)
+    assert sum(g.jacobi_walk is not None and not g.squaring_rule_holds for g in inputs)
+    for g in inputs:
+        assert_generator_rows_match_all_pairs(g)
+
+
+def test_dimensions_never_leave_the_kept_unknowns(monkeypatch):
+    # on a proved algebra the dimensions come from ranks alone, and the
+    # representatives from the blocks that have outer classes
+    g, form, _ = hamiltonian(6)
+    g2, _ = relabel(g, form, random.Random("fast path"))
+    full_block = derivations._full_block
+
+    def refuse(*args):
+        raise AssertionError("built in full coordinates")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(derivations, "_full_block", refuse)
+        mp.setattr(derivations, "quotient_basis", refuse)
+        assert outer_dimension_by_degree(g2, 0) == {-2: 1, 0: 7, 4: 1}
+        assert outer_dimension_by_degree(g2, 1) == {}
+    built = []
+    monkeypatch.setattr(
+        derivations,
+        "_full_block",
+        lambda blocks, b: built.append(b) or full_block(blocks, b),
+    )
+    outer = outer_derivations(g2, 0)
+    assert outer.dim == 9 and len(built) == len(set(built))
+    # each block is built once, and only where a representative lies
+    supports = [
+        {(i, m) for m, image in enumerate(rep.images) for i in bits(image)}
+        for rep in outer.representatives
+    ]
+    blocks = derivations._fine_blocks(g2, 0)
+    for b in built:
+        unknowns = set(full_block(blocks, b)[0])
+        assert any(support <= unknowns for support in supports)
+    built.clear()
+    assert outer_derivations(g2, 1).dim == 0 and not built
+    # the rule rows inserted, pinned: a change to the pairs or to the early
+    # close moves them, while the order of the index by_source cannot
+    assert (outer.rows, outer_derivations(g2, 1).rows) == (1170, 579)
 
 
 def test_outer_basis_counts_fewer_rows_than_all_pairs(monkeypatch):
@@ -777,10 +851,14 @@ def fine_block_contents(g, parity):
     """{unknowns: (kernel, representatives)} over the fine blocks, or the
     type and message of what building them raised."""
     try:
-        blocks, _ = derivations._outer_blocks(g, parity)
+        blocks, outer, built = derivations._outer_blocks(g, parity)
     except NisLieError as exc:
         return type(exc), str(exc)
-    return {tuple(block): (kernel, reps) for block, kernel, reps in blocks}
+    contents = {}
+    for b in range(len(outer)):
+        block, kernel, reps = built.get(b) or derivations._checked_block(blocks, b)
+        contents[tuple(block)] = (kernel, reps)
+    return contents
 
 
 def test_fine_blocks_do_not_depend_on_the_grading_basis():
