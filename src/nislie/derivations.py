@@ -81,10 +81,11 @@ mapped back from the kept unknowns and put in the canonical form that
 SpanBasis.kernel returns (the fully reduced basis with highest-bit
 pivots), and the representatives complete the full inner vectors, so
 both are bit-identical to a solve on every coefficient.  Without the
-proof every block is built in full and its inner maps are checked
-against its kernel, and a block closes only at full rank, so a table
-that fails the axioms keeps its kernels and its InnerNotDerivation
-errors.
+proof the inner maps are checked first, each by is_derivation, and the
+first that fails raises its InnerNotDerivation before any system is
+built.  Once all of them pass they lie in the kernels, every block is
+built in full, and a block closes only at full rank, so a table that
+fails the axioms keeps its kernels.
 """
 
 from __future__ import annotations
@@ -100,14 +101,20 @@ from .gf2 import (
     AffineSolution,
     GF2Matrix,
     SpanBasis,
-    SubspaceNotContained,
     bits,
     combine,
     dependencies,
     quotient_basis,
     solve_affine,
 )
-from .superalgebra import SuperAlgebra, ad, ad_system, bracket
+from .superalgebra import (
+    SuperAlgebra,
+    _adjoint_entries,
+    _nonzero_columns,
+    ad,
+    ad_system,
+    bracket,
+)
 
 CASES = ("evenB-evenD", "evenB-oddD", "oddB-oddD", "oddB-evenD")
 
@@ -172,7 +179,15 @@ def ad_derivation(g: SuperAlgebra, v: int) -> Derivation:
 
 
 def is_derivation(g: SuperAlgebra, d: Derivation) -> tuple[bool, tuple | None]:
-    """Leibniz on all basis pairs and the squaring rule on odd basis."""
+    """Leibniz on all basis pairs and the squaring rule on odd basis.
+
+    The witness is the first failure: ("parity", i) for an image of the
+    wrong parity, then ("leibniz", j, k) for the pairs j < k in order,
+    then ("squaring-rule", i).  Leibniz is read off the table a row at a
+    time: the failing k > j of row j are the nonzero columns of
+    ad_{D e_j} + D ad_j + ad_j D (_nonzero_columns), column k of which
+    is [D e_j, e_k] + D[e_j, e_k] + [e_j, D e_k].
+    """
     if d.dim != g.dim:
         raise DimensionMismatch("derivation size mismatch")
     n = g.dim
@@ -181,14 +196,17 @@ def is_derivation(g: SuperAlgebra, d: Derivation) -> tuple[bool, tuple | None]:
         want = (g.parity[i] + d.parity) & 1
         if im & (g.odd_mask if want == 0 else g.even_mask):
             return False, ("parity", i)
-    for i in range(n):
-        for j in range(i + 1, n):
-            lhs = d.apply(g.bracket_table[i][j])
-            rhs = bracket(g, d.images[i], 1 << j) ^ bracket(
-                g, 1 << i, d.images[j]
-            )
-            if lhs != rhs:
-                return False, ("leibniz", i, j)
+    if any(im >> n for im in d.images):
+        raise DimensionMismatch("element outside the algebra")
+    table, entries = g.bracket_table, _adjoint_entries(g)
+    # the nonzero entries (k, l) of D: bit l of D e_k
+    d_entries = [(k, l) for k, v in enumerate(d.images) if v for l in bits(v)]
+    for j, row in enumerate(table):
+        failing = _nonzero_columns(
+            table, ((d.images, entries[j]), (row, d_entries)), d.images[j], j + 1
+        )
+        if failing:
+            return False, ("leibniz", j, (failing & -failing).bit_length() - 1)
     for i in g.odd_indices():
         if d.apply(g.squaring[i]) != bracket(g, d.images[i], 1 << i):
             return False, ("squaring-rule", i)
@@ -516,38 +534,30 @@ def _full_block(blocks: _Blocks, b: int) -> tuple[list[tuple[int, int]], list[in
     return unknowns, _canonical_kernel(mapped, len(unknowns))
 
 
-def _inner_vectors(blocks: _Blocks, b: int, unknowns) -> list[int] | None:
+def _inner_vectors(blocks: _Blocks, b: int, unknowns) -> list[int]:
     """The nonzero ad_{e_i} of block b over its full unknowns: e_i of the
-    parity with f_i the block's shift (see _kept_inner_ranks); None when
-    an image has the wrong parity, for then ad_{e_i} is no map of the
-    parity."""
+    parity with f_i the block's shift (see _kept_inner_ranks).  Each term
+    (k, m) is an unknown of the block, as ad_{e_i} is a derivation of
+    the parity (_outer_blocks)."""
     bit_of = {u: 1 << pos for pos, u in enumerate(unknowns)}
     inner = []
     for i in blocks.at.get((blocks.shifts[b], blocks.parity), ()):
         v = 0
-        try:
-            for m, image in enumerate(blocks.g.bracket_table[i]):
-                for k in bits(image):
-                    v |= bit_of[k, m]
-        except KeyError:
-            return None
+        for m, image in enumerate(blocks.g.bracket_table[i]):
+            for k in bits(image):
+                v |= bit_of[k, m]
         if v:
             inner.append(v)
     return inner
 
 
-def _checked_block(blocks: _Blocks, b: int):
+def _outer_block(blocks: _Blocks, b: int):
     """(unknowns, kernel, representatives) of block b in full coordinates:
-    the representatives complete its inner maps to a basis of its kernel.
-    Raises InnerNotDerivation when an inner map falls outside."""
+    the representatives complete its inner maps, which lie in its kernel
+    (_outer_blocks), to a basis of the kernel."""
     unknowns, kernel = _full_block(blocks, b)
-    ads = _inner_vectors(blocks, b, unknowns)
-    if ads is not None:
-        try:
-            return unknowns, kernel, quotient_basis(kernel, ads)
-        except SubspaceNotContained:
-            pass
-    raise _inner_not_derivation(blocks.g, blocks.parity)
+    inner = _inner_vectors(blocks, b, unknowns)
+    return unknowns, kernel, quotient_basis(kernel, inner)
 
 
 def derivation_space(g: SuperAlgebra, parity: int) -> list[Derivation]:
@@ -599,26 +609,29 @@ class OuterBasis:
 
 def _outer_blocks(g: SuperAlgebra, parity: int):
     """(blocks, outer, built): the system of _fine_blocks, the outer
-    dimension of each block, and the blocks that _checked_block already
+    dimension of each block, and the blocks that _outer_block already
     built, by index.
 
     With the inner maps proved derivations, a block's outer dimension is
     its kernel dimension minus its inner rank, and nothing is built in
-    full.  Without the proof every block is built and checked; an inner
-    map of a shift with no block is nonzero where no derivation is.
+    full.  Without the proof the first inner map that fails
+    is_derivation raises before any system is built.  Once every one
+    passes, each is a derivation of the parity, so it lies in the kernel
+    of the block of its shift, and every block is built in full.
     Declared degrees must coarsen the fine grading affinely
     (g.degrees_coarsen_fine), so that each block has one degree shift.
     """
     if not g.degrees_coarsen_fine:
         raise _inner_not_derivation(g, parity)
+    if g.jacobi_walk is None or not g.squaring_rule_holds:
+        # the system is built only once every inner map passes
+        error = _first_inner_failure(g, parity)
+        if error is not None:
+            raise error
     blocks = _fine_blocks(g, parity)
     if blocks.ranks is not None:
         return blocks, [k - r for k, r in zip(blocks.kernel_dims(), blocks.ranks)], {}
-    table, shifts = g.bracket_table, set(blocks.shifts)
-    for i in g.odd_indices() if parity else g.even_indices():
-        if blocks.codes[i] not in shifts and any(table[i]):
-            raise _inner_not_derivation(g, parity)
-    built = {b: _checked_block(blocks, b) for b in range(len(blocks.shifts))}
+    built = {b: _outer_block(blocks, b) for b in range(len(blocks.shifts))}
     return blocks, [len(reps) for _, _, reps in built.values()], built
 
 
@@ -634,7 +647,7 @@ def outer_derivations(g: SuperAlgebra, parity: int | None = None):
     reps: list[Derivation] = []
     for b, dim in enumerate(outer):
         if dim:
-            unknowns, _, vecs = built.get(b) or _checked_block(blocks, b)
+            unknowns, _, vecs = built.get(b) or _outer_block(blocks, b)
             reps += (Derivation.from_vec(v, unknowns, g.dim, parity) for v in vecs)
     derivation_dim = sum(blocks.kernel_dims())
     walk = g.jacobi_walk
@@ -666,18 +679,11 @@ def outer_dimension_by_degree(g: SuperAlgebra, parity: int) -> dict[int, int]:
     return dict(sorted(result.items()))
 
 
-def _inner_not_derivation(g: SuperAlgebra, parity: int) -> InnerNotDerivation:
-    """The error saying what keeps the inner maps out of the derivations.
-
-    Called once an inner map fell outside the derivation space or the
-    declared degrees failed to coarsen the fine grading.  It names the
-    first basis vector whose ad is not a derivation; when every ad of the
-    parity passes is_derivation, the degrees are at fault, and it names
-    the first basis vector whose ad mixes degree shifts, else the first
-    term whose offset d_i + d_j - d_k differs from the first term's.
-    """
-    idxs = g.odd_indices() if parity else g.even_indices()
-    for i in idxs:
+def _first_inner_failure(g: SuperAlgebra, parity: int) -> InnerNotDerivation | None:
+    """The error naming the first basis vector of the parity whose ad is
+    not a derivation, with is_derivation's witness; None when every one
+    is."""
+    for i in g.odd_indices() if parity else g.even_indices():
         ok, witness = is_derivation(g, ad_derivation(g, 1 << i))
         if not ok:
             rule, *at = witness
@@ -686,6 +692,23 @@ def _inner_not_derivation(g: SuperAlgebra, parity: int) -> InnerNotDerivation:
                 g.names[i], f"ad({g.names[i]}) is not in the derivation"
                 f" space: {rule} fails at ({where})"
             )
+    return None
+
+
+def _inner_not_derivation(g: SuperAlgebra, parity: int) -> InnerNotDerivation:
+    """The error saying what keeps the inner maps out of the derivations.
+
+    Called once the declared degrees failed to coarsen the fine grading.
+    It names the first basis vector whose ad is not a derivation
+    (_first_inner_failure), as a failing axiom comes first; when every
+    ad of the parity passes is_derivation, the degrees are at fault, and
+    it names the first basis vector whose ad mixes degree shifts, else
+    the first term whose offset d_i + d_j - d_k differs from the first
+    term's.
+    """
+    error = _first_inner_failure(g, parity)
+    if error is not None:
+        return error
     d = g.degrees
     offsets: dict[int, tuple[int, int, int]] = {}
     if d is not None:

@@ -13,6 +13,7 @@ vectors; the Darboux normal form is an acceptance check, not the algorithm.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import DegeneratePolar, DimensionMismatch, NotAlternating, NotOdd, OutOfRange
@@ -31,15 +32,21 @@ class BilinearForm:
 
     def pair(self, x: int, y: int) -> int:
         """B(x, y)."""
-        return dot(self.gram.mat_vec(y), x)
+        return dot(self.pair_row(y), x)
 
     def pair_row(self, y: int) -> int:
-        """The functional B(., y) as a bit vector over basis indices."""
-        return self.gram.mat_vec(y)
+        """The functional B(., y) as a bit vector over basis indices: the
+        Gram matrix times y, the sum of its columns over the bits of y."""
+        return combine(self._columns, y)
+
+    @cached_property
+    def _columns(self) -> list[int]:
+        """Column j of the Gram matrix: bit i is B(e_i, e_j)."""
+        return self.gram.transpose().rows
 
     def orthogonal_complement(self, vectors: Iterable[int]) -> list[int]:
         """Basis of {x : B(x, v) = 0 for every v in vectors}."""
-        rows = [self.gram.mat_vec(v) for v in vectors]
+        rows = [self.pair_row(v) for v in vectors]
         return GF2Matrix(rows, self.dim).kernel_basis()
 
     def matrix_on(self, us: Sequence[int], vs: Sequence[int]) -> GF2Matrix:

@@ -39,6 +39,9 @@ that touch S and E.  Both read the adjoint maps as columns straight off
 the table, from one build that validate shares (_adjoint_entries); with
 the walk, the squaring verdict proves every ad_x a derivation, which lets
 the derivation system close a block once only its inner maps are left.
+derivations.is_derivation reads the Leibniz rule of any map D off the
+same entries, row j at a time, as the walk reads Jacobi
+(_nonzero_columns).
 Every bracket and squaring value lies inside the algebra: SuperAlgebra
 refuses any other table when it is built.
 
@@ -473,14 +476,16 @@ def _adjoint_entries(g: SuperAlgebra) -> list[list[tuple[int, int]]]:
     return entries
 
 
-def _nonzero_columns(table, entries, products, x: int, low: int = 0) -> int:
-    """Mask of the nonzero columns k >= low of ad_x + the sum of ad_a ad_b.
+def _nonzero_columns(table, products, x: int, low: int = 0) -> int:
+    """Mask of the nonzero columns k >= low of ad_x + a sum of products.
 
-    products lists the index pairs (a, b); entries is _adjoint_entries(g).
-    Column k of ad_x is the sum of table[m][k] over the bits m of x, and
-    column k of ad_a ad_b, ad_a applied to [e_b, e_k], is the sum of
-    table[a][l] over the entries (k, l) of ad_b.  The entries are sorted
-    by k, so those of the columns below low are cut off by bisection.
+    Each product is a pair (images, entries): entries lists, sorted by k,
+    the nonzero entries (k, l) of a map B, bit l of B e_k, and images
+    gives a map A by its basis images, so column k of A B is the sum of
+    images[l] over the entries (k, l).  With images = table[a] and
+    entries = _adjoint_entries(g)[b] the product is ad_a ad_b.  Column k
+    of ad_x is the sum of table[m][k] over the bits m of x.  The entries
+    of the columns below low are cut off by bisection.
     """
     if x & (x - 1):
         acc = [0] * len(table)
@@ -490,11 +495,9 @@ def _nonzero_columns(table, entries, products, x: int, low: int = 0) -> int:
         # one row is copied, not added to zeros: its values are masks of up
         # to n bits, and a sum would build each one anew
         acc = list(table[x.bit_length() - 1]) if x else [0] * len(table)
-    for a, b in products:
-        row = table[a]
-        column = entries[b]
+    for images, column in products:
         for k, l in column[bisect_left(column, (low,)) :]:
-            acc[k] ^= row[l]
+            acc[k] ^= images[l]
     if not any(islice(acc, low, None)):
         return 0
     return sum(1 << k for k, v in enumerate(acc) if v) >> low << low
@@ -503,8 +506,9 @@ def _nonzero_columns(table, entries, products, x: int, low: int = 0) -> int:
 def _squaring_defects(g: SuperAlgebra, i: int) -> int:
     """Mask of the j at which [s(e_i), e_j] != [e_i, [e_i, e_j]]: the
     nonzero columns of ad_{s(e_i)} + ad_i ad_i."""
+    table = g.bracket_table
     return _nonzero_columns(
-        g.bracket_table, _adjoint_entries(g), ((i, i),), g.squaring[i]
+        table, ((table[i], _adjoint_entries(g)[i]),), g.squaring[i]
     )
 
 
@@ -585,7 +589,9 @@ def _jacobi_generators(
         # is zero already; the other columns k <= j are zero or seen at the
         # pair (i, k), J being symmetric and alternating
         for j in range(i + 1, n):
-            if _nonzero_columns(table, entries, ((i, j), (j, i)), row[j], j + 1):
+            if _nonzero_columns(
+                table, ((row, entries[j]), (table[j], entries[i])), row[j], j + 1
+            ):
                 return None
         # [e_i, v] for v in the closure so far; [e_s, e_i] for an earlier
         # generator s is [e_i, e_s], one of them, as the table is symmetric
@@ -670,9 +676,8 @@ def validate(g: SuperAlgebra, max_failures: int = 64) -> ValidationReport:
         for i in range(n):
             for j in range(i + 1, n):
                 bij = table[i][j]
-                failing = _nonzero_columns(
-                    table, entries, ((i, j), (j, i)), bij, j + 1
-                )
+                products = (table[i], entries[j]), (table[j], entries[i])
+                failing = _nonzero_columns(table, products, bij, j + 1)
                 for k in bits(failing):
                     cycle = bracket(g, 1 << i, table[j][k])
                     cycle ^= bracket(g, 1 << j, table[i][k])

@@ -20,10 +20,16 @@ from nislie.derivations import (
     Derivation,
     OuterBasis,
     _inner_not_derivation,
+    ad_derivation,
     case_parities,
-    is_derivation,
 )
-from nislie.errors import CaseParityMismatch, ConditionViolated, SearchBudgetExceeded
+from nislie.errors import (
+    CaseParityMismatch,
+    ConditionViolated,
+    DimensionMismatch,
+    InnerNotDerivation,
+    SearchBudgetExceeded,
+)
 from nislie.forms import BilinearForm, NISReport, QuadraticForm
 from nislie.gf2 import (
     GF2Matrix,
@@ -890,6 +896,31 @@ def reference_quadratic_equal_on_odd(a, q1_eval, q2_eval):
     return True, None
 
 
+def reference_is_derivation(g, d):
+    """derivations.is_derivation with Leibniz evaluated one basis pair
+    at a time through bracket(): the same answers and witnesses."""
+    if d.dim != g.dim:
+        raise DimensionMismatch("derivation size mismatch")
+    n = g.dim
+    for i in range(n):
+        im = d.images[i]
+        want = (g.parity[i] + d.parity) & 1
+        if im & (g.odd_mask if want == 0 else g.even_mask):
+            return False, ("parity", i)
+    for i in range(n):
+        for j in range(i + 1, n):
+            lhs = d.apply(g.bracket_table[i][j])
+            rhs = bracket(g, d.images[i], 1 << j) ^ bracket(
+                g, 1 << i, d.images[j]
+            )
+            if lhs != rhs:
+                return False, ("leibniz", i, j)
+    for i in g.odd_indices():
+        if d.apply(g.squaring[i]) != bracket(g, d.images[i], 1 << i):
+            return False, ("squaring-rule", i)
+    return True, None
+
+
 def reference_check_conditions(a, form, recipe):
     """The hypothesis checks of extension.check_conditions with the
     self-adjointness and polar witnesses found one pair at a time; raises
@@ -900,7 +931,7 @@ def reference_check_conditions(a, form, recipe):
     d = recipe.derivation
     if form.parity != form_parity or d.parity != der_parity:
         raise CaseParityMismatch(case)
-    ok, witness = is_derivation(a, d)
+    ok, witness = reference_is_derivation(a, d)
     if not ok:
         raise ConditionViolated("Der", witness)
     n = a.dim
@@ -1097,24 +1128,41 @@ def reference_inner_vectors(g: SuperAlgebra, parity: int, unknowns):
     return inner
 
 
+def reference_inner_not_derivation(g: SuperAlgebra, parity: int):
+    """The InnerNotDerivation of derivations._inner_not_derivation: the
+    first ad_{e_i} of the parity that fails reference_is_derivation is
+    named here, and the library's message is taken only for a defect of
+    the declared degrees."""
+    for i in g.odd_indices() if parity else g.even_indices():
+        ok, witness = reference_is_derivation(g, ad_derivation(g, 1 << i))
+        if not ok:
+            rule, *at = witness
+            where = ", ".join(g.names[j] for j in at)
+            return InnerNotDerivation(
+                g.names[i], f"ad({g.names[i]}) is not in the derivation"
+                f" space: {rule} fails at ({where})"
+            )
+    return _inner_not_derivation(g, parity)
+
+
 def reference_outer_blocks(g: SuperAlgebra, parity: int, fine):
     """(unknowns, kernel, representatives) per block of fine, the output
     of reference_fine_blocks(g, parity): the representatives complete the
     block's inner vectors to a basis of its kernel.  Where the inner maps
     fall outside the kernels or the declared degrees do not coarsen the
-    fine grading, it raises the library's InnerNotDerivation, for its
-    message (the decision to raise is made here)."""
+    fine grading, it raises reference_inner_not_derivation (the decision
+    to raise is made here)."""
     if not g.degrees_coarsen_fine:
-        raise _inner_not_derivation(g, parity)
+        raise reference_inner_not_derivation(g, parity)
     unknowns, kernels, inner, _ = fine
     if inner is None:
-        raise _inner_not_derivation(g, parity)
+        raise reference_inner_not_derivation(g, parity)
     out = []
     for block, kernel, ads in zip(unknowns, kernels, inner):
         try:
             out.append((block, kernel, quotient_basis(kernel, ads)))
         except SubspaceNotContained:
-            raise _inner_not_derivation(g, parity) from None
+            raise reference_inner_not_derivation(g, parity) from None
     return out
 
 

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import functools
 import itertools
@@ -12,12 +13,16 @@ from hypothesis import strategies as st
 from nislie import derivations, superalgebra
 from nislie.catalog import (
     ba_double_cocycles,
+    contraction,
     entry_names,
     hamiltonian,
     h104_cocycles,
     h105_cocycles,
     hei_double_cocycles,
+    mult_op,
     named,
+    top_bracket,
+    weight_op,
 )
 from nislie.derivations import (
     Derivation,
@@ -34,7 +39,7 @@ from nislie.derivations import (
     outer_dimension_by_degree,
     self_adjoint_coefficients,
 )
-from nislie.errors import InnerNotDerivation, NisLieError
+from nislie.errors import DimensionMismatch, InnerNotDerivation, NisLieError
 from nislie.forms import check_nis
 from nislie.gf2 import GF2Matrix, SpanBasis, bits, span_basis
 from nislie.superalgebra import (
@@ -55,6 +60,7 @@ from oracles import (
     reference_derivation_space,
     reference_fine_basis,
     reference_fine_blocks,
+    reference_is_derivation,
     reference_outer_derivations,
     reference_outer_dimension_by_degree,
     reference_validate,
@@ -856,7 +862,7 @@ def fine_block_contents(g, parity):
         return type(exc), str(exc)
     contents = {}
     for b in range(len(outer)):
-        block, kernel, reps = built.get(b) or derivations._checked_block(blocks, b)
+        block, kernel, reps = built.get(b) or derivations._outer_block(blocks, b)
         contents[tuple(block)] = (kernel, reps)
     return contents
 
@@ -880,3 +886,144 @@ def test_fine_blocks_do_not_depend_on_the_grading_basis():
                 fine_block_contents(other, parity)
             ), (name, parity)
     assert differ
+
+
+def hamiltonian_operators(g, basis, m):
+    """The named operators of h'(0|m) that c13 checks: the mult_op pairs
+    of each xi_i and eta_i, one weight, the top bracket and, for even m,
+    the contraction."""
+    k = m // 2
+    xis = [f"xi{i}" for i in range(1, k + 1)]
+    etas = [f"eta{i}" for i in range(1, k + 1)]
+    ops = [mult_op(g, basis, x, e) for x, e in zip(xis, etas)]
+    ops += [mult_op(g, basis, e, x) for x, e in zip(xis, etas)]
+    ops.append(weight_op(g, basis, basis.var_names if m % 2 else xis))
+    ops.append(top_bracket(g, basis))
+    if m % 2 == 0:
+        ops.append(contraction(g, basis))
+    return ops
+
+
+def one_bit_flips(rng, g, d):
+    """d with one bit of one image flipped: one flip that keeps the
+    image's parity and one that breaks it, each where there is room."""
+    out = []
+    for keep in (True, False):
+        k = rng.randrange(g.dim)
+        want = (g.parity[k] + d.parity) & 1
+        pool = [l for l in range(g.dim) if (g.parity[l] == want) == keep]
+        if pool:
+            images = list(d.images)
+            images[k] ^= 1 << rng.choice(pool)
+            out.append(Derivation(tuple(images), d.parity))
+    return out
+
+
+def test_is_derivation_matches_the_bracket_pair_reference():
+    # the row scan gives the witness and the errors of the scan pair by
+    # pair through bracket(), on maps that pass and on maps that fail in
+    # each rule, early and late
+    rng = random.Random("is_derivation by rows")
+    cases = []
+
+    def add(g, maps):
+        cases.extend((g, d) for d in maps)
+
+    def inner(g):
+        return [ad_derivation(g, 1 << i) for i in range(g.dim)]
+
+    for name in entry_names():
+        g = named(name).algebra
+        add(g, inner(g))
+        if g.dim <= 16:
+            add(g, derivation_space(g, 0) + derivation_space(g, 1))
+    for m in range(4, 8):
+        g, _, basis = hamiltonian(m)
+        add(g, hamiltonian_operators(g, basis, m))
+    for _ in range(4):
+        g0 = named(rng.choice(VALID_SMALL)).algebra
+        g, _ = change_basis(g0, None, random_invertible_parity_map(rng, g0))
+        add(g, inner(g) + derivation_space(g, 0) + derivation_space(g, 1))
+    for flips in (flips_that_break_jacobi(rng), flips_that_break_squaring(rng)):
+        for g in itertools.islice(flips, 4):
+            add(g, inner(g))
+    g0 = named("hei-double").algebra
+    g, _ = flip(g0, None, "bracket-one", 0, 5, 2)  # [p, zstar] != [zstar, p]
+    assert g.bracket_table[0][5] != g.bracket_table[5][0]
+    add(g, inner(g) + derivation_space(g0, 0) + derivation_space(g0, 1))
+    kinds = collections.Counter()
+    for g, d in cases:
+        for e in [d, *one_bit_flips(rng, g, d)]:
+            got = outcome(is_derivation, g, e)
+            assert got == outcome(reference_is_derivation, g, e), (g.names, e)
+            ok, witness = got
+            kinds[witness[0] if witness else "passes"] += 1
+            kinds["late"] += not ok and witness[0] == "leibniz" and (
+                witness[1] >= g.dim // 2
+            )
+    for kind in ("passes", "parity", "leibniz", "squaring-rule", "late"):
+        assert kinds[kind], kind
+
+
+def test_is_derivation_refuses_an_image_outside_the_algebra():
+    # the one difference from the scan pair by pair: that scan raised only
+    # at the first pair that brackets the image, so the Leibniz failure of
+    # D p = p at (p, q) came first
+    g = named("hei-double").algebra
+    d = Derivation((1, 0, 0, 0, 0, 1 << g.dim), 0)
+    with pytest.raises(DimensionMismatch, match="^element outside the algebra$"):
+        is_derivation(g, d)
+    assert reference_is_derivation(g, d) == (False, ("leibniz", 0, 1))
+
+
+# the messages that the all-pairs system gave on the paper's refuted
+# po(0|5;m) recipes: the first ad of the parity that is not a derivation
+THETAXI1 = (
+    "ad(thetaxi1) is not in the derivation space: leibniz fails at (theta, eta1)"
+)
+THETA = "ad(theta) is not in the derivation space: leibniz fails at (xi1, thetaeta1)"
+
+
+def test_outer_stops_at_the_first_failing_inner_map(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the derivation system was built")
+
+    monkeypatch.setattr(derivations, "_fine_blocks", refuse)
+    for name in ("po05-m0", "po05-m1", "po-0-5"):
+        g = named(name).algebra
+        calls = [
+            (outer_derivations, THETAXI1),
+            (lambda g: outer_derivations(g, 1), THETA),
+        ]
+        if g.degrees is not None:
+            calls.append((lambda g: outer_dimension_by_degree(g, 1), THETA))
+        for call, message in calls:
+            with pytest.raises(InnerNotDerivation) as info:
+                call(g)
+            err = info.value
+            assert str(err) == message, name
+            assert err.element == message[3 : message.index(")")]
+            assert not err.degrees_at_fault
+
+
+def test_outer_builds_the_system_once_every_inner_map_passes(monkeypatch):
+    # a Jacobi flip that leaves every even ad a derivation: the inner maps
+    # are not proved, so the check runs, finds nothing, and the system is
+    # built on every pair
+    def passing(g):
+        return all(
+            is_derivation(g, ad_derivation(g, 1 << i))[0] for i in g.even_indices()
+        )
+
+    flips = flips_that_break_jacobi(random.Random("one parity passes"))
+    g = next(g for g in itertools.islice(flips, 40) if passing(g))
+    assert g.jacobi_walk is None
+    fine_blocks = derivations._fine_blocks
+    built = []
+    monkeypatch.setattr(
+        derivations,
+        "_fine_blocks",
+        lambda g, parity: built.append(parity) or fine_blocks(g, parity),
+    )
+    want = reference_outer_derivations(g, 0, reference_fine_blocks(g, 0))
+    assert outer_derivations(g, 0) == want and built == [0]

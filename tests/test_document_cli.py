@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nislie import catalog, cli, isometry, superalgebra
+from nislie import catalog, cli, derivations, isometry, superalgebra
 from nislie.catalog import named
 from nislie.cli import build_parser, main
 from nislie.derivations import CASES
@@ -357,6 +357,27 @@ def test_cli_outer_on_invalid_algebra_is_a_negative(capsys):
     assert "(ad(thetaxi1) is not in the derivation space: leibniz" in captured.err
     assert "nislie validate" in captured.err
     assert "Traceback" not in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("name", ["po05-m0", "po05-m1", "po-0-5"])
+def test_cli_outer_stops_at_the_first_failing_inner_map(
+    name, monkeypatch, tmp_path, capsys
+):
+    # the exported document fails before any derivation system is built
+    def refuse(*args):
+        raise AssertionError("the derivation system was built")
+
+    monkeypatch.setattr(derivations, "_fine_blocks", refuse)
+    obj = named(name)
+    path = tmp_path / f"{name}.json"
+    save(AlgebraDocument(obj.algebra, obj.form, {"catalog": name}), path)
+    assert main(["outer", str(path)]) == 1
+    assert capsys.readouterr() == (
+        "",
+        "error: an inner map is not a derivation (ad(thetaxi1) is not in the"
+        " derivation space: leibniz fails at (theta, eta1)), so the input fails"
+        " the axioms; run `nislie validate` on it\n",
+    )
 
 
 def test_cli_extend_reduce_roundtrip(tmp_path, capsys):

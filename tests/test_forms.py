@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nislie.catalog import h104_alphas, hei_even_recipe, named
+from nislie.catalog import entry_names, h104_alphas, hei_even_recipe, named
 from nislie.errors import DegeneratePolar, NotAlternating, OutOfRange
 from nislie.forms import (
     BilinearForm,
@@ -27,6 +27,21 @@ def random_alternating(rng, n):
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
     return GF2Matrix(rows, n)
+
+
+def test_pair_row_is_the_gram_times_y():
+    # pair_row sums Gram columns; mat_vec takes a dot product per row, so
+    # the two agree on any Gram, symmetric or not
+    rng = random.Random("pair_row")
+    forms = [named(name).form for name in entry_names()]
+    forms = [f for f in forms if f is not None]
+    forms.append(BilinearForm(GF2Matrix([0b011, 0b100, 0b001], 3), 0))
+    assert forms[-1].gram != forms[-1].gram.transpose()
+    for form in forms:
+        for _ in range(8):
+            y, x = rng.getrandbits(form.dim), rng.getrandbits(form.dim)
+            assert form.pair_row(y) == form.gram.mat_vec(y)
+            assert form.pair(x, y) == bin(x & form.gram.mat_vec(y)).count("1") % 2
 
 
 # --- check_nis ---------------------------------------------------------------
