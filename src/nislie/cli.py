@@ -605,6 +605,10 @@ _parser = functools.cache(build_parser)
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    # argparse reads --opt=-- as [], past choices and type
+    for dest in (k for k in dir(args) if k[0] != "_" and getattr(args, k) == []):
+        print(f"error: argument --{dest.replace('_', '-')}: '--' is not a value", file=sys.stderr)
+        return 2
     try:
         return args.fn(args)
     except CliError as exc:

@@ -24,8 +24,9 @@ It is stable under ad_s for each s in S: expanding D[[s,v],y] with Jacobi
 at (s, v, y), (s, Dv, y), (s, v, Dy) and (Ds, v, y) gives the Leibniz rule
 at ([s,v], y) for v in L_D.  So L_D contains C + span(E) = g, and these
 rows have the kernel of the rows on every pair.  When the walk is None (a
-table that is not structurally_sound, or a failing Jacobi identity), every
-pair gives its rows.
+table that is not structurally_sound, or a failing Jacobi identity), S
+and E stand for every basis vector (_walk_sources): every pair gives its
+rows, nothing is propagated, and every coefficient is an unknown.
 
 The unknowns are only the coefficients of D e_s for s in S and E (the
 kept unknowns); every other D e_k is propagated along the ad_S-closure.
@@ -39,8 +40,6 @@ coefficients:
   Jacobi, and for every solution, and the propagation loses none;
 - restriction to S and E is injective on derivations and on solutions:
   a D that vanishes there vanishes on C and on E, hence on g.
-When the walk is None, S and E are every basis vector, nothing is
-propagated, and the system is the one on every coefficient.
 
 The system is block-diagonal over the shift of the unknown map under the
 finest free grading that the structure constants allow
@@ -86,6 +85,17 @@ first that fails raises its InnerNotDerivation before any system is
 built.  Once all of them pass they lie in the kernels, every block is
 built in full, and a block closes only at full rank, so a table that
 fails the axioms keeps its kernels.
+
+Class arithmetic (class_coordinates, cohomologous, find_a0) solves
+sum_c x_c M_c = T in one place, _solve_maps, at the images of S and E
+and at the values a caller appends (find_a0's D(a0) = 0).  The M_c must
+be Leibniz maps (the outer representatives, and ad_{e_i} once the walk
+proves Jacobi); T need not be.  The rule is linear in D, so by the
+injectivity above these equations have the kernel of those at every
+image.  A particular solution that holds at every image then gives the
+same solution set, and one that fails shows there is none.  solve_affine
+reads the particular off the canonical kernel of [A | b], which depends
+only on the solution set, so each answer is bit for bit the full one.
 """
 
 from __future__ import annotations
@@ -93,6 +103,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import chain
+from operator import xor
 from typing import Callable, Sequence
 
 from .errors import CaseParityMismatch, DimensionMismatch, InnerNotDerivation
@@ -110,9 +121,10 @@ from .gf2 import (
 from .superalgebra import (
     SuperAlgebra,
     _adjoint_entries,
+    _image_rows,
     _nonzero_columns,
+    _walk_sources,
     ad,
-    ad_system,
     bracket,
 )
 
@@ -155,10 +167,9 @@ class Derivation:
     def add(self, other: "Derivation") -> "Derivation":
         if self.parity != other.parity:
             raise CaseParityMismatch("cannot add derivations of mixed parity")
-        return Derivation(
-            tuple(a ^ b for a, b in zip(self.images, other.images)),
-            self.parity,
-        )
+        if self.dim != other.dim:
+            raise DimensionMismatch("cannot add maps of different sizes")
+        return Derivation(tuple(map(xor, self.images, other.images)), self.parity)
 
     @classmethod
     def from_vec(
@@ -264,7 +275,7 @@ def _fine_blocks(g: SuperAlgebra, parity: int) -> _Blocks:
     """
     n = g.dim
     walk = g.jacobi_walk
-    sources = range(n) if walk is None else sorted(walk[0] + walk[1])
+    sources = _walk_sources(g)
     codes = _degree_codes(g.fine_degrees)
     at: dict[tuple[int, int], list[int]] = {}
     for i, c in enumerate(codes):
@@ -650,13 +661,12 @@ def outer_derivations(g: SuperAlgebra, parity: int | None = None):
             unknowns, _, vecs = built.get(b) or _outer_block(blocks, b)
             reps += (Derivation.from_vec(v, unknowns, g.dim, parity) for v in vecs)
     derivation_dim = sum(blocks.kernel_dims())
-    walk = g.jacobi_walk
     return OuterBasis(
         parity=parity,
         representatives=tuple(reps),
         derivation_dim=derivation_dim,
         inner_dim=derivation_dim - len(reps),
-        leibniz_sources=None if walk is None else len(walk[0]) + len(walk[1]),
+        leibniz_sources=None if g.jacobi_walk is None else len(_walk_sources(g)),
         rows=blocks.rows,
     )
 
@@ -834,40 +844,51 @@ def compatible_subspace(
 # ---------------------------------------------------------------------------
 
 
-def a0_system(g: SuperAlgebra, d: Derivation) -> tuple[GF2Matrix, int]:
-    """(A, b): A a0 = b, a0 over the even basis vectors, says [a0, e_j] =
-    D^2(e_j) in rows j * n .. j * n + n - 1, then D(a0) = 0 in the last n."""
-    n = g.dim
-    even = g.even_indices()
-    rows = ad_system(g, even, range(n))
-    rows += GF2Matrix([d.images[i] for i in even], n).transpose().rows
-    return GF2Matrix(rows, len(even)), _vec_full(d.compose(d))
+def _sized(g: SuperAlgebra, d: Derivation) -> Derivation:
+    """d, refused unless it gives one image inside g per basis vector."""
+    if d.dim != g.dim or any(im >> g.dim for im in d.images):
+        raise DimensionMismatch("map and algebra sizes differ")
+    return d
+
+
+def _solve_maps(g: SuperAlgebra, given, idxs, target: Derivation, vanish=()):
+    """The AffineSolution of sum_c x_c M_c = target, M the given maps and
+    then ad_{e_i} for i in idxs, with sum_c x_c vanish[c] = 0; None if
+    there is none.  The M_c must be Leibniz maps (module docstring)."""
+    n, table = g.dim, g.bracket_table
+    maps = [_sized(g, d).images for d in given] + [table[i] for i in idxs]
+    want = list(_sized(g, target).images)
+    sources = _walk_sources(g)
+    rows = _image_rows(maps, sources, n) + GF2Matrix(vanish, n).transpose().rows
+    rhs = sum(want[j] << pos * n for pos, j in enumerate(sources))
+    sol = solve_affine(GF2Matrix(rows, len(maps)), rhs)
+    got = [0] * n
+    for c in bits(0 if sol is None else sol.particular):
+        got = list(map(xor, got, maps[c]))
+    # the particular holds at every image, or nothing does
+    return sol if got == want else None
 
 
 def find_a0(g: SuperAlgebra, d: Derivation) -> AffineSolution | None:
-    """Even elements a0 with ad_{a0} = D^2 and D(a0) = 0 (a0_system); None
-    if there is none."""
+    """Even elements a0 with ad_{a0} = D^2 and D(a0) = 0; None if there is
+    none."""
     if d.parity != 1:
         raise CaseParityMismatch("a0 is defined for odd derivations")
-    sol = solve_affine(*a0_system(g, d))
-    return None if sol is None else sol.lift(g.even_indices())
+    even = g.even_indices()
+    sol = _solve_maps(g, (), even, _sized(g, d).compose(d), [d.images[i] for i in even])
+    return None if sol is None else sol.lift(even)
 
 
-def cohomologous(
-    g: SuperAlgebra, d1: Derivation, d2: Derivation
-) -> int | None:
+def cohomologous(g: SuperAlgebra, d1: Derivation, d2: Derivation) -> int | None:
     """Witness t with d1 + d2 = ad_t (lambda = 1 over GF(2)); None if outer."""
     if d1.parity != d2.parity:
         raise CaseParityMismatch("classes of different parity")
     idxs = g.odd_indices() if d1.parity else g.even_indices()
-    rows = ad_system(g, idxs, range(g.dim))
-    sol = solve_affine(GF2Matrix(rows, len(idxs)), _vec_full(d1.add(d2)))
+    sol = _solve_maps(g, (), idxs, _sized(g, d1).add(_sized(g, d2)))
     return None if sol is None else sol.lift(idxs).particular
 
 
-def class_coordinates(
-    g: SuperAlgebra, outer: OuterBasis, d: Derivation
-) -> int | None:
+def class_coordinates(g: SuperAlgebra, outer: OuterBasis, d: Derivation) -> int | None:
     """Coordinates of [d] in the outer basis; None if not a derivation class.
 
     Solves d = sum mu_k R_k + ad_t jointly over (mu, t): mu in the low
@@ -877,16 +898,7 @@ def class_coordinates(
         raise CaseParityMismatch("parity mismatch with the outer basis")
     idxs = g.odd_indices() if d.parity else g.even_indices()
     reps = outer.representatives
-    n = g.dim
-    mu_rows = GF2Matrix([_vec_full(rep) for rep in reps], n * n).transpose()
-    rows = [
-        mu | (t << len(reps))
-        for mu, t in zip(mu_rows.rows, ad_system(g, idxs, range(n)))
-    ]
-    sol = solve_affine(GF2Matrix(rows, len(reps) + len(idxs)), _vec_full(d))
-    if sol is None:
-        return None
-    mu_mask = (1 << len(reps)) - 1
+    sol = _solve_maps(g, reps, idxs, d)
     # the mu part is unique: distinct mu differ by an inner combination of
     # the representatives, impossible by construction of the quotient basis
-    return sol.particular & mu_mask
+    return None if sol is None else sol.particular & ((1 << len(reps)) - 1)

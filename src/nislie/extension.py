@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .derivations import Derivation, a0_system, case_parities, compatibility_values, is_derivation
+from .derivations import Derivation, case_parities, compatibility_values, is_derivation
 from .errors import (
     CaseParityMismatch,
     ConditionViolated,
@@ -30,6 +30,7 @@ from .forms import BilinearForm, QuadraticForm
 from .gf2 import GF2Matrix, bits, combine, dependencies, restrict, solve_affine, span_basis
 from .superalgebra import (
     SuperAlgebra,
+    ad,
     bracket,
     center,
     square_element,
@@ -117,14 +118,14 @@ def check_conditions(
     """Raise ConditionViolated at the first failing case hypothesis.
 
     The hypotheses on D are evaluated as derivations defines them:
-    compatibility_values (what compatible_subspace cuts by), then a0_system
-    (what find_a0 solves).  In order, with the case's LABELS: D is a
-    derivation (Der); self-adjointness, first pair (i, j >= i) in row
-    order; B(D e_i, e_i) = 0 on even e_i (diagonal), then on odd e_i
-    (polar, as polar forms are alternating); alpha given, of the odd
-    part's size (polar); its polar entries (polar); for odd D, a0 even
-    (a0-parity), D^2 = ad_a0 at the first failing e_j (square), D(a0) = 0
-    (a0).
+    compatibility_values (what compatible_subspace cuts by), then ad_a0 =
+    D^2 and D(a0) = 0 (what find_a0 solves).  In order, with the case's
+    LABELS: D is a derivation (Der); self-adjointness, first pair
+    (i, j >= i) in row order; B(D e_i, e_i) = 0 on even e_i (diagonal),
+    then on odd e_i (polar, as polar forms are alternating); alpha given,
+    of the odd part's size (polar); its polar entries (polar); for odd D,
+    a0 even (a0-parity), D^2 = ad_a0 at the first failing e_j (square),
+    D(a0) = 0 (a0).
     """
     case = recipe.case
     form_parity, der_parity = case_parities(case)
@@ -179,12 +180,10 @@ def check_conditions(
             raise DimensionMismatch("a0 outside the algebra")
         if a0 & a.odd_mask:
             raise ConditionViolated("a0-parity", None, "a0 must be even")
-        system, rhs = a0_system(a, d)
-        failing = system.mat_vec(restrict(a0, a.even_indices())) ^ rhs
-        if failing & ((1 << n * n) - 1):
-            j = next(bits(failing)) // n
-            raise ConditionViolated(labels["square"], (j,), f"D^2 != ad_a0 at {names[j]}")
-        if failing:
+        for j, (got, image) in enumerate(zip(ad(a, a0), d.images)):
+            if got != d.apply(image):
+                raise ConditionViolated(labels["square"], (j,), f"D^2 != ad_a0 at {names[j]}")
+        if d.apply(a0):
             raise ConditionViolated(labels["a0"], None, "D(a0) != 0")
 
 

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 from .errors import DegeneratePolar, DimensionMismatch, NotAlternating, NotOdd, OutOfRange
 from .gf2 import GF2Matrix, bits, combine, dot, restrict
-from .superalgebra import SuperAlgebra
+from .superalgebra import SuperAlgebra, _walk_sources
 
 
 @dataclass(frozen=True)
@@ -149,7 +149,7 @@ def check_nis(g: SuperAlgebra, form: BilinearForm, max_witnesses: int = 16) -> N
 
     table = g.bracket_table
     walk = g.jacobi_walk
-    middles = range(n) if walk is None else sorted({*walk[0], *walk[1]})
+    middles = _walk_sources(g)
     planes: list[list[int] | None] = [None] * n
     for j in middles:
         planes[j] = _ad_plane(table[j], n)

@@ -418,20 +418,13 @@ def ad(g: SuperAlgebra, v: int) -> Sequence[int]:
     return row
 
 
-def ad_system(g: SuperAlgebra, idxs: Sequence[int], domain: Iterable[int]) -> list[int]:
-    """Rows of t -> ([t, e_j])_{j in domain}, t over the basis vectors idxs.
-
-    Bit pos of a row is the coefficient of e_{idxs[pos]} in t; each j in
-    domain, in order, gives n rows, row k holding coordinate k of [t, e_j].
-    The right-hand side of ad_t = D on domain is then the sum of
-    D(e_j) << (pos * n) over the positions pos of j in domain.
-    """
-    table = g.bracket_table
-    return [
-        row
-        for j in domain
-        for row in GF2Matrix([table[i][j] for i in idxs], g.dim).transpose().rows
-    ]
+def _image_rows(maps: Sequence[Sequence[int]], domain: Sequence[int], n: int) -> list[int]:
+    """Rows of x -> (sum_c x_c maps[c](e_j))_{j in domain}, each map given
+    by its n basis images: bit c of row pos * n + k is coordinate k of
+    maps[c](e_j), j = domain[pos].  On the table rows of idxs they are the
+    rows of t -> ([t, e_j])_{j in domain}, t over the basis vectors idxs."""
+    stacked = [sum(m[j] << pos * n for pos, j in enumerate(domain)) for m in maps]
+    return GF2Matrix(stacked, len(domain) * n).transpose().rows
 
 
 def structurally_sound(g: SuperAlgebra) -> bool:
@@ -474,6 +467,12 @@ def _adjoint_entries(g: SuperAlgebra) -> list[list[tuple[int, int]]]:
         ]
         _last_entries = weakref.ref(g), entries
     return entries
+
+
+def _walk_sources(g: SuperAlgebra) -> list[int]:
+    """S and E of g.jacobi_walk, ascending; without a walk, every index."""
+    walk = g.jacobi_walk
+    return list(range(g.dim)) if walk is None else sorted(walk[0] + walk[1])
 
 
 def _nonzero_columns(table, products, x: int, low: int = 0) -> int:
@@ -765,10 +764,11 @@ def centralizer(
     g: SuperAlgebra, domain: Iterable[int], idxs: Sequence[int] | None = None
 ) -> list[int]:
     """Basis of {t in span(e_i : i in idxs) : [t, e_j] = 0 for j in domain},
-    idxs the whole basis when None: the kernel of ad_system, read back
-    into g."""
+    idxs the whole basis when None: the kernel of the _image_rows of the
+    adjoint maps, read back into g."""
     idxs = range(g.dim) if idxs is None else idxs
-    kernel = GF2Matrix(ad_system(g, idxs, domain), len(idxs)).kernel_basis()
+    rows = _image_rows([g.bracket_table[i] for i in idxs], list(domain), g.dim)
+    kernel = GF2Matrix(rows, len(idxs)).kernel_basis()
     units = [1 << i for i in idxs]
     return [combine(units, c) for c in kernel]
 

@@ -972,6 +972,79 @@ def reference_check_conditions(a, form, recipe):
             raise ConditionViolated(lab3, None)
 
 
+def _vec_full(d: Derivation) -> int:
+    """The images side by side: bit j * n + k is coordinate k of D(e_j)."""
+    n = d.dim
+    return sum(im << (j * n) for j, im in enumerate(d.images))
+
+
+def reference_ad_system(g, idxs, domain) -> list[int]:
+    """Rows of t -> ([t, e_j])_{j in domain}, t over the basis vectors idxs.
+
+    Bit pos of a row is the coefficient of e_{idxs[pos]} in t; each j in
+    domain, in order, gives n rows, row k holding coordinate k of [t, e_j].
+    The right-hand side of ad_t = D on domain is then the sum of
+    D(e_j) << (pos * n) over the positions pos of j in domain.
+    """
+    table = g.bracket_table
+    return [
+        row
+        for j in domain
+        for row in GF2Matrix([table[i][j] for i in idxs], g.dim).transpose().rows
+    ]
+
+
+def reference_a0_system(g, d):
+    """(A, b): A a0 = b, a0 over the even basis vectors, says [a0, e_j] =
+    D^2(e_j) in rows j * n .. j * n + n - 1, then D(a0) = 0 in the last n."""
+    n = g.dim
+    even = g.even_indices()
+    rows = reference_ad_system(g, even, range(n))
+    rows += GF2Matrix([d.images[i] for i in even], n).transpose().rows
+    return GF2Matrix(rows, len(even)), _vec_full(d.compose(d))
+
+
+def reference_find_a0(g, d):
+    """derivations.find_a0 as one system over all n^2 image coordinates
+    (reference_a0_system)."""
+    if d.parity != 1:
+        raise CaseParityMismatch("a0 is defined for odd derivations")
+    sol = solve_affine(*reference_a0_system(g, d))
+    return None if sol is None else sol.lift(g.even_indices())
+
+
+def reference_cohomologous(g, d1, d2):
+    """derivations.cohomologous as one system over all n^2 image
+    coordinates."""
+    if d1.parity != d2.parity:
+        raise CaseParityMismatch("classes of different parity")
+    idxs = g.odd_indices() if d1.parity else g.even_indices()
+    rows = reference_ad_system(g, idxs, range(g.dim))
+    sol = solve_affine(GF2Matrix(rows, len(idxs)), _vec_full(d1.add(d2)))
+    return None if sol is None else sol.lift(idxs).particular
+
+
+def reference_class_coordinates(g, outer, d):
+    """derivations.class_coordinates as one system over all n^2 image
+    coordinates: d = sum mu_k R_k + ad_t jointly over (mu, t), mu in the
+    low bits, t above them."""
+    if d.parity != outer.parity:
+        raise CaseParityMismatch("parity mismatch with the outer basis")
+    idxs = g.odd_indices() if d.parity else g.even_indices()
+    reps = outer.representatives
+    n = g.dim
+    mu_rows = GF2Matrix([_vec_full(rep) for rep in reps], n * n).transpose()
+    rows = [
+        mu | (t << len(reps))
+        for mu, t in zip(mu_rows.rows, reference_ad_system(g, idxs, range(n)))
+    ]
+    sol = solve_affine(GF2Matrix(rows, len(reps) + len(idxs)), _vec_full(d))
+    if sol is None:
+        return None
+    mu_mask = (1 << len(reps)) - 1
+    return sol.particular & mu_mask
+
+
 def random_invertible_parity_map(rng, g):
     """Images of the basis: an invertible map keeping each parity."""
     masks = (g.even_mask, g.odd_mask)

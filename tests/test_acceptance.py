@@ -559,11 +559,11 @@ def test_c12_arf():
 def test_c13_conjecture_support():
     with criterion(
         13,
-        "h1(0|m) cohomology for 4 <= m <= 8 follows one rule by the parity"
+        "h1(0|m) cohomology for 4 <= m <= 9 follows one rule by the parity"
         " of m, and the named operators give a basis of its outer classes",
         600,
     ):
-        for m in range(4, 9):
+        for m in range(4, 10):
             g, _, basis = hamiltonian(m, derived=True)
             even = outer_dimension_by_degree(g, 0)
             odd = outer_dimension_by_degree(g, 1)

@@ -26,6 +26,7 @@ from nislie.catalog import (
 )
 from nislie.derivations import (
     Derivation,
+    OuterBasis,
     ad_derivation,
     class_coordinates,
     cohomologous,
@@ -61,6 +62,9 @@ from oracles import (
     reference_fine_basis,
     reference_fine_blocks,
     reference_is_derivation,
+    reference_class_coordinates,
+    reference_cohomologous,
+    reference_find_a0,
     reference_outer_derivations,
     reference_outer_dimension_by_degree,
     reference_validate,
@@ -1027,3 +1031,142 @@ def test_outer_builds_the_system_once_every_inner_map_passes(monkeypatch):
     )
     want = reference_outer_derivations(g, 0, reference_fine_blocks(g, 0))
     assert outer_derivations(g, 0) == want and built == [0]
+
+
+def class_arithmetic_outcomes(g, maps, outer, rng):
+    """Compare class_coordinates, cohomologous and find_a0 with the n^2
+    references on each map of maps; return the outcomes, None or solved,
+    by function.  outer is the (even, odd) pair of OuterBasis that
+    class_coordinates reads."""
+    got = collections.Counter()
+    for d in maps:
+        zero = Derivation((0,) * g.dim, d.parity)
+        others = [m for m in maps if m.parity == d.parity] or [zero]
+        calls = [
+            (class_coordinates, reference_class_coordinates, (outer[d.parity], d)),
+            (cohomologous, reference_cohomologous, (d, zero)),
+            (cohomologous, reference_cohomologous, (d, rng.choice(others))),
+        ]
+        if d.parity:
+            calls.append((find_a0, reference_find_a0, (d,)))
+        for fn, reference, args in calls:
+            want = reference(g, *args)
+            assert fn(g, *args) == want, (g.names, fn.__name__, args)
+            got[fn.__name__, want is None] += 1
+    return got
+
+
+def flipped_non_derivations(rng, g, maps):
+    """For each map, one seeded flip of a bit of one image, in its parity,
+    that is not a derivation, where a flip gives one."""
+    out = []
+    for d in maps:
+        for _ in range(8):
+            (e,) = one_bit_flips(rng, g, d)[:1]
+            if not is_derivation(g, e)[0]:
+                out.append(e)
+                break
+    return out
+
+
+def shifted_by_inner(rng, g, maps):
+    """Each map plus ad_t for a seeded t of its parity."""
+    out = []
+    for d in maps:
+        idxs = g.odd_indices() if d.parity else g.even_indices()
+        t = sum(1 << i for i in idxs if rng.random() < 0.5)
+        out.append(d.add(ad_derivation(g, t)))
+    return out
+
+
+def assert_class_arithmetic_matches_the_references(g, rng, outer=None):
+    """The three calls against the n^2 references on the derivation_space
+    basis of each parity, a flip of each basis map that is no derivation,
+    and R + ad_t for each outer representative R."""
+    outer = outer or outer_derivations(g)
+    basis = derivation_space(g, 0) + derivation_space(g, 1)
+    reps = [r for o in outer for r in o.representatives]
+    maps = basis + flipped_non_derivations(rng, g, basis) + shifted_by_inner(rng, g, reps)
+    return class_arithmetic_outcomes(g, maps, outer, rng)
+
+
+def test_class_arithmetic_matches_the_n2_references():
+    # every catalog entry with its outer basis, seeded changes of basis,
+    # and the three entries with no walk on seeded maps of either parity,
+    # whose classes are named against their whole derivation spaces
+    rng = random.Random("class arithmetic")
+    got = collections.Counter()
+    no_walk = ("po05-m0", "po05-m1", "po-0-5")
+    for name in entry_names():
+        g = named(name).algebra
+        if name in no_walk:
+            assert g.jacobi_walk is None
+            maps = [
+                Derivation(tuple(
+                    rng.getrandbits(g.dim) & (g.even_mask if p == q else g.odd_mask)
+                    for q in g.parity
+                ), p)
+                for p in (0, 1) for _ in range(3)
+            ]
+            outer = [
+                OuterBasis(p, tuple(derivation_space(g, p)), 0, 0) for p in (0, 1)
+            ]
+            got += class_arithmetic_outcomes(g, maps, outer, rng)
+            got += assert_class_arithmetic_matches_the_references(g, rng, outer)
+        else:
+            got += assert_class_arithmetic_matches_the_references(g, rng)
+    for _ in range(4):
+        g0 = named(rng.choice(VALID_SMALL)).algebra
+        g, _ = change_basis(g0, None, random_invertible_parity_map(rng, g0))
+        got += assert_class_arithmetic_matches_the_references(g, rng)
+    for fn in ("class_coordinates", "cohomologous", "find_a0"):
+        assert got[fn, True] and got[fn, False], (fn, got)
+
+
+@pytest.mark.parametrize("m", range(4, 9))
+def test_class_arithmetic_matches_the_n2_references_on_named_operators(m):
+    # c13's naming: class_coordinates of each operator, and of flips of
+    # four of them that are no derivations, against the reference
+    g, _, basis = hamiltonian(m)
+    rng = random.Random(f"named operators:{m}")
+    ops = hamiltonian_operators(g, basis, m)
+    outer = outer_derivations(g)
+    flips = flipped_non_derivations(rng, g, rng.sample(ops, 4))
+    assert len(flips) == 4
+    for d in ops + flips:
+        want = reference_class_coordinates(g, outer[d.parity], d)
+        assert class_coordinates(g, outer[d.parity], d) == want
+        assert (want is None) == (d in flips)
+
+
+def test_class_arithmetic_refuses_maps_of_the_wrong_size():
+    # each once gave a silent answer, or an IndexError for find_a0; an
+    # image with a bit at n spilled into the next image's slot of the n^2
+    # layout
+    g = named("hei-double").algebra
+    n = g.dim
+    oe, oo = outer_derivations(g)
+    short = Derivation((0,) * (n - 1), 0)
+    images = [0] * n
+    images[g.index("p")] = 1 << 8
+    images[g.index("zstar")] = g.element("qstar")
+    spill = Derivation(tuple(images), 1)
+    zero = Derivation((0,) * n, 1)
+    assert reference_cohomologous(g, short, short) == 0
+    assert reference_class_coordinates(g, oe, Derivation((0,) * (n + 1), 0)) == 0
+    assert reference_cohomologous(g, spill, zero) == g.element("p")
+    assert reference_class_coordinates(g, oo, spill) == 0
+    calls = [
+        lambda: cohomologous(g, short, short),
+        lambda: cohomologous(g, short, Derivation((0,) * n, 0)),
+        lambda: class_coordinates(g, oe, Derivation((0,) * (n + 1), 0)),
+        lambda: find_a0(g, Derivation((0,) * (n - 1), 1)),
+        lambda: cohomologous(g, spill, zero),
+        lambda: cohomologous(g, spill, spill),
+        lambda: class_coordinates(g, oo, spill),
+        lambda: find_a0(g, spill),
+        lambda: short.add(Derivation((0,) * n, 0)),
+    ]
+    for call in calls:
+        with pytest.raises(DimensionMismatch):
+            call()

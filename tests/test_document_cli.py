@@ -9,7 +9,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nislie import catalog, cli, derivations, isometry, superalgebra
@@ -1099,7 +1099,36 @@ def test_fuzzed_a0_gives_an_exit_code(text):
         assert code == 2
 
 
+# a command per option: argparse reads --opt=-- as an empty list, past
+# choices and type
+DASH_VALUE_COMMANDS = {
+    "extend": ["extend", "hei-double", "--case", "evenB-oddD", "--derivation", "D6",
+               "--a0", "0", "--out", "OUT"],
+    "reduce": ["reduce", "hei-double", "--center-element", "z", "--out", "OUT"],
+    "isometry": ["isometry", "hei-double", "hei-double"],
+    "report": ["report", "--table", "h04"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [("extend", o) for o in ("--case", "--derivation", "--a0", "--alpha", "--m",
+                             "--out")]
+    + [("reduce", o) for o in ("--center-element", "--out", "--recipe-out")]
+    + [("isometry", o) for o in ("--mode", "--budget", "--seed")]
+    + [("report", "--table")],
+)
+def test_an_option_value_of_two_dashes_is_refused(command, option, tmp_path):
+    out = tmp_path / "out.json"
+    argv = [str(out) if a == "OUT" else a for a in DASH_VALUE_COMMANDS[command]]
+    argv.append(f"{option}=--")
+    code, err = exit_code_and_stderr(argv)
+    assert (code, err) == (2, f"error: argument {option}: '--' is not a value\n")
+    assert not out.exists()
+
+
 @given(element_tokens(named("h104-D7ext").algebra.names))
+@example("--")
 @settings(max_examples=100, deadline=None)
 def test_fuzzed_center_element_gives_an_exit_code(text):
     with tempfile.TemporaryDirectory() as tmp:

@@ -11,6 +11,7 @@ property changes the basis of small catalog entries by random
 parity-preserving invertible maps.
 """
 
+import collections
 import itertools
 import random
 
@@ -255,6 +256,41 @@ def test_compatibility_cuts_keep_the_rows_of_the_pairwise_functionals():
                     want.append(images)
             got = compatible_subspace(g, form, case, cands).basis
             assert [d.images for d in got] == want
+
+
+def test_check_conditions_reads_the_a0_conditions_as_the_reference():
+    """D^2 = ad_a0 at the first failing e_j, then D(a0) = 0, against the
+    loops of the reference, with the witness.  The zero form lets every
+    odd derivation past the form conditions; a0 runs over seeded even
+    elements and the points of find_a0.  On an abelian algebra every map
+    of the parity is a derivation and ad_a0 = 0, so D(a0) = 0 fails alone
+    wherever D^2 = 0."""
+    rng = random.Random("a0 conditions")
+    abelian = SuperAlgebra(
+        names=("e0", "e1", "e2", "e3"),
+        parity=(0, 1, 0, 1),
+        bracket_table=((0,) * 4,) * 4,
+        squaring=(0,) * 4,
+    )
+    seen = collections.Counter()
+    for g in [named(name).algebra for name in ("hei-double", "ba-double", "h1-0-4")] + [abelian]:
+        form = BilinearForm(GF2Matrix.zeros(g.dim, g.dim), 0)
+        basis = derivation_space(g, 1)
+        for _ in range(20):
+            images = [0] * g.dim
+            for d in basis:
+                if rng.getrandbits(1):
+                    images = [a ^ b for a, b in zip(images, d.images)]
+            d = Derivation(tuple(images), 1)
+            sol = find_a0(g, d)
+            a0s = [rng.getrandbits(g.dim) & g.even_mask for _ in range(4)]
+            a0s += [] if sol is None else list(itertools.islice(sol.points(), 4))
+            for a0 in a0s:
+                recipe = ExtensionRecipe("evenB-oddD", d, a0=a0)
+                got = outcome(check_conditions, g, form, recipe)
+                assert got == outcome(reference_check_conditions, g, form, recipe)
+                seen[got and got[0]] += 1
+    assert seen["2D2"] and seen["2D3"] and seen[None], seen
 
 
 def test_check_conditions_refuses_by_what_the_cut_and_find_a0_decide():
