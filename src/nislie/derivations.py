@@ -60,11 +60,15 @@ canonical degrees of fine_degrees, so the block order, and with it the
 order of OuterBasis.representatives, depends only on the algebra and
 the order of its basis.
 
-The inner maps are proved derivations when g.jacobi_walk is a tuple
-(Jacobi holds, and the table is structurally_sound, so their images are
-graded) and g.squaring_rule_holds (ad_{s(e_i)} = ad_i ad_i on odd e_i).
-Then their restriction to S and E is injective, so its rank r_b in block
-b is the inner rank, read off the kept unknowns alone, and:
+Once the inner maps ad_{e_i} of a parity are derivations, their rank over
+the kept unknowns is their rank on g, as restriction to S and E is
+injective on Leibniz maps (with no walk, S and E are every basis vector).
+They are derivations by proof when g.jacobi_walk is a tuple and
+g.squaring_rule_holds (ad_{s(e_i)} = ad_i ad_i on odd e_i), or because
+each one passed is_derivation; outer_derivations and
+outer_dimension_by_degree check them one at a time without the proof,
+and the first that fails raises its InnerNotDerivation before any system
+is built.  With r_b the rank of the inner maps in block b:
 - a block's kernel is known at rank size - r_b, where size counts its
   kept unknowns: K_true, the kernel of every row, lies in K_partial, the
   kernel of the rows inserted so far, and contains the inner span of
@@ -73,18 +77,18 @@ b is the inner rank, read off the kept unknowns alone, and:
 - a block's outer dimension is size - rank - r_b, exactly, so
   outer_dimension_by_degree reads the dimensions off the ranks and
   never leaves the kept unknowns.
+derivation_space states only the proof; where the inner maps are not
+known to be derivations, r_b counts as 0 and a block closes only at full
+rank, so a table that fails the axioms keeps its kernels.
 Full coordinates (i, m) are built per block (_full_block) only for a
 caller that reports vectors: derivation_space for every block,
-outer_derivations for the blocks with outer classes.  The kernel is
-mapped back from the kept unknowns and put in the canonical form that
-SpanBasis.kernel returns (the fully reduced basis with highest-bit
-pivots), and the representatives complete the full inner vectors, so
-both are bit-identical to a solve on every coefficient.  Without the
-proof the inner maps are checked first, each by is_derivation, and the
-first that fails raises its InnerNotDerivation before any system is
-built.  Once all of them pass they lie in the kernels, every block is
-built in full, and a block closes only at full rank, so a table that
-fails the axioms keeps its kernels.
+outer_derivations for the blocks with outer classes.  The kernel over
+the kept unknowns is mapped back through the propagated images and put
+in the canonical form that SpanBasis.kernel returns (the fully reduced
+basis with highest-bit pivots), which depends only on the span; the
+kept inner vectors are mapped back the same way, and the representatives
+complete them, which depends only on their span.  So both are
+bit-identical to a solve on every coefficient.
 
 Class arithmetic (class_coordinates, cohomologous, find_a0) solves
 sum_c x_c M_c = T in one place, _solve_maps, at the images of S and E
@@ -236,10 +240,11 @@ class _Blocks:
     Block b holds the kept unknowns of shift code shifts[b]: widths[b] of
     them, first[b] the first, and spans[b] the rule rows inserted, fully
     reduced.  images[m] maps i to the coefficient of e_i in D e_m, a mask
-    over the kept unknowns of the block of (i, m).  ranks[b] is the rank
-    of the block's inner maps, or ranks is None when they are not proved
-    derivations.  at[c, p] lists, ascending, the basis vectors of parity p
-    whose fine degree has code c.  rows counts the rule rows inserted.
+    over the kept unknowns of the block of (i, m).  inner[b] spans the
+    block's inner maps over its kept unknowns when they are derivations,
+    and is empty otherwise.  at[c, p] lists, ascending, the basis vectors
+    of parity p whose fine degree has code c.  rows counts the rule rows
+    inserted.
     """
 
     g: SuperAlgebra
@@ -251,14 +256,14 @@ class _Blocks:
     first: list[tuple[int, int]]
     spans: list[SpanBasis]
     images: list[dict[int, int]]
-    ranks: list[int] | None
+    inner: list[SpanBasis]
     rows: int
 
     def kernel_dims(self) -> list[int]:
         return [w - span.dim for w, span in zip(self.widths, self.spans)]
 
 
-def _fine_blocks(g: SuperAlgebra, parity: int) -> _Blocks:
+def _fine_blocks(g: SuperAlgebra, parity: int, inner_are_derivations: bool) -> _Blocks:
     """The derivation system of one parity, split by fine shift.
 
     Leibniz rows come from the pairs that touch g.jacobi_walk, or from
@@ -268,10 +273,12 @@ def _fine_blocks(g: SuperAlgebra, parity: int) -> _Blocks:
     laid out, indexed and solved for; _propagate writes every other D e_m
     as a combination of them.  Every rule row is homogeneous: the row of
     output l of the rule at (j, k) only touches unknowns of shift
-    f_l - f_j - f_k.  A block closes at full rank, or, once every ad_x is
-    a proved derivation, at its kept size minus the rank of its inner
-    maps (_kept_inner_ranks).  Nothing here is in the coordinates of every
-    (i, m); _full_block builds them for one block.
+    f_l - f_j - f_k.  inner_are_derivations states what the caller has
+    established, by proof or by is_derivation, of the ad_{e_i} of the
+    parity: then a block closes at its kept size minus the rank of its
+    inner maps (_kept_inner_spans), and otherwise only at full rank.
+    Nothing here is in the coordinates of every (i, m); _full_block
+    builds them for one block.
     """
     n = g.dim
     walk = g.jacobi_walk
@@ -298,14 +305,15 @@ def _fine_blocks(g: SuperAlgebra, parity: int) -> _Blocks:
             kept_of[shift] = k + 1
     shifts = sorted(kept_of)
     widths = [kept_of[s] for s in shifts]
-    ranks = None
-    if walk is not None and g.squaring_rule_holds:
-        ranks = _kept_inner_ranks(g, parity, sources, images, codes, shifts)
+    if inner_are_derivations:
+        inner = _kept_inner_spans(g, parity, sources, images, codes, shifts)
+    else:
+        inner = [SpanBasis() for _ in shifts]
     if len(sources) < n:
         _propagate(g, walk, images)
-    # rank at which a block's kernel is known: its inner span, once the
-    # inner maps are proved derivations (see the module docstring)
-    target = widths if ranks is None else [w - r for w, r in zip(widths, ranks)]
+    # rank at which a block's kernel is known: its inner span (see the
+    # module docstring)
+    target = [w - span.dim for w, span in zip(widths, inner)]
     # by_source[m]: (i, b * n) -> the mask of unknown (i, m) of a block b
     # whose kernel is still open; a row of block b and output l has key
     # b * n + l.  held[b * n]: block b's entries.  A rule's rows are all
@@ -375,22 +383,23 @@ def _fine_blocks(g: SuperAlgebra, parity: int) -> _Blocks:
         add_rule(g.squaring[j], j, j, False)
     return _Blocks(
         g, parity, codes, at, shifts, widths, [first[s] for s in shifts],
-        spans, images, ranks, inserted,
+        spans, images, inner, inserted,
     )
 
 
-def _kept_inner_ranks(
+def _kept_inner_spans(
     g: SuperAlgebra, parity: int, sources, images, codes, shifts
-) -> list[int]:
-    """The rank of each block's inner maps, read off their restriction to
-    the kept unknowns of the walk's S and E.
+) -> list[SpanBasis]:
+    """The span of each block's inner maps, restricted to the kept
+    unknowns of S and E; the inner maps must be derivations of the parity.
 
     ad_{e_i} lies in the block of shift f_i, as each term e_k of
     [e_i, e_m] has f_k = f_i + f_m, and the codes of _degree_codes are
-    linear.  The walk needs a structurally_sound table, so each term e_k
-    of [e_i, e_s] is a kept unknown (k, s) of the parity.  Restriction to
-    S and E is injective on derivations, so once the inner maps are
-    derivations these are their ranks on all of g.
+    linear.  Each term e_k of [e_i, e_s] is a kept unknown (k, s) of the
+    parity: is_derivation's parity check, or the structurally_sound table
+    that the proof needs, puts e_k in the parity of e_s plus the map's.
+    Restriction to S and E is injective on derivations, so the dims of
+    these spans are the inner ranks on all of g.
     """
     block_of = {s: b for b, s in enumerate(shifts)}
     spans = [SpanBasis() for _ in shifts]
@@ -404,7 +413,7 @@ def _kept_inner_ranks(
                 v |= image[k]
         if v:
             spans[block_of[codes[i]]].add(v)
-    return [span.dim for span in spans]
+    return spans
 
 
 def _degree_codes(fine: Sequence[tuple[int, ...]]) -> list[int]:
@@ -512,13 +521,17 @@ def _canonical_kernel(vectors: list[int], width: int) -> list[int]:
     return [flip(v) for v in reversed(SpanBasis(map(flip, vectors)).vectors())]
 
 
-def _full_block(blocks: _Blocks, b: int) -> tuple[list[tuple[int, int]], list[int]]:
-    """(unknowns, kernel): block b in the coordinates of every unknown.
+def _full_block(blocks: _Blocks, b: int):
+    """(unknowns, kernel, column): block b in the coordinates of every
+    unknown.
 
-    unknowns lists the (i, m) of the block's shift, by m and then i.  The
-    kernel is mapped back from the kept unknowns through images and put
-    in the canonical form of SpanBasis.kernel, so it is the one a solve on
-    every (i, m) gives; a block closed at its inner span has that span's.
+    unknowns lists the (i, m) of the block's shift, by m and then i.
+    column[k] has a bit at each unknown (i, m) whose propagated
+    coefficient images[m][i] holds kept unknown k, so a vector x over the
+    kept unknowns is combine(column, x) in full coordinates.  The kernel
+    over the kept unknowns is mapped back that way and put in the
+    canonical form of SpanBasis.kernel, which depends only on its span:
+    it is the one a solve on every (i, m) gives.
     """
     g, codes, shift, at = blocks.g, blocks.codes, blocks.shifts[b], blocks.at
     unknowns = [
@@ -526,57 +539,34 @@ def _full_block(blocks: _Blocks, b: int) -> tuple[list[tuple[int, int]], list[in
         for m in range(g.dim)
         for i in at.get((codes[m] + shift, (g.parity[m] + blocks.parity) & 1), ())
     ]
-    span, width = blocks.spans[b], blocks.widths[b]
-    if span.dim == width or width == len(unknowns):
-        # the kernel is 0, or no unknown of the block was propagated
-        return unknowns, span.kernel(width)
-    if blocks.ranks is not None and span.dim == width - blocks.ranks[b]:
-        # closed at its inner span
-        inner = _inner_vectors(blocks, b, unknowns)
-        return unknowns, _canonical_kernel(inner, len(unknowns))
     images = blocks.images
-    mapped = [
-        sum(
-            (images[m].get(i, 0) & x).bit_count() % 2 << pos
-            for pos, (i, m) in enumerate(unknowns)
-        )
-        for x in span.kernel(width)
-    ]
-    return unknowns, _canonical_kernel(mapped, len(unknowns))
-
-
-def _inner_vectors(blocks: _Blocks, b: int, unknowns) -> list[int]:
-    """The nonzero ad_{e_i} of block b over its full unknowns: e_i of the
-    parity with f_i the block's shift (see _kept_inner_ranks).  Each term
-    (k, m) is an unknown of the block, as ad_{e_i} is a derivation of
-    the parity (_outer_blocks)."""
-    bit_of = {u: 1 << pos for pos, u in enumerate(unknowns)}
-    inner = []
-    for i in blocks.at.get((blocks.shifts[b], blocks.parity), ()):
-        v = 0
-        for m, image in enumerate(blocks.g.bracket_table[i]):
-            for k in bits(image):
-                v |= bit_of[k, m]
-        if v:
-            inner.append(v)
-    return inner
+    column = [0] * blocks.widths[b]
+    for pos, (i, m) in enumerate(unknowns):
+        mask = images[m].get(i, 0)
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            column[low.bit_length() - 1] |= 1 << pos
+    kernel = [combine(column, x) for x in blocks.spans[b].kernel(blocks.widths[b])]
+    return unknowns, _canonical_kernel(kernel, len(unknowns)), column
 
 
 def _outer_block(blocks: _Blocks, b: int):
     """(unknowns, kernel, representatives) of block b in full coordinates:
-    the representatives complete its inner maps, which lie in its kernel
-    (_outer_blocks), to a basis of the kernel."""
-    unknowns, kernel = _full_block(blocks, b)
-    inner = _inner_vectors(blocks, b, unknowns)
+    the representatives complete its inner maps, mapped back from the kept
+    unknowns as the kernel is, to a basis of the kernel."""
+    unknowns, kernel, column = _full_block(blocks, b)
+    inner = [combine(column, x) for x in blocks.inner[b].vectors()]
     return unknowns, kernel, quotient_basis(kernel, inner)
 
 
 def derivation_space(g: SuperAlgebra, parity: int) -> list[Derivation]:
     """Basis of the parity-homogeneous derivations of g."""
-    blocks = _fine_blocks(g, parity)
+    proved = g.jacobi_walk is not None and g.squaring_rule_holds
+    blocks = _fine_blocks(g, parity, proved)
     out = []
     for b in range(len(blocks.shifts)):
-        unknowns, kernel = _full_block(blocks, b)
+        unknowns, kernel, _ = _full_block(blocks, b)
         out += (Derivation.from_vec(v, unknowns, g.dim, parity) for v in kernel)
     return out
 
@@ -618,32 +608,24 @@ class OuterBasis:
         return len(self.representatives)
 
 
-def _outer_blocks(g: SuperAlgebra, parity: int):
-    """(blocks, outer, built): the system of _fine_blocks, the outer
-    dimension of each block, and the blocks that _outer_block already
-    built, by index.
+def _outer_blocks(g: SuperAlgebra, parity: int) -> tuple[_Blocks, list[int]]:
+    """(blocks, outer): the system of _fine_blocks and the outer dimension
+    of each block, its kernel dimension minus its inner rank.
 
-    With the inner maps proved derivations, a block's outer dimension is
-    its kernel dimension minus its inner rank, and nothing is built in
-    full.  Without the proof the first inner map that fails
-    is_derivation raises before any system is built.  Once every one
-    passes, each is a derivation of the parity, so it lies in the kernel
-    of the block of its shift, and every block is built in full.
-    Declared degrees must coarsen the fine grading affinely
+    Without the proof of the module docstring, the first inner map that
+    fails is_derivation raises before any system is built; once every one
+    passes, the inner maps are derivations as with the proof.  Declared
+    degrees must then coarsen the fine grading affinely
     (g.degrees_coarsen_fine), so that each block has one degree shift.
     """
-    if not g.degrees_coarsen_fine:
-        raise _inner_not_derivation(g, parity)
     if g.jacobi_walk is None or not g.squaring_rule_holds:
-        # the system is built only once every inner map passes
         error = _first_inner_failure(g, parity)
         if error is not None:
             raise error
-    blocks = _fine_blocks(g, parity)
-    if blocks.ranks is not None:
-        return blocks, [k - r for k, r in zip(blocks.kernel_dims(), blocks.ranks)], {}
-    built = {b: _outer_block(blocks, b) for b in range(len(blocks.shifts))}
-    return blocks, [len(reps) for _, _, reps in built.values()], built
+    if not g.degrees_coarsen_fine:
+        raise _inner_not_derivation(g)
+    blocks = _fine_blocks(g, parity, True)
+    return blocks, [k - s.dim for k, s in zip(blocks.kernel_dims(), blocks.inner)]
 
 
 def outer_derivations(g: SuperAlgebra, parity: int | None = None):
@@ -654,11 +636,11 @@ def outer_derivations(g: SuperAlgebra, parity: int | None = None):
     """
     if parity is None:
         return outer_derivations(g, 0), outer_derivations(g, 1)
-    blocks, outer, built = _outer_blocks(g, parity)
+    blocks, outer = _outer_blocks(g, parity)
     reps: list[Derivation] = []
     for b, dim in enumerate(outer):
         if dim:
-            unknowns, _, vecs = built.get(b) or _outer_block(blocks, b)
+            unknowns, _, vecs = _outer_block(blocks, b)
             reps += (Derivation.from_vec(v, unknowns, g.dim, parity) for v in vecs)
     derivation_dim = sum(blocks.kernel_dims())
     return OuterBasis(
@@ -674,13 +656,13 @@ def outer_derivations(g: SuperAlgebra, parity: int | None = None):
 def outer_dimension_by_degree(g: SuperAlgebra, parity: int) -> dict[int, int]:
     """Outer dimensions split by degree shift (graded algebras only).
 
-    The fine blocks' outer dimensions (_outer_blocks: read off the ranks
-    once the inner maps are proved derivations) are summed into the
-    declared degree shifts; the result is sorted by shift.
+    The fine blocks' outer dimensions (_outer_blocks, read off the ranks)
+    are summed into the declared degree shifts; the result is sorted by
+    shift.
     """
     if g.degrees is None:
         raise ValueError("algebra carries no grading")
-    blocks, outer, _ = _outer_blocks(g, parity)
+    blocks, outer = _outer_blocks(g, parity)
     result: dict[int, int] = {}
     for (i, m), dim in zip(blocks.first, outer):
         if dim:
@@ -705,33 +687,25 @@ def _first_inner_failure(g: SuperAlgebra, parity: int) -> InnerNotDerivation | N
     return None
 
 
-def _inner_not_derivation(g: SuperAlgebra, parity: int) -> InnerNotDerivation:
-    """The error saying what keeps the inner maps out of the derivations.
+def _inner_not_derivation(g: SuperAlgebra) -> InnerNotDerivation:
+    """The error saying that the declared degrees, which failed to coarsen
+    the fine grading, keep the inner maps out of the graded derivations.
 
-    Called once the declared degrees failed to coarsen the fine grading.
-    It names the first basis vector whose ad is not a derivation
-    (_first_inner_failure), as a failing axiom comes first; when every
-    ad of the parity passes is_derivation, the degrees are at fault, and
-    it names the first basis vector whose ad mixes degree shifts, else
-    the first term whose offset d_i + d_j - d_k differs from the first
-    term's.
+    Called once the inner maps are known to be derivations (_outer_blocks).
+    It names the first basis vector whose ad mixes degree shifts, else the
+    first term whose offset d_i + d_j - d_k differs from the first term's.
     """
-    error = _first_inner_failure(g, parity)
-    if error is not None:
-        return error
     d = g.degrees
+    for i, row in enumerate(g.bracket_table):
+        if len({d[k] - d[m] for m, v in enumerate(row) for k in bits(v)}) > 1:
+            return InnerNotDerivation(
+                g.names[i], "the declared degrees do not respect the"
+                f" bracket: ad({g.names[i]}) mixes degree shifts", True
+            )
+    # the terms have at least two offsets, as the degrees do not coarsen
     offsets: dict[int, tuple[int, int, int]] = {}
-    if d is not None:
-        for i, row in enumerate(g.bracket_table):
-            if len({d[k] - d[m] for m, v in enumerate(row) for k in bits(v)}) > 1:
-                return InnerNotDerivation(
-                    g.names[i], "the declared degrees do not respect the"
-                    f" bracket: ad({g.names[i]}) mixes degree shifts", True
-                )
-        for i, j, k in g.terms:
-            offsets.setdefault(d[i] + d[j] - d[k], (i, j, k))
-    if len(offsets) < 2:
-        raise AssertionError("no inner map or degree defect to report")
+    for i, j, k in g.terms:
+        offsets.setdefault(d[i] + d[j] - d[k], (i, j, k))
     i, j, k = list(offsets.values())[1]
     return InnerNotDerivation(
         g.names[i], f"the declared degrees do not respect the term"
@@ -834,6 +808,7 @@ def compatible_subspace(
         raise CaseParityMismatch(
             f"case {case} needs derivations of parity {der_parity}"
         )
+    candidates = [_sized(g, d) for d in candidates]
     basis = _linear_cut(candidates, lambda d: compatibility_values(form, case, d))
     a0_sols = tuple(find_a0(g, d) for d in basis) if der_parity else ()
     return CompatibleDerivationSet(case, tuple(basis), a0_sols)

@@ -17,7 +17,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .derivations import Derivation, case_parities, compatibility_values, is_derivation
+from .derivations import (
+    Derivation,
+    _sized,
+    case_parities,
+    compatibility_values,
+    is_derivation,
+)
 from .errors import (
     CaseParityMismatch,
     ConditionViolated,
@@ -210,13 +216,14 @@ def extend(
 
     unchecked=True skips the hypothesis checks and materializes the literal
     structure; the result need not satisfy the superalgebra axioms then.
-    A recipe field the case does not have is refused either way.
+    A recipe field the case does not have is refused either way, and so is
+    a derivation that is not one image inside a per basis vector.
     """
     recipe = recipe.strictly_normalized()
     if not unchecked:
         check_conditions(a, form, recipe)
     form_parity, der_parity = case_parities(recipe.case)
-    d = recipe.derivation
+    d = _sized(a, recipe.derivation)
     n = a.dim
     xi, si = n, n + 1
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
-from .derivations import Derivation, case_parities, cohomologous
+from .derivations import Derivation, _sized, case_parities, cohomologous
 from .errors import (
     ConditionViolated,
     DimensionMismatch,
@@ -193,8 +193,10 @@ def build_adapted_isometry(
 ) -> Isometry:
     """The block isometry between two extensions of (a, B) from (pi0, t, nu).
 
-    Raises ConditionViolated naming the first failing condition, and
-    FieldNotInCase on a recipe field the case does not have.  The output
+    Raises ConditionViolated naming the first failing condition,
+    FieldNotInCase on a recipe field the case does not have, and
+    DimensionMismatch on a derivation that is not one image inside a per
+    basis vector.  The output
     always verifies (checked), mapping source basis [a..., x, x*/e] to the
     target's.
     """
@@ -203,6 +205,8 @@ def build_adapted_isometry(
         raise ConditionViolated("case", None, "recipes of different cases")
     recipe_src = recipe_src.strictly_normalized()
     recipe_tgt = recipe_tgt.strictly_normalized()
+    for recipe in (recipe_src, recipe_tgt):
+        _sized(a, recipe.derivation)
     ok, w = verify_isometry(a, form, a, form, pi0)
     if not ok:
         raise ConditionViolated("pi0", w, "pi0 is not an isometry of the base")
@@ -698,7 +702,7 @@ def adapted_isometry_decision(
     (a proof, by a linear route or the search) or "budget-exhausted" (the
     node budget ran out, or the search ended on an unsound table; reason
     says which).  A recipe field the case does not have raises
-    FieldNotInCase.
+    FieldNotInCase, and a derivation of the wrong size DimensionMismatch.
 
     Two linear routes run first.  The rank of the self-adjointness defect
     (_adjointness_defect_rank) is the same on both sides of an adapted
@@ -709,6 +713,8 @@ def adapted_isometry_decision(
     """
     recipe_src = recipe_src.strictly_normalized()
     recipe_tgt = recipe_tgt.strictly_normalized()
+    for recipe in (recipe_src, recipe_tgt):
+        _sized(a, recipe.derivation)
     if recipe_src.case != recipe_tgt.case:
         return Verdict("not-found", reason="extension cases differ")
     domain = _transport_domain(a, recipe_src.case)

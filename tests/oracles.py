@@ -1202,10 +1202,10 @@ def reference_inner_vectors(g: SuperAlgebra, parity: int, unknowns):
 
 
 def reference_inner_not_derivation(g: SuperAlgebra, parity: int):
-    """The InnerNotDerivation of derivations._inner_not_derivation: the
-    first ad_{e_i} of the parity that fails reference_is_derivation is
-    named here, and the library's message is taken only for a defect of
-    the declared degrees."""
+    """The InnerNotDerivation that outer_derivations raises: the first
+    ad_{e_i} of the parity that fails reference_is_derivation is named
+    here, and the library's message (derivations._inner_not_derivation)
+    is taken only for a defect of the declared degrees."""
     for i in g.odd_indices() if parity else g.even_indices():
         ok, witness = reference_is_derivation(g, ad_derivation(g, 1 << i))
         if not ok:
@@ -1215,7 +1215,7 @@ def reference_inner_not_derivation(g: SuperAlgebra, parity: int):
                 g.names[i], f"ad({g.names[i]}) is not in the derivation"
                 f" space: {rule} fails at ({where})"
             )
-    return _inner_not_derivation(g, parity)
+    return _inner_not_derivation(g)
 
 
 def reference_outer_blocks(g: SuperAlgebra, parity: int, fine):

@@ -555,7 +555,6 @@ def test_c12_arf():
                 assert arf_invariant(darboux_form(n, a)) == a
 
 
-@pytest.mark.stretch
 def test_c13_conjecture_support():
     with criterion(
         13,

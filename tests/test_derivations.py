@@ -65,6 +65,7 @@ from oracles import (
     reference_class_coordinates,
     reference_cohomologous,
     reference_find_a0,
+    reference_inner_not_derivation,
     reference_outer_derivations,
     reference_outer_dimension_by_degree,
     reference_validate,
@@ -732,7 +733,7 @@ def test_dimensions_never_leave_the_kept_unknowns(monkeypatch):
         {(i, m) for m, image in enumerate(rep.images) for i in bits(image)}
         for rep in outer.representatives
     ]
-    blocks = derivations._fine_blocks(g2, 0)
+    blocks = derivations._fine_blocks(g2, 0, True)
     for b in built:
         unknowns = set(full_block(blocks, b)[0])
         assert any(support <= unknowns for support in supports)
@@ -861,12 +862,12 @@ def fine_block_contents(g, parity):
     """{unknowns: (kernel, representatives)} over the fine blocks, or the
     type and message of what building them raised."""
     try:
-        blocks, outer, built = derivations._outer_blocks(g, parity)
+        blocks, outer = derivations._outer_blocks(g, parity)
     except NisLieError as exc:
         return type(exc), str(exc)
     contents = {}
     for b in range(len(outer)):
-        block, kernel, reps = built.get(b) or derivations._outer_block(blocks, b)
+        block, kernel, reps = derivations._outer_block(blocks, b)
         contents[tuple(block)] = (kernel, reps)
     return contents
 
@@ -1010,27 +1011,91 @@ def test_outer_stops_at_the_first_failing_inner_map(monkeypatch):
             assert not err.degrees_at_fault
 
 
+def even_inner_maps_pass(g):
+    return all(
+        is_derivation(g, ad_derivation(g, 1 << i))[0] for i in g.even_indices()
+    )
+
+
 def test_outer_builds_the_system_once_every_inner_map_passes(monkeypatch):
     # a Jacobi flip that leaves every even ad a derivation: the inner maps
     # are not proved, so the check runs, finds nothing, and the system is
     # built on every pair
-    def passing(g):
-        return all(
-            is_derivation(g, ad_derivation(g, 1 << i))[0] for i in g.even_indices()
-        )
-
     flips = flips_that_break_jacobi(random.Random("one parity passes"))
-    g = next(g for g in itertools.islice(flips, 40) if passing(g))
+    g = next(g for g in itertools.islice(flips, 40) if even_inner_maps_pass(g))
     assert g.jacobi_walk is None
     fine_blocks = derivations._fine_blocks
     built = []
     monkeypatch.setattr(
         derivations,
         "_fine_blocks",
-        lambda g, parity: built.append(parity) or fine_blocks(g, parity),
+        lambda g, parity, inner: built.append(parity) or fine_blocks(g, parity, inner),
     )
     want = reference_outer_derivations(g, 0, reference_fine_blocks(g, 0))
     assert outer_derivations(g, 0) == want and built == [0]
+
+
+def test_unproved_outer_reads_ranks_once_the_inner_maps_pass(monkeypatch):
+    # a Jacobi flip (no walk) and a squaring flip (a walk, no squaring
+    # verdict) whose even inner maps pass is_derivation: as with the proof,
+    # the dimensions come from the ranks over the kept unknowns, and only
+    # the blocks with outer classes are built in full coordinates
+    inputs = [
+        next(g for g in itertools.islice(flips, 40) if even_inner_maps_pass(g))
+        for flips in (
+            flips_that_break_jacobi(random.Random("one parity passes")),
+            flips_that_break_squaring(random.Random("one parity passes")),
+        )
+    ]
+    assert [g.jacobi_walk is None for g in inputs] == [True, False]
+    full_block = derivations._full_block
+
+    def refuse(*args):
+        raise AssertionError("built in full coordinates")
+
+    for g in inputs:
+        g = dataclasses.replace(g, degrees=(0,) * g.dim)  # one declared shift
+        fine = reference_fine_blocks(g, 0)
+        with monkeypatch.context() as mp:
+            mp.setattr(derivations, "_full_block", refuse)
+            mp.setattr(derivations, "quotient_basis", refuse)
+            got = outer_dimension_by_degree(g, 0)
+        assert got == reference_outer_dimension_by_degree(g, 0, fine)
+        built = []
+        with monkeypatch.context() as mp:
+            mp.setattr(
+                derivations,
+                "_full_block",
+                lambda blocks, b: built.append(b) or full_block(blocks, b),
+            )
+            outer = outer_derivations(g, 0)
+        assert outer == reference_outer_derivations(g, 0, fine)
+        _, dims = derivations._outer_blocks(g, 0)
+        assert built == [b for b, dim in enumerate(dims) if dim]
+        assert 0 < len(built) < len(dims)
+
+
+def test_bad_degrees_on_a_proved_algebra_check_no_inner_map(monkeypatch):
+    # the walk and the squaring verdict prove every inner map a derivation,
+    # so only the declared degrees can be at fault
+    g0 = named("h1-0-5").algebra
+    degrees = list(g0.degrees)
+    degrees[g0.index("xi1")] += 1
+    g = dataclasses.replace(g0, degrees=tuple(degrees))
+    assert g.jacobi_walk is not None and g.squaring_rule_holds
+    assert not g.degrees_coarsen_fine
+    want = reference_inner_not_derivation(g, 1)
+    assert want.degrees_at_fault
+
+    def refuse(*args):
+        raise AssertionError("an inner map was checked")
+
+    monkeypatch.setattr(derivations, "is_derivation", refuse)
+    for call in (outer_derivations, lambda g: outer_dimension_by_degree(g, 1)):
+        with pytest.raises(InnerNotDerivation) as info:
+            call(g)
+        assert (str(info.value), info.value.element) == (str(want), want.element)
+        assert info.value.degrees_at_fault
 
 
 def class_arithmetic_outcomes(g, maps, outer, rng):

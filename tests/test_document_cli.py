@@ -601,6 +601,25 @@ def test_cli_report_h04_draws_no_conclusion_from_equal_dimensions(
     assert out.splitlines()[-1] == "out-dimensions coincide, so they do not separate the three"
 
 
+def test_cli_report_h05_fails_when_a_refuted_recipe_passes(monkeypatch, capsys):
+    # the po(0|5;m) recipes are refuted: literal data that passed the
+    # axioms would not reproduce the table
+    assert main(["report", "--table", "h05"]) == 0
+    assert "MISMATCH" not in capsys.readouterr().out
+    monkeypatch.setattr(cli, "validate", lambda g: superalgebra.ValidationReport())
+    assert main(["report", "--table", "h05"]) == 1
+    rows = [ln for ln in capsys.readouterr().out.splitlines() if "axioms" in ln]
+    assert len(rows) == 2 and all(ln.endswith(" axioms pass MISMATCH") for ln in rows)
+
+
+@pytest.mark.parametrize("argv", [["report", "--table", "h99"], ["catalog", "frob"]])
+def test_cli_refuses_an_unknown_table_or_action(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
 def test_cli_catalog_list(capsys):
     assert main(["catalog", "list"]) == 0
     out = capsys.readouterr().out

@@ -26,7 +26,12 @@ from nislie.derivations import (
     outer_derivations,
 )
 from nislie.document import recipe_to_meta
-from nislie.errors import ConditionViolated, FieldNotInCase, NisLieError
+from nislie.errors import (
+    ConditionViolated,
+    DimensionMismatch,
+    FieldNotInCase,
+    NisLieError,
+)
 from nislie.extension import ExtensionRecipe, _odd_polar_matrix, extend
 from nislie.forms import BilinearForm, QuadraticForm, transport_quadratic
 from nislie.gf2 import GF2Matrix, SpanBasis
@@ -358,6 +363,52 @@ def test_entry_points_refuse_a_field_the_case_does_not_have(entry, hei_double):
             continue
         with pytest.raises(FieldNotInCase):
             calls[entry](src, tgt)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    ["extend", "extend unchecked", "build_adapted_isometry",
+     "adapted_isometry_decision", "is_semi_trivial", "compatible_subspace"],
+)
+def test_entry_points_refuse_a_derivation_of_the_wrong_size(entry, hei_double):
+    # each once gave an answer or an IndexError: the decision answered
+    # found for one extra zero image, the unchecked build cut n + 1 images,
+    # and compatible_subspace gave dim 0 for n - 1
+    g, b = hei_double.algebra, hei_double.form
+    n = g.dim
+    recipe = hei_odd_recipe(g)
+    d = recipe.derivation
+    ident = tuple(1 << i for i in range(n))
+    calls = {
+        "extend": lambda r: extend(g, b, r),
+        "extend unchecked": lambda r: extend(g, b, r, unchecked=True),
+        "build_adapted_isometry": lambda r: build_adapted_isometry(
+            g, b, r, r, ident
+        ),
+        "adapted_isometry_decision": lambda r: adapted_isometry_decision(g, b, r, r),
+        "is_semi_trivial": lambda r: is_semi_trivial(g, b, r),
+        "compatible_subspace": lambda r: compatible_subspace(
+            g, b, r.case, [r.derivation]
+        ),
+    }
+    calls[entry](recipe)  # the recipe itself is accepted
+    spill = list(d.images)
+    spill[g.index("p")] |= 1 << n
+    for images in (
+        d.images + (0,),
+        d.images[:-1],
+        (0,) * (n - 1),
+        tuple(spill),
+    ):
+        wrong = dataclasses.replace(recipe, derivation=Derivation(images, d.parity))
+        with pytest.raises(DimensionMismatch):
+            calls[entry](wrong)
+        if entry == "build_adapted_isometry":
+            with pytest.raises(DimensionMismatch):
+                build_adapted_isometry(g, b, recipe, wrong, ident)
+        if entry == "adapted_isometry_decision":
+            with pytest.raises(DimensionMismatch):
+                adapted_isometry_decision(g, b, recipe, wrong)
 
 
 def test_semi_triviality(hei_double, ba_double):
